@@ -104,12 +104,19 @@ class ArrayCode:
                     raise ParameterError(f"column {j} holds a zero cell")
                 if not basis.add(cell):
                     raise ParameterError(f"column {j} cells are linearly dependent")
+            # e_i can only lie in the span if bit i appears in some cell, so
+            # walking the support in ascending order finds the same first
+            # violation as walking all p parts.
             stored = {cell.bits for cell in col if cell.is_singleton()}
-            for i in range(self.p):
-                bit = 1 << i
+            support = 0
+            for cell in col:
+                support |= cell.bits
+            while support:
+                bit = support & -support
+                support ^= bit
                 if bit not in stored and pivot_reduce(basis.pivots, bit) == 0:
                     raise ParameterError(
-                        f"column {j} spans part {i + 1} without storing it as a singleton"
+                        f"column {j} spans part {bit.bit_length()} without storing it as a singleton"
                     )
 
     def column(self, j: int) -> tuple[PartVector, ...]:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -154,3 +155,13 @@ def test_columns_keep_file_order():
     code = parse_code(text)
     assert code.columns[0][0].singleton_part() == 2
     assert serialize_code(code) == text
+
+
+def test_parse_time_does_not_grow_with_header_p():
+    # a 30-byte file must not cost work proportional to its declared p
+    text = "PIRCODE v1\np=300000 t=1 m=1\n1\n"
+    start = time.perf_counter()
+    code = parse_code(text)
+    elapsed = time.perf_counter() - start
+    assert (code.p, code.m) == (300000, 1)
+    assert elapsed < 0.5

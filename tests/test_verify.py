@@ -1,9 +1,15 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pirarray import (
     ArrayCode,
+    ConstructionParams,
+    PairGraph,
     PartVector,
     RecoveryPlan,
     build_c1,
@@ -11,11 +17,20 @@ from pirarray import (
     build_c3,
     k_pir_exhaustive,
     k_pir_pairs,
+    max_general_matching,
     parse_code,
+    serialize_plan,
     singleton_upper_bound,
     verify_plan,
 )
 from pirarray.errors import CapExceeded
+from pirarray.gf2 import pivot_insert, pivot_reduce
+from pirarray.verify import (
+    _indexed_edges,
+    _scanned_edges,
+    _singleton_columns,
+    _use_span_index,
+)
 
 
 def test_intro_exhaustive_is_three(intro_code):
@@ -131,3 +146,124 @@ def test_plans_have_per_part_counts(intro_code):
     for part in range(1, 13):
         assert report.plan.k_for(part) == report.per_part[part - 1]
     assert report.plan.plan_k == report.k
+
+
+def _oracle_edges(code: ArrayCode, part: int, holders: set[int]) -> list[tuple[int, int]]:
+    """The quadratic reference scan: eliminate every pair of non-holder columns."""
+    target = 1 << (part - 1)
+    rest = [j for j in range(code.m) if j not in holders]
+    edges = []
+    for a, u in enumerate(rest):
+        for v in rest[a + 1 :]:
+            pivots: dict[int, int] = {}
+            for cell in code.columns[u] + code.columns[v]:
+                pivot_insert(pivots, cell.bits)
+            if pivot_reduce(pivots, target) == 0:
+                edges.append((u + 1, v + 1))
+    return edges
+
+
+def _oracle_plan(code: ArrayCode) -> RecoveryPlan:
+    """Singleton holders plus a maximum matching on the oracle's pair graph."""
+    sets_by_part = {}
+    for part, holders in enumerate(_singleton_columns(code), start=1):
+        sets = [frozenset({j + 1}) for j in sorted(holders)]
+        edges = _oracle_edges(code, part, holders)
+        if edges:
+            graph = PairGraph.general_graph({v for e in edges for v in e}, edges)
+            sets.extend(frozenset(e) for e in max_general_matching(graph))
+        sets_by_part[part] = sets
+    return RecoveryPlan(sets_by_part)
+
+
+def _random_column(rng: random.Random, p: int, t: int, used: int, forced: int) -> list[int]:
+    """t cells over parts 1..used spanning a random space that contains `forced`
+    (when nonzero), storing every singleton of that space as a cell."""
+    span: dict[int, int] = {}
+    cells = [forced] if forced else []
+    for bits in cells:
+        pivot_insert(span, bits)
+    while len(cells) < t:
+        bits = rng.randrange(1, 1 << used)
+        if pivot_insert(span, bits):
+            cells.append(bits)
+    singletons = [1 << i for i in range(p) if pivot_reduce(span, 1 << i) == 0]
+    basis: dict[int, int] = {}
+    return [bits for bits in singletons + cells if pivot_insert(basis, bits)][:t]
+
+
+@st.composite
+def valid_codes(draw, max_m: int) -> ArrayCode:
+    """Random codes under the singleton convention.  Parts above `used` are
+    stored nowhere; with `chain` set, columns 1-3 hold x1+x2, x2+x3 and x3,
+    which often leaves x1 recoverable only from three columns."""
+    p = draw(st.integers(1, 14))
+    t = draw(st.integers(1, min(6, p)))
+    used = draw(st.integers(t, p))
+    m = draw(st.integers(1, max_m))
+    chain = used >= 3 and m >= 3 and draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+    forced = [0b011, 0b110, 0b100] if chain else []
+    columns = [
+        _random_column(rng, p, t, used, forced[j] if j < len(forced) else 0) for j in range(m)
+    ]
+    return ArrayCode.from_columns(p, [[PartVector(p, bits) for bits in col] for col in columns])
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_codes(max_m=40))
+def test_both_edge_paths_match_quadratic_oracle(code):
+    holders = _singleton_columns(code)
+    oracle = [_oracle_edges(code, part, held) for part, held in enumerate(holders, start=1)]
+    assert list(_indexed_edges(code)) == oracle
+    assert list(_scanned_edges(code, holders)) == oracle
+    assert k_pir_pairs(code).plan == _oracle_plan(code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_codes(max_m=10))
+def test_pairs_never_beats_exhaustive_on_small_codes(code):
+    pairs, full = k_pir_pairs(code), k_pir_exhaustive(code)
+    assert pairs.k <= full.k
+    assert all(a <= b for a, b in zip(pairs.per_part, full.per_part))
+    assert verify_plan(code, pairs.plan).ok
+    assert verify_plan(code, full.plan).ok
+
+
+# SHA-256 of the PIRPLAN text the quadratic pair scan produced for these codes.
+GOLDEN_PLAN_SHA256 = {
+    ("integer", 3, None, 3): "93780efcf99edd72c9ae61e56add9c8c0aa6eb67eb70fa899df3ed097445f5e3",
+    ("c1", 6, 6, None): "30c9ac1e759436d07b18110938deb49c92a3a3aea2ef182b7bf95ed7631caa64",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_PLAN_SHA256, key=str))
+def test_pair_plans_at_scale_are_unchanged(key):
+    family, t, d, s = key
+    params = ConstructionParams(family, t, d=d, s=None if s is None else Fraction(s))
+    code = params.build()
+    assert _use_span_index(code, _singleton_columns(code))
+    report = k_pir_pairs(code)
+    assert (code.m, report.k) == params.predicted_counts()
+    assert verify_plan(code, report.plan).ok
+    digest = hashlib.sha256(serialize_plan(report.plan).encode()).hexdigest()
+    assert digest == GOLDEN_PLAN_SHA256[key]
+
+
+@pytest.mark.parametrize("family,t", [("c3", 18), ("c2", 19)])
+def test_narrow_codes_with_large_t_verify_by_scan(family, t):
+    # m * (2^t - 1) is ~15M span elements but only ~2K candidate pairs
+    params = ConstructionParams(family, t)
+    code = params.build()
+    assert not _use_span_index(code, _singleton_columns(code))
+    report = k_pir_pairs(code)
+    assert (code.m, report.k) == params.predicted_counts()
+    assert verify_plan(code, report.plan).ok
+
+
+def test_pairs_verifies_codes_whose_span_index_exceeds_the_cap():
+    # one column of 24 singletons: a short file, but 2^24 - 1 span elements
+    code = ArrayCode.from_columns(24, [[PartVector.singleton(24, i) for i in range(1, 25)]])
+    report = k_pir_pairs(code)
+    assert report.per_part == (1,) * 24
+    assert verify_plan(code, report.plan).ok
