@@ -26,7 +26,7 @@ class PartVector:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise DimensionError(f"vector length must be >= 1, got {self.length}")
-        if not 0 <= self.bits < (1 << self.length):
+        if self.bits < 0 or self.bits.bit_length() > self.length:
             raise DimensionError(f"bits 0x{self.bits:x} do not fit in length {self.length}")
 
     @classmethod

@@ -69,6 +69,9 @@ def test_partvector_basics():
         PartVector(3, 8)  # bit outside the length
     with pytest.raises(DimensionError):
         PartVector.singleton(3, 4)
+    assert PartVector(3, 0b111).parts() == (1, 2, 3)
+    with pytest.raises(DimensionError, match="do not fit in length 3"):
+        PartVector(3, -1)
 
 
 vectors_strategy = st.integers(min_value=3, max_value=8).flatmap(

@@ -158,10 +158,12 @@ def test_columns_keep_file_order():
 
 
 def test_parse_time_does_not_grow_with_header_p():
-    # a 30-byte file must not cost work proportional to its declared p
-    text = "PIRCODE v1\np=300000 t=1 m=1\n1\n"
-    start = time.perf_counter()
-    code = parse_code(text)
-    elapsed = time.perf_counter() - start
-    assert (code.p, code.m) == (300000, 1)
-    assert elapsed < 0.5
+    # a short file must not cost work proportional to its declared p, neither
+    # in the singleton check nor in each cell's range check
+    for p, m in ((300000, 1), (10**9, 20)):
+        text = f"PIRCODE v1\np={p} t=1 m={m}\n" + "1\n" * m
+        start = time.perf_counter()
+        code = parse_code(text)
+        elapsed = time.perf_counter() - start
+        assert (code.p, code.m) == (p, m)
+        assert elapsed < 0.5

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,9 @@ from pirarray import (
 from pirarray.errors import CapExceeded
 from pirarray.gf2 import pivot_insert, pivot_reduce
 from pirarray.verify import (
+    _column_pivots,
     _indexed_edges,
+    _minimal_recovery_masks,
     _scanned_edges,
     _singleton_columns,
     _use_span_index,
@@ -193,12 +196,13 @@ def _random_column(rng: random.Random, p: int, t: int, used: int, forced: int) -
 
 
 @st.composite
-def valid_codes(draw, max_m: int) -> ArrayCode:
+def valid_codes(draw, max_m: int, max_p: int = 14, max_t: int = 6, duplicates: bool = False) -> ArrayCode:
     """Random codes under the singleton convention.  Parts above `used` are
     stored nowhere; with `chain` set, columns 1-3 hold x1+x2, x2+x3 and x3,
-    which often leaves x1 recoverable only from three columns."""
-    p = draw(st.integers(1, 14))
-    t = draw(st.integers(1, min(6, p)))
+    which often leaves x1 recoverable only from three columns.  With
+    `duplicates`, some columns may repeat earlier ones."""
+    p = draw(st.integers(1, max_p))
+    t = draw(st.integers(1, min(max_t, p)))
     used = draw(st.integers(t, p))
     m = draw(st.integers(1, max_m))
     chain = used >= 3 and m >= 3 and draw(st.booleans())
@@ -207,6 +211,10 @@ def valid_codes(draw, max_m: int) -> ArrayCode:
     columns = [
         _random_column(rng, p, t, used, forced[j] if j < len(forced) else 0) for j in range(m)
     ]
+    if duplicates:
+        for j in range(1, m):
+            if draw(st.integers(0, 3)) == 0:
+                columns[j] = columns[draw(st.integers(0, j - 1))]
     return ArrayCode.from_columns(p, [[PartVector(p, bits) for bits in col] for col in columns])
 
 
@@ -267,3 +275,115 @@ def test_pairs_verifies_codes_whose_span_index_exceeds_the_cap():
     report = k_pir_pairs(code)
     assert report.per_part == (1,) * 24
     assert verify_plan(code, report.plan).ok
+
+
+def _oracle_minimal_masks(code: ArrayCode, part: int) -> list[int]:
+    """The size-ordered reference enumeration: every column subset by size,
+    skipping supersets of the minimal sets found so far."""
+    target = 1 << (part - 1)
+    minimal: list[int] = []
+    for size in range(1, code.m + 1):
+        for combo in combinations(range(code.m), size):
+            mask = 0
+            for j in combo:
+                mask |= 1 << j
+            if any(known & mask == known for known in minimal):
+                continue
+            pivots: dict[int, int] = {}
+            for j in combo:
+                for cell in code.columns[j]:
+                    pivot_insert(pivots, cell.bits)
+            if pivot_reduce(pivots, target) == 0:
+                minimal.append(mask)
+    minimal.sort()
+    return minimal
+
+
+def _oracle_packing(minimal: list[int], m: int) -> list[int]:
+    """The reference packing: candidates indexed under every column they contain."""
+    by_column: list[list[int]] = [[] for _ in range(m)]
+    for mask in minimal:
+        for c in range(m):
+            if mask & (1 << c):
+                by_column[c].append(mask)
+    memo: dict[int, int] = {0: 0}
+
+    def best(mask: int) -> int:
+        if mask not in memo:
+            c = (mask & -mask).bit_length() - 1
+            value = best(mask & (mask - 1))
+            for candidate in by_column[c]:
+                if candidate & mask == candidate:
+                    value = max(value, 1 + best(mask & ~candidate))
+            memo[mask] = value
+        return memo[mask]
+
+    chosen: list[int] = []
+    mask = (1 << m) - 1
+    while mask:
+        c = (mask & -mask).bit_length() - 1
+        score = best(mask)
+        for candidate in by_column[c]:
+            if candidate & mask == candidate and 1 + best(mask & ~candidate) == score:
+                chosen.append(candidate)
+                mask &= ~candidate
+                break
+        else:
+            mask &= mask - 1
+    return chosen
+
+
+def _oracle_exhaustive_plan(code: ArrayCode) -> RecoveryPlan:
+    """Per part, the reference packing of the reference enumeration's minimal sets."""
+    sets_by_part = {}
+    for part in range(1, code.p + 1):
+        chosen = _oracle_packing(_oracle_minimal_masks(code, part), code.m)
+        sets_by_part[part] = [
+            frozenset(j + 1 for j in range(code.m) if mask >> j & 1) for mask in chosen
+        ]
+    return RecoveryPlan(sets_by_part)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_codes(max_m=10, max_p=9, max_t=9, duplicates=True))
+def test_exhaustive_enumeration_matches_size_ordered_oracle(code):
+    rows = [tuple(pivots.values()) for pivots in _column_pivots(code)]
+    for part in range(1, code.p + 1):
+        assert _minimal_recovery_masks(rows, 1 << (part - 1)) == _oracle_minimal_masks(code, part)
+    report = k_pir_exhaustive(code)
+    oracle = _oracle_exhaustive_plan(code)
+    assert report.per_part == tuple(oracle.k_for(part) for part in range(1, code.p + 1))
+    assert serialize_plan(report.plan) == serialize_plan(oracle)
+
+
+def _seeded_code(seed: int, m: int, p: int, t: int) -> ArrayCode:
+    rng = random.Random(seed)
+    columns = [_random_column(rng, p, t, p, 0) for _ in range(m)]
+    return ArrayCode.from_columns(p, [[PartVector(p, bits) for bits in col] for col in columns])
+
+
+# (m, p, t) of the seeded random codes in the exhaustive golden set; seed = position.
+GOLDEN_RANDOM_SHAPES = (
+    (12, 5, 2), (12, 8, 3), (12, 12, 4), (12, 10, 5),
+    (13, 6, 2), (13, 9, 3), (13, 11, 4), (13, 7, 2),
+    (14, 5, 2), (14, 8, 3), (14, 6, 3), (14, 10, 4),
+)
+# SHA-256 of the concatenated PIRPLAN texts of the exhaustive plans for the
+# intro code, c1(2,2), c2(5), c3(2) and the seeded random codes above, as the
+# size-ordered enumeration produced them.
+GOLDEN_EXHAUSTIVE_SHA256 = "692a4fb67e5f22f069a5bbb7fb5dc3dc20a1e6652cc18d7eee0fd37d9a584d60"
+
+
+def _golden_exhaustive_codes(intro_code) -> list[ArrayCode]:
+    codes = [intro_code, build_c1(2, 2), build_c2(5), build_c3(2)]
+    codes += [_seeded_code(seed, *shape) for seed, shape in enumerate(GOLDEN_RANDOM_SHAPES)]
+    return codes
+
+
+def test_exhaustive_plans_are_unchanged(intro_code):
+    digest = hashlib.sha256()
+    for code in _golden_exhaustive_codes(intro_code):
+        report = k_pir_exhaustive(code)
+        assert verify_plan(code, report.plan).ok
+        digest.update(serialize_plan(report.plan).encode())
+    assert digest.hexdigest() == GOLDEN_EXHAUSTIVE_SHA256
