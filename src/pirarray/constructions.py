@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceeded, ParameterError
 from .gf2 import PartVector
-from .model import ArrayCode, canonical_column
+from .model import ArrayCode
 
 __all__ = [
     "DEFAULT_MAX_COLUMNS",
@@ -256,20 +256,37 @@ def general_s_counts(
 # materialization
 
 
-def _singleton_column(p: int, parts: Iterable[int]) -> list[PartVector]:
-    return [PartVector.singleton(p, i) for i in parts]
+class _Columns:
+    """Column maker for one build; cells are interned, so each distinct part
+    set becomes one PartVector however many columns hold it."""
 
+    def __init__(self, p: int):
+        self.p = p
+        self._cells: dict[tuple[int, ...], PartVector] = {}
 
-def _sum_column(p: int, singles: Iterable[int], summands: Iterable[int]) -> list[PartVector]:
-    return [PartVector.singleton(p, i) for i in singles] + [PartVector.from_parts(p, summands)]
+    def _cell(self, parts: tuple[int, ...]) -> PartVector:
+        cell = self._cells.get(parts)
+        if cell is None:
+            cell = self._cells[parts] = PartVector.from_parts(self.p, parts)
+        return cell
 
+    def block(
+        self, specs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], mult: int = 1
+    ) -> list[tuple[PartVector, ...]]:
+        """One type block in canonical column order, each column `mult` times.
 
-def _column_key(col: Sequence[PartVector]):
-    return tuple((0, c.parts()) if c.is_singleton() else (1, c.parts()) for c in canonical_column(col))
-
-
-def _sorted_block(columns: list[list[PartVector]]) -> list[list[PartVector]]:
-    return sorted(columns, key=_column_key)
+        A spec is (singleton parts, summed parts), both ascending tuples; the
+        summed parts are empty for an all-singleton type.  Within one type,
+        comparing specs orders columns as comparing their canonical cells
+        does, so the sort needs no cells.
+        """
+        out: list[tuple[PartVector, ...]] = []
+        for singles, summands in sorted(specs):
+            col = tuple(self._cell((i,)) for i in singles)
+            if summands:
+                col += (self._cell(summands),)
+            out.extend([col] * mult)
+        return out
 
 
 def build_c1(t: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
@@ -279,17 +296,16 @@ def build_c1(t: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCod
     m, _ = c1_counts(t, d)
     _check_cap(m, max_columns)
     parts = range(1, p + 1)
-    type_a = [
-        list(_singleton_column(p, subset))
-        for subset in combinations(parts, t)
-        for _ in range(theta // d)
-    ]
-    type_b = [
-        _sum_column(p, subset, (i for i in parts if i not in subset))
-        for subset in combinations(parts, t - 1)
-        for _ in range(theta // t)
-    ]
-    return ArrayCode.from_columns(p, _sorted_block(type_a) + _sorted_block(type_b))
+    columns = _Columns(p)
+    type_a = columns.block(((subset, ()) for subset in combinations(parts, t)), theta // d)
+    type_b = columns.block(
+        (
+            (subset, tuple(i for i in parts if i not in subset))
+            for subset in combinations(parts, t - 1)
+        ),
+        theta // t,
+    )
+    return ArrayCode.from_columns(p, type_a + type_b)
 
 
 def build_c2(t: int) -> ArrayCode:
@@ -297,12 +313,11 @@ def build_c2(t: int) -> ArrayCode:
     c2_counts(t)
     p = t + 1
     parts = range(1, p + 1)
-    type_a = [list(_singleton_column(p, subset)) for subset in combinations(parts, t)]
-    type_b = [
-        _sum_column(p, (i for i in parts if i not in (2 * j - 1, 2 * j)), (2 * j - 1, 2 * j))
-        for j in range(1, (t + 1) // 2 + 1)
-    ]
-    return ArrayCode.from_columns(p, _sorted_block(type_a) + _sorted_block(type_b))
+    columns = _Columns(p)
+    type_a = columns.block((subset, ()) for subset in combinations(parts, t))
+    pairs = [(2 * j - 1, 2 * j) for j in range(1, (t + 1) // 2 + 1)]
+    type_b = columns.block((tuple(i for i in parts if i not in pair), pair) for pair in pairs)
+    return ArrayCode.from_columns(p, type_a + type_b)
 
 
 def build_c3(t: int) -> ArrayCode:
@@ -310,43 +325,39 @@ def build_c3(t: int) -> ArrayCode:
     c3_counts(t)
     p = t + 1
     parts = range(1, p + 1)
-    type_a = [
-        list(_singleton_column(p, subset)) for subset in combinations(parts, t) for _ in range(2)
-    ]
-    type_b = []
-    for j in range(1, p + 1):
-        follower = j + 1 if j < p else 1
-        type_b.append(
-            _sum_column(p, (i for i in parts if i not in (j, follower)), (j, follower))
-        )
-    return ArrayCode.from_columns(p, _sorted_block(type_a) + _sorted_block(type_b))
+    columns = _Columns(p)
+    type_a = columns.block(((subset, ()) for subset in combinations(parts, t)), 2)
+    # server j sums x_j + x_{j+1}, wrapping past p to x_1
+    pairs = [(j, j + 1) for j in range(1, p)] + [(1, p)]
+    type_b = columns.block((tuple(i for i in parts if i not in pair), pair) for pair in pairs)
+    return ArrayCode.from_columns(p, type_a + type_b)
 
 
 def _build_type_blocks(
     p: int, t: int, xi: Sequence[int], sum_sizes: list[int | None]
-) -> list[list[PartVector]]:
+) -> list[tuple[PartVector, ...]]:
     """Type blocks in order: entry r of sum_sizes is None for the all-singleton
     type, the summand count for interior types, or -1 for the closing
     all-remaining-parts type."""
     parts = range(1, p + 1)
-    blocks: list[list[list[PartVector]]] = []
+    columns = _Columns(p)
+    out: list[tuple[PartVector, ...]] = []
     for r, size in enumerate(sum_sizes, start=1):
-        mult = xi[r - 1]
-        block: list[list[PartVector]] = []
         if size is None:
-            for subset in combinations(parts, t):
-                block.extend(list(_singleton_column(p, subset)) for _ in range(mult))
+            specs = ((subset, ()) for subset in combinations(parts, t))
         elif size == -1:
-            for subset in combinations(parts, t - 1):
-                rest = [i for i in parts if i not in subset]
-                block.extend(_sum_column(p, subset, rest) for _ in range(mult))
+            specs = (
+                (subset, tuple(i for i in parts if i not in subset))
+                for subset in combinations(parts, t - 1)
+            )
         else:
-            for subset in combinations(parts, t - 1):
-                rest = [i for i in parts if i not in subset]
-                for summands in combinations(rest, size):
-                    block.extend(_sum_column(p, subset, summands) for _ in range(mult))
-        blocks.append(_sorted_block(block))
-    return [col for block in blocks for col in block]
+            specs = (
+                (subset, summands)
+                for subset in combinations(parts, t - 1)
+                for summands in combinations([i for i in parts if i not in subset], size)
+            )
+        out += columns.block(specs, xi[r - 1])
+    return out
 
 
 def build_integer_s(

@@ -20,7 +20,9 @@ File formats (UTF-8, LF):
 
 Cells inside a column are kept in canonical order (singletons first,
 ascending by part; then non-singletons ascending by support) so that
-serialization is deterministic; columns keep their given order.
+serialization is deterministic; columns keep their given order.  The order
+is set once, in `ArrayCode.__post_init__`, which sorts and checks each
+distinct column once and shares the sorted tuple among its repeats.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, Mapping
 
 from .errors import FormatError, ParameterError
-from .gf2 import Gf2Basis, PartVector, pivot_reduce
+from .gf2 import PartVector, pivot_insert, pivot_reduce
 
 __all__ = [
     "ArrayCode",
@@ -53,16 +55,6 @@ PLAN_MAGIC = "PIRPLAN v1"
 _HEADER_RE = re.compile(r"^p=(\d+) t=(\d+) m=(\d+)$")
 
 
-def _cell_key(cell: PartVector) -> tuple[int, tuple[int, ...]]:
-    # singletons first ascending by part, then non-singletons by support
-    return (0, cell.parts()) if cell.is_singleton() else (1, cell.parts())
-
-
-def canonical_column(cells: Iterable[PartVector]) -> tuple[PartVector, ...]:
-    """A column's cells in canonical order."""
-    return tuple(sorted(cells, key=_cell_key))
-
-
 @dataclass(frozen=True)
 class ArrayCode:
     """Immutable [t x m, p] array code; use `from_columns` to build one."""
@@ -75,7 +67,7 @@ class ArrayCode:
 
     @classmethod
     def from_columns(cls, p: int, columns: Iterable[Iterable[PartVector]]) -> ArrayCode:
-        cols = tuple(canonical_column(col) for col in columns)
+        cols = tuple(tuple(col) for col in columns)
         if not cols:
             raise ParameterError("a code needs at least one column")
         t = len(cols[0])
@@ -88,36 +80,66 @@ class ArrayCode:
             raise ParameterError(f"m={self.m} but {len(self.columns)} columns given")
         if self.s != Fraction(self.p, self.t):
             raise ParameterError(f"s={self.s} but p/t={Fraction(self.p, self.t)}")
-        object.__setattr__(
-            self, "columns", tuple(canonical_column(col) for col in self.columns)
-        )
+        # A column's checks and canonical order depend only on its cells'
+        # bits once every cell has length p, so each distinct bits tuple is
+        # sorted and checked once; a repeat reuses that sorted tuple after
+        # its own length check.
+        p, t = self.p, self.t
+        sort_keys: dict[int, tuple] = {}
+        canonical: dict[tuple[int, ...], tuple[PartVector, ...]] = {}
+        columns = []
         for j, col in enumerate(self.columns, start=1):
-            if len(col) != self.t:
-                raise ParameterError(f"column {j} has {len(col)} cells, expected t={self.t}")
-            basis = Gf2Basis(self.p)
-            for cell in col:
-                if cell.length != self.p:
-                    raise ParameterError(
-                        f"column {j} holds a cell of length {cell.length}, expected p={self.p}"
-                    )
-                if cell.is_zero():
-                    raise ParameterError(f"column {j} holds a zero cell")
-                if not basis.add(cell):
-                    raise ParameterError(f"column {j} cells are linearly dependent")
-            # e_i can only lie in the span if bit i appears in some cell, so
-            # walking the support in ascending order finds the same first
-            # violation as walking all p parts.
-            stored = {cell.bits for cell in col if cell.is_singleton()}
-            support = 0
-            for cell in col:
-                support |= cell.bits
-            while support:
-                bit = support & -support
-                support ^= bit
-                if bit not in stored and pivot_reduce(basis.pivots, bit) == 0:
-                    raise ParameterError(
-                        f"column {j} spans part {bit.bit_length()} without storing it as a singleton"
-                    )
+            col = tuple(col)
+            if len(col) != t:
+                raise ParameterError(f"column {j} has {len(col)} cells, expected t={t}")
+            bits = tuple(cell.bits for cell in col)
+            done = canonical.get(bits)
+            if done is None or any(cell.length != p for cell in col):
+                done = canonical[bits] = self._checked_column(j, col, sort_keys)
+            columns.append(done)
+        object.__setattr__(self, "columns", tuple(columns))
+
+    def _checked_column(
+        self, j: int, col: tuple[PartVector, ...], sort_keys: dict[int, tuple]
+    ) -> tuple[PartVector, ...]:
+        """Column j's cells in canonical order; raises on its first violation."""
+
+        def key(cell: PartVector) -> tuple:
+            # singletons first ascending by part, then non-singletons by support
+            found = sort_keys.get(cell.bits)
+            if found is None:
+                found = (0, cell.bits) if cell.is_singleton() else (1, cell.parts())
+                sort_keys[cell.bits] = found
+            return found
+
+        cells = tuple(sorted(col, key=key))
+        pivots: dict[int, int] = {}
+        stored: set[int] = set()
+        support = 0
+        for cell in cells:
+            if cell.length != self.p:
+                raise ParameterError(
+                    f"column {j} holds a cell of length {cell.length}, expected p={self.p}"
+                )
+            bits = cell.bits
+            if bits == 0:
+                raise ParameterError(f"column {j} holds a zero cell")
+            if not pivot_insert(pivots, bits):
+                raise ParameterError(f"column {j} cells are linearly dependent")
+            if bits & (bits - 1) == 0:
+                stored.add(bits)
+            support |= bits
+        # e_i can only lie in the span if bit i appears in some cell, so
+        # walking the support in ascending order finds the same first
+        # violation as walking all p parts.
+        while support:
+            bit = support & -support
+            support ^= bit
+            if bit not in stored and pivot_reduce(pivots, bit) == 0:
+                raise ParameterError(
+                    f"column {j} spans part {bit.bit_length()} without storing it as a singleton"
+                )
+        return cells
 
     def column(self, j: int) -> tuple[PartVector, ...]:
         """Cells of the 1-based column j."""
@@ -167,8 +189,15 @@ def parse_cell(text: str, p: int) -> PartVector:
 
 def serialize_code(code: ArrayCode) -> str:
     lines = [CODE_MAGIC, f"p={code.p} t={code.t} m={code.m}"]
+    texts: dict[int, str] = {}  # each distinct cell is formatted once
     for col in code.columns:
-        lines.append(";".join(format_cell(cell) for cell in col))
+        rendered = []
+        for cell in col:
+            text = texts.get(cell.bits)
+            if text is None:
+                text = texts[cell.bits] = format_cell(cell)
+            rendered.append(text)
+        lines.append(";".join(rendered))
     return "\n".join(lines) + "\n"
 
 
@@ -189,8 +218,14 @@ def parse_code(text: str) -> ArrayCode:
     if len(body) != m:
         raise FormatError(f"expected {m} column lines, found {len(body)}")
     columns = []
+    cells_by_token: dict[str, PartVector] = {}  # each distinct token is parsed once
     for line_no, line in enumerate(body, start=1):
-        cells = [parse_cell(tok, p) for tok in line.split(";")]
+        cells = []
+        for tok in line.split(";"):
+            cell = cells_by_token.get(tok)
+            if cell is None:
+                cell = cells_by_token[tok] = parse_cell(tok, p)
+            cells.append(cell)
         if len(cells) != t:
             raise FormatError(f"column {line_no} has {len(cells)} cells, expected t={t}")
         columns.append(cells)
@@ -213,7 +248,8 @@ class RecoveryPlan:
 
     def __init__(self, sets_by_part: Mapping[int, Iterable[Collection[int]]]):
         self._sets: dict[int, tuple[frozenset[int], ...]] = {
-            int(part): _canonical_sets(sets) for part, sets in sorted(sets_by_part.items())
+            int(part): _canonical_sets(sets) if sets else ()
+            for part, sets in sorted(sets_by_part.items())
         }
 
     def parts(self) -> tuple[int, ...]:

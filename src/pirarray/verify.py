@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
 from .gf2 import Gf2Basis, pivot_insert, pivot_reduce
@@ -83,9 +83,12 @@ class PlanCheck(NamedTuple):
 
 
 def singleton_upper_bound(code: ArrayCode) -> Fraction:
-    """min over parts of alpha_u + (m - alpha_u)/2; any achievable k is <= its floor."""
-    alpha = singleton_census(code)
-    return min(Fraction(a) + Fraction(code.m - a, 2) for a in alpha)
+    """min over parts of alpha_u + (m - alpha_u)/2; any achievable k is <= its floor.
+
+    alpha + (m - alpha)/2 = (m + alpha)/2 grows with alpha, so the minimum
+    is taken at the smallest alpha_u.
+    """
+    return Fraction(code.m + min(singleton_census(code)), 2)
 
 
 def _column_pivots(code: ArrayCode) -> list[dict[int, int]]:
@@ -98,15 +101,16 @@ def _column_pivots(code: ArrayCode) -> list[dict[int, int]]:
     return out
 
 
-def _singleton_columns(code: ArrayCode) -> list[set[int]]:
-    """For each part index (0-based), the 0-based columns storing it as a singleton."""
-    holders: list[set[int]] = [set() for _ in range(code.p)]
+def _singleton_columns(code: ArrayCode) -> list[Sequence[int]]:
+    """For each part index (0-based), the ascending 0-based columns storing
+    it as a singleton; parts stored nowhere share one empty tuple."""
+    held: dict[int, list[int]] = defaultdict(list)
     for j, col in enumerate(code.columns):
         for cell in col:
             part = cell.singleton_part()
             if part is not None:
-                holders[part - 1].add(j)
-    return holders
+                held[part - 1].append(j)
+    return [held.get(i, ()) for i in range(code.p)]
 
 
 def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
@@ -151,7 +155,7 @@ def _span_index(code: ArrayCode) -> dict[int, list[int]]:
 
 
 def _lifts(index: dict[int, list[int]]) -> dict[int, list[int]]:
-    """Part bit e_i -> the indexed vectors x with bit i set whose x ^ e_i is indexed too."""
+    """Part i (1-based) -> the indexed vectors x with bit i set whose x ^ e_i is indexed too."""
     lifts: defaultdict[int, list[int]] = defaultdict(list)
     for x in index:
         rest = x
@@ -159,13 +163,13 @@ def _lifts(index: dict[int, list[int]]) -> dict[int, list[int]]:
             bit = rest & -rest
             rest ^= bit
             if x ^ bit in index:
-                lifts[bit].append(x)
+                lifts[bit.bit_length()].append(x)
     return lifts
 
 
 def _pair_edges(index: dict[int, list[int]], lifted: list[int], bit: int) -> list[tuple[int, int]]:
     """The sorted column pairs {U,V} whose joint span holds e_i = `bit`
-    although neither column's span does; `lifted` is `_lifts(index)[bit]`.
+    although neither column's span does; `lifted` is `_lifts(index)[i]`.
 
     e_i lies in span(U)+span(V) iff some x in span(U) has x ^ e_i in span(V).
     A column holding both x and x ^ e_i spans e_i on its own, so it is a
@@ -187,15 +191,19 @@ def _pair_edges(index: dict[int, list[int]], lifted: list[int], bit: int) -> lis
 
 
 def _indexed_edges(code: ArrayCode) -> Iterator[list[tuple[int, int]]]:
-    """For parts 1..p in turn, the sorted pair edges read off the span index."""
+    """For parts 1..p in turn, the sorted pair edges read off the span index.
+
+    A part with no lifts has no edges; skipping it keeps the cost of a code
+    whose cells touch few of its p parts linear in p.
+    """
     index = _span_index(code)
     lifts = _lifts(index)
     for part in range(1, code.p + 1):
-        bit = 1 << (part - 1)
-        yield _pair_edges(index, lifts.get(bit, []), bit)
+        lifted = lifts.get(part)
+        yield _pair_edges(index, lifted, 1 << (part - 1)) if lifted else []
 
 
-def _scanned_edges(code: ArrayCode, holders: list[set[int]]) -> Iterator[list[tuple[int, int]]]:
+def _scanned_edges(code: ArrayCode, holders: list[Sequence[int]]) -> Iterator[list[tuple[int, int]]]:
     """For parts 1..p in turn, the sorted pair edges found by eliminating
     every pair of non-holder columns whose cells involve the part."""
     pivots = _column_pivots(code)
@@ -208,7 +216,8 @@ def _scanned_edges(code: ArrayCode, holders: list[set[int]]) -> Iterator[list[tu
         involved.append(mask)
     for part in range(1, code.p + 1):
         target = 1 << (part - 1)
-        rest = [j for j in range(code.m) if j not in holders[part - 1]]
+        held = set(holders[part - 1])
+        rest = [j for j in range(code.m) if j not in held]
         edges: list[tuple[int, int]] = []
         for a, u in enumerate(rest):
             piv_u = pivots[u]
@@ -237,7 +246,7 @@ def _scanned_edges(code: ArrayCode, holders: list[set[int]]) -> Iterator[list[tu
         yield edges
 
 
-def _use_span_index(code: ArrayCode, holders: list[set[int]]) -> bool:
+def _use_span_index(code: ArrayCode, holders: list[Sequence[int]]) -> bool:
     """Whether the span index has no more entries than the pair scan has
     candidate pairs, and fits under PAIRS_SPAN_CAP."""
     entries = code.m * ((1 << code.t) - 1)
@@ -271,7 +280,7 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     per_part = []
     plan_sets = {}
     for part, edges in enumerate(part_edges, start=1):
-        sets = [frozenset({j + 1}) for j in sorted(holders[part - 1])]
+        sets = [frozenset({j + 1}) for j in holders[part - 1]]
         if edges:
             graph = PairGraph.general_graph({v for e in edges for v in e}, edges)
             sets.extend(frozenset(e) for e in max_general_matching(graph))

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -12,6 +13,8 @@ from pirarray import (
     build_c3,
     build_general_s,
     build_integer_s,
+    parse_code,
+    serialize_code,
     solve_xi,
 )
 from pirarray.constructions import (
@@ -281,3 +284,45 @@ def test_c1_generated_m_matches_formula(params):
     code = build_c1(t, d)
     assert code.m == comb(t + d, t) * theta // d + comb(t + d, t - 1) * theta // t
     assert all(len(col) == t for col in code.columns)
+
+
+# ---------------------------------------------------------------------------
+# golden bytes
+#
+# SHA-256 of the concatenated PIRCODE texts as the builders produced them
+# when every cell was built per column and every block was sorted on its
+# cells' parts; a change to a builder's column order, cell order or cell
+# content changes it.
+
+GOLDEN_BUILDS_SHA256 = "37aa3b69bd75590a5a772070820ccd701baa82e4efc7222a5de7fe03b114cfb8"
+GOLDEN_SMALL_SERVER_SHA256 = "c19b64e10fe9d27bd8a4794c5d1a315b4b0bfbdff6d4ab758baa4f4b471a41f2"
+
+
+def _digest_and_round_trip(codes):
+    texts = [serialize_code(code) for code in codes]
+    for text in texts:
+        assert serialize_code(parse_code(text)) == text
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+def test_builder_bytes_are_unchanged():
+    codes = [
+        build_integer_s(4, 2),
+        build_integer_s(3, 3),
+        build_c1(6, 6),
+        build_c1(7, 4),
+        build_general_s(Fraction(5, 2), 4),
+        build_c1(7, 7),
+    ]
+    assert _digest_and_round_trip(codes) == GOLDEN_BUILDS_SHA256
+
+
+def test_small_server_builder_bytes_are_unchanged():
+    codes = [build_c2(t) for t in (3, 5, 7, 9)] + [build_c3(t) for t in (2, 4, 6, 8)]
+    assert _digest_and_round_trip(codes) == GOLDEN_SMALL_SERVER_SHA256
+
+
+def test_builders_share_one_cell_per_part_set():
+    code = build_integer_s(3, 2)
+    cells = [cell for col in code.columns for cell in col]
+    assert len({id(cell) for cell in cells}) == len(set(cells))

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from pirarray import (
     RecoveryPlan,
     build_c1,
     build_c2,
+    build_general_s,
     build_integer_s,
     parse_code,
     parse_plan,
@@ -167,3 +169,63 @@ def test_parse_time_does_not_grow_with_header_p():
         elapsed = time.perf_counter() - start
         assert (code.p, code.m) == (p, m)
         assert elapsed < 0.5
+
+
+# ---------------------------------------------------------------------------
+# per-distinct-cell and per-distinct-column memoization must not change
+# which error is raised or the canonical order
+
+
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        # a repeated bad token: the first bad token in file order is named
+        ("1;2\n2+1;3\n1;2\n3+1;2\n2+1;3", FormatError, "cell '2+1': part indices must be ascending"),
+        ("1;2\n1+1;3\n1+1;3\n2;2+2", FormatError, "cell '1+1': duplicate part index 1"),
+        ("1;2\n1;2;3\n1;2\n1;2;3", FormatError, "column 2 has 3 cells, expected t=2"),
+        # a repeated bad column: the first column holding it is named
+        ("1;2\n1+2;1+2\n1;3\n1+2;1+2\n2+3;2+3", ParameterError, "column 2 cells are linearly dependent"),
+        ("1;2\n1;2\n2;1+2\n1;2\n1+2;2", ParameterError, "column 3 spans part 1 without storing it"),
+        ("1;3\n2+3;3\n1;3\n2+3;3", ParameterError, "column 2 spans part 2 without storing it"),
+    ],
+)
+def test_repeated_bad_lines_name_the_first(body, error, message):
+    lines = body.split("\n")
+    t = len(lines[0].split(";"))
+    text = f"PIRCODE v1\np=3 t={t} m={len(lines)}\n" + "\n".join(lines) + "\n"
+    with pytest.raises(error) as raised:
+        parse_code(text)
+    assert str(raised.value).startswith(message)
+
+
+def test_repeated_zero_cell_names_the_first_column():
+    e1, e2, zero = PartVector.singleton(3, 1), PartVector.singleton(3, 2), PartVector.zero(3)
+    columns = [[e1, e2], [zero, e1], [e1, e2], [zero, e1], [e1, zero]]
+    with pytest.raises(ParameterError, match="^column 2 holds a zero cell$"):
+        ArrayCode.from_columns(3, columns)
+
+
+def test_shuffled_cells_give_the_canonical_code():
+    rng = random.Random(5)
+    for code in (build_c1(3, 2), build_integer_s(3, 2), build_general_s(Fraction(7, 3), 3)):
+        # every copy of a repeated column is shuffled on its own, so equal
+        # columns reach the model in different cell orders
+        shuffled = []
+        for col in code.columns:
+            cells = list(col)
+            rng.shuffle(cells)
+            shuffled.append(cells)
+        again = ArrayCode.from_columns(code.p, shuffled)
+        assert again == code
+        assert serialize_code(again) == serialize_code(code)
+
+
+def test_wrong_length_cell_in_a_repeated_column_is_rejected():
+    e1, e2 = PartVector.singleton(2, 1), PartVector.singleton(2, 2)
+    long_e1 = PartVector(3, 1)  # same bits as e1, wrong length
+    columns = [[e1, e2], [e2, e1], [e1, e2], [long_e1, e2]]
+    with pytest.raises(ParameterError, match="^column 4 holds a cell of length 3, expected p=2$"):
+        ArrayCode.from_columns(2, columns)
+    columns = [[e1, e2], [e1, PartVector(5, 2)], [long_e1, e2]]
+    with pytest.raises(ParameterError, match="^column 2 holds a cell of length 5, expected p=2$"):
+        ArrayCode.from_columns(2, columns)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -267,6 +268,20 @@ def test_narrow_codes_with_large_t_verify_by_scan(family, t):
     report = k_pir_pairs(code)
     assert (code.m, report.k) == params.predicted_counts()
     assert verify_plan(code, report.plan).ok
+
+
+def test_pairs_time_does_not_grow_faster_than_header_p():
+    # two copies of x_1 and 199999 parts stored nowhere: every part costs a
+    # k_i, but no part may cost work proportional to p
+    p = 200000
+    start = time.perf_counter()
+    report = k_pir_pairs(parse_code(f"PIRCODE v1\np={p} t=1 m=2\n1\n1\n"))
+    elapsed = time.perf_counter() - start
+    assert report.k == 0
+    assert len(report.per_part) == p
+    assert report.per_part[0] == 2
+    assert report.singleton_bound == Fraction(1)
+    assert elapsed < 1.0
 
 
 def test_pairs_verifies_codes_whose_span_index_exceeds_the_cap():
