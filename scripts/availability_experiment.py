@@ -11,14 +11,15 @@ surviving sets per part; the sweep shows how much slack typical draws leave.
 from __future__ import annotations
 
 import argparse
-from fractions import Fraction
 
-from pirarray import ConstructionParams, Fleet, availability_sweep, k_pir_pairs
+from pirarray import ConstructionParams, Fleet, ParameterError, availability_sweep, k_pir_pairs
+from pirarray.cli import parse_s
+from pirarray.constructions import FAMILIES
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--family", default="c1", choices=("c1", "c2", "c3", "integer", "general"))
+    parser.add_argument("--family", default="c1", choices=FAMILIES)
     parser.add_argument("--t", type=int, default=2)
     parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--s", type=str, default=None, help="exact rational like 5/2")
@@ -27,17 +28,11 @@ def main() -> None:
     parser.add_argument("--max-failures", type=int, default=3)
     args = parser.parse_args()
 
-    s = None
-    if args.s is not None:
-        num, _, den = args.s.partition("/")
-        s = Fraction(int(num), int(den or 1))
-    params = ConstructionParams(
-        family=args.family,
-        t=args.t,
-        d=args.d if args.family == "c1" else None,
-        s=s,
-    )
-    code = params.build()
+    try:
+        s = parse_s(args.s) if args.s is not None else None
+        code = ConstructionParams(family=args.family, t=args.t, d=args.d, s=s).build()
+    except ParameterError as exc:
+        parser.error(str(exc))
     report = k_pir_pairs(code)
     fleet = Fleet(code=code, seed=args.seed)
     print(f"{args.family}: p={code.p} t={code.t} m={code.m} k={report.k} rate={report.rate}")

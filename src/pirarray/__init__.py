@@ -33,8 +33,8 @@ from .constructions import (
     solve_xi,
 )
 from .errors import CapExceeded, DimensionError, FormatError, ParameterError
-from .gf2 import Gf2Basis, PartVector, in_span, rank
-from .matching import PairGraph, max_bipartite_matching, max_general_matching
+from .gf2 import PartVector
+from .matching import PairGraph, max_general_matching
 from .model import (
     ArrayCode,
     RecoveryPlan,
@@ -63,7 +63,6 @@ __all__ = [
     "DimensionError",
     "Fleet",
     "FormatError",
-    "Gf2Basis",
     "PairGraph",
     "ParameterError",
     "PartVector",
@@ -80,16 +79,13 @@ __all__ = [
     "corollary_bound",
     "fvy_rate",
     "general_s_rate",
-    "in_span",
     "integer_s_rate",
     "k_pir_exhaustive",
     "k_pir_pairs",
-    "max_bipartite_matching",
     "max_general_matching",
     "min_servers_bound",
     "parse_code",
     "parse_plan",
-    "rank",
     "reference_rates",
     "render_decimal",
     "retrieve",

@@ -55,13 +55,9 @@ __all__ = [
 ]
 
 
-def _as_fraction(s: Fraction | int) -> Fraction:
-    return s if isinstance(s, Fraction) else Fraction(s)
-
-
 def upper_g_s(s: Fraction | int) -> Fraction:
     """(s+1)/(2s); the never-attained ceiling for any fixed t."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     if s <= 1:
         raise ParameterError(f"need s > 1, got {s}")
     return (s + 1) / (2 * s)
@@ -90,7 +86,7 @@ def corollary_bound(delta: int, tau: int, ell: int) -> Fraction:
 
 def t1_rate(s: int) -> Fraction:
     """Exact single-cell-per-server rate 2^(s-1)/(2^s - 1)."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     if s.denominator != 1 or s < 1:
         raise ParameterError(f"need a positive integer s, got {s}")
     sv = s.numerator
@@ -99,7 +95,7 @@ def t1_rate(s: int) -> Fraction:
 
 def fvy_rate(s: int) -> Fraction:
     """s/(2s-1), a lower bound at t = s-1 for integer s >= 3."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     if s.denominator != 1 or s < 3:
         raise ParameterError(f"need an integer s >= 3, got {s}")
     return Fraction(s.numerator, 2 * s.numerator - 1)
@@ -115,7 +111,7 @@ def integer_beta_gamma(
     s: Fraction | int, t: int, xi: Sequence[int] | None = None
 ) -> tuple[int, int]:
     """(beta, gamma) for integer s: beta = xi_1(p-t+1) + sum (t-1) xi_r C(p-t+1,(r-1)t+1)."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     if s.denominator != 1 or s.numerator < 2:
         raise ParameterError(f"need integer s >= 2, got {s}")
     if t < 1:
@@ -143,7 +139,7 @@ def general_beta_gamma(
     s: Fraction | int, t: int, xi: Sequence[int] | None = None
 ) -> tuple[int, int]:
     """(beta, gamma) for non-integer s > 2, including the closing type's terms."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     if s.denominator == 1 or s <= 2:
         raise ParameterError(f"need non-integer s > 2, got {s}")
     if t < 2:
@@ -227,7 +223,7 @@ class BoundSheet:
 
 def reference_rates(s: Fraction | int, t: int) -> BoundSheet:
     """Fill every applicable formula at (s, t); needs s > 1, t >= 1 and st integral."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     if s <= 1:
         raise ParameterError(f"need s > 1, got {s}")
     if t < 1:
@@ -323,7 +319,7 @@ def min_servers_bound(s: Fraction | int, t: int, k: int) -> int:
     U is the exact single-cell rate at t = 1, the tight 1 < s <= 2 bound when
     s-1 maps to an integer d, and (s+1)/(2s) otherwise.
     """
-    s = _as_fraction(s)
+    s = Fraction(s)
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     if s <= 1:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .constructions import DEFAULT_MAX_COLUMNS, ConstructionParams
+from .constructions import DEFAULT_MAX_COLUMNS, FAMILIES, ConstructionParams
 from .errors import ParameterError
 from .model import parse_code, parse_plan, serialize_code, serialize_plan
 from .simulate import Fleet, availability_sweep, retrieve
@@ -88,10 +88,9 @@ class CliConfig:
                 t=args.t,
                 d=args.d,
                 s=parse_s(args.s) if args.s is not None else None,
-                max_columns=args.max_columns,
             )
         if args.subcommand == "construct":
-            fields["output_path"] = args.out
+            fields.update(output_path=args.out, max_columns=args.max_columns)
         if args.subcommand == "rate":
             fields["precision"] = args.precision
         if args.subcommand == "verify":
@@ -138,17 +137,7 @@ class CliConfig:
 
     def construction(self) -> ConstructionParams:
         assert self.family is not None and self.t is not None
-        if self.family == "c1" and self.d is None:
-            raise ParameterError("--family c1 needs --d")
-        if self.family in ("integer", "general") and self.s is None:
-            raise ParameterError(f"--family {self.family} needs --s")
-        return ConstructionParams(
-            family=self.family,
-            t=self.t,
-            d=self.d if self.family == "c1" else None,
-            s=self.s,
-            max_columns=self.max_columns,
-        )
+        return ConstructionParams(self.family, self.t, self.d, self.s, self.max_columns)
 
 
 def _fraction_text(value: Fraction, precision: int) -> str:
@@ -266,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     construct = sub.add_parser("construct", help="generate a code family and write PIRCODE text")
-    construct.add_argument("--family", required=True, choices=("c1", "c2", "c3", "integer", "general"))
+    construct.add_argument("--family", required=True, choices=FAMILIES)
     construct.add_argument("--t", type=int)
     construct.add_argument("--d", type=int)
     construct.add_argument("--s", type=str, help="exact rational like 5/2 or 3")
@@ -281,11 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--expect-k", type=int)
 
     rate = sub.add_parser("rate", help="symbolic m, k and rate for a family, nothing materialized")
-    rate.add_argument("--family", required=True, choices=("c1", "c2", "c3", "integer", "general"))
+    rate.add_argument("--family", required=True, choices=FAMILIES)
     rate.add_argument("--t", type=int)
     rate.add_argument("--d", type=int)
     rate.add_argument("--s", type=str)
-    rate.add_argument("--max-columns", type=int, default=DEFAULT_MAX_COLUMNS)
     rate.add_argument("--precision", type=int, default=6)
 
     bounds_p = sub.add_parser("bounds", help="every bound and reference rate applicable at (s, t)")

@@ -21,7 +21,12 @@ without the singleton x_i pair up perfectly; `solve_xi` returns the unique
 gcd-reduced positive solution of the family's balance equations.
 
 Counts are always evaluated symbolically before any cells are materialized;
-codes wider than `max_columns` raise `CapExceeded` carrying the computed m.
+every builder refuses a code wider than `max_columns` with `CapExceeded`
+carrying the computed m.
+
+One registry, keyed by the names in `FAMILIES`, holds each family's extra
+parameter (d, s or none), how s follows, its (m, k) counts and its builder;
+`ConstructionParams` and the command line reach the families only through it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, ParameterError
 from .gf2 import PartVector
@@ -38,6 +43,7 @@ from .model import ArrayCode
 
 __all__ = [
     "DEFAULT_MAX_COLUMNS",
+    "FAMILIES",
     "ConstructionParams",
     "solve_xi",
     "build_c1",
@@ -53,12 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_COLUMNS = 10**6
-
-FAMILIES = ("c1", "c2", "c3", "integer", "general")
-
-
-def _as_fraction(s: Fraction | int) -> Fraction:
-    return s if isinstance(s, Fraction) else Fraction(s)
 
 
 def _comb(n: int, k: int) -> int:
@@ -103,7 +103,7 @@ def _chain_solution(sigmas: Sequence[int], rhos: Sequence[int]) -> tuple[int, ..
 
 def solve_xi(s: Fraction | int, t: int) -> tuple[int, ...]:
     """Gcd-reduced positive multiplicities xi_1..xi_ceil(s) for the s,t balance equations."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     if t < 1:
         raise ParameterError(f"need t >= 1, got {t}")
     p = _part_count(s, t)
@@ -129,7 +129,7 @@ def check_xi(s: Fraction | int, t: int, xi: Sequence[int]) -> None:
     non-integer case; at r = ceil(s)-1 its right side is the always-zero
     binomial, so that boundary is governed by the closing equation instead.
     """
-    s = _as_fraction(s)
+    s = Fraction(s)
     p = _part_count(s, t)
     if any(x <= 0 for x in xi):
         raise ParameterError("xi values must be positive")
@@ -194,7 +194,7 @@ def integer_s_counts(
     s: Fraction | int, t: int, xi: Sequence[int] | None = None
 ) -> tuple[int, int, int, int]:
     """(m, b, c, k) for integer s: b singleton holders per part, c matched pairs, k = b + c."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     if s.denominator != 1 or s.numerator < 2:
         raise ParameterError(f"integer-s family needs integer s >= 2, got {s}")
     if t < 1:
@@ -222,7 +222,7 @@ def general_s_counts(
     s: Fraction | int, t: int, xi: Sequence[int] | None = None
 ) -> tuple[int, int, int, int]:
     """(m, b, c, k) for non-integer s > 2, with the closing all-remaining-parts type."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     if s.denominator == 1 or s <= 2:
         raise ParameterError(f"general-s family needs non-integer s > 2, got {s}")
     if t < 2:
@@ -308,9 +308,10 @@ def build_c1(t: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCod
     return ArrayCode.from_columns(p, type_a + type_b)
 
 
-def build_c2(t: int) -> ArrayCode:
+def build_c2(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     """Materialize the small-server odd-t family (m = (3t+3)/2)."""
-    c2_counts(t)
+    m, _ = c2_counts(t)
+    _check_cap(m, max_columns)
     p = t + 1
     parts = range(1, p + 1)
     columns = _Columns(p)
@@ -320,9 +321,10 @@ def build_c2(t: int) -> ArrayCode:
     return ArrayCode.from_columns(p, type_a + type_b)
 
 
-def build_c3(t: int) -> ArrayCode:
+def build_c3(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     """Materialize the small-server even-t family (m = 3t+3); every t-subset appears twice."""
-    c3_counts(t)
+    m, _ = c3_counts(t)
+    _check_cap(m, max_columns)
     p = t + 1
     parts = range(1, p + 1)
     columns = _Columns(p)
@@ -367,7 +369,7 @@ def build_integer_s(
     max_columns: int = DEFAULT_MAX_COLUMNS,
 ) -> ArrayCode:
     """Materialize the integer-s family; types T_1..T_s in order."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     m, _, _, _ = integer_s_counts(s, t, xi)
     if xi is None:
         xi = solve_xi(s, t)
@@ -385,7 +387,7 @@ def build_general_s(
     max_columns: int = DEFAULT_MAX_COLUMNS,
 ) -> ArrayCode:
     """Materialize the general (non-integer s > 2) family; the last type sums all remaining parts."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     m, _, _, _ = general_s_counts(s, t, xi)
     if xi is None:
         xi = solve_xi(s, t)
@@ -396,9 +398,38 @@ def build_general_s(
     return ArrayCode.from_columns(p, _build_type_blocks(p, t, xi, sizes))
 
 
+class _Family(NamedTuple):
+    """A registry entry.  Each callable takes the ConstructionParams and names
+    this module's function at call time, so a wrapper installed on the
+    module (a tracer's, say) is reached through the registry too."""
+
+    extra: str | None  # the parameter besides t: "d", "s" or none
+    s_of: Callable[[ConstructionParams], Fraction]
+    counts: Callable[[ConstructionParams], tuple[int, ...]]  # m first, k last
+    build: Callable[[ConstructionParams], ArrayCode]
+
+
+_REGISTRY: dict[str, _Family] = {
+    "c1": _Family("d", lambda c: Fraction(c.t + c.d, c.t), lambda c: c1_counts(c.t, c.d),
+                  lambda c: build_c1(c.t, c.d, c.max_columns)),
+    "c2": _Family(None, lambda c: Fraction(c.t + 1, c.t), lambda c: c2_counts(c.t),
+                  lambda c: build_c2(c.t, c.max_columns)),
+    "c3": _Family(None, lambda c: Fraction(c.t + 1, c.t), lambda c: c3_counts(c.t),
+                  lambda c: build_c3(c.t, c.max_columns)),
+    "integer": _Family("s", lambda c: Fraction(c.s), lambda c: integer_s_counts(c.s, c.t),
+                       lambda c: build_integer_s(c.s, c.t, max_columns=c.max_columns)),
+    "general": _Family("s", lambda c: Fraction(c.s), lambda c: general_s_counts(c.s, c.t),
+                       lambda c: build_general_s(c.s, c.t, max_columns=c.max_columns)),
+}
+
+FAMILIES = tuple(_REGISTRY)
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Validated parameters for one family; `build` materializes the code."""
+    """Validated parameters for one family; `build` materializes the code.
+
+    `s` is derived for c1, c2 and c3; `d` is kept for c1 only."""
 
     family: str
     t: int
@@ -407,59 +438,20 @@ class ConstructionParams:
     max_columns: int = DEFAULT_MAX_COLUMNS
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        family = _REGISTRY.get(self.family)
+        if family is None:
             raise ParameterError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.family == "c1":
-            if self.d is None:
-                raise ParameterError("c1 needs d")
-            _c1_ranges(self.t, self.d)
-            object.__setattr__(self, "s", Fraction(self.t + self.d, self.t))
-        elif self.family == "c2":
-            c2_counts(self.t)
-            object.__setattr__(self, "s", Fraction(self.t + 1, self.t))
-        elif self.family == "c3":
-            c3_counts(self.t)
-            object.__setattr__(self, "s", Fraction(self.t + 1, self.t))
-        elif self.family == "integer":
-            if self.s is None:
-                raise ParameterError("integer family needs s")
-            integer_s_counts(self.s, self.t)
-        else:
-            if self.s is None:
-                raise ParameterError("general family needs s")
-            general_s_counts(self.s, self.t)
-
-    @property
-    def theta(self) -> int | None:
-        return lcm(self.d, self.t) if self.family == "c1" and self.d is not None else None
+        if family.extra is not None and getattr(self, family.extra) is None:
+            raise ParameterError(f"{self.family} needs {family.extra}")
+        family.counts(self)  # raises on parameters outside the family's range
+        if family.extra != "d":
+            object.__setattr__(self, "d", None)
+        object.__setattr__(self, "s", family.s_of(self))
 
     def predicted_counts(self) -> tuple[int, int]:
         """(m, k) computed symbolically, without materializing anything."""
-        if self.family == "c1":
-            assert self.d is not None
-            return c1_counts(self.t, self.d)
-        if self.family == "c2":
-            return c2_counts(self.t)
-        if self.family == "c3":
-            return c3_counts(self.t)
-        if self.family == "integer":
-            assert self.s is not None
-            m, _, _, k = integer_s_counts(self.s, self.t)
-            return m, k
-        assert self.s is not None
-        m, _, _, k = general_s_counts(self.s, self.t)
-        return m, k
+        counts = _REGISTRY[self.family].counts(self)
+        return counts[0], counts[-1]
 
     def build(self) -> ArrayCode:
-        if self.family == "c1":
-            assert self.d is not None
-            return build_c1(self.t, self.d, self.max_columns)
-        if self.family == "c2":
-            return build_c2(self.t)
-        if self.family == "c3":
-            return build_c3(self.t)
-        if self.family == "integer":
-            assert self.s is not None
-            return build_integer_s(self.s, self.t, max_columns=self.max_columns)
-        assert self.s is not None
-        return build_general_s(self.s, self.t, max_columns=self.max_columns)
+        return _REGISTRY[self.family].build(self)

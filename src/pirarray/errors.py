@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class DimensionError(ValueError):
-    """Vectors of different lengths were mixed in one operation."""
+    """A vector's length, bits or part index do not fit together."""
 
 
 class ParameterError(ValueError):

@@ -1,19 +1,20 @@
 """Exact GF(2) linear algebra on bit-packed coefficient vectors.
 
 A length-p vector is stored as a Python int: bit i-1 is the coefficient of
-part x_i.  Rank and span-membership run by Gaussian elimination on these
-ints; `Gf2Basis` keeps a pivot table incrementally so repeated queries
-against the same vector set are amortized.
+part x_i.  `pivot_insert` and `pivot_reduce` are the one elimination
+kernel: a pivot table maps a row's highest set bit to the row, the rank of
+the inserted vectors is the table's size, and a vector lies in their span
+iff it reduces to 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DimensionError
 
-__all__ = ["PartVector", "Gf2Basis", "rank", "in_span", "pivot_insert", "pivot_reduce"]
+__all__ = ["PartVector", "pivot_insert", "pivot_reduce"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,11 +50,6 @@ class PartVector:
             bits |= 1 << (part - 1)
         return cls(length, bits)
 
-    def __xor__(self, other: PartVector) -> PartVector:
-        if self.length != other.length:
-            raise DimensionError(f"length mismatch: {self.length} != {other.length}")
-        return PartVector(self.length, self.bits ^ other.bits)
-
     def parts(self) -> tuple[int, ...]:
         """1-based part indices with coefficient 1, ascending."""
         out = []
@@ -66,9 +62,6 @@ class PartVector:
 
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def is_singleton(self) -> bool:
         return self.bits != 0 and self.bits & (self.bits - 1) == 0
@@ -103,71 +96,3 @@ def pivot_reduce(pivots: dict[int, int], bits: int) -> int:
             return bits
         bits ^= row
     return 0
-
-
-class Gf2Basis:
-    """Incrementally maintained elimination basis for one fixed vector length."""
-
-    __slots__ = ("length", "pivots")
-
-    def __init__(self, length: int):
-        if length < 1:
-            raise DimensionError(f"vector length must be >= 1, got {length}")
-        self.length = length
-        self.pivots: dict[int, int] = {}
-
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[PartVector]) -> Gf2Basis:
-        basis = cls(vectors[0].length)
-        for v in vectors:
-            basis.add(v)
-        return basis
-
-    def _check(self, v: PartVector) -> None:
-        if v.length != self.length:
-            raise DimensionError(f"length mismatch: {v.length} != {self.length}")
-
-    def add(self, v: PartVector) -> bool:
-        """Insert a vector; True iff it was independent of the basis so far."""
-        self._check(v)
-        return pivot_insert(self.pivots, v.bits)
-
-    def contains(self, v: PartVector) -> bool:
-        self._check(v)
-        return pivot_reduce(self.pivots, v.bits) == 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def copy(self) -> Gf2Basis:
-        dup = Gf2Basis(self.length)
-        dup.pivots = dict(self.pivots)
-        return dup
-
-
-def _common_length(vectors: Sequence[PartVector]) -> int | None:
-    length = None
-    for v in vectors:
-        if length is None:
-            length = v.length
-        elif v.length != length:
-            raise DimensionError(f"length mismatch: {v.length} != {length}")
-    return length
-
-
-def rank(vectors: Sequence[PartVector]) -> int:
-    """GF(2) rank of a vector set; rank([]) == 0."""
-    if _common_length(vectors) is None:
-        return 0
-    return Gf2Basis.from_vectors(vectors).rank
-
-
-def in_span(vectors: Sequence[PartVector], target: PartVector) -> bool:
-    """True iff `target` is a GF(2) combination of `vectors` (empty span is {0})."""
-    length = _common_length(vectors)
-    if length is not None and target.length != length:
-        raise DimensionError(f"length mismatch: {target.length} != {length}")
-    if not vectors:
-        return target.is_zero()
-    return Gf2Basis.from_vectors(vectors).contains(target)

@@ -1,11 +1,10 @@
-"""Maximum matching engines for the per-part server-pairing step.
+"""Maximum matching for the per-part server-pairing step.
 
-`max_bipartite_matching` is Hopcroft-Karp; on a regular bipartite graph with
-equal sides the result is a perfect matching (Hall).  `max_general_matching`
-is blossom-contraction augmentation and accepts any simple graph, which the
-pair-limited verifier needs because arbitrary codes produce non-bipartite
-pair graphs.  Both scan vertices in ascending order so a given input always
-yields the same matching.
+`max_general_matching` is blossom-contraction augmentation and accepts any
+simple graph, which the pair-limited verifier needs because arbitrary codes
+produce non-bipartite pair graphs.  (The paper's bipartite matchings, via
+Hall's theorem, appear only in its proofs.)  It scans vertices in ascending order so a given input always yields the
+same matching.
 """
 
 from __future__ import annotations
@@ -16,20 +15,15 @@ from typing import Iterable
 
 from .errors import ParameterError
 
-__all__ = ["PairGraph", "max_bipartite_matching", "max_general_matching"]
-
-_INF = -1
+__all__ = ["PairGraph", "max_general_matching"]
 
 
 @dataclass(frozen=True)
 class PairGraph:
-    """A simple undirected graph on column indices, optionally bipartite."""
+    """A simple undirected graph on column indices."""
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    bipartite: bool = False
-    left: tuple[int, ...] = ()
-    right: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         verts = tuple(sorted(set(self.vertices)))
@@ -48,92 +42,10 @@ class PairGraph:
             seen.add(edge)
             normalized.append(edge)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
-        if self.bipartite:
-            left, right = set(self.left), set(self.right)
-            if left & right:
-                raise ParameterError("left and right sides overlap")
-            if left | right != vset:
-                raise ParameterError("left/right sides must partition the vertices")
-            for u, v in self.edges:
-                if (u in left) == (v in left):
-                    raise ParameterError(f"edge ({u},{v}) does not cross the bipartition")
-            object.__setattr__(self, "left", tuple(sorted(left)))
-            object.__setattr__(self, "right", tuple(sorted(right)))
-        elif self.left or self.right:
-            raise ParameterError("left/right sides given but bipartite flag not set")
-
-    @classmethod
-    def bipartite_graph(
-        cls, left: Iterable[int], right: Iterable[int], edges: Iterable[tuple[int, int]]
-    ) -> PairGraph:
-        left_t, right_t = tuple(left), tuple(right)
-        return cls(
-            vertices=left_t + right_t,
-            edges=tuple(edges),
-            bipartite=True,
-            left=left_t,
-            right=right_t,
-        )
 
     @classmethod
     def general_graph(cls, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> PairGraph:
         return cls(vertices=tuple(vertices), edges=tuple(edges))
-
-
-def max_bipartite_matching(g: PairGraph) -> list[tuple[int, int]]:
-    """Maximum matching of a bipartite PairGraph as sorted (left, right) pairs."""
-    if not g.bipartite:
-        raise ParameterError("max_bipartite_matching needs the bipartite flag set")
-    left = list(g.left)
-    index = {v: i for i, v in enumerate(left)}
-    adj: list[list[int]] = [[] for _ in left]
-    for u, v in g.edges:
-        if u in index:
-            adj[index[u]].append(v)
-        else:
-            adj[index[v]].append(u)
-    for rows in adj:
-        rows.sort()
-
-    match_l: list[int | None] = [None] * len(left)  # left index -> right id
-    match_r: dict[int, int] = {}  # right id -> left index
-    dist: list[int] = [0] * len(left)
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for i in range(len(left)):
-            if match_l[i] is None:
-                dist[i] = 0
-                queue.append(i)
-            else:
-                dist[i] = _INF
-        found = False
-        while queue:
-            i = queue.popleft()
-            for v in adj[i]:
-                j = match_r.get(v)
-                if j is None:
-                    found = True
-                elif dist[j] == _INF:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
-        return found
-
-    def dfs(i: int) -> bool:
-        for v in adj[i]:
-            j = match_r.get(v)
-            if j is None or (dist[j] == dist[i] + 1 and dfs(j)):
-                match_l[i] = v
-                match_r[v] = i
-                return True
-        dist[i] = _INF
-        return False
-
-    while bfs():
-        for i in range(len(left)):
-            if match_l[i] is None:
-                dfs(i)
-    return sorted((left[i], v) for i, v in enumerate(match_l) if v is not None)
 
 
 def max_general_matching(g: PairGraph) -> list[tuple[int, int]]:

@@ -39,6 +39,7 @@ __all__ = [
     "ArrayCode",
     "RecoveryPlan",
     "CODE_MAGIC",
+    "MAX_PARTS",
     "PLAN_MAGIC",
     "singleton_census",
     "parse_code",
@@ -51,6 +52,9 @@ __all__ = [
 
 CODE_MAGIC = "PIRCODE v1"
 PLAN_MAGIC = "PIRPLAN v1"
+# Largest header p that parse_code accepts: verifying and simulating cost
+# O(p) time and memory even for a file of a few bytes.
+MAX_PARTS = 1 << 18
 
 _HEADER_RE = re.compile(r"^p=(\d+) t=(\d+) m=(\d+)$")
 
@@ -141,16 +145,6 @@ class ArrayCode:
                 )
         return cells
 
-    def column(self, j: int) -> tuple[PartVector, ...]:
-        """Cells of the 1-based column j."""
-        if not 1 <= j <= self.m:
-            raise ParameterError(f"column {j} out of range 1..{self.m}")
-        return self.columns[j - 1]
-
-    def cells_of(self, column_set: Collection[int]) -> list[PartVector]:
-        """All cells of the given 1-based columns."""
-        return [cell for j in sorted(column_set) for cell in self.column(j)]
-
 
 def singleton_census(code: ArrayCode) -> list[int]:
     """alpha_i = number of columns storing x_i as a singleton cell; index i-1 <-> part i."""
@@ -214,6 +208,8 @@ def parse_code(text: str) -> ArrayCode:
     if match is None:
         raise FormatError(f"malformed parameter line {lines[1]!r}")
     p, t, m = (int(g) for g in match.groups())
+    if p > MAX_PARTS:
+        raise FormatError(f"p={p} is beyond the limit of {MAX_PARTS} parts")
     body = lines[2:]
     if len(body) != m:
         raise FormatError(f"expected {m} column lines, found {len(body)}")

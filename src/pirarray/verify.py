@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
-from .gf2 import Gf2Basis, pivot_insert, pivot_reduce
+from .gf2 import pivot_insert, pivot_reduce
 from .matching import PairGraph, max_general_matching
 from .model import ArrayCode, RecoveryPlan, singleton_census
 
@@ -94,10 +94,10 @@ def singleton_upper_bound(code: ArrayCode) -> Fraction:
 def _column_pivots(code: ArrayCode) -> list[dict[int, int]]:
     out = []
     for col in code.columns:
-        basis = Gf2Basis(code.p)
+        pivots: dict[int, int] = {}
         for cell in col:
-            basis.add(cell)
-        out.append(basis.pivots)
+            pivot_insert(pivots, cell.bits)
+        out.append(pivots)
     return out
 
 

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from pirarray.cli import main
 from pirarray import parse_code, parse_plan
+from pirarray.model import MAX_PARTS
 
 from conftest import INTRO_TEXT
 
@@ -121,9 +123,26 @@ def test_parameter_errors_exit_two(tmp_path, capsys, argv, monkeypatch):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (("construct", "--family", "c1", "--t", "2", "--out", "x.pir"), "c1 needs d"),
+        (("construct", "--family", "general", "--t", "2", "--out", "x.pir"), "general needs s"),
+        (("rate", "--family", "integer", "--t", "2"), "integer needs s"),
+    ],
+)
+def test_missing_family_parameter_is_named(tmp_path, capsys, argv, missing, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err == f"error: {missing}\n"
+    assert not (tmp_path / "x.pir").exists()
+
+
 def test_unknown_flags_exit_two(capsys):
     assert main(["table", "--bogus"]) == 2
     assert main(["frobnicate"]) == 2
+    # rate materializes nothing, so it takes no --max-columns
+    assert main(["rate", "--family", "c1", "--t", "2", "--d", "2", "--max-columns", "5"]) == 2
 
 
 def test_cap_exceeded_exit_two(tmp_path, capsys):
@@ -132,6 +151,26 @@ def test_cap_exceeded_exit_two(tmp_path, capsys):
         "--max-columns", "100", "--out", str(tmp_path / "x.pir"),
     )
     assert code == 2 and "m=129" in err
+
+
+@pytest.mark.parametrize("family, t", [("c2", "9"), ("c3", "8")])
+def test_small_server_families_honour_the_column_cap(tmp_path, capsys, family, t):
+    out = tmp_path / "x.pir"
+    code, _, err = run(
+        capsys, "construct", "--family", family, "--t", t, "--max-columns", "5", "--out", str(out)
+    )
+    assert code == 2 and "beyond the cap of 5" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", [MAX_PARTS + 1, 10**9])
+def test_verify_refuses_a_header_p_beyond_max_parts(tmp_path, capsys, p):
+    src = tmp_path / "huge.pir"
+    src.write_text(f"PIRCODE v1\np={p} t=1 m=2\n1\n1\n")
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "verify", "--in", str(src))
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and stdout == "" and f"beyond the limit of {MAX_PARTS} parts" in err
 
 
 def test_verify_cap_directs_to_pairs(tmp_path, capsys):

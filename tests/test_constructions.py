@@ -18,6 +18,7 @@ from pirarray import (
     solve_xi,
 )
 from pirarray.constructions import (
+    FAMILIES,
     c1_counts,
     c2_counts,
     c3_counts,
@@ -245,6 +246,27 @@ def test_generation_cap_reports_symbolic_count():
         build_c1(5, 4, max_columns=1000)
 
 
+FAMILY_CASES = {
+    "c1": dict(t=3, d=2),
+    "c2": dict(t=9),
+    "c3": dict(t=8),
+    "integer": dict(t=2, s=Fraction(3)),
+    "general": dict(t=2, s=Fraction(5, 2)),
+}
+
+
+def test_every_family_builds_its_count_and_honours_the_cap():
+    assert set(FAMILY_CASES) == set(FAMILIES)
+    for family in FAMILIES:
+        params = ConstructionParams(family=family, **FAMILY_CASES[family])
+        m, _ = params.predicted_counts()
+        assert params.build().m == m, family
+        capped = ConstructionParams(family=family, max_columns=m - 1, **FAMILY_CASES[family])
+        with pytest.raises(CapExceeded) as err:
+            capped.build()
+        assert err.value.columns == m, family
+
+
 def test_invalid_xi_rejected():
     with pytest.raises(ParameterError):
         build_integer_s(3, 2, (1, 1, 1))
@@ -263,7 +285,7 @@ def test_scaled_xi_is_accepted_and_changes_nothing_but_multiplicity():
 
 def test_construction_params_dispatch():
     params = ConstructionParams(family="c1", t=2, d=2)
-    assert params.s == Fraction(2) and params.theta == 2
+    assert params.s == Fraction(2)
     assert params.predicted_counts() == (10, 7)
     assert params.build().m == 10
     params_i = ConstructionParams(family="integer", t=2, s=Fraction(3))

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pirarray import PairGraph, build_c1, max_bipartite_matching, max_general_matching
+from pirarray import PairGraph, build_c1, max_general_matching
 from pirarray.errors import ParameterError
+from pirarray.gf2 import pivot_insert, pivot_reduce
 
 
 def bruteforce_max_matching(vertices, edges):
@@ -22,9 +23,17 @@ def bruteforce_max_matching(vertices, edges):
     return go(0, frozenset())
 
 
+def spans_part(code, columns, part):
+    pivots = {}
+    for j in columns:
+        for cell in code.columns[j - 1]:
+            pivot_insert(pivots, cell.bits)
+    return pivot_reduce(pivots, 1 << (part - 1)) == 0
+
+
 def test_complete_bipartite_k33():
-    g = PairGraph.bipartite_graph([1, 2, 3], [4, 5, 6], [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
-    matching = max_bipartite_matching(g)
+    g = PairGraph.general_graph(range(1, 7), [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
+    matching = max_general_matching(g)
     assert len(matching) == 3
     assert len({u for u, _ in matching}) == len({v for _, v in matching}) == 3
 
@@ -32,8 +41,6 @@ def test_complete_bipartite_k33():
 def test_empty_graph():
     g = PairGraph.general_graph([], [])
     assert max_general_matching(g) == []
-    gb = PairGraph.bipartite_graph([], [], [])
-    assert max_bipartite_matching(gb) == []
 
 
 def test_triangle_and_five_cycle():
@@ -43,12 +50,6 @@ def test_triangle_and_five_cycle():
     assert len(max_general_matching(cyc)) == 2
 
 
-def test_bipartite_requires_flag():
-    g = PairGraph.general_graph([1, 2], [(1, 2)])
-    with pytest.raises(ParameterError):
-        max_bipartite_matching(g)
-
-
 def test_graph_validation():
     with pytest.raises(ParameterError, match="self-loop"):
         PairGraph.general_graph([1], [(1, 1)])
@@ -56,8 +57,6 @@ def test_graph_validation():
         PairGraph.general_graph([1, 2], [(1, 2), (2, 1)])
     with pytest.raises(ParameterError, match="unknown"):
         PairGraph.general_graph([1, 2], [(1, 3)])
-    with pytest.raises(ParameterError, match="cross"):
-        PairGraph.bipartite_graph([1, 2], [3], [(1, 2)])
 
 
 def test_c1_pair_graph_has_perfect_matching():
@@ -78,20 +77,16 @@ def test_c1_pair_graph_has_perfect_matching():
         elif target not in parts_stored:
             right.append(j)
     assert len(left) == len(right) == 3
-    from pirarray import in_span, PartVector
-
     for u in left:
         for v in right:
-            if in_span(code.cells_of({u, v}), PartVector.singleton(code.p, target)):
+            if spans_part(code, (u, v), target):
                 edges.append((u, v))
-    g = PairGraph.bipartite_graph(left, right, edges)
-    assert len(max_bipartite_matching(g)) == 3
+    g = PairGraph.general_graph(left + right, edges)
+    assert len(max_general_matching(g)) == 3
 
 
 def test_intro_pair_graph_for_part_five(intro_code):
-    from pirarray import in_span, PartVector
-
-    assert in_span(intro_code.cells_of({3, 4}), PartVector.singleton(12, 5))
+    assert spans_part(intro_code, (3, 4), 5)
     g = PairGraph.general_graph([3, 4], [(3, 4)])
     assert max_general_matching(g) == [(3, 4)]
 
@@ -102,9 +97,6 @@ def test_regular_bipartite_has_perfect_matching():
         left = list(range(n))
         right = list(range(n, 2 * n))
         edges = [(i, n + (i + shift) % n) for i in range(n) for shift in range(degree)]
-        g = PairGraph.bipartite_graph(left, right, edges)
-        assert len(max_bipartite_matching(g)) == n
-        # the general engine must agree on bipartite inputs
         assert len(max_general_matching(PairGraph.general_graph(left + right, edges))) == n
 
 
@@ -138,15 +130,3 @@ def test_general_matching_matches_bruteforce(case):
     seen = [v for e in found for v in e]
     assert len(seen) == len(set(seen))
     assert all(e in g.edges for e in found)
-
-
-@settings(max_examples=80, deadline=None)
-@given(graph_strategy)
-def test_bipartite_matching_matches_bruteforce(case):
-    n, raw = case
-    # split vertices by parity to force a bipartition
-    edges = [(u, v) for u, v in raw if u % 2 != v % 2]
-    left = [v for v in range(n) if v % 2 == 0]
-    right = [v for v in range(n) if v % 2 == 1]
-    g = PairGraph.bipartite_graph(left, right, edges)
-    assert len(max_bipartite_matching(g)) == bruteforce_max_matching(range(n), edges)

@@ -21,7 +21,7 @@ from pirarray import (
     singleton_census,
 )
 from pirarray.errors import FormatError, ParameterError
-from pirarray.model import format_cell, parse_cell
+from pirarray.model import MAX_PARTS, format_cell, parse_cell
 
 
 def test_intro_parses_with_expected_shape(intro_code):
@@ -162,13 +162,21 @@ def test_columns_keep_file_order():
 def test_parse_time_does_not_grow_with_header_p():
     # a short file must not cost work proportional to its declared p, neither
     # in the singleton check nor in each cell's range check
-    for p, m in ((300000, 1), (10**9, 20)):
+    for p, m in ((MAX_PARTS, 1), (MAX_PARTS, 20)):
         text = f"PIRCODE v1\np={p} t=1 m={m}\n" + "1\n" * m
         start = time.perf_counter()
         code = parse_code(text)
         elapsed = time.perf_counter() - start
         assert (code.p, code.m) == (p, m)
         assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("p", [MAX_PARTS + 1, 10**9])
+def test_header_p_beyond_max_parts_is_refused(p):
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match=f"beyond the limit of {MAX_PARTS} parts"):
+        parse_code(f"PIRCODE v1\np={p} t=1 m=2\n1\n1\n")
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------------------
