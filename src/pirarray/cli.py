@@ -213,10 +213,8 @@ def _cmd_table(config: CliConfig) -> int:
 def _cmd_simulate(config: CliConfig) -> int:
     assert config.input_path is not None
     code = parse_code(config.input_path.read_text(encoding="utf-8"))
-    if config.plan_path is not None:
-        plan = parse_plan(config.plan_path.read_text(encoding="utf-8"))
-    else:
-        plan = k_pir_pairs(code).plan
+    # The fleet checks its knobs (chunk width, jitter, drop probability)
+    # before the pair plan, which is the costly step, is computed.
     fleet = Fleet(
         code=code,
         seed=config.seed,
@@ -225,6 +223,10 @@ def _cmd_simulate(config: CliConfig) -> int:
         jitter_us=config.jitter_us,
         drop_probability=config.drop_probability,
     )
+    if config.plan_path is not None:
+        plan = parse_plan(config.plan_path.read_text(encoding="utf-8"))
+    else:
+        plan = k_pir_pairs(code).plan
     if config.sweep_trials is not None:
         assert config.sweep_failures is not None
         summary = availability_sweep(fleet, plan, config.sweep_trials, config.sweep_failures)

@@ -59,6 +59,12 @@ MAX_PARTS = 1 << 18
 _HEADER_RE = re.compile(r"^p=(\d+) t=(\d+) m=(\d+)$")
 
 
+def _too_long(where: str, digits: str) -> FormatError:
+    """The error for a run of decimal digits that int() refuses: one longer
+    than Python converts (sys.get_int_max_str_digits)."""
+    return FormatError(f"{where}: a {len(digits)}-digit number is too long to convert")
+
+
 @dataclass(frozen=True)
 class ArrayCode:
     """Immutable [t x m, p] array code; use `from_columns` to build one."""
@@ -166,9 +172,12 @@ def parse_cell(text: str, p: int) -> PartVector:
     tokens = text.split("+")
     parts: list[int] = []
     for tok in tokens:
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise FormatError(f"malformed cell {text!r}")
-        idx = int(tok)
+        try:
+            idx = int(tok)
+        except ValueError:
+            raise _too_long("cell", tok) from None
         if not 1 <= idx <= p:
             raise FormatError(f"cell {text!r}: part index {idx} out of range 1..{p}")
         if parts and idx == parts[-1]:
@@ -207,7 +216,10 @@ def parse_code(text: str) -> ArrayCode:
     match = _HEADER_RE.match(lines[1])
     if match is None:
         raise FormatError(f"malformed parameter line {lines[1]!r}")
-    p, t, m = (int(g) for g in match.groups())
+    try:
+        p, t, m = (int(g) for g in match.groups())
+    except ValueError:
+        raise _too_long("parameter line", max(match.groups(), key=len)) from None
     if p > MAX_PARTS:
         raise FormatError(f"p={p} is beyond the limit of {MAX_PARTS} parts")
     body = lines[2:]
@@ -287,11 +299,14 @@ def parse_plan(text: str) -> RecoveryPlan:
     if not lines or lines[0] != PLAN_MAGIC:
         raise FormatError(f"missing {PLAN_MAGIC!r} header")
     sets_by_part: dict[int, list[frozenset[int]]] = {}
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         match = _PLAN_LINE_RE.match(line)
         if match is None:
             raise FormatError(f"malformed plan line {line!r}")
-        part = int(match.group(1))
+        try:
+            part = int(match.group(1))
+        except ValueError:
+            raise _too_long(f"plan line {line_no}", match.group(1)) from None
         if part in sets_by_part:
             raise FormatError(f"duplicate plan line for part {part}")
         rest = match.group(2).strip()
@@ -301,7 +316,11 @@ def parse_plan(text: str) -> RecoveryPlan:
                 set_match = _SET_RE.match(tok)
                 if set_match is None:
                     raise FormatError(f"malformed column set {tok!r} for part {part}")
-                columns = [int(c) for c in set_match.group(1).split(",")]
+                runs = set_match.group(1).split(",")
+                try:
+                    columns = [int(c) for c in runs]
+                except ValueError:
+                    raise _too_long(f"plan line {line_no}", max(runs, key=len)) from None
                 if len(set(columns)) != len(columns):
                     raise FormatError(f"repeated column in set {tok!r} for part {part}")
                 if columns != sorted(columns):

@@ -8,6 +8,16 @@ sets agree.  Time is a simulated integer-microsecond clock: a response
 arrives at base latency plus seeded uniform jitter, events are replayed in
 (timestamp, kind, server) order, and identical (fleet, plan, seed) inputs
 produce byte-identical transcripts.
+
+A transcript renders as JSON lines, one event per line, with sorted keys and
+compact separators: exactly the bytes
+`json.dumps(event, sort_keys=True, separators=(",", ":"))` gives.
+`_event_line` writes those bytes from a fixed schema per event kind; every
+value is an int, a bool, a fixed ASCII word, a `0x` hex string or a list of
+these, so nothing needs escaping.  A `Fleet` renders each server's cells as
+hex once (each distinct cell once) and keeps per server a pivot table of its
+cells with their values, so a session neither re-renders a response nor
+re-eliminates a column.
 """
 
 from __future__ import annotations
@@ -16,13 +26,25 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ParameterError
 from .model import ArrayCode, RecoveryPlan
 from .verify import verify_plan
 
-__all__ = ["Fleet", "SetOutcome", "SessionTranscript", "SweepSummary", "retrieve", "availability_sweep"]
+__all__ = [
+    "Fleet",
+    "MAX_CHUNK_WIDTH",
+    "SetOutcome",
+    "SessionTranscript",
+    "SweepSummary",
+    "retrieve",
+    "availability_sweep",
+]
+
+# Largest chunk_width Fleet accepts, in bits: the database draws p chunks of
+# this width and every response renders t of them as hex.
+MAX_CHUNK_WIDTH = 1 << 16
 
 _REQUEST, _RESPONSE, _SOLVE, _VERDICT = 0, 1, 2, 3
 
@@ -49,10 +71,18 @@ class Fleet:
     timeout_us: int = 10_000
     database: tuple[int, ...] = ()
     server_values: tuple[tuple[int, ...], ...] = field(init=False)
+    # Per server: its cells as hex strings, and {high bit: (cell bits, value)}
+    # with its cells reduced against one another.
+    _cells_hex: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    _pivots: tuple[dict[int, tuple[int, int]], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.chunk_width < 1 or self.chunk_width % 4:
             raise ParameterError(f"chunk_width must be a positive multiple of 4, got {self.chunk_width}")
+        if self.chunk_width > MAX_CHUNK_WIDTH:
+            raise ParameterError(
+                f"chunk_width {self.chunk_width} is beyond the limit of {MAX_CHUNK_WIDTH} bits"
+            )
         if self.jitter_us < 0:
             raise ParameterError("jitter_us must be >= 0")
         m = self.code.m
@@ -67,19 +97,45 @@ class Fleet:
             )
         elif len(self.database) != self.code.p:
             raise ParameterError(f"database needs one chunk per part ({self.code.p})")
-        values = []
+        # Each distinct cell's value and hex text, and each distinct pivot
+        # row, is made once and shared by every column that holds it.
+        known: dict[int, tuple[int, str]] = {}
+        rows: dict[tuple[int, int], tuple[int, int]] = {}
+        values, cells_hex, pivot_tables = [], [], []
         for col in self.code.columns:
             cells = []
+            pivots: dict[int, tuple[int, int]] = {}
             for cell in col:
-                chunk = 0
-                for part in cell.parts():
-                    chunk ^= self.database[part - 1]
-                cells.append(chunk)
-            values.append(tuple(cells))
+                found = known.get(cell.bits)
+                if found is None:
+                    chunk = 0
+                    for part in cell.parts():
+                        chunk ^= self.database[part - 1]
+                    found = known[cell.bits] = (chunk, self.chunk_hex(chunk))
+                cells.append(found)
+                _insert(pivots, cell.bits, found[0])
+            values.append(tuple(chunk for chunk, _ in cells))
+            cells_hex.append(tuple(text for _, text in cells))
+            pivot_tables.append({high: rows.setdefault(row, row) for high, row in pivots.items()})
         object.__setattr__(self, "server_values", tuple(values))
+        object.__setattr__(self, "_cells_hex", tuple(cells_hex))
+        object.__setattr__(self, "_pivots", tuple(pivot_tables))
 
     def chunk_hex(self, value: int) -> str:
         return f"0x{value:0{self.chunk_width // 4}x}"
+
+
+def _insert(pivots: dict[int, tuple[int, int]], bits: int, value: int) -> None:
+    """Reduce (bits, value) against `pivots` and keep it under its high bit
+    if anything is left; the value-carrying form of `gf2.pivot_insert`."""
+    while bits:
+        high = bits.bit_length() - 1
+        row = pivots.get(high)
+        if row is None:
+            pivots[high] = (bits, value)
+            return
+        bits ^= row[0]
+        value ^= row[1]
 
 
 @dataclass(frozen=True)
@@ -102,32 +158,73 @@ class SessionTranscript:
     events: tuple[dict, ...]
 
     def jsonl(self) -> str:
-        return "\n".join(json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.events) + "\n"
+        return "\n".join(map(_event_line, self.events)) + "\n"
 
 
-def _solve_set(code: ArrayCode, values: Sequence[Sequence[int]], columns: Iterable[int], part: int) -> int:
-    # eliminate over (coefficient bits, chunk) pairs, then reduce e_part
-    pivots: dict[int, tuple[int, int]] = {}
-    for j in sorted(columns):
-        for cell, chunk in zip(code.columns[j - 1], values[j - 1]):
-            bits, val = cell.bits, chunk
-            while bits:
-                high = bits.bit_length() - 1
-                row = pivots.get(high)
-                if row is None:
-                    pivots[high] = (bits, val)
-                    break
-                bits ^= row[0]
-                val ^= row[1]
-    bits, val = 1 << (part - 1), 0
+def _event_line(e: dict) -> str:
+    """`e` as json.dumps(e, sort_keys=True, separators=(",", ":")) renders it;
+    the one place that knows each event kind's keys in sorted order."""
+    kind = e["event"]
+    if kind == "request":
+        return (
+            f'{{"event":"request","part":{e["part"]},"server":{e["server"]},'
+            f'"set":{e["set"]},"time":{e["time"]}}}'
+        )
+    if kind == "response":
+        cells = '","'.join(e["cells"])
+        return (
+            f'{{"cells":["{cells}"],"event":"response","part":{e["part"]},'
+            f'"server":{e["server"]},"set":{e["set"]},"time":{e["time"]}}}'
+        )
+    if kind == "solve":
+        columns = ",".join(map(str, e["columns"]))
+        tail = f'"part":{e["part"]},"set":{e["set"]},"status":"{e["status"]}","time":{e["time"]}'
+        if "value" in e:
+            return f'{{"columns":[{columns}],"event":"solve",{tail},"value":"{e["value"]}"}}'
+        missing = ",".join(map(str, e["missing"]))
+        return f'{{"columns":[{columns}],"event":"solve","missing":[{missing}],{tail}}}'
+    value = f',"value":"{e["value"]}"' if "value" in e else ""
+    return (
+        f'{{"agreement":{"true" if e["agreement"] else "false"},"event":"verdict","part":{e["part"]},'
+        f'"sets_ok":{e["sets_ok"]},"sets_total":{e["sets_total"]},"status":"{e["status"]}",'
+        f'"time":{e["time"]}{value}}}'
+    )
+
+
+class _OnePart:
+    """One part's sets as `verify_plan` reads a plan, through `parts` and
+    `sets`; `RecoveryPlan({part: sets})` would sort the already canonical
+    sets again."""
+
+    __slots__ = ("part", "part_sets")
+
+    def __init__(self, part: int, part_sets: tuple[frozenset[int], ...]):
+        self.part, self.part_sets = part, part_sets
+
+    def parts(self) -> tuple[int, ...]:
+        return (self.part,)
+
+    def sets(self, part: int) -> tuple[frozenset[int], ...]:
+        return self.part_sets if part == self.part else ()
+
+
+def _solve_set(fleet: Fleet, ordered: list[int], part: int) -> int:
+    """The value of `part` from the cells of the columns in `ordered`."""
+    tables = fleet._pivots
+    pivots = tables[ordered[0] - 1]
+    if len(ordered) > 1:
+        pivots = dict(pivots)
+        for j in ordered[1:]:
+            for bits, value in tables[j - 1].values():
+                _insert(pivots, bits, value)
+    bits, value = 1 << (part - 1), 0
     while bits:
-        high = bits.bit_length() - 1
-        row = pivots.get(high)
+        row = pivots.get(bits.bit_length() - 1)
         if row is None:
             raise ParameterError(f"recovery set does not span part {part}")
         bits ^= row[0]
-        val ^= row[1]
-    return val
+        value ^= row[1]
+    return value
 
 
 def retrieve(
@@ -141,11 +238,12 @@ def retrieve(
     if any(not 1 <= j <= code.m for j in down):
         raise ParameterError(f"failed server index out of range 1..{code.m}")
     sets = plan.sets(part)
-    check = verify_plan(code, RecoveryPlan({part: sets}))
+    check = verify_plan(code, _OnePart(part, sets))
     if not check.ok:
         raise ParameterError(f"invalid plan: {check.violation}")
 
     rng = random.Random(fleet.seed * 1_000_003 + part)
+    cells_hex = fleet._cells_hex
     events: list[tuple[tuple[int, int, int], dict]] = []
     outcomes = []
     for set_idx, columns in enumerate(sets, start=1):
@@ -175,7 +273,7 @@ def retrieve(
                         "part": part,
                         "set": set_idx,
                         "server": server,
-                        "cells": [fleet.chunk_hex(v) for v in fleet.server_values[server - 1]],
+                        "cells": list(cells_hex[server - 1]),
                     },
                 )
             )
@@ -185,7 +283,7 @@ def retrieve(
             solve.update(time=fleet.timeout_us, status="faulted", missing=missing)
             events.append(((fleet.timeout_us, _SOLVE, set_idx), solve))
         else:
-            value = _solve_set(code, fleet.server_values, columns, part)
+            value = _solve_set(fleet, ordered, part)
             outcomes.append(SetOutcome(tuple(ordered), False, value, latest))
             solve.update(time=latest, status="ok", value=fleet.chunk_hex(value))
             events.append(((latest, _SOLVE, set_idx), solve))

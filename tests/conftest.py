@@ -1,15 +1,18 @@
 """Shared fixtures: the classic 7x4 reference code, the published rate-table
-digits, and a lazy cache of generated-and-verified family codes reused across
-the acceptance criteria."""
+digits, a lazy cache of generated-and-verified family codes reused across
+the acceptance criteria, and seeded random codes under the singleton
+convention."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from pirarray import (
     ArrayCode,
+    PartVector,
     VerifyReport,
     build_c1,
     build_c2,
@@ -19,6 +22,7 @@ from pirarray import (
     k_pir_pairs,
     parse_code,
 )
+from pirarray.gf2 import pivot_insert, pivot_reduce
 
 # The well-known [7x4,12] 3-PIR example, columns as published.
 INTRO_TEXT = """PIRCODE v1
@@ -77,3 +81,25 @@ def family_code(label: str) -> tuple[ArrayCode, VerifyReport]:
 
 def family_labels() -> tuple[str, ...]:
     return tuple(FAMILY_BUILDERS)
+
+
+def random_column(rng: random.Random, p: int, t: int, used: int, forced: int) -> list[int]:
+    """t cells over parts 1..used spanning a random space that contains `forced`
+    (when nonzero), storing every singleton of that space as a cell."""
+    span: dict[int, int] = {}
+    cells = [forced] if forced else []
+    for bits in cells:
+        pivot_insert(span, bits)
+    while len(cells) < t:
+        bits = rng.randrange(1, 1 << used)
+        if pivot_insert(span, bits):
+            cells.append(bits)
+    singletons = [1 << i for i in range(p) if pivot_reduce(span, 1 << i) == 0]
+    basis: dict[int, int] = {}
+    return [bits for bits in singletons + cells if pivot_insert(basis, bits)][:t]
+
+
+def seeded_code(seed: int, m: int, p: int, t: int) -> ArrayCode:
+    rng = random.Random(seed)
+    columns = [random_column(rng, p, t, p, 0) for _ in range(m)]
+    return ArrayCode.from_columns(p, [[PartVector(p, bits) for bits in col] for col in columns])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -92,6 +93,34 @@ def test_simulate_deterministic_stdout(tmp_path, capsys):
     assert first == second
     last = json.loads(first.splitlines()[-1])
     assert last["event"] == "verdict" and last["status"] == "ok"
+
+
+# SHA-256 of the concatenated `simulate` stdout for c1(5,5) over every
+# planned part (seed 5), then for the intro code with --drop-prob 0.3 and
+# server 2 down (seed 3), as json.dumps rendered each event.
+GOLDEN_TRANSCRIPTS_SHA256 = "baed616fe0dae063282b58f4dc5352a7ba5cd108068311a32d7a4ffc3c7ae176"
+
+
+def test_simulate_transcript_bytes_are_unchanged(tmp_path, capsys):
+    c1_path, intro_path = tmp_path / "c.pir", tmp_path / "intro.pir"
+    run(capsys, "construct", "--family", "c1", "--t", "5", "--d", "5", "--out", str(c1_path))
+    intro_path.write_text(INTRO_TEXT)
+    code, c1_out, _ = run(capsys, "simulate", "--in", str(c1_path), "--seed", "5")
+    assert code == 0
+    code, intro_out, _ = run(
+        capsys, "simulate", "--in", str(intro_path), "--seed", "3", "--drop-prob", "0.3", "--fail-server", "2"
+    )
+    assert code == 0
+    assert hashlib.sha256((c1_out + intro_out).encode()).hexdigest() == GOLDEN_TRANSCRIPTS_SHA256
+
+
+def test_simulate_refuses_a_huge_chunk_width(tmp_path, capsys):
+    src = tmp_path / "intro.pir"
+    src.write_text(INTRO_TEXT)
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "simulate", "--in", str(src), "--seed", "1", "--chunk-width", str(1 << 20))
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and stdout == "" and "beyond the limit" in err
 
 
 def test_simulate_sweep_json(tmp_path, capsys):

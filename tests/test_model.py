@@ -98,6 +98,7 @@ def test_round_trip_identity_c1_family(params):
         ("PIRCODE v1\np=2 t=1 m=1\n1+1\n", "duplicate"),
         ("PIRCODE v1\np=3 t=1 m=1\n2+1\n", "ascending"),
         ("PIRCODE v1\np=2 t=1 m=1\nx\n", "malformed"),
+        ("PIRCODE v1\np=2 t=1 m=1\n\u00b2\n", "malformed"),  # a digit int() refuses
     ],
 )
 def test_parse_rejections(text, fragment):
@@ -176,6 +177,28 @@ def test_header_p_beyond_max_parts_is_refused(p):
     start = time.perf_counter()
     with pytest.raises(FormatError, match=f"beyond the limit of {MAX_PARTS} parts"):
         parse_code(f"PIRCODE v1\np={p} t=1 m=2\n1\n1\n")
+    assert time.perf_counter() - start < 0.1
+
+
+# Python's int() refuses more than sys.get_int_max_str_digits() digits
+# (4300 by default), and no count or index in a valid file is that long.
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [
+        (parse_code, f"PIRCODE v1\np={_LONG} t=1 m=1\n1\n", "parameter line"),
+        (parse_plan, f"PIRPLAN v1\npart {_LONG}: {{1}}\n", "plan line 2"),
+        (parse_plan, f"PIRPLAN v1\npart 1: {{1}}\npart 2: {{2}};{{{_LONG}}}\n", "plan line 3"),
+        (parse_code, f"PIRCODE v1\np=2 t=1 m=1\n1+{_LONG}\n", "cell"),
+    ],
+    ids=["header", "plan-part", "plan-column", "cell"],
+)
+def test_numbers_too_long_to_convert_are_format_errors(parse, text, where):
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match=f"^{where}: a 5000-digit number is too long to convert$"):
+        parse(text)
     assert time.perf_counter() - start < 0.1
 
 

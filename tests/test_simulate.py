@@ -1,4 +1,6 @@
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,10 +10,14 @@ from pirarray import (
     RecoveryPlan,
     availability_sweep,
     build_c1,
+    build_c2,
     k_pir_pairs,
     retrieve,
 )
 from pirarray.errors import ParameterError
+from pirarray.simulate import MAX_CHUNK_WIDTH
+
+from conftest import seeded_code
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +32,7 @@ def test_database_and_values_are_seeded(c1_fleet):
     again = Fleet(code=fleet.code, seed=42)
     assert fleet.database == again.database
     assert fleet.server_values == again.server_values
+    assert fleet == again and repr(fleet) == repr(again) and "_pivots" not in repr(fleet)
     other = Fleet(code=fleet.code, seed=43)
     assert fleet.database != other.database
 
@@ -172,3 +179,52 @@ def test_fleet_parameter_validation(intro_code):
         Fleet(code=intro_code, seed=1, database=(1, 2))
     explicit = Fleet(code=intro_code, seed=1, database=tuple(range(1, 13)))
     assert explicit.database == tuple(range(1, 13))
+
+
+def test_fleet_refuses_a_chunk_width_beyond_the_limit(intro_code):
+    widest = Fleet(code=intro_code, seed=1, chunk_width=MAX_CHUNK_WIDTH)
+    assert len(widest.chunk_hex(0)) == 2 + MAX_CHUNK_WIDTH // 4
+    for width in (MAX_CHUNK_WIDTH + 4, 1 << 20):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match=f"beyond the limit of {MAX_CHUNK_WIDTH} bits"):
+            Fleet(code=intro_code, seed=1, chunk_width=width)
+        assert time.perf_counter() - start < 0.1
+
+
+def _reference_jsonl(transcript) -> str:
+    return "\n".join(json.dumps(e, sort_keys=True, separators=(",", ":")) for e in transcript.events) + "\n"
+
+
+def _shape(event: dict) -> str:
+    if event["event"] == "solve":
+        return f"solve-{event['status']}"
+    if event["event"] == "verdict":
+        return "verdict-value" if "value" in event else "verdict-no-value"
+    return event["event"]
+
+
+def test_jsonl_matches_json_dumps(intro_code):
+    codes = [intro_code, build_c1(2, 2), build_c2(5)]
+    codes += [seeded_code(seed, m, p, t) for seed, (m, p, t) in enumerate(((8, 5, 2), (10, 7, 3), (9, 6, 4)))]
+    rng = random.Random(2024)
+    shapes = set()
+    for code in codes:
+        plan = k_pir_pairs(code).plan
+        for chunk_width in (4, 64, 256):
+            for jitter_us in (0, 250):
+                for drop in (0.0, 0.3, 1.0):
+                    fleet = Fleet(
+                        code=code,
+                        seed=rng.randrange(1000),
+                        chunk_width=chunk_width,
+                        jitter_us=jitter_us,
+                        drop_probability=drop,
+                    )
+                    for part in plan.parts():
+                        failed = rng.sample(range(1, code.m + 1), min(code.m, rng.randint(0, 3)))
+                        transcript = retrieve(fleet, plan, part, failed=failed)
+                        assert transcript.jsonl() == _reference_jsonl(transcript)
+                        shapes.update(map(_shape, transcript.events))
+    assert shapes == {
+        "request", "response", "solve-ok", "solve-faulted", "verdict-value", "verdict-no-value"
+    }

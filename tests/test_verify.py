@@ -1,5 +1,4 @@
 import hashlib
-import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -35,6 +34,8 @@ from pirarray.verify import (
     _singleton_columns,
     _use_span_index,
 )
+
+from conftest import random_column, seeded_code
 
 
 def test_intro_exhaustive_is_three(intro_code):
@@ -180,22 +181,6 @@ def _oracle_plan(code: ArrayCode) -> RecoveryPlan:
     return RecoveryPlan(sets_by_part)
 
 
-def _random_column(rng: random.Random, p: int, t: int, used: int, forced: int) -> list[int]:
-    """t cells over parts 1..used spanning a random space that contains `forced`
-    (when nonzero), storing every singleton of that space as a cell."""
-    span: dict[int, int] = {}
-    cells = [forced] if forced else []
-    for bits in cells:
-        pivot_insert(span, bits)
-    while len(cells) < t:
-        bits = rng.randrange(1, 1 << used)
-        if pivot_insert(span, bits):
-            cells.append(bits)
-    singletons = [1 << i for i in range(p) if pivot_reduce(span, 1 << i) == 0]
-    basis: dict[int, int] = {}
-    return [bits for bits in singletons + cells if pivot_insert(basis, bits)][:t]
-
-
 @st.composite
 def valid_codes(draw, max_m: int, max_p: int = 14, max_t: int = 6, duplicates: bool = False) -> ArrayCode:
     """Random codes under the singleton convention.  Parts above `used` are
@@ -210,7 +195,7 @@ def valid_codes(draw, max_m: int, max_p: int = 14, max_t: int = 6, duplicates: b
     rng = draw(st.randoms(use_true_random=False))
     forced = [0b011, 0b110, 0b100] if chain else []
     columns = [
-        _random_column(rng, p, t, used, forced[j] if j < len(forced) else 0) for j in range(m)
+        random_column(rng, p, t, used, forced[j] if j < len(forced) else 0) for j in range(m)
     ]
     if duplicates:
         for j in range(1, m):
@@ -371,12 +356,6 @@ def test_exhaustive_enumeration_matches_size_ordered_oracle(code):
     assert serialize_plan(report.plan) == serialize_plan(oracle)
 
 
-def _seeded_code(seed: int, m: int, p: int, t: int) -> ArrayCode:
-    rng = random.Random(seed)
-    columns = [_random_column(rng, p, t, p, 0) for _ in range(m)]
-    return ArrayCode.from_columns(p, [[PartVector(p, bits) for bits in col] for col in columns])
-
-
 # (m, p, t) of the seeded random codes in the exhaustive golden set; seed = position.
 GOLDEN_RANDOM_SHAPES = (
     (12, 5, 2), (12, 8, 3), (12, 12, 4), (12, 10, 5),
@@ -391,7 +370,7 @@ GOLDEN_EXHAUSTIVE_SHA256 = "692a4fb67e5f22f069a5bbb7fb5dc3dc20a1e6652cc18d7eee0f
 
 def _golden_exhaustive_codes(intro_code) -> list[ArrayCode]:
     codes = [intro_code, build_c1(2, 2), build_c2(5), build_c3(2)]
-    codes += [_seeded_code(seed, *shape) for seed, shape in enumerate(GOLDEN_RANDOM_SHAPES)]
+    codes += [seeded_code(seed, *shape) for seed, shape in enumerate(GOLDEN_RANDOM_SHAPES)]
     return codes
 
 
