@@ -32,8 +32,7 @@ from .constructions import (
     build_integer_s,
     solve_xi,
 )
-from .errors import CapExceeded, DimensionError, FormatError, ParameterError
-from .gf2 import PartVector
+from .errors import CapExceeded, FormatError, ParameterError
 from .matching import PairGraph, max_general_matching
 from .model import (
     ArrayCode,
@@ -60,12 +59,10 @@ __all__ = [
     "BoundSheet",
     "CapExceeded",
     "ConstructionParams",
-    "DimensionError",
     "Fleet",
     "FormatError",
     "PairGraph",
     "ParameterError",
-    "PartVector",
     "RecoveryPlan",
     "SessionTranscript",
     "SweepSummary",

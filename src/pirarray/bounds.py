@@ -205,14 +205,6 @@ class BoundSheet:
     s3_rate: Fraction | None = None
     s4_rate: Fraction | None = None
 
-    def lower_bounds(self) -> dict[str, Fraction]:
-        names = ("t1_rate", "fvy_rate", "c1_rate", "integer_s_rate", "general_s_rate", "s3_rate", "s4_rate")
-        return {n: v for n in names if (v := getattr(self, n)) is not None}
-
-    def upper_bounds(self) -> dict[str, Fraction]:
-        names = ("upper_g_s", "upper_g_st", "t1_rate")
-        return {n: v for n in names if (v := getattr(self, n)) is not None}
-
     def entries(self) -> dict[str, Fraction]:
         names = (
             "upper_g_s", "upper_g_st", "corollary_bound", "t1_rate", "fvy_rate",

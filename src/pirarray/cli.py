@@ -315,13 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = CliConfig.from_args(args)
         return _HANDLERS[config.subcommand](config)
-    except ParameterError as exc:  # includes CapExceeded
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    except ValueError as exc:  # DimensionError, FormatError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ParameterError (CapExceeded too), FormatError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
 

@@ -22,7 +22,9 @@ gcd-reduced positive solution of the family's balance equations.
 
 Counts are always evaluated symbolically before any cells are materialized;
 every builder refuses a code wider than `max_columns` with `CapExceeded`
-carrying the computed m.
+carrying the computed m.  A builder emits each column as a tuple of int
+cells (bit i-1 <-> x_i) in canonical order; the copies of a repeated column
+share one tuple, and cells are plain ints with nothing to intern.
 
 One registry, keyed by the names in `FAMILIES`, holds each family's extra
 parameter (d, s or none), how s follows, its (m, k) counts and its builder;
@@ -38,7 +40,6 @@ from math import comb, gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, ParameterError
-from .gf2 import PartVector
 from .model import ArrayCode
 
 __all__ = [
@@ -256,37 +257,23 @@ def general_s_counts(
 # materialization
 
 
-class _Columns:
-    """Column maker for one build; cells are interned, so each distinct part
-    set becomes one PartVector however many columns hold it."""
+def block(
+    specs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], mult: int = 1
+) -> list[tuple[int, ...]]:
+    """One type block in canonical column order, each column `mult` times.
 
-    def __init__(self, p: int):
-        self.p = p
-        self._cells: dict[tuple[int, ...], PartVector] = {}
-
-    def _cell(self, parts: tuple[int, ...]) -> PartVector:
-        cell = self._cells.get(parts)
-        if cell is None:
-            cell = self._cells[parts] = PartVector.from_parts(self.p, parts)
-        return cell
-
-    def block(
-        self, specs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], mult: int = 1
-    ) -> list[tuple[PartVector, ...]]:
-        """One type block in canonical column order, each column `mult` times.
-
-        A spec is (singleton parts, summed parts), both ascending tuples; the
-        summed parts are empty for an all-singleton type.  Within one type,
-        comparing specs orders columns as comparing their canonical cells
-        does, so the sort needs no cells.
-        """
-        out: list[tuple[PartVector, ...]] = []
-        for singles, summands in sorted(specs):
-            col = tuple(self._cell((i,)) for i in singles)
-            if summands:
-                col += (self._cell(summands),)
-            out.extend([col] * mult)
-        return out
+    A spec is (singleton parts, summed parts), both ascending tuples; the
+    summed parts are empty for an all-singleton type.  Within one type,
+    comparing specs orders columns as comparing their canonical cells does,
+    so the sort needs no cells.
+    """
+    out: list[tuple[int, ...]] = []
+    for singles, summands in sorted(specs):
+        col = tuple(1 << (i - 1) for i in singles)
+        if summands:
+            col += (sum(1 << (i - 1) for i in summands),)
+        out.extend([col] * mult)
+    return out
 
 
 def build_c1(t: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
@@ -296,9 +283,8 @@ def build_c1(t: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCod
     m, _ = c1_counts(t, d)
     _check_cap(m, max_columns)
     parts = range(1, p + 1)
-    columns = _Columns(p)
-    type_a = columns.block(((subset, ()) for subset in combinations(parts, t)), theta // d)
-    type_b = columns.block(
+    type_a = block(((subset, ()) for subset in combinations(parts, t)), theta // d)
+    type_b = block(
         (
             (subset, tuple(i for i in parts if i not in subset))
             for subset in combinations(parts, t - 1)
@@ -314,10 +300,9 @@ def build_c2(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     _check_cap(m, max_columns)
     p = t + 1
     parts = range(1, p + 1)
-    columns = _Columns(p)
-    type_a = columns.block((subset, ()) for subset in combinations(parts, t))
+    type_a = block((subset, ()) for subset in combinations(parts, t))
     pairs = [(2 * j - 1, 2 * j) for j in range(1, (t + 1) // 2 + 1)]
-    type_b = columns.block((tuple(i for i in parts if i not in pair), pair) for pair in pairs)
+    type_b = block((tuple(i for i in parts if i not in pair), pair) for pair in pairs)
     return ArrayCode.from_columns(p, type_a + type_b)
 
 
@@ -327,23 +312,21 @@ def build_c3(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     _check_cap(m, max_columns)
     p = t + 1
     parts = range(1, p + 1)
-    columns = _Columns(p)
-    type_a = columns.block(((subset, ()) for subset in combinations(parts, t)), 2)
+    type_a = block(((subset, ()) for subset in combinations(parts, t)), 2)
     # server j sums x_j + x_{j+1}, wrapping past p to x_1
     pairs = [(j, j + 1) for j in range(1, p)] + [(1, p)]
-    type_b = columns.block((tuple(i for i in parts if i not in pair), pair) for pair in pairs)
+    type_b = block((tuple(i for i in parts if i not in pair), pair) for pair in pairs)
     return ArrayCode.from_columns(p, type_a + type_b)
 
 
 def _build_type_blocks(
     p: int, t: int, xi: Sequence[int], sum_sizes: list[int | None]
-) -> list[tuple[PartVector, ...]]:
+) -> list[tuple[int, ...]]:
     """Type blocks in order: entry r of sum_sizes is None for the all-singleton
     type, the summand count for interior types, or -1 for the closing
     all-remaining-parts type."""
     parts = range(1, p + 1)
-    columns = _Columns(p)
-    out: list[tuple[PartVector, ...]] = []
+    out: list[tuple[int, ...]] = []
     for r, size in enumerate(sum_sizes, start=1):
         if size is None:
             specs = ((subset, ()) for subset in combinations(parts, t))
@@ -358,7 +341,7 @@ def _build_type_blocks(
                 for subset in combinations(parts, t - 1)
                 for summands in combinations([i for i in parts if i not in subset], size)
             )
-        out += columns.block(specs, xi[r - 1])
+        out += block(specs, xi[r - 1])
     return out
 
 

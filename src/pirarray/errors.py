@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 
-class DimensionError(ValueError):
-    """A vector's length, bits or part index do not fit together."""
-
-
 class ParameterError(ValueError):
     """Parameters are infeasible or outside a construction's admissible range."""
 

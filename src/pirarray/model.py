@@ -1,10 +1,11 @@
 """The [t x m, p] array-code model, the singleton convention, and the text formats.
 
 A code is a t x m grid of cells; column j is the content of server j and
-every cell is a nonzero GF(2) combination of the p database parts.  Three
-invariants are enforced at construction time rather than repaired:
+every cell is a nonzero GF(2) combination of the p database parts, stored
+as an int whose bit i-1 is the coefficient of part x_i.  Three invariants
+are enforced at construction time rather than repaired:
 
-  * every column holds exactly t cells of length p, none zero;
+  * every column holds exactly t cells, each nonzero and within parts 1..p;
   * every column's cells are linearly independent (rank t);
   * singleton convention: whenever e_i lies in a column's span, that column
     stores e_i in one of its cells.
@@ -23,6 +24,10 @@ ascending by part; then non-singletons ascending by support) so that
 serialization is deterministic; columns keep their given order.  The order
 is set once, in `ArrayCode.__post_init__`, which sorts and checks each
 distinct column once and shares the sorted tuple among its repeats.
+
+A `RecoveryPlan` holds, per part, its column sets as ascending tuples in
+ascending order; its constructor is the one place a plan is put in that
+order.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, Mapping
 
 from .errors import FormatError, ParameterError
-from .gf2 import PartVector, pivot_insert, pivot_reduce
+from .gf2 import parts_of, pivot_insert, pivot_reduce
 
 __all__ = [
     "ArrayCode",
@@ -73,10 +78,10 @@ class ArrayCode:
     t: int
     m: int
     s: Fraction
-    columns: tuple[tuple[PartVector, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_columns(cls, p: int, columns: Iterable[Iterable[PartVector]]) -> ArrayCode:
+    def from_columns(cls, p: int, columns: Iterable[Iterable[int]]) -> ArrayCode:
         cols = tuple(tuple(col) for col in columns)
         if not cols:
             raise ParameterError("a code needs at least one column")
@@ -90,50 +95,48 @@ class ArrayCode:
             raise ParameterError(f"m={self.m} but {len(self.columns)} columns given")
         if self.s != Fraction(self.p, self.t):
             raise ParameterError(f"s={self.s} but p/t={Fraction(self.p, self.t)}")
-        # A column's checks and canonical order depend only on its cells'
-        # bits once every cell has length p, so each distinct bits tuple is
-        # sorted and checked once; a repeat reuses that sorted tuple after
-        # its own length check.
-        p, t = self.p, self.t
+        # A column's checks and canonical order depend only on its cells, so
+        # each distinct cell tuple is sorted and checked once and its repeats
+        # share the sorted tuple.
+        t = self.t
         sort_keys: dict[int, tuple] = {}
-        canonical: dict[tuple[int, ...], tuple[PartVector, ...]] = {}
+        canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         columns = []
         for j, col in enumerate(self.columns, start=1):
             col = tuple(col)
             if len(col) != t:
                 raise ParameterError(f"column {j} has {len(col)} cells, expected t={t}")
-            bits = tuple(cell.bits for cell in col)
-            done = canonical.get(bits)
-            if done is None or any(cell.length != p for cell in col):
-                done = canonical[bits] = self._checked_column(j, col, sort_keys)
+            done = canonical.get(col)
+            if done is None:
+                done = canonical[col] = self._checked_column(j, col, sort_keys)
             columns.append(done)
         object.__setattr__(self, "columns", tuple(columns))
 
     def _checked_column(
-        self, j: int, col: tuple[PartVector, ...], sort_keys: dict[int, tuple]
-    ) -> tuple[PartVector, ...]:
+        self, j: int, col: tuple[int, ...], sort_keys: dict[int, tuple]
+    ) -> tuple[int, ...]:
         """Column j's cells in canonical order; raises on its first violation."""
+        for bits in col:
+            if bits < 0:
+                raise ParameterError(f"column {j} holds a negative cell {bits}")
+            if bits == 0:
+                raise ParameterError(f"column {j} holds a zero cell")
+            if bits >> self.p:
+                raise ParameterError(f"column {j} holds a cell with a part above p={self.p}")
 
-        def key(cell: PartVector) -> tuple:
+        def key(bits: int) -> tuple:
             # singletons first ascending by part, then non-singletons by support
-            found = sort_keys.get(cell.bits)
+            found = sort_keys.get(bits)
             if found is None:
-                found = (0, cell.bits) if cell.is_singleton() else (1, cell.parts())
-                sort_keys[cell.bits] = found
+                single = bits & (bits - 1) == 0
+                found = sort_keys[bits] = (0, bits) if single else (1, parts_of(bits))
             return found
 
         cells = tuple(sorted(col, key=key))
         pivots: dict[int, int] = {}
         stored: set[int] = set()
         support = 0
-        for cell in cells:
-            if cell.length != self.p:
-                raise ParameterError(
-                    f"column {j} holds a cell of length {cell.length}, expected p={self.p}"
-                )
-            bits = cell.bits
-            if bits == 0:
-                raise ParameterError(f"column {j} holds a zero cell")
+        for bits in cells:
             if not pivot_insert(pivots, bits):
                 raise ParameterError(f"column {j} cells are linearly dependent")
             if bits & (bits - 1) == 0:
@@ -157,21 +160,20 @@ def singleton_census(code: ArrayCode) -> list[int]:
     alpha = [0] * code.p
     for col in code.columns:
         for cell in col:
-            part = cell.singleton_part()
-            if part is not None:
-                alpha[part - 1] += 1
+            if cell & (cell - 1) == 0:
+                alpha[cell.bit_length() - 1] += 1
     return alpha
 
 
-def format_cell(cell: PartVector) -> str:
-    return "+".join(str(i) for i in cell.parts())
+def format_cell(cell: int) -> str:
+    return "+".join(map(str, parts_of(cell)))
 
 
-def parse_cell(text: str, p: int) -> PartVector:
+def parse_cell(text: str, p: int) -> int:
     """Parse a "+"-joined cell; indices must be ascending and distinct."""
-    tokens = text.split("+")
-    parts: list[int] = []
-    for tok in tokens:
+    bits = 0
+    last = 0
+    for tok in text.split("+"):
         if not tok.isdecimal():
             raise FormatError(f"malformed cell {text!r}")
         try:
@@ -180,14 +182,15 @@ def parse_cell(text: str, p: int) -> PartVector:
             raise _too_long("cell", tok) from None
         if not 1 <= idx <= p:
             raise FormatError(f"cell {text!r}: part index {idx} out of range 1..{p}")
-        if parts and idx == parts[-1]:
+        if idx == last:
             raise FormatError(
                 f"cell {text!r}: duplicate part index {idx} (GF(2) would fold it to a zero cell)"
             )
-        if parts and idx < parts[-1]:
+        if idx < last:
             raise FormatError(f"cell {text!r}: part indices must be ascending")
-        parts.append(idx)
-    return PartVector.from_parts(p, parts)
+        bits |= 1 << (idx - 1)
+        last = idx
+    return bits
 
 
 def serialize_code(code: ArrayCode) -> str:
@@ -196,9 +199,9 @@ def serialize_code(code: ArrayCode) -> str:
     for col in code.columns:
         rendered = []
         for cell in col:
-            text = texts.get(cell.bits)
+            text = texts.get(cell)
             if text is None:
-                text = texts[cell.bits] = format_cell(cell)
+                text = texts[cell] = format_cell(cell)
             rendered.append(text)
         lines.append(";".join(rendered))
     return "\n".join(lines) + "\n"
@@ -226,7 +229,7 @@ def parse_code(text: str) -> ArrayCode:
     if len(body) != m:
         raise FormatError(f"expected {m} column lines, found {len(body)}")
     columns = []
-    cells_by_token: dict[str, PartVector] = {}  # each distinct token is parsed once
+    cells_by_token: dict[str, int] = {}  # each distinct token is parsed once
     for line_no, line in enumerate(body, start=1):
         cells = []
         for tok in line.split(";"):
@@ -240,22 +243,22 @@ def parse_code(text: str) -> ArrayCode:
     return ArrayCode.from_columns(p, columns)
 
 
-def _canonical_sets(sets: Iterable[Collection[int]]) -> tuple[frozenset[int], ...]:
-    frozen = [frozenset(int(c) for c in one) for one in sets]
-    return tuple(sorted(frozen, key=lambda s: tuple(sorted(s))))
+def _canonical_sets(sets: Iterable[Collection[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(tuple(sorted({int(c) for c in one})) for one in sets))
 
 
 class RecoveryPlan:
     """Per part, a list of pairwise disjoint column sets each spanning that part.
 
-    Column indices are 1-based.  Set order is canonicalized so equal plans
-    serialize identically; `plan_k` is the minimum per-part set count.
+    Column indices are 1-based.  Each set is stored as an ascending tuple
+    and each part's sets in ascending order, so equal plans serialize
+    identically; `plan_k` is the minimum per-part set count.
     """
 
     __slots__ = ("_sets",)
 
     def __init__(self, sets_by_part: Mapping[int, Iterable[Collection[int]]]):
-        self._sets: dict[int, tuple[frozenset[int], ...]] = {
+        self._sets: dict[int, tuple[tuple[int, ...], ...]] = {
             int(part): _canonical_sets(sets) if sets else ()
             for part, sets in sorted(sets_by_part.items())
         }
@@ -263,8 +266,14 @@ class RecoveryPlan:
     def parts(self) -> tuple[int, ...]:
         return tuple(self._sets)
 
-    def sets(self, part: int) -> tuple[frozenset[int], ...]:
+    def sets(self, part: int) -> tuple[tuple[int, ...], ...]:
         return self._sets.get(part, ())
+
+    def restricted_to(self, part: int) -> RecoveryPlan:
+        """The plan for `part` alone, sharing this plan's sets as they are."""
+        one = RecoveryPlan({})
+        one._sets[part] = self.sets(part)
+        return one
 
     def k_for(self, part: int) -> int:
         return len(self.sets(part))
@@ -283,7 +292,7 @@ class RecoveryPlan:
 def serialize_plan(plan: RecoveryPlan) -> str:
     lines = [PLAN_MAGIC]
     for part in plan.parts():
-        rendered = ";".join("{" + ",".join(str(c) for c in sorted(s)) + "}" for s in plan.sets(part))
+        rendered = ";".join("{" + ",".join(map(str, s)) + "}" for s in plan.sets(part))
         lines.append(f"part {part}: {rendered}" if rendered else f"part {part}:")
     return "\n".join(lines) + "\n"
 
@@ -298,7 +307,7 @@ def parse_plan(text: str) -> RecoveryPlan:
         lines.pop()
     if not lines or lines[0] != PLAN_MAGIC:
         raise FormatError(f"missing {PLAN_MAGIC!r} header")
-    sets_by_part: dict[int, list[frozenset[int]]] = {}
+    sets_by_part: dict[int, list[tuple[int, ...]]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         match = _PLAN_LINE_RE.match(line)
         if match is None:
@@ -310,7 +319,7 @@ def parse_plan(text: str) -> RecoveryPlan:
         if part in sets_by_part:
             raise FormatError(f"duplicate plan line for part {part}")
         rest = match.group(2).strip()
-        sets: list[frozenset[int]] = []
+        sets: list[tuple[int, ...]] = []
         if rest:
             for tok in rest.split(";"):
                 set_match = _SET_RE.match(tok)
@@ -325,6 +334,6 @@ def parse_plan(text: str) -> RecoveryPlan:
                     raise FormatError(f"repeated column in set {tok!r} for part {part}")
                 if columns != sorted(columns):
                     raise FormatError(f"column set {tok!r} for part {part} must be ascending")
-                sets.append(frozenset(columns))
+                sets.append(tuple(columns))
         sets_by_part[part] = sets
     return RecoveryPlan(sets_by_part)

@@ -17,7 +17,9 @@ value is an int, a bool, a fixed ASCII word, a `0x` hex string or a list of
 these, so nothing needs escaping.  A `Fleet` renders each server's cells as
 hex once (each distinct cell once) and keeps per server a pivot table of its
 cells with their values, so a session neither re-renders a response nor
-re-eliminates a column.
+re-eliminates a column.  A pivot row carries its value in its low bits,
+`(cell << chunk_width) | value`, so solving a set is the `gf2` kernel's
+elimination on those rows, with no second copy of the kernel.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ParameterError
+from .gf2 import parts_of, pivot_insert, pivot_reduce
 from .model import ArrayCode, RecoveryPlan
 from .verify import verify_plan
 
@@ -71,10 +74,10 @@ class Fleet:
     timeout_us: int = 10_000
     database: tuple[int, ...] = ()
     server_values: tuple[tuple[int, ...], ...] = field(init=False)
-    # Per server: its cells as hex strings, and {high bit: (cell bits, value)}
-    # with its cells reduced against one another.
+    # Per server: its cells as hex strings, and a pivot table of the rows
+    # (cell << chunk_width) | value with its cells reduced against one another.
     _cells_hex: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
-    _pivots: tuple[dict[int, tuple[int, int]], ...] = field(init=False, repr=False, compare=False)
+    _pivots: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.chunk_width < 1 or self.chunk_width % 4:
@@ -99,21 +102,22 @@ class Fleet:
             raise ParameterError(f"database needs one chunk per part ({self.code.p})")
         # Each distinct cell's value and hex text, and each distinct pivot
         # row, is made once and shared by every column that holds it.
+        width = self.chunk_width
         known: dict[int, tuple[int, str]] = {}
-        rows: dict[tuple[int, int], tuple[int, int]] = {}
+        rows: dict[int, int] = {}
         values, cells_hex, pivot_tables = [], [], []
         for col in self.code.columns:
             cells = []
-            pivots: dict[int, tuple[int, int]] = {}
+            pivots: dict[int, int] = {}
             for cell in col:
-                found = known.get(cell.bits)
+                found = known.get(cell)
                 if found is None:
                     chunk = 0
-                    for part in cell.parts():
+                    for part in parts_of(cell):
                         chunk ^= self.database[part - 1]
-                    found = known[cell.bits] = (chunk, self.chunk_hex(chunk))
+                    found = known[cell] = (chunk, self.chunk_hex(chunk))
                 cells.append(found)
-                _insert(pivots, cell.bits, found[0])
+                pivot_insert(pivots, (cell << width) | found[0])
             values.append(tuple(chunk for chunk, _ in cells))
             cells_hex.append(tuple(text for _, text in cells))
             pivot_tables.append({high: rows.setdefault(row, row) for high, row in pivots.items()})
@@ -123,19 +127,6 @@ class Fleet:
 
     def chunk_hex(self, value: int) -> str:
         return f"0x{value:0{self.chunk_width // 4}x}"
-
-
-def _insert(pivots: dict[int, tuple[int, int]], bits: int, value: int) -> None:
-    """Reduce (bits, value) against `pivots` and keep it under its high bit
-    if anything is left; the value-carrying form of `gf2.pivot_insert`."""
-    while bits:
-        high = bits.bit_length() - 1
-        row = pivots.get(high)
-        if row is None:
-            pivots[high] = (bits, value)
-            return
-        bits ^= row[0]
-        value ^= row[1]
 
 
 @dataclass(frozen=True)
@@ -191,40 +182,27 @@ def _event_line(e: dict) -> str:
     )
 
 
-class _OnePart:
-    """One part's sets as `verify_plan` reads a plan, through `parts` and
-    `sets`; `RecoveryPlan({part: sets})` would sort the already canonical
-    sets again."""
+def _solve_set(fleet: Fleet, columns: tuple[int, ...], part: int) -> int:
+    """The value of `part` from the cells of `columns`.
 
-    __slots__ = ("part", "part_sets")
-
-    def __init__(self, part: int, part_sets: tuple[frozenset[int], ...]):
-        self.part, self.part_sets = part, part_sets
-
-    def parts(self) -> tuple[int, ...]:
-        return (self.part,)
-
-    def sets(self, part: int) -> tuple[frozenset[int], ...]:
-        return self.part_sets if part == self.part else ()
-
-
-def _solve_set(fleet: Fleet, ordered: list[int], part: int) -> int:
-    """The value of `part` from the cells of the columns in `ordered`."""
+    Every row's value is one linear function of its cell (the XOR of the
+    chunks of the cell's parts), so a row whose cell bits reduce to 0
+    reduces to 0 entirely and no pivot sits below bit chunk_width.  Reducing
+    e_part << chunk_width therefore leaves a residual below 1 << chunk_width
+    iff the set spans the part, and that residual is then the part's value.
+    """
+    width = fleet.chunk_width
     tables = fleet._pivots
-    pivots = tables[ordered[0] - 1]
-    if len(ordered) > 1:
+    pivots = tables[columns[0] - 1]
+    if len(columns) > 1:
         pivots = dict(pivots)
-        for j in ordered[1:]:
-            for bits, value in tables[j - 1].values():
-                _insert(pivots, bits, value)
-    bits, value = 1 << (part - 1), 0
-    while bits:
-        row = pivots.get(bits.bit_length() - 1)
-        if row is None:
-            raise ParameterError(f"recovery set does not span part {part}")
-        bits ^= row[0]
-        value ^= row[1]
-    return value
+        for j in columns[1:]:
+            for row in tables[j - 1].values():
+                pivot_insert(pivots, row)
+    residual = pivot_reduce(pivots, 1 << (part - 1 + width))
+    if residual >> width:
+        raise ParameterError(f"recovery set does not span part {part}")
+    return residual
 
 
 def retrieve(
@@ -238,7 +216,7 @@ def retrieve(
     if any(not 1 <= j <= code.m for j in down):
         raise ParameterError(f"failed server index out of range 1..{code.m}")
     sets = plan.sets(part)
-    check = verify_plan(code, _OnePart(part, sets))
+    check = verify_plan(code, plan.restricted_to(part))
     if not check.ok:
         raise ParameterError(f"invalid plan: {check.violation}")
 
@@ -247,10 +225,9 @@ def retrieve(
     events: list[tuple[tuple[int, int, int], dict]] = []
     outcomes = []
     for set_idx, columns in enumerate(sets, start=1):
-        ordered = sorted(columns)
         missing = []
         latest = 0
-        for server in ordered:
+        for server in columns:
             jitter = rng.randrange(fleet.jitter_us + 1) if fleet.jitter_us else 0
             dropped = rng.random() < fleet.drop_probability[server - 1]
             events.append(
@@ -277,14 +254,14 @@ def retrieve(
                     },
                 )
             )
-        solve: dict = {"event": "solve", "part": part, "set": set_idx, "columns": ordered}
+        solve: dict = {"event": "solve", "part": part, "set": set_idx, "columns": list(columns)}
         if missing:
-            outcomes.append(SetOutcome(tuple(ordered), True, None, None))
+            outcomes.append(SetOutcome(columns, True, None, None))
             solve.update(time=fleet.timeout_us, status="faulted", missing=missing)
             events.append(((fleet.timeout_us, _SOLVE, set_idx), solve))
         else:
-            value = _solve_set(fleet, ordered, part)
-            outcomes.append(SetOutcome(tuple(ordered), False, value, latest))
+            value = _solve_set(fleet, columns, part)
+            outcomes.append(SetOutcome(columns, False, value, latest))
             solve.update(time=latest, status="ok", value=fleet.chunk_hex(value))
             events.append(((latest, _SOLVE, set_idx), solve))
 
@@ -366,10 +343,14 @@ def availability_sweep(
     rng = random.Random(fleet.seed * 7_368_787 + failures_per_trial)
     minima = {part: plan.k_for(part) for part in parts}
     totals = {part: 0 for part in parts}
+    # A part's sets are pairwise disjoint (verify_plan checked), so each
+    # failed server takes out at most the one set of the part holding it.
+    set_of = {part: {j: i for i, columns in enumerate(plan.sets(part)) for j in columns} for part in parts}
     for _ in range(trials):
-        down = set(rng.sample(range(1, code.m + 1), failures_per_trial))
+        down = rng.sample(range(1, code.m + 1), failures_per_trial)
         for part in parts:
-            surviving = sum(1 for columns in plan.sets(part) if not (columns & down))
+            where = set_of[part]
+            surviving = plan.k_for(part) - len({where[j] for j in down if j in where})
             totals[part] += surviving
             if surviving < minima[part]:
                 minima[part] = surviving

@@ -96,7 +96,7 @@ def _column_pivots(code: ArrayCode) -> list[dict[int, int]]:
     for col in code.columns:
         pivots: dict[int, int] = {}
         for cell in col:
-            pivot_insert(pivots, cell.bits)
+            pivot_insert(pivots, cell)
         out.append(pivots)
     return out
 
@@ -107,9 +107,8 @@ def _singleton_columns(code: ArrayCode) -> list[Sequence[int]]:
     held: dict[int, list[int]] = defaultdict(list)
     for j, col in enumerate(code.columns):
         for cell in col:
-            part = cell.singleton_part()
-            if part is not None:
-                held[part - 1].append(j)
+            if cell & (cell - 1) == 0:
+                held[cell.bit_length() - 1].append(j)
     return [held.get(i, ()) for i in range(code.p)]
 
 
@@ -124,19 +123,16 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
             for j in columns:
                 if not 1 <= j <= code.m:
                     return PlanCheck(False, f"part {part}: column {j} out of range 1..{code.m}")
-            overlap = used & columns
-            if overlap:
-                return PlanCheck(
-                    False,
-                    f"part {part}: column {min(overlap)} appears in two recovery sets",
-                )
-            used |= columns
+            if not used.isdisjoint(columns):
+                first = min(used.intersection(columns))
+                return PlanCheck(False, f"part {part}: column {first} appears in two recovery sets")
+            used.update(columns)
             pivots: dict[int, int] = {}
             for j in columns:
                 for cell in code.columns[j - 1]:
-                    pivot_insert(pivots, cell.bits)
+                    pivot_insert(pivots, cell)
             if pivot_reduce(pivots, target) != 0:
-                label = "{" + ",".join(str(c) for c in sorted(columns)) + "}"
+                label = "{" + ",".join(map(str, columns)) + "}"
                 return PlanCheck(False, f"part {part}: columns {label} do not span it")
     return PlanCheck(True, None)
 
@@ -147,8 +143,7 @@ def _span_index(code: ArrayCode) -> dict[int, list[int]]:
     for j, col in enumerate(code.columns, start=1):
         span = [0]
         for cell in col:
-            bits = cell.bits
-            span += [x ^ bits for x in span]
+            span += [x ^ cell for x in span]
         for x in span[1:]:
             index[x].append(j)
     return index
@@ -212,7 +207,7 @@ def _scanned_edges(code: ArrayCode, holders: list[Sequence[int]]) -> Iterator[li
     for col in code.columns:
         mask = 0
         for cell in col:
-            mask |= cell.bits
+            mask |= cell
         involved.append(mask)
     for part in range(1, code.p + 1):
         target = 1 << (part - 1)
@@ -227,21 +222,8 @@ def _scanned_edges(code: ArrayCode, holders: list[Sequence[int]]) -> Iterator[li
                     continue
                 merged = dict(piv_u)
                 for x in rows[v]:
-                    while x:
-                        high = x.bit_length() - 1
-                        row = merged.get(high)
-                        if row is None:
-                            merged[high] = x
-                            break
-                        x ^= row
-                x = target
-                while x:
-                    high = x.bit_length() - 1
-                    row = merged.get(high)
-                    if row is None:
-                        break
-                    x ^= row
-                if x == 0:
+                    pivot_insert(merged, x)
+                if pivot_reduce(merged, target) == 0:
                     edges.append((u + 1, v + 1))
         yield edges
 
@@ -280,10 +262,10 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     per_part = []
     plan_sets = {}
     for part, edges in enumerate(part_edges, start=1):
-        sets = [frozenset({j + 1}) for j in holders[part - 1]]
+        sets = [(j + 1,) for j in holders[part - 1]]
         if edges:
             graph = PairGraph.general_graph({v for e in edges for v in e}, edges)
-            sets.extend(frozenset(e) for e in max_general_matching(graph))
+            sets.extend(max_general_matching(graph))
         per_part.append(len(sets))
         plan_sets[part] = sets
     return VerifyReport(
@@ -409,7 +391,7 @@ def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport
         chosen = _max_packing(minimal, code.m)
         per_part.append(len(chosen))
         plan_sets[part] = [
-            frozenset(j + 1 for j in range(code.m) if mask & (1 << j)) for mask in chosen
+            tuple(j + 1 for j in range(code.m) if mask & (1 << j)) for mask in chosen
         ]
     return VerifyReport(
         mode="exhaustive",

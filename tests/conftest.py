@@ -12,7 +12,6 @@ import pytest
 
 from pirarray import (
     ArrayCode,
-    PartVector,
     VerifyReport,
     build_c1,
     build_c2,
@@ -102,4 +101,4 @@ def random_column(rng: random.Random, p: int, t: int, used: int, forced: int) ->
 def seeded_code(seed: int, m: int, p: int, t: int) -> ArrayCode:
     rng = random.Random(seed)
     columns = [random_column(rng, p, t, p, 0) for _ in range(m)]
-    return ArrayCode.from_columns(p, [[PartVector(p, bits) for bits in col] for col in columns])
+    return ArrayCode.from_columns(p, columns)

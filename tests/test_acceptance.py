@@ -81,7 +81,7 @@ def test_criterion_02_intro_fixture():
     for j in range(1, 5):
         pivots: dict[int, int] = {}
         for cell in code.columns[j - 1]:
-            pivot_insert(pivots, cell.bits)
+            pivot_insert(pivots, cell)
         assert len(pivots) == 7, "criterion 2: column rank"
     result = k_pir_exhaustive(code)
     assert result.k == 3, f"criterion 2: k = {result.k}, expected exactly 3"

@@ -27,6 +27,7 @@ from pirarray.constructions import (
     integer_s_counts,
 )
 from pirarray.errors import CapExceeded, ParameterError
+from pirarray.gf2 import parts_of
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +88,16 @@ def test_solve_xi_rejects_bad_domains():
 # family shapes and counts
 
 
+def single(cell):
+    return cell & (cell - 1) == 0
+
+
 def column_type(code, col):
     """1 for all-singleton columns, else the pairing level of the sum cell."""
-    sums = [c for c in col if not c.is_singleton()]
+    sums = [c for c in col if not single(c)]
     if not sums:
         return 1
-    size = sums[0].weight()
+    size = sums[0].bit_count()
     if size == code.p - code.t + 1 and code.s.denominator != 1:
         return -((-code.s.numerator) // code.s.denominator)
     return (size - 1) // code.t + 1
@@ -104,21 +109,21 @@ def test_c1_counts_and_shape():
     assert c1_counts(2, 2) == (10, 7)
     assert c1_counts(2, 1) == (9, 7)
     assert c1_counts(1, 1) == (3, 2)
-    assert sum(1 for col in code.columns if all(c.is_singleton() for c in col)) == 6
+    assert sum(1 for col in code.columns if all(single(c) for c in col)) == 6
     code11 = build_c1(1, 1)
-    assert [sorted(c.parts() for c in col) for col in code11.columns] == [[(1,)], [(2,)], [(1, 2)]]
+    assert [sorted(parts_of(c) for c in col) for col in code11.columns] == [[(1,)], [(2,)], [(1, 2)]]
     assert Fraction(*reversed(c1_counts(1, 1))) == Fraction(2, 3)
 
 
 def test_c1_type_b_sums_remaining_parts():
     code = build_c1(3, 2)  # p=5, Type B sums d+1 = 3 parts
     for col in code.columns:
-        sums = [c for c in col if not c.is_singleton()]
+        sums = [c for c in col if not single(c)]
         if sums:
-            assert len(sums) == 1 and sums[0].weight() == 3
-            stored = {c.singleton_part() for c in col if c.is_singleton()}
-            assert stored.isdisjoint(sums[0].parts())
-            assert stored | set(sums[0].parts()) == set(range(1, 6))
+            assert len(sums) == 1 and sums[0].bit_count() == 3
+            stored = {c.bit_length() for c in col if single(c)}
+            assert stored.isdisjoint(parts_of(sums[0]))
+            assert stored | set(parts_of(sums[0])) == set(range(1, 6))
 
 
 def test_c1_rejects_bad_d():
@@ -133,10 +138,10 @@ def test_c2_counts_and_shape():
     assert code.m == 6 and code.p == 4
     assert c2_counts(3) == (6, 5)
     assert c2_counts(5) == (9, 8)
-    type_a = [col for col in code.columns if all(c.is_singleton() for c in col)]
-    type_b = [col for col in code.columns if not all(c.is_singleton() for c in col)]
+    type_a = [col for col in code.columns if all(single(c) for c in col)]
+    type_b = [col for col in code.columns if not all(single(c) for c in col)]
     assert len(type_a) == 4 and len(type_b) == 2
-    pair_sums = sorted(tuple(c.parts()) for col in type_b for c in col if not c.is_singleton())
+    pair_sums = sorted(parts_of(c) for col in type_b for c in col if not single(c))
     assert pair_sums == [(1, 2), (3, 4)]
     with pytest.raises(ParameterError):
         build_c2(4)
@@ -149,13 +154,13 @@ def test_c3_counts_and_shape():
     assert code.m == 9 and code.p == 3
     assert c3_counts(2) == (9, 7)
     assert c3_counts(4) == (15, 13)
-    type_a = [col for col in code.columns if all(c.is_singleton() for c in col)]
+    type_a = [col for col in code.columns if all(single(c) for c in col)]
     assert len(type_a) == 6
     # each part omitted exactly twice among Type A
     for part in (1, 2, 3):
-        omitted = sum(1 for col in type_a if part not in {c.singleton_part() for c in col})
+        omitted = sum(1 for col in type_a if part not in {c.bit_length() for c in col})
         assert omitted == 2
-    pair_sums = sorted(tuple(c.parts()) for col in code.columns for c in col if not c.is_singleton())
+    pair_sums = sorted(parts_of(c) for col in code.columns for c in col if not single(c))
     assert pair_sums == [(1, 2), (1, 3), (2, 3)]  # wrap-around pair lands on (1, t+1)
     with pytest.raises(ParameterError):
         build_c3(3)
@@ -174,7 +179,7 @@ def test_integer_s_counts_and_type_blocks():
 
 def test_integer_s_t1_degenerates_to_three_column_code():
     code = build_integer_s(2, 1, (1, 1))
-    assert [sorted(c.parts() for c in col) for col in code.columns] == [[(1,)], [(2,)], [(1, 2)]]
+    assert [sorted(parts_of(c) for c in col) for col in code.columns] == [[(1,)], [(2,)], [(1, 2)]]
 
 
 def test_integer_s_coincides_with_c1_at_s2():
@@ -197,7 +202,7 @@ def test_general_s_counts_and_type_blocks():
 def test_every_column_has_at_most_one_sum_cell():
     for code in (build_c1(3, 2), build_c2(3), build_c3(2), build_integer_s(3, 2), build_general_s(Fraction(5, 2), 2)):
         for col in code.columns:
-            assert sum(1 for c in col if not c.is_singleton()) <= 1
+            assert sum(1 for c in col if not single(c)) <= 1
             assert len(col) == code.t
 
 
@@ -208,10 +213,10 @@ def pairing_side_sizes(code, part):
     v2 = {r: 0 for r in range(1, q)}
     for col in code.columns:
         level = column_type(code, col)
-        stored = {c.singleton_part() for c in col if c.is_singleton()}
+        stored = {c.bit_length() for c in col if single(c)}
         involved = set()
         for c in col:
-            involved |= set(c.parts())
+            involved |= set(parts_of(c))
         if part in stored:
             continue
         if part not in involved:

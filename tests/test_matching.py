@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from pirarray import PairGraph, build_c1, max_general_matching
 from pirarray.errors import ParameterError
-from pirarray.gf2 import pivot_insert, pivot_reduce
+from pirarray.gf2 import parts_of, pivot_insert, pivot_reduce
 
 
 def bruteforce_max_matching(vertices, edges):
@@ -27,7 +27,7 @@ def spans_part(code, columns, part):
     pivots = {}
     for j in columns:
         for cell in code.columns[j - 1]:
-            pivot_insert(pivots, cell.bits)
+            pivot_insert(pivots, cell)
     return pivot_reduce(pivots, 1 << (part - 1)) == 0
 
 
@@ -67,11 +67,11 @@ def test_c1_pair_graph_has_perfect_matching():
     target = 1
     left, right, edges = [], [], []
     for j, col in enumerate(code.columns, start=1):
-        parts_stored = {c.singleton_part() for c in col if c.is_singleton()}
+        parts_stored = {c.bit_length() for c in col if c & (c - 1) == 0}
         involved = set()
         for c in col:
-            involved |= set(c.parts())
-        if all(c.is_singleton() for c in col):
+            involved |= set(parts_of(c))
+        if all(c & (c - 1) == 0 for c in col):
             if target not in involved:
                 left.append(j)
         elif target not in parts_stored:

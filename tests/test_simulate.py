@@ -11,10 +11,12 @@ from pirarray import (
     availability_sweep,
     build_c1,
     build_c2,
+    k_pir_exhaustive,
     k_pir_pairs,
     retrieve,
 )
 from pirarray.errors import ParameterError
+from pirarray.gf2 import parts_of
 from pirarray.simulate import MAX_CHUNK_WIDTH
 
 from conftest import seeded_code
@@ -42,7 +44,7 @@ def test_server_cells_are_xor_of_chunks(c1_fleet):
     for j, col in enumerate(fleet.code.columns):
         for cell, value in zip(col, fleet.server_values[j]):
             expected = 0
-            for part in cell.parts():
+            for part in parts_of(cell):
                 expected ^= fleet.database[part - 1]
             assert value == expected
 
@@ -75,6 +77,23 @@ def test_retrieve_all_down_is_retrieval_failed(intro_code):
     transcript = retrieve(fleet, plan, 5, failed={1, 2, 3, 4})
     assert transcript.status == "retrieval-failed"
     assert not transcript.agreement and transcript.value is None
+
+
+def test_every_plan_set_recovers_its_part_at_every_chunk_width():
+    # a set is solved by eliminating rows (cell << chunk_width) | value, so
+    # the value bits ride along with the cell bits through one kernel
+    widest = 0
+    for seed, shape in enumerate(((8, 5, 2), (10, 7, 3), (9, 6, 4), (12, 8, 3), (12, 10, 5))):
+        code = seeded_code(seed, *shape)
+        for plan in (k_pir_pairs(code).plan, k_pir_exhaustive(code).plan):
+            for chunk_width in (4, 64, 256):
+                fleet = Fleet(code=code, seed=seed, chunk_width=chunk_width)
+                for part in plan.parts():
+                    transcript = retrieve(fleet, plan, part)
+                    values = [outcome.value for outcome in transcript.sets]
+                    assert values == [fleet.database[part - 1]] * plan.k_for(part)
+                    widest = max([widest] + [len(columns) for columns in plan.sets(part)])
+    assert widest >= 3
 
 
 def test_zero_drop_probability_always_agrees(c1_fleet):
@@ -145,6 +164,23 @@ def test_sweep_respects_disjointness_guarantee(c1_fleet):
     for f in (0, 1, 2, 3):
         summary = availability_sweep(fleet, plan, trials=32, failures_per_trial=f)
         assert summary.overall_min >= 7 - f
+
+
+def test_sweep_counts_the_sets_each_failure_draw_leaves():
+    # the sweep counts a part's surviving sets through a column -> set map;
+    # recount them set by set from the same seeded draws
+    trials = 25
+    for seed, shape in enumerate(((10, 7, 3), (12, 8, 3), (12, 10, 5))):
+        code = seeded_code(seed, *shape)
+        plan = k_pir_exhaustive(code).plan
+        fleet = Fleet(code=code, seed=seed)
+        for f in (1, 2, 4):
+            summary = availability_sweep(fleet, plan, trials=trials, failures_per_trial=f)
+            rng = random.Random(fleet.seed * 7_368_787 + f)
+            draws = [set(rng.sample(range(1, code.m + 1), f)) for _ in range(trials)]
+            for part, low, mean in zip(summary.parts, summary.per_part_min, summary.per_part_mean):
+                alive = [sum(1 for columns in plan.sets(part) if draw.isdisjoint(columns)) for draw in draws]
+                assert (low, mean) == (min(alive), Fraction(sum(alive), trials))
 
 
 def test_sweep_all_failed_reports_failure(c1_fleet):

@@ -11,7 +11,6 @@ from pirarray import (
     ArrayCode,
     ConstructionParams,
     PairGraph,
-    PartVector,
     RecoveryPlan,
     build_c1,
     build_c2,
@@ -59,14 +58,14 @@ def test_intro_singleton_bound_is_tight(intro_code):
 
 
 def test_single_column_code():
-    code = ArrayCode.from_columns(3, [[PartVector.singleton(3, i) for i in (1, 2, 3)]])
+    code = ArrayCode.from_columns(3, [[0b001, 0b010, 0b100]])
     report = k_pir_exhaustive(code)
     assert report.k == 1 and report.per_part == (1, 1, 1)
     assert singleton_upper_bound(code) == Fraction(1)
 
 
 def test_replication_code_bound_equals_m():
-    cols = [[PartVector.singleton(2, 1), PartVector.singleton(2, 2)]] * 5
+    cols = [[0b01, 0b10]] * 5
     code = ArrayCode.from_columns(2, cols)
     assert singleton_upper_bound(code) == Fraction(5)
     assert k_pir_exhaustive(code).k == 5
@@ -162,7 +161,7 @@ def _oracle_edges(code: ArrayCode, part: int, holders: set[int]) -> list[tuple[i
         for v in rest[a + 1 :]:
             pivots: dict[int, int] = {}
             for cell in code.columns[u] + code.columns[v]:
-                pivot_insert(pivots, cell.bits)
+                pivot_insert(pivots, cell)
             if pivot_reduce(pivots, target) == 0:
                 edges.append((u + 1, v + 1))
     return edges
@@ -201,7 +200,7 @@ def valid_codes(draw, max_m: int, max_p: int = 14, max_t: int = 6, duplicates: b
         for j in range(1, m):
             if draw(st.integers(0, 3)) == 0:
                 columns[j] = columns[draw(st.integers(0, j - 1))]
-    return ArrayCode.from_columns(p, [[PartVector(p, bits) for bits in col] for col in columns])
+    return ArrayCode.from_columns(p, columns)
 
 
 @settings(max_examples=150, deadline=None)
@@ -271,7 +270,7 @@ def test_pairs_time_does_not_grow_faster_than_header_p():
 
 def test_pairs_verifies_codes_whose_span_index_exceeds_the_cap():
     # one column of 24 singletons: a short file, but 2^24 - 1 span elements
-    code = ArrayCode.from_columns(24, [[PartVector.singleton(24, i) for i in range(1, 25)]])
+    code = ArrayCode.from_columns(24, [[1 << (i - 1) for i in range(1, 25)]])
     report = k_pir_pairs(code)
     assert report.per_part == (1,) * 24
     assert verify_plan(code, report.plan).ok
@@ -292,7 +291,7 @@ def _oracle_minimal_masks(code: ArrayCode, part: int) -> list[int]:
             pivots: dict[int, int] = {}
             for j in combo:
                 for cell in code.columns[j]:
-                    pivot_insert(pivots, cell.bits)
+                    pivot_insert(pivots, cell)
             if pivot_reduce(pivots, target) == 0:
                 minimal.append(mask)
     minimal.sort()
