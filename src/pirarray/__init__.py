@@ -33,7 +33,7 @@ from .constructions import (
     solve_xi,
 )
 from .errors import CapExceeded, FormatError, ParameterError
-from .matching import PairGraph, max_general_matching
+from .matching import max_general_matching
 from .model import (
     ArrayCode,
     RecoveryPlan,
@@ -61,7 +61,6 @@ __all__ = [
     "ConstructionParams",
     "Fleet",
     "FormatError",
-    "PairGraph",
     "ParameterError",
     "RecoveryPlan",
     "SessionTranscript",

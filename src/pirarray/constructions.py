@@ -24,7 +24,9 @@ Counts are always evaluated symbolically before any cells are materialized;
 every builder refuses a code wider than `max_columns` with `CapExceeded`
 carrying the computed m.  A builder emits each column as a tuple of int
 cells (bit i-1 <-> x_i) in canonical order; the copies of a repeated column
-share one tuple, and cells are plain ints with nothing to intern.
+share one tuple, and the columns of one build share one int per distinct
+cell (Python caches no int above 256, so p > 8 would otherwise leave a copy
+of a cell in every column that holds it).
 
 One registry, keyed by the names in `FAMILIES`, holds each family's extra
 parameter (d, s or none), how s follows, its (m, k) counts and its builder;
@@ -257,21 +259,37 @@ def general_s_counts(
 # materialization
 
 
+class _Cells(NamedTuple):
+    """The cells one build shares among its columns: part i's singleton at
+    `unit[i]`, and each summed cell made so far in `sums`, mapped to itself."""
+
+    unit: list[int]
+    sums: dict[int, int]
+
+
+def _cells(p: int) -> _Cells:
+    return _Cells([0] + [1 << i for i in range(p)], {})
+
+
 def block(
-    specs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], mult: int = 1
+    specs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], cells: _Cells, mult: int = 1
 ) -> list[tuple[int, ...]]:
     """One type block in canonical column order, each column `mult` times.
 
     A spec is (singleton parts, summed parts), both ascending tuples; the
     summed parts are empty for an all-singleton type.  Within one type,
     comparing specs orders columns as comparing their canonical cells does,
-    so the sort needs no cells.
+    so the sort needs no cells.  A builder passes the same `cells` to all
+    its blocks.
     """
+    unit = cells.unit.__getitem__
+    sums = cells.sums
     out: list[tuple[int, ...]] = []
     for singles, summands in sorted(specs):
-        col = tuple(1 << (i - 1) for i in singles)
+        col = tuple(map(unit, singles))
         if summands:
-            col += (sum(1 << (i - 1) for i in summands),)
+            cell = sum(map(unit, summands))
+            col += (sums.setdefault(cell, cell),)
         out.extend([col] * mult)
     return out
 
@@ -283,12 +301,14 @@ def build_c1(t: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCod
     m, _ = c1_counts(t, d)
     _check_cap(m, max_columns)
     parts = range(1, p + 1)
-    type_a = block(((subset, ()) for subset in combinations(parts, t)), theta // d)
+    cells = _cells(p)
+    type_a = block(((subset, ()) for subset in combinations(parts, t)), cells, theta // d)
     type_b = block(
         (
             (subset, tuple(i for i in parts if i not in subset))
             for subset in combinations(parts, t - 1)
         ),
+        cells,
         theta // t,
     )
     return ArrayCode.from_columns(p, type_a + type_b)
@@ -300,9 +320,10 @@ def build_c2(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     _check_cap(m, max_columns)
     p = t + 1
     parts = range(1, p + 1)
-    type_a = block((subset, ()) for subset in combinations(parts, t))
+    cells = _cells(p)
+    type_a = block(((subset, ()) for subset in combinations(parts, t)), cells)
     pairs = [(2 * j - 1, 2 * j) for j in range(1, (t + 1) // 2 + 1)]
-    type_b = block((tuple(i for i in parts if i not in pair), pair) for pair in pairs)
+    type_b = block(((tuple(i for i in parts if i not in pair), pair) for pair in pairs), cells)
     return ArrayCode.from_columns(p, type_a + type_b)
 
 
@@ -312,10 +333,11 @@ def build_c3(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     _check_cap(m, max_columns)
     p = t + 1
     parts = range(1, p + 1)
-    type_a = block(((subset, ()) for subset in combinations(parts, t)), 2)
+    cells = _cells(p)
+    type_a = block(((subset, ()) for subset in combinations(parts, t)), cells, 2)
     # server j sums x_j + x_{j+1}, wrapping past p to x_1
     pairs = [(j, j + 1) for j in range(1, p)] + [(1, p)]
-    type_b = block((tuple(i for i in parts if i not in pair), pair) for pair in pairs)
+    type_b = block(((tuple(i for i in parts if i not in pair), pair) for pair in pairs), cells)
     return ArrayCode.from_columns(p, type_a + type_b)
 
 
@@ -327,6 +349,7 @@ def _build_type_blocks(
     all-remaining-parts type."""
     parts = range(1, p + 1)
     out: list[tuple[int, ...]] = []
+    cells = _cells(p)
     for r, size in enumerate(sum_sizes, start=1):
         if size is None:
             specs = ((subset, ()) for subset in combinations(parts, t))
@@ -341,7 +364,7 @@ def _build_type_blocks(
                 for subset in combinations(parts, t - 1)
                 for summands in combinations([i for i in parts if i not in subset], size)
             )
-        out += block(specs, xi[r - 1])
+        out += block(specs, cells, xi[r - 1])
     return out
 
 

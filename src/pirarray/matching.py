@@ -3,63 +3,147 @@
 `max_general_matching` is blossom-contraction augmentation and accepts any
 simple graph, which the pair-limited verifier needs because arbitrary codes
 produce non-bipartite pair graphs.  (The paper's bipartite matchings, via
-Hall's theorem, appear only in its proofs.)  It scans vertices in ascending order so a given input always yields the
-same matching.
+Hall's theorem, appear only in its proofs.)  A graph is given as a
+neighbour map, vertex -> the collection of its neighbours, listing every
+edge both ways; the pair verifier builds that map straight from its span
+index, so no edge list is made, sorted or re-indexed.  Vertices are taken
+in ascending order and each vertex's neighbours in ascending order, so a
+given graph always yields the same matching.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Mapping
 
 from .errors import ParameterError
 
-__all__ = ["PairGraph", "max_general_matching"]
+__all__ = ["max_general_matching"]
 
 
-@dataclass(frozen=True)
-class PairGraph:
-    """A simple undirected graph on column indices."""
+def _adjacency(neighbours: Mapping[int, Collection[int]]) -> tuple[list[int], list[list[int]]]:
+    """The sorted vertices and, per vertex, its sorted neighbours as indices
+    into them; raises on a graph that is not simple and undirected.
 
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        verts = tuple(sorted(set(self.vertices)))
-        object.__setattr__(self, "vertices", verts)
-        vset = set(verts)
-        seen: set[tuple[int, int]] = set()
-        normalized = []
-        for u, v in self.edges:
-            if u == v:
-                raise ParameterError(f"self-loop at vertex {u}")
-            if u not in vset or v not in vset:
-                raise ParameterError(f"edge ({u},{v}) uses an unknown vertex")
-            edge = (u, v) if u < v else (v, u)
-            if edge in seen:
-                raise ParameterError(f"duplicate edge {edge}")
-            seen.add(edge)
-            normalized.append(edge)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
-
-    @classmethod
-    def general_graph(cls, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> PairGraph:
-        return cls(vertices=tuple(vertices), edges=tuple(edges))
-
-
-def max_general_matching(g: PairGraph) -> list[tuple[int, int]]:
-    """Maximum matching of any simple PairGraph as sorted vertex pairs."""
-    verts = g.vertices
-    n = len(verts)
+    Row j is filled with the i of every vertex that lists vertex j, in
+    ascending i, so no row needs sorting; once every edge is checked to be
+    listed both ways, that is exactly vertex j's own neighbours.
+    """
+    verts = sorted(neighbours)
     index = {v: i for i, v in enumerate(verts)}
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-    for rows in adj:
-        rows.sort()
+    adj: list[list[int]] = [[] for _ in verts]
+    for i, v in enumerate(verts):
+        near = neighbours[v]
+        if v in near:
+            raise ParameterError(f"self-loop at vertex {v}")
+        if not isinstance(near, (set, frozenset)) and len(set(near)) != len(near):
+            raise ParameterError(f"vertex {v} lists a duplicate neighbour")
+        for u in near:
+            try:
+                j = index[u]
+            except KeyError:
+                raise ParameterError(f"vertex {v} has an unknown neighbour {u}") from None
+            if v not in neighbours[u]:
+                raise ParameterError(f"edge ({v},{u}) is listed one way only")
+            adj[j].append(i)
+    return verts, adj
 
+
+def _lca(base: list[int], match: list[int], parent: list[int], a: int, b: int) -> int:
+    flagged = [False] * len(base)
+    while True:
+        a = base[a]
+        flagged[a] = True
+        if match[a] == -1:
+            break
+        a = parent[match[a]]
+    while True:
+        b = base[b]
+        if flagged[b]:
+            return b
+        b = parent[match[b]]
+
+
+def _mark_path(
+    base: list[int], match: list[int], parent: list[int], blossom: list[bool], v: int, stem: int, child: int
+) -> None:
+    while base[v] != stem:
+        blossom[base[v]] = True
+        blossom[base[match[v]]] = True
+        parent[v] = child
+        child = match[v]
+        v = parent[match[v]]
+
+
+def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
+    """One breadth-first search from the free vertex `root`, contracting
+    blossoms; flips the augmenting path it finds into `match`."""
+    n = len(adj)
+    used = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
+    used[root] = True
+    queue: deque[int] = deque([root])
+    # Until the first blossom is contracted, every vertex is its own base
+    # (so base[v] == base[to] cannot hold, there being no self-loops), and
+    # a vertex with a parent is an odd tree vertex whose mate has none, so
+    # meeting it again changes nothing.
+    contracted = False
+    while queue:
+        v = queue.popleft()
+        # base[v] changes only when a blossom is contracted and match[v]
+        # only on augmenting, which ends the search
+        base_v = base[v]
+        match_v = match[v]
+        for to in adj[v]:
+            if match_v == to:
+                continue
+            if contracted:
+                if base_v == base[to]:
+                    continue
+            elif parent[to] != -1:
+                continue
+            mate = match[to]
+            if to == root or (mate != -1 and parent[mate] != -1):
+                stem = _lca(base, match, parent, v, to)
+                blossom = [False] * n
+                _mark_path(base, match, parent, blossom, v, stem, to)
+                _mark_path(base, match, parent, blossom, to, stem, v)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = stem
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+                base_v = base[v]
+                contracted = True
+            elif parent[to] == -1:
+                parent[to] = v
+                if mate == -1:
+                    u = to
+                    while u != -1:
+                        pv = parent[u]
+                        nxt = match[pv]
+                        match[u] = pv
+                        match[pv] = u
+                        u = nxt
+                    return True
+                used[mate] = True
+                queue.append(mate)
+    return False
+
+
+def max_general_matching(neighbours: Mapping[int, Collection[int]]) -> list[tuple[int, int]]:
+    """Maximum matching of a simple undirected graph as ascending vertex
+    pairs in ascending order.
+
+    `neighbours[v]` holds v's neighbours, and u is in `neighbours[v]`
+    exactly when v is in `neighbours[u]`; a vertex with no neighbours maps
+    to an empty collection.  A self-loop, a repeated neighbour, a neighbour
+    that is not a key, or an edge listed one way only raises ParameterError.
+    """
+    verts, adj = _adjacency(neighbours)
+    n = len(verts)
     match = [-1] * n
     for v in range(n):  # greedy seed keeps the augmentation count low
         if match[v] == -1:
@@ -68,79 +152,7 @@ def max_general_matching(g: PairGraph) -> list[tuple[int, int]]:
                     match[v] = u
                     match[u] = v
                     break
-
-    parent = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    blossom = [False] * n
-
-    def lca(a: int, b: int) -> int:
-        flagged = [False] * n
-        while True:
-            a = base[a]
-            flagged[a] = True
-            if match[a] == -1:
-                break
-            a = parent[match[a]]
-        while True:
-            b = base[b]
-            if flagged[b]:
-                return b
-            b = parent[match[b]]
-
-    def mark_path(v: int, stem: int, child: int) -> None:
-        while base[v] != stem:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
-
-    def find_path(root: int) -> bool:
-        for i in range(n):
-            used[i] = False
-            parent[i] = -1
-            base[i] = i
-        used[root] = True
-        queue: deque[int] = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    stem = lca(v, to)
-                    for i in range(n):
-                        blossom[i] = False
-                    mark_path(v, stem, to)
-                    mark_path(to, stem, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = stem
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            nxt = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = nxt
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
     for v in range(n):
         if match[v] == -1:
-            find_path(v)
-
-    pairs = []
-    for v in range(n):
-        if match[v] > v:
-            pairs.append((verts[v], verts[match[v]]))
-    return sorted(pairs)
+            _augment(adj, match, v)
+    return [(verts[v], verts[match[v]]) for v in range(n) if match[v] > v]

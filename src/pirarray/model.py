@@ -243,8 +243,15 @@ def parse_code(text: str) -> ArrayCode:
     return ArrayCode.from_columns(p, columns)
 
 
+def _canonical_set(one: Collection[int]) -> tuple[int, ...]:
+    if len(one) == 1:  # holders' sets, the most common, need no sort
+        (column,) = one
+        return (int(column),)
+    return tuple(sorted(set(map(int, one))))
+
+
 def _canonical_sets(sets: Iterable[Collection[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(sorted({int(c) for c in one})) for one in sets))
+    return tuple(sorted(map(_canonical_set, sets)))
 
 
 class RecoveryPlan:

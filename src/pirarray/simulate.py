@@ -19,7 +19,9 @@ hex once (each distinct cell once) and keeps per server a pivot table of its
 cells with their values, so a session neither re-renders a response nor
 re-eliminates a column.  A pivot row carries its value in its low bits,
 `(cell << chunk_width) | value`, so solving a set is the `gf2` kernel's
-elimination on those rows, with no second copy of the kernel.
+elimination on those rows, with no second copy of the kernel.  A `Fleet`
+also records each (part, sets) of a plan that has passed `verify_plan`, so
+`retrieve` and `availability_sweep` check a replayed plan part only once.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ class Fleet:
     # (cell << chunk_width) | value with its cells reduced against one another.
     _cells_hex: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
     _pivots: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    # Every (part, that part's sets) that has passed verify_plan on this
+    # fleet's code, so replaying a plan checks each of its parts once.
+    _verified: set[tuple[int, tuple[tuple[int, ...], ...]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.chunk_width < 1 or self.chunk_width % 4:
@@ -124,6 +131,7 @@ class Fleet:
         object.__setattr__(self, "server_values", tuple(values))
         object.__setattr__(self, "_cells_hex", tuple(cells_hex))
         object.__setattr__(self, "_pivots", tuple(pivot_tables))
+        object.__setattr__(self, "_verified", set())
 
     def chunk_hex(self, value: int) -> str:
         return f"0x{value:0{self.chunk_width // 4}x}"
@@ -205,6 +213,19 @@ def _solve_set(fleet: Fleet, columns: tuple[int, ...], part: int) -> int:
     return residual
 
 
+def _check_plan(fleet: Fleet, plan: RecoveryPlan, parts: Iterable[int]) -> None:
+    """Raise on the first of `parts`, in order, whose sets fail verify_plan;
+    a part whose sets have passed on this fleet before is not checked again."""
+    verified = fleet._verified
+    for part in parts:
+        key = (part, plan.sets(part))
+        if key not in verified:
+            check = verify_plan(fleet.code, plan.restricted_to(part))
+            if not check.ok:
+                raise ParameterError(f"invalid plan: {check.violation}")
+            verified.add(key)
+
+
 def retrieve(
     fleet: Fleet, plan: RecoveryPlan, part: int, failed: Iterable[int] = ()
 ) -> SessionTranscript:
@@ -216,9 +237,7 @@ def retrieve(
     if any(not 1 <= j <= code.m for j in down):
         raise ParameterError(f"failed server index out of range 1..{code.m}")
     sets = plan.sets(part)
-    check = verify_plan(code, plan.restricted_to(part))
-    if not check.ok:
-        raise ParameterError(f"invalid plan: {check.violation}")
+    _check_plan(fleet, plan, (part,))
 
     rng = random.Random(fleet.seed * 1_000_003 + part)
     cells_hex = fleet._cells_hex
@@ -333,9 +352,7 @@ def availability_sweep(
         raise ParameterError(f"need trials >= 1, got {trials}")
     if not 0 <= failures_per_trial <= code.m:
         raise ParameterError(f"failures_per_trial out of range 0..{code.m}")
-    check = verify_plan(code, plan)
-    if not check.ok:
-        raise ParameterError(f"invalid plan: {check.violation}")
+    _check_plan(fleet, plan, plan.parts())
     parts = plan.parts()
     if not parts:
         raise ParameterError("plan covers no parts")

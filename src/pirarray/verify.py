@@ -14,20 +14,25 @@ columns; that is exact whenever optimal recovery sets have size at most two
 (true for every family this package generates) and a valid lower bound
 otherwise.
 
-Pair mode finds its edges one of two ways, whichever a size estimate says
-is cheaper for the code.  The span index: for columns U, V that do not span e_i
-alone, e_i lies in span(U)+span(V) iff some x in span(U) has x ^ e_i in
-span(V).  The index maps each nonzero vector to the columns whose span
-holds it, built from every column's 2^t - 1 span elements once per code;
-the pairs of part i are then read off the index entries of x and x ^ e_i.
-Its cost is O(p*m*2^t) index work plus, for every edge {U,V}, one visit per
-element of span(U) & span(V) (at most 2^(t-1)); the index holds about
-m*2^t entries for all parts together.  The pair scan eliminates each of
-the sum_i C(m - alpha_i, 2) pairs of columns that do not hold part i alone,
-in O(m) memory.  The index is used when its m*(2^t - 1) entries number no
-more than those candidate pairs and no more than PAIRS_SPAN_CAP; many
-columns with small t (integer(3,3), c1(8,8)) take the index, few columns
-with large t (c2, c3) the scan.
+Pair mode builds each part's pair graph one of two ways, whichever a size
+estimate says is cheaper for the code, as a neighbour map (column -> set of
+columns) that the matching takes as it is: no edge list is made, sorted or
+re-indexed, and one part's map is alive at a time.  The span index: for
+columns U, V that do not span e_i alone, e_i lies in span(U)+span(V) iff
+some x in span(U) has x ^ e_i in span(V).  The index maps each nonzero
+vector to the columns whose span holds it, built from every column's
+2^t - 1 span elements once per code; for each x of part i, every column
+holding x but not x ^ e_i then gains, by one set union, the columns holding
+x ^ e_i but not x, and the other way round.  Its cost is O(p*m*2^t) index
+work plus those unions, |only x| + |only x ^ e_i| of them per x, inside
+which an edge {U,V} is met once per element of span(U) & span(V) (at most
+2^(t-1) times); the index holds about m*2^t entries for all parts
+together.  The pair scan eliminates each of the sum_i C(m - alpha_i, 2)
+pairs of columns that do not hold part i alone, in O(m) memory.  The index
+is used when its m*(2^t - 1) entries number no more than those candidate
+pairs and no more than PAIRS_SPAN_CAP; many columns with small t
+(integer(3,3), c1(8,8)) take the index, few columns with large t (c2, c3)
+the scan.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
 from .gf2 import pivot_insert, pivot_reduce
-from .matching import PairGraph, max_general_matching
+from .matching import max_general_matching
 from .model import ArrayCode, RecoveryPlan, singleton_census
 
 __all__ = [
@@ -114,6 +119,16 @@ def _singleton_columns(code: ArrayCode) -> list[Sequence[int]]:
 
 def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
     """Check every set spans its part and per-part sets are pairwise disjoint."""
+    tables: dict[int, dict[int, int]] = {}  # column -> pivot table of its cells
+
+    def table(j: int) -> dict[int, int]:
+        found = tables.get(j)
+        if found is None:
+            found = tables[j] = {}
+            for cell in code.columns[j - 1]:
+                pivot_insert(found, cell)
+        return found
+
     for part in plan.parts():
         if not 1 <= part <= code.p:
             return PlanCheck(False, f"part {part} out of range 1..{code.p}")
@@ -127,10 +142,12 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
                 first = min(used.intersection(columns))
                 return PlanCheck(False, f"part {part}: column {first} appears in two recovery sets")
             used.update(columns)
-            pivots: dict[int, int] = {}
-            for j in columns:
-                for cell in code.columns[j - 1]:
-                    pivot_insert(pivots, cell)
+            pivots = table(columns[0]) if columns else {}
+            if len(columns) > 1:
+                pivots = dict(pivots)
+                for j in columns[1:]:
+                    for row in table(j).values():
+                        pivot_insert(pivots, row)
             if pivot_reduce(pivots, target) != 0:
                 label = "{" + ",".join(map(str, columns)) + "}"
                 return PlanCheck(False, f"part {part}: columns {label} do not span it")
@@ -162,17 +179,19 @@ def _lifts(index: dict[int, list[int]]) -> dict[int, list[int]]:
     return lifts
 
 
-def _pair_edges(index: dict[int, list[int]], lifted: list[int], bit: int) -> list[tuple[int, int]]:
-    """The sorted column pairs {U,V} whose joint span holds e_i = `bit`
-    although neither column's span does; `lifted` is `_lifts(index)[i]`.
+def _pair_neighbours(index: dict[int, list[int]], lifted: list[int], bit: int) -> dict[int, set[int]]:
+    """The pair graph of e_i = `bit` as a neighbour map: U -> the columns V
+    whose joint span with U holds e_i although neither column's span does;
+    `lifted` is `_lifts(index)[i]`.
 
     e_i lies in span(U)+span(V) iff some x in span(U) has x ^ e_i in span(V).
     A column holding both x and x ^ e_i spans e_i on its own, so it is a
     holder; every other column holding x pairs with every other column
-    holding x ^ e_i.  A pair {U,V} is found once per element of
-    span(U) & span(V), so up to 2^(t-1) times, before the set keeps one.
+    holding x ^ e_i.  Each x costs one set union per such column, and a pair
+    {U,V} is met once per element of span(U) & span(V), so up to 2^(t-1)
+    times, before the sets keep one.
     """
-    edges: set[tuple[int, int]] = set()
+    neighbours: defaultdict[int, set[int]] = defaultdict(set)
     for x in lifted:
         cols_x, cols_y = index[x], index[x ^ bit]
         only_x = set(cols_x)
@@ -181,12 +200,16 @@ def _pair_edges(index: dict[int, list[int]], lifted: list[int], bit: int) -> lis
             only_y = set(cols_y)
             only_y.difference_update(cols_x)
             if only_y:
-                edges.update((u, v) if u < v else (v, u) for u in only_x for v in only_y)
-    return sorted(edges)
+                for u in only_x:
+                    neighbours[u] |= only_y
+                for v in only_y:
+                    neighbours[v] |= only_x
+    return neighbours
 
 
-def _indexed_edges(code: ArrayCode) -> Iterator[list[tuple[int, int]]]:
-    """For parts 1..p in turn, the sorted pair edges read off the span index.
+def _indexed_edges(code: ArrayCode) -> Iterator[dict[int, set[int]]]:
+    """For parts 1..p in turn, the pair graph read off the span index as a
+    neighbour map (see `_pair_neighbours`).
 
     A part with no lifts has no edges; skipping it keeps the cost of a code
     whose cells touch few of its p parts linear in p.
@@ -195,12 +218,12 @@ def _indexed_edges(code: ArrayCode) -> Iterator[list[tuple[int, int]]]:
     lifts = _lifts(index)
     for part in range(1, code.p + 1):
         lifted = lifts.get(part)
-        yield _pair_edges(index, lifted, 1 << (part - 1)) if lifted else []
+        yield _pair_neighbours(index, lifted, 1 << (part - 1)) if lifted else {}
 
 
-def _scanned_edges(code: ArrayCode, holders: list[Sequence[int]]) -> Iterator[list[tuple[int, int]]]:
-    """For parts 1..p in turn, the sorted pair edges found by eliminating
-    every pair of non-holder columns whose cells involve the part."""
+def _scanned_edges(code: ArrayCode, holders: list[Sequence[int]]) -> Iterator[dict[int, set[int]]]:
+    """For parts 1..p in turn, the pair graph as a neighbour map, found by
+    eliminating every pair of non-holder columns whose cells involve the part."""
     pivots = _column_pivots(code)
     rows = [tuple(piv.values()) for piv in pivots]
     involved = []
@@ -213,7 +236,7 @@ def _scanned_edges(code: ArrayCode, holders: list[Sequence[int]]) -> Iterator[li
         target = 1 << (part - 1)
         held = set(holders[part - 1])
         rest = [j for j in range(code.m) if j not in held]
-        edges: list[tuple[int, int]] = []
+        neighbours: defaultdict[int, set[int]] = defaultdict(set)
         for a, u in enumerate(rest):
             piv_u = pivots[u]
             inv_u = involved[u]
@@ -224,8 +247,9 @@ def _scanned_edges(code: ArrayCode, holders: list[Sequence[int]]) -> Iterator[li
                 for x in rows[v]:
                     pivot_insert(merged, x)
                 if pivot_reduce(merged, target) == 0:
-                    edges.append((u + 1, v + 1))
-        yield edges
+                    neighbours[u + 1].add(v + 1)
+                    neighbours[v + 1].add(u + 1)
+        yield neighbours
 
 
 def _use_span_index(code: ArrayCode, holders: list[Sequence[int]]) -> bool:
@@ -245,27 +269,29 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     """Singleton holders plus maximum pair matching, per part.
 
     Exact for codes whose optimal recovery sets have size <= 2; otherwise
-    the reported k is a valid lower bound.  Pair edges come from the span
-    index or the pair scan, whichever `_use_span_index` judges cheaper (see
-    the module docstring); both give the same sorted edges.  The index
-    costs O(p*m*2^t) plus one visit per element of span(U) & span(V) for
-    every edge {U,V}, with about m*2^t index entries in memory.  On the
-    c1(8,8) code (m=24310, t=8) it takes 8-10 s, and the process that
-    builds and verifies it peaks at about 250 MB RSS (Python 3.11, one core
-    of a 2-vCPU Xeon VM); the scan would take hours there.
+    the reported k is a valid lower bound.  Each part's pair graph comes
+    from the span index or the pair scan, whichever `_use_span_index`
+    judges cheaper (see the module docstring); both give the same
+    neighbour map, which goes to `max_general_matching` as it is.  The
+    index costs O(p*m*2^t) plus one visit per element of span(U) & span(V)
+    for every edge {U,V}, with about m*2^t index entries in memory.  On the
+    c1(8,8) code (m=24310, t=8) it takes about 10 s, and the process that
+    builds and verifies it peaks at about 123 MB RSS (Python 3.11.7, one
+    core of a 2-vCPU Xeon VM); the span index is nearly all of both, and
+    the scan would take hours there.
     """
     holders = _singleton_columns(code)
     if _use_span_index(code, holders):
-        part_edges = _indexed_edges(code)
+        part_graphs = _indexed_edges(code)
     else:
-        part_edges = _scanned_edges(code, holders)
+        part_graphs = _scanned_edges(code, holders)
     per_part = []
     plan_sets = {}
-    for part, edges in enumerate(part_edges, start=1):
+    for part, neighbours in enumerate(part_graphs, start=1):
         sets = [(j + 1,) for j in holders[part - 1]]
-        if edges:
-            graph = PairGraph.general_graph({v for e in edges for v in e}, edges)
-            sets.extend(max_general_matching(graph))
+        if neighbours:
+            sets.extend(max_general_matching(neighbours))
+        del neighbours  # free this part's graph before the next one is built
         per_part.append(len(sets))
         plan_sets[part] = sets
     return VerifyReport(

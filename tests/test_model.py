@@ -11,6 +11,7 @@ from pirarray import (
     RecoveryPlan,
     build_c1,
     build_c2,
+    build_c3,
     build_general_s,
     build_integer_s,
     parse_code,
@@ -263,3 +264,17 @@ def test_out_of_range_cell_in_a_repeated_column_is_rejected():
         columns = [[e1, e2], [bad, e2], [e1, e2], [bad, e2]]
         with pytest.raises(ParameterError, match=f"^column 2 holds {message}$"):
             ArrayCode.from_columns(2, columns)
+
+
+def test_equal_cells_of_a_code_are_one_object():
+    # Python caches no int above 256, so with p >= 9 a builder that made
+    # each cell anew would leave a copy per column; the parser makes one
+    # int per distinct cell text
+    codes = [build_c1(5, 5), build_c2(9), build_c3(8), build_integer_s(3, 3), build_general_s(Fraction(9, 4), 4)]
+    codes.append(parse_code(serialize_code(codes[0])))
+    for code in codes:
+        assert code.p >= 9
+        first: dict[int, int] = {}
+        for col in code.columns:
+            for cell in col:
+                assert first.setdefault(cell, cell) is cell

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -13,8 +14,12 @@ from pirarray import (
     build_c2,
     k_pir_exhaustive,
     k_pir_pairs,
+    parse_plan,
     retrieve,
+    serialize_plan,
+    verify_plan,
 )
+from pirarray import simulate
 from pirarray.errors import ParameterError
 from pirarray.gf2 import parts_of
 from pirarray.simulate import MAX_CHUNK_WIDTH
@@ -142,6 +147,69 @@ def test_invalid_plan_is_contract_error(intro_code):
         retrieve(fleet, RecoveryPlan({5: [{1}]}), 5, failed={99})
     with pytest.raises(ParameterError, match="part"):
         retrieve(fleet, RecoveryPlan({5: [{1}]}), 55)
+
+
+def test_an_invalid_plan_is_refused_on_every_call(intro_code):
+    fleet = Fleet(code=intro_code, seed=7)
+    good = k_pir_pairs(intro_code).plan
+    bad = RecoveryPlan({**{part: good.sets(part) for part in good.parts()}, 3: [{1}]})
+    message = "invalid plan: " + verify_plan(intro_code, bad).violation
+    for _ in range(3):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            retrieve(fleet, bad, 3)
+        # parts 1 and 2 pass before part 3 fails; the message stays part 3's
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            availability_sweep(fleet, bad, trials=2, failures_per_trial=1)
+    assert retrieve(fleet, bad, 5).status == "ok"
+
+
+@pytest.fixture
+def plan_checks(monkeypatch):
+    """The parts of every plan simulate.verify_plan is called on."""
+    calls = []
+
+    def counting(code, plan):
+        calls.append(plan.parts())
+        return verify_plan(code, plan)
+
+    monkeypatch.setattr(simulate, "verify_plan", counting)
+    return calls
+
+
+def test_a_replayed_plan_part_is_checked_once_per_fleet(intro_code, plan_checks):
+    fleet = Fleet(code=intro_code, seed=7)
+    assert "_verified" not in repr(fleet)
+    plan = k_pir_pairs(intro_code).plan
+    first = retrieve(fleet, plan, 5)
+    assert plan_checks == [(5,)]
+    assert retrieve(fleet, plan, 5) == first
+    retrieve(fleet, plan, 5, failed={1})
+    assert plan_checks == [(5,)]
+    availability_sweep(fleet, plan, trials=3, failures_per_trial=1)
+    assert plan_checks == [(5,)] + [(part,) for part in plan.parts() if part != 5]
+    availability_sweep(fleet, plan, trials=3, failures_per_trial=2)
+    for part in plan.parts():
+        retrieve(fleet, plan, part)
+    assert len(plan_checks) == len(plan.parts())
+    # another fleet keeps its own record
+    retrieve(Fleet(code=intro_code, seed=7), plan, 5)
+    assert len(plan_checks) == len(plan.parts()) + 1
+
+
+def test_a_content_equal_plan_reuses_the_record(intro_code, plan_checks):
+    fleet = Fleet(code=intro_code, seed=7)
+    plan = k_pir_pairs(intro_code).plan
+    availability_sweep(fleet, plan, trials=3, failures_per_trial=1)
+    checked = len(plan_checks)
+    copy = parse_plan(serialize_plan(plan))
+    assert copy is not plan and copy == plan
+    retrieve(fleet, copy, 5)
+    availability_sweep(fleet, copy, trials=3, failures_per_trial=1)
+    assert len(plan_checks) == checked
+    # a plan that differs in one part has only that part checked
+    changed = RecoveryPlan({**{part: plan.sets(part) for part in plan.parts()}, 5: [{1}, {2}]})
+    availability_sweep(fleet, changed, trials=3, failures_per_trial=1)
+    assert plan_checks[checked:] == [(5,)]
 
 
 def test_sweep_no_failures_keeps_every_set(c1_fleet):

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 from pirarray import (
     ArrayCode,
     ConstructionParams,
-    PairGraph,
     RecoveryPlan,
     build_c1,
     build_c2,
@@ -133,6 +134,62 @@ def test_verify_plan_reports_range_violations(intro_code):
     assert not ok and "column 9" in violation
 
 
+def _oracle_verify_plan(code: ArrayCode, plan: RecoveryPlan) -> tuple[bool, str | None]:
+    """The reference check: eliminate every cell of every set from scratch."""
+    for part in plan.parts():
+        if not 1 <= part <= code.p:
+            return False, f"part {part} out of range 1..{code.p}"
+        used: set[int] = set()
+        for columns in plan.sets(part):
+            for j in columns:
+                if not 1 <= j <= code.m:
+                    return False, f"part {part}: column {j} out of range 1..{code.m}"
+            if used & set(columns):
+                return False, f"part {part}: column {min(used & set(columns))} appears in two recovery sets"
+            used.update(columns)
+            pivots: dict[int, int] = {}
+            for j in columns:
+                for cell in code.columns[j - 1]:
+                    pivot_insert(pivots, cell)
+            if pivot_reduce(pivots, 1 << (part - 1)) != 0:
+                return False, f"part {part}: columns {{{','.join(map(str, columns))}}} do not span it"
+    return True, None
+
+
+def test_verify_plan_matches_the_reference_check_on_seeded_plans():
+    # plans with sets of 0-4 columns, some overlapping, out of range or not
+    # spanning, on codes whose pair and exhaustive plans are also checked
+    violations = {
+        "part": r"^part \d+ out of range",
+        "column": r"^part \d+: column \d+ out of range",
+        "overlap": r"appears in two recovery sets$",
+        "span": r"do not span it$",
+    }
+    rng = random.Random(9)
+    kinds = set()
+    for seed in range(30):
+        code = seeded_code(seed, rng.randint(4, 12), rng.randint(3, 8), rng.randint(1, 3))
+        plans = [k_pir_pairs(code).plan, k_pir_exhaustive(code).plan]
+        for _ in range(20):
+            parts = rng.sample(range(0, code.p + 2), rng.randint(1, code.p))
+            plans.append(
+                RecoveryPlan(
+                    {
+                        part: [rng.sample(range(1, code.m + 2), rng.randint(0, 4)) for _ in range(rng.randint(1, 4))]
+                        for part in parts
+                    }
+                )
+            )
+        for plan in plans:
+            found = verify_plan(code, plan)
+            assert tuple(found) == _oracle_verify_plan(code, plan)
+            if found.ok:
+                kinds.add("ok")
+            else:
+                kinds.update(kind for kind, pattern in violations.items() if re.search(pattern, found.violation))
+    assert kinds == {"ok", *violations}
+
+
 def test_reports_respect_singleton_diagnostic():
     for code in (build_c1(2, 2), build_c2(3), build_c3(2)):
         report = k_pir_pairs(code)
@@ -167,6 +224,15 @@ def _oracle_edges(code: ArrayCode, part: int, holders: set[int]) -> list[tuple[i
     return edges
 
 
+def _as_neighbours(edges: list[tuple[int, int]]) -> dict[int, set[int]]:
+    """The neighbour map of an edge list: each endpoint -> its neighbours."""
+    neighbours: dict[int, set[int]] = {}
+    for u, v in edges:
+        neighbours.setdefault(u, set()).add(v)
+        neighbours.setdefault(v, set()).add(u)
+    return neighbours
+
+
 def _oracle_plan(code: ArrayCode) -> RecoveryPlan:
     """Singleton holders plus a maximum matching on the oracle's pair graph."""
     sets_by_part = {}
@@ -174,8 +240,7 @@ def _oracle_plan(code: ArrayCode) -> RecoveryPlan:
         sets = [frozenset({j + 1}) for j in sorted(holders)]
         edges = _oracle_edges(code, part, holders)
         if edges:
-            graph = PairGraph.general_graph({v for e in edges for v in e}, edges)
-            sets.extend(frozenset(e) for e in max_general_matching(graph))
+            sets.extend(frozenset(e) for e in max_general_matching(_as_neighbours(edges)))
         sets_by_part[part] = sets
     return RecoveryPlan(sets_by_part)
 
@@ -207,7 +272,10 @@ def valid_codes(draw, max_m: int, max_p: int = 14, max_t: int = 6, duplicates: b
 @given(valid_codes(max_m=40))
 def test_both_edge_paths_match_quadratic_oracle(code):
     holders = _singleton_columns(code)
-    oracle = [_oracle_edges(code, part, held) for part, held in enumerate(holders, start=1)]
+    oracle = [
+        _as_neighbours(_oracle_edges(code, part, held))
+        for part, held in enumerate(holders, start=1)
+    ]
     assert list(_indexed_edges(code)) == oracle
     assert list(_scanned_edges(code, holders)) == oracle
     assert k_pir_pairs(code).plan == _oracle_plan(code)
@@ -223,10 +291,21 @@ def test_pairs_never_beats_exhaustive_on_small_codes(code):
     assert verify_plan(code, full.plan).ok
 
 
-# SHA-256 of the PIRPLAN text the quadratic pair scan produced for these codes.
+# SHA-256 of the PIRPLAN text of these codes' pair plans: the first two as the
+# quadratic pair scan produced them, the rest as the verifier did when it
+# matched on edge lists.  The next six are the family-verify benchmark codes;
+# c2 and c3 take the pair scan, every other code the span index.
 GOLDEN_PLAN_SHA256 = {
     ("integer", 3, None, 3): "93780efcf99edd72c9ae61e56add9c8c0aa6eb67eb70fa899df3ed097445f5e3",
     ("c1", 6, 6, None): "30c9ac1e759436d07b18110938deb49c92a3a3aea2ef182b7bf95ed7631caa64",
+    ("integer", 2, None, 3): "21d38501fb03a9c5a4d761516a540be7340cae28328d562fcc458a82f7a0035a",
+    ("general", 3, None, "7/3"): "4082b243461ba521fd41db680218639c50595b4e5dc9d446fc735ad590fe5831",
+    ("c1", 6, 3, None): "ed807840ca0c593a658d2230c7cd8eea0fa4883139c40c8e94882afc1f276fbd",
+    ("c1", 5, 5, None): "4dcfd2b0dcadac721b4cee60e2ad13afe367de759282da773ed477162c9a71a3",
+    ("c1", 5, 3, None): "bbcb78645ca2f98a9b4037758c67a6768864b7aebc35c86d524a957b9a16f35a",
+    ("general", 3, None, "8/3"): "921add7b586c740e0c51f33cdde9bfaeb414a99c86522c214d355ca19c4b17ba",
+    ("c2", 15, None, None): "33d93af8cbcbb5a13807d22dbe318a87d08423de5ced416f65deb0511682e3b0",
+    ("c3", 14, None, None): "e540c7b5f3b6fddbed992b287e000f3fadd99233304cfcf68254ca2a003aab3d",
 }
 
 
@@ -235,7 +314,7 @@ def test_pair_plans_at_scale_are_unchanged(key):
     family, t, d, s = key
     params = ConstructionParams(family, t, d=d, s=None if s is None else Fraction(s))
     code = params.build()
-    assert _use_span_index(code, _singleton_columns(code))
+    assert _use_span_index(code, _singleton_columns(code)) == (family not in ("c2", "c3"))
     report = k_pir_pairs(code)
     assert (code.m, report.k) == params.predicted_counts()
     assert verify_plan(code, report.plan).ok
