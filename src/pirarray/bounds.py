@@ -11,8 +11,10 @@ presentation layer (`render_decimal`, round-half-even).  Formula domains:
                    implemented literally as stated; see note below.
   t1_rate          g(s,1) = 2^(s-1) / (2^s - 1), integer s >= 1 (exact).
   fvy_rate         g(s, s-1) >= s/(2s-1), integer s >= 3.
-  integer_s_rate   (beta+gamma)/(beta+2gamma) from the xi multiplicities.
-  general_s_rate   same shape with the closing all-remaining-parts type.
+  integer_s_rate   k/m of the integer-s family, integer s >= 2 and t >= 1;
+                   equals (beta+gamma)/(beta+2gamma) from the xi multiplicities.
+  general_s_rate   the same for the general family, non-integer s > 2 and
+                   t >= 2 with st integral.
   s3_rate, s4_rate closed forms (16t^2+7t+1)/(24t^2+15t+3) and
                    (120t^3+59t^2+12t+1)/(192t^3+128t^2+36t+4).
 
@@ -29,7 +31,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Sequence
 
-from .constructions import c1_counts, check_xi, solve_xi
+from .constructions import _ladder_s, c1_counts, general_s_counts, integer_s_counts
 from .errors import ParameterError
 
 __all__ = [
@@ -107,66 +109,41 @@ def c1_rate(t: int, d: int) -> Fraction:
     return Fraction(k, m)
 
 
+def _beta_gamma(s: Fraction, t: int, counts: tuple[int, int, int, int]) -> tuple[int, int]:
+    """The per-part counts (b, c) scaled by (p-t+1)/C(p-1,t-1), both exactly:
+    beta = xi_1(p-t+1) + (t-1) sum_{r>=2} xi_r C(p-t+1, a_r) and
+    gamma = (p-t+1) sum_{r>=2} xi_r C(p-t, a_r - 1), a_r being T_r's summand count."""
+    p = (s * t).numerator
+    _, b, c, _ = counts
+    return b * (p - t + 1) // comb(p - 1, t - 1), c * (p - t + 1) // comb(p - 1, t - 1)
+
+
 def integer_beta_gamma(
     s: Fraction | int, t: int, xi: Sequence[int] | None = None
 ) -> tuple[int, int]:
-    """(beta, gamma) for integer s: beta = xi_1(p-t+1) + sum (t-1) xi_r C(p-t+1,(r-1)t+1)."""
-    s = Fraction(s)
-    if s.denominator != 1 or s.numerator < 2:
-        raise ParameterError(f"need integer s >= 2, got {s}")
-    if t < 1:
-        raise ParameterError(f"need t >= 1, got {t}")
-    sv = s.numerator
-    p = sv * t
-    if xi is None:
-        xi = solve_xi(s, t)
-    else:
-        check_xi(s, t, xi)
-    beta = xi[0] * (p - t + 1) + sum(
-        (t - 1) * xi[r - 1] * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, sv + 1)
-    )
-    gamma = (p - t + 1) * sum(xi[r] * comb(p - t, r * t) for r in range(1, sv))
-    return beta, gamma
+    """(beta, gamma) for integer s >= 2."""
+    s = _ladder_s(s, t, integer=True, needs="need")
+    return _beta_gamma(s, t, integer_s_counts(s, t, xi))
 
 
 def integer_s_rate(s: Fraction | int, t: int, xi: Sequence[int] | None = None) -> Fraction:
-    """(beta+gamma)/(beta+2gamma); independent of the scaling of xi."""
-    beta, gamma = integer_beta_gamma(s, t, xi)
-    return Fraction(beta + gamma, beta + 2 * gamma)
+    """k/m = (beta+gamma)/(beta+2gamma); independent of the scaling of xi."""
+    m, _, _, k = integer_s_counts(_ladder_s(s, t, integer=True, needs="need"), t, xi)
+    return Fraction(k, m)
 
 
 def general_beta_gamma(
     s: Fraction | int, t: int, xi: Sequence[int] | None = None
 ) -> tuple[int, int]:
     """(beta, gamma) for non-integer s > 2, including the closing type's terms."""
-    s = Fraction(s)
-    if s.denominator == 1 or s <= 2:
-        raise ParameterError(f"need non-integer s > 2, got {s}")
-    if t < 2:
-        raise ParameterError(f"need t >= 2, got {t}")
-    p = s * t
-    if p.denominator != 1:
-        raise ParameterError(f"p = s*t = {p} is not an integer")
-    p = p.numerator
-    q = -((-s.numerator) // s.denominator)
-    if xi is None:
-        xi = solve_xi(s, t)
-    else:
-        check_xi(s, t, xi)
-    beta = (
-        xi[0] * (p - t + 1)
-        + sum((t - 1) * xi[r - 1] * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q))
-        + (t - 1) * xi[q - 1]
-    )
-    gamma = (p - t + 1) * (
-        sum(xi[r] * comb(p - t, r * t) for r in range(1, q - 1)) + xi[q - 1]
-    )
-    return beta, gamma
+    s = _ladder_s(s, t, integer=False, needs="need")
+    return _beta_gamma(s, t, general_s_counts(s, t, xi))
 
 
 def general_s_rate(s: Fraction | int, t: int, xi: Sequence[int] | None = None) -> Fraction:
-    beta, gamma = general_beta_gamma(s, t, xi)
-    return Fraction(beta + gamma, beta + 2 * gamma)
+    """k/m = (beta+gamma)/(beta+2gamma) of the general family."""
+    m, _, _, k = general_s_counts(_ladder_s(s, t, integer=False, needs="need"), t, xi)
+    return Fraction(k, m)
 
 
 def s3_rate(t: int) -> Fraction:
@@ -264,6 +241,8 @@ def render_decimal(value: Fraction, digits: int = 5, trim: bool = False) -> str:
     """Exact decimal string of a non-negative rational, round-half-even."""
     if digits < 1:
         raise ParameterError(f"need digits >= 1, got {digits}")
+    if value < 0:
+        raise ParameterError(f"need a non-negative value, got {value}")
     scaled = round(value * 10**digits)
     whole, frac = divmod(scaled, 10**digits)
     text = f"{whole}.{frac:0{digits}d}"

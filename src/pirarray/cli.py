@@ -27,6 +27,10 @@ __all__ = ["main", "CliConfig", "parse_s"]
 EXIT_OK = 0
 EXIT_PARAMS = 2
 EXIT_MISMATCH = 3
+# Decimal digits `--precision` may ask for.  Python 3.11 and later refuse by
+# default to turn an int of more than 4300 digits into text, and
+# `render_decimal` prints the rate scaled by 10**precision as one int.
+MAX_PRECISION = 1000
 
 
 def parse_s(text: str) -> Fraction:
@@ -43,6 +47,14 @@ def parse_s(text: str) -> Fraction:
         raise ParameterError(f"cannot parse s from {text!r}: {exc}") from None
     if value <= 1:
         raise ParameterError(f"s must be > 1, got {value}")
+    return value
+
+
+def _flag(name: str, value: int, low: int, high: int | None = None) -> int:
+    """value, or ParameterError naming the flag unless low <= value (<= high)."""
+    if value < low or (high is not None and value > high):
+        wanted = f">= {low}" if high is None else f"between {low} and {high}"
+        raise ParameterError(f"{name} must be {wanted}, got {value}")
     return value
 
 
@@ -91,8 +103,8 @@ class CliConfig:
             )
         if args.subcommand == "construct":
             fields.update(output_path=args.out, max_columns=args.max_columns)
-        if args.subcommand == "rate":
-            fields["precision"] = args.precision
+        if args.subcommand in ("rate", "bounds", "table"):
+            fields["precision"] = _flag("--precision", args.precision, 1, MAX_PRECISION)
         if args.subcommand == "verify":
             fields.update(
                 input_path=args.infile,
@@ -104,15 +116,14 @@ class CliConfig:
         if args.subcommand == "bounds":
             if args.t is None:
                 raise ParameterError("--t is required")
-            fields.update(
-                s=parse_s(args.s), t=args.t, precision=args.precision, corollary_ell=args.corollary_ell
-            )
+            if args.corollary_ell is not None:
+                fields["corollary_ell"] = _flag("--corollary-ell", args.corollary_ell, 1)
+            fields.update(s=parse_s(args.s), t=args.t)
         if args.subcommand == "table":
             fields.update(
-                table_max_s=args.max_s,
-                table_max_t=args.max_t,
+                table_max_s=_flag("--max-s", args.max_s, 2),
+                table_max_t=_flag("--max-t", args.max_t, 1),
                 table_format=args.format,
-                precision=args.precision,
             )
         if args.subcommand == "simulate":
             fields.update(

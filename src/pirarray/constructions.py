@@ -9,16 +9,19 @@ Families (s = p/t throughout, theta = lcm(d, t)):
            each) plus (t+1)/2 servers whose j-th stores x_{2j-1} + x_{2j}.
   c3       s = 1 + 1/t, t even: every t-subset twice, plus t+1 servers whose
            j-th stores x_j + x_{j+1} (indices wrapping past t+1 to 1).
-  integer  integer s >= 2: types T_1..T_s; T_1 all-singleton with every
-           t-subset xi_1 times, T_r (r >= 2) stores t-1 singletons plus a
-           sum of (r-1)t+1 of the remaining parts, xi_r times each.
-  general  non-integer s > 2: as `integer` up to T_{ceil(s)-1}; the final
-           type stores t-1 singletons plus the sum of all p-t+1 remaining
-           parts, xi_{ceil(s)} times per (t-1)-subset.
+  integer  integer s >= 2, and
+  general  non-integer s > 2: one ladder of types T_1..T_q, q = ceil(s).
+           T_1 stores t singletons, every t-subset xi_1 times.  T_r
+           (2 <= r < q) stores t-1 singletons plus a sum of (r-1)t+1 of the
+           remaining parts, xi_r times each; the closing type T_q stores
+           t-1 singletons plus the sum of all p-t+1 remaining parts, xi_q
+           times per (t-1)-subset.  For integer s, (s-1)t+1 = p-t+1, so T_s
+           is already the closing type.  c1 is the same ladder with q = 2
+           and xi = (theta/d, theta/t).
 
 The xi multiplicities balance the per-part pairing graphs so that servers
 without the singleton x_i pair up perfectly; `solve_xi` returns the unique
-gcd-reduced positive solution of the family's balance equations.
+gcd-reduced positive solution of the balance equations.
 
 Counts are always evaluated symbolically before any cells are materialized;
 every builder refuses a code wider than `max_columns` with `CapExceeded`
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import ceil, comb, gcd, lcm, prod
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, ParameterError
@@ -64,11 +67,6 @@ __all__ = [
 DEFAULT_MAX_COLUMNS = 10**6
 
 
-def _comb(n: int, k: int) -> int:
-    # math.comb rejects negative k; the counting convention here is 0
-    return comb(n, k) if k >= 0 else 0
-
-
 def _part_count(s: Fraction, t: int) -> int:
     p = s * t
     if p.denominator != 1:
@@ -85,23 +83,51 @@ def _check_cap(m: int, max_columns: int) -> None:
         )
 
 
-def _chain_solution(sigmas: Sequence[int], rhos: Sequence[int]) -> tuple[int, ...]:
+def _sum_sizes(p: int, t: int, q: int) -> list[int]:
+    """Summand counts of types T_2..T_q; the closing type T_q sums all the
+    p-t+1 parts its t-1 singletons leave."""
+    return [(r - 1) * t + 1 for r in range(2, q)] + [p - t + 1]
+
+
+def _balance(p: int, t: int, q: int) -> list[tuple[int, int]]:
+    """(sigma_r, rho_r) of the balance equations sigma_r xi_r = rho_r xi_{r+1}, r = 1..q-1.
+
+    Level r of part i's pairing graph matches the type-r columns that leave
+    x_i out with the type-(r+1) columns that hold x_i in their sum; the two
+    sides have sigma_r xi_r and rho_r xi_{r+1} columns, times C(p-1,t-1)/t
+    at r = 1 and C(p-1,t-1) above.
+    """
+    sizes = _sum_sizes(p, t, q)
+    sigmas = [p - t] + [comb(p - t, a) for a in sizes[:-1]]
+    rhos = [comb(p - t, a - 1) for a in sizes]
+    rhos[0] *= t
+    return list(zip(sigmas, rhos))
+
+
+def _chain_solution(equations: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """Smallest positive solution of sigma_r xi_r = rho_r xi_{r+1}, r = 1..q-1."""
-    q = len(sigmas) + 1
-    values = []
-    for r in range(1, q + 1):
-        value = 1
-        for j in range(r - 1):
-            value *= sigmas[j]
-        for j in range(r - 1, q - 1):
-            value *= rhos[j]
-        values.append(value)
+    values = [
+        prod(sigma for sigma, _ in equations[:r]) * prod(rho for _, rho in equations[r:])
+        for r in range(len(equations) + 1)
+    ]
     if any(v <= 0 for v in values):
         raise ParameterError("balance equations have no positive solution")
-    shrink = 0
-    for v in values:
-        shrink = gcd(shrink, v)
+    shrink = gcd(*values)
     return tuple(v // shrink for v in values)
+
+
+def _ladder_s(s: Fraction | int, t: int, integer: bool, needs: str) -> Fraction:
+    """s as a Fraction, inside the integer (s >= 2, t >= 1) or the general
+    (non-integer s > 2, t >= 2) family's domain; `needs` opens the message."""
+    s = Fraction(s)
+    if integer and (s.denominator != 1 or s < 2):
+        raise ParameterError(f"{needs} integer s >= 2, got {s}")
+    if not integer and (s.denominator == 1 or s <= 2):
+        raise ParameterError(f"{needs} non-integer s > 2, got {s}")
+    low = 1 if integer else 2
+    if t < low:
+        raise ParameterError(f"need t >= {low}, got {t}")
+    return s
 
 
 def solve_xi(s: Fraction | int, t: int) -> tuple[int, ...]:
@@ -110,72 +136,74 @@ def solve_xi(s: Fraction | int, t: int) -> tuple[int, ...]:
     if t < 1:
         raise ParameterError(f"need t >= 1, got {t}")
     p = _part_count(s, t)
-    if s.denominator == 1:
-        sv = s.numerator
-        if sv < 2:
-            raise ParameterError(f"integer s must be >= 2, got {sv}")
-        sigmas = [sv - 1] + [comb(p - t, (r - 1) * t + 1) for r in range(2, sv)]
-        rhos = [comb(p - t, r * t) for r in range(1, sv)]
-        return _chain_solution(sigmas, rhos)
-    if s <= 2:
+    if s.denominator == 1 and s < 2:
+        raise ParameterError(f"integer s must be >= 2, got {s}")
+    if s.denominator != 1 and s <= 2:
         raise ParameterError(f"non-integer s must be > 2, got {s}")
-    q = -((-s.numerator) // s.denominator)  # ceil(s)
-    sigmas = [p - t] + [comb(p - t, (r - 1) * t + 1) for r in range(2, q)]
-    rhos = [t * comb(p - t, t)] + [comb(p - t, r * t) for r in range(2, q - 1)] + [1]
-    return _chain_solution(sigmas, rhos)
+    return _chain_solution(_balance(p, t, ceil(s)))
 
 
 def check_xi(s: Fraction | int, t: int, xi: Sequence[int]) -> None:
     """Raise ParameterError unless xi is a positive solution of the balance equations.
 
-    The interior equation is applied for 2 <= r <= ceil(s)-2 in the
-    non-integer case; at r = ceil(s)-1 its right side is the always-zero
-    binomial, so that boundary is governed by the closing equation instead.
+    Equation r = 1 is the leading one; r = ceil(s)-1 >= 2 is the closing
+    one, whose right side counts the closing type; those between are
+    interior.
     """
     s = Fraction(s)
     p = _part_count(s, t)
     if any(x <= 0 for x in xi):
         raise ParameterError("xi values must be positive")
-    if s.denominator == 1:
-        sv = s.numerator
-        if len(xi) != sv:
-            raise ParameterError(f"expected {sv} xi values, got {len(xi)}")
-        if (sv - 1) * xi[0] != comb(p - t, t) * xi[1]:
-            raise ParameterError("xi violates the leading balance equation")
-        for r in range(2, sv):
-            if comb(p - t, (r - 1) * t + 1) * xi[r - 1] != comb(p - t, r * t) * xi[r]:
-                raise ParameterError(f"xi violates the interior balance equation at r={r}")
-        return
-    q = -((-s.numerator) // s.denominator)
+    q = ceil(s)
     if len(xi) != q:
         raise ParameterError(f"expected {q} xi values, got {len(xi)}")
-    if (p - t) * xi[0] != t * comb(p - t, t) * xi[1]:
-        raise ParameterError("xi violates the leading balance equation")
-    for r in range(2, q - 1):
-        if comb(p - t, (r - 1) * t + 1) * xi[r - 1] != comb(p - t, r * t) * xi[r]:
-            raise ParameterError(f"xi violates the interior balance equation at r={r}")
-    if xi[q - 2] * comb(p - t, (q - 2) * t + 1) != xi[q - 1]:
-        raise ParameterError("xi violates the closing balance equation")
+    for r, (sigma, rho) in enumerate(_balance(p, t, q), start=1):
+        if sigma * xi[r - 1] != rho * xi[r]:
+            kind = "leading" if r == 1 else "closing" if r == q - 1 else "interior"
+            where = f" at r={r}" if kind == "interior" else ""
+            raise ParameterError(f"xi violates the {kind} balance equation{where}")
+
+
+def _ladder(s: Fraction, t: int, xi: Sequence[int] | None) -> tuple[int, int, Sequence[int]]:
+    """(p, t, xi) of a ladder, with xi solved or, when given, checked."""
+    p = _part_count(s, t)
+    if xi is None:
+        return p, t, solve_xi(s, t)
+    check_xi(s, t, xi)
+    return p, t, xi
+
+
+def _c1_ladder(t: int, d: int) -> tuple[int, int, tuple[int, int]]:
+    """(p, t, xi) of c1 as the two-type ladder, xi = (theta/d, theta/t)."""
+    if t < 1:
+        raise ParameterError(f"need t >= 1, got {t}")
+    if not 1 <= d <= t:
+        raise ParameterError(f"need 1 <= d <= t, got d={d} t={t}")
+    theta = lcm(d, t)
+    return t + d, t, (theta // d, theta // t)
 
 
 # ---------------------------------------------------------------------------
 # symbolic counts
 
 
-def _c1_ranges(t: int, d: int) -> int:
-    if t < 1:
-        raise ParameterError(f"need t >= 1, got {t}")
-    if not 1 <= d <= t:
-        raise ParameterError(f"need 1 <= d <= t, got d={d} t={t}")
-    return lcm(d, t)
+def _ladder_counts(p: int, t: int, xi: Sequence[int]) -> tuple[int, int, int, int]:
+    """(m, b, c, k): b singleton holders per part, c matched pairs per part
+    (every column without the singleton is matched once the pairing graphs
+    balance, so c = (m-b)/2), and k = b + c."""
+    # sum-type columns per (t-1)-subset of singletons
+    per_subset = sum(x * comb(p - t + 1, a) for x, a in zip(xi[1:], _sum_sizes(p, t, len(xi))))
+    m = xi[0] * comb(p, t) + comb(p, t - 1) * per_subset
+    b = xi[0] * comb(p - 1, t - 1) + (comb(p - 1, t - 2) if t >= 2 else 0) * per_subset
+    if (m - b) % 2 != 0:
+        raise ParameterError("xi does not balance the pairing graphs (m - b is odd)")
+    c = (m - b) // 2
+    return m, b, c, b + c
 
 
 def c1_counts(t: int, d: int) -> tuple[int, int]:
     """(m, k) for the c1 family: m = C(p,t)theta/d + C(p,t-1)theta/t, k = m - C(p-1,t)theta/d."""
-    theta = _c1_ranges(t, d)
-    p = t + d
-    m = comb(p, t) * theta // d + comb(p, t - 1) * theta // t
-    k = m - comb(p - 1, t) * theta // d
+    m, _, _, k = _ladder_counts(*_c1_ladder(t, d))
     return m, k
 
 
@@ -197,62 +225,16 @@ def integer_s_counts(
     s: Fraction | int, t: int, xi: Sequence[int] | None = None
 ) -> tuple[int, int, int, int]:
     """(m, b, c, k) for integer s: b singleton holders per part, c matched pairs, k = b + c."""
-    s = Fraction(s)
-    if s.denominator != 1 or s.numerator < 2:
-        raise ParameterError(f"integer-s family needs integer s >= 2, got {s}")
-    if t < 1:
-        raise ParameterError(f"need t >= 1, got {t}")
-    sv = s.numerator
-    p = sv * t
-    if xi is None:
-        xi = solve_xi(s, t)
-    else:
-        check_xi(s, t, xi)
-    m = xi[0] * comb(p, t) + sum(
-        xi[r - 1] * comb(p, t - 1) * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, sv + 1)
-    )
-    b = xi[0] * comb(p - 1, t - 1) + sum(
-        xi[r - 1] * _comb(p - 1, t - 2) * comb(p - t + 1, (r - 1) * t + 1)
-        for r in range(2, sv + 1)
-    )
-    c = sum(xi[r] * comb(p - 1, t - 1) * comb(p - t, r * t) for r in range(1, sv))
-    if m != b + 2 * c:
-        raise ParameterError("xi does not balance the pairing graphs (m != b + 2c)")
-    return m, b, c, b + c
+    s = _ladder_s(s, t, integer=True, needs="integer-s family needs")
+    return _ladder_counts(*_ladder(s, t, xi))
 
 
 def general_s_counts(
     s: Fraction | int, t: int, xi: Sequence[int] | None = None
 ) -> tuple[int, int, int, int]:
     """(m, b, c, k) for non-integer s > 2, with the closing all-remaining-parts type."""
-    s = Fraction(s)
-    if s.denominator == 1 or s <= 2:
-        raise ParameterError(f"general-s family needs non-integer s > 2, got {s}")
-    if t < 2:
-        raise ParameterError(f"need t >= 2, got {t}")
-    p = _part_count(s, t)
-    q = -((-s.numerator) // s.denominator)
-    if xi is None:
-        xi = solve_xi(s, t)
-    else:
-        check_xi(s, t, xi)
-    m = (
-        xi[0] * comb(p, t)
-        + sum(xi[r - 1] * comb(p, t - 1) * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q))
-        + xi[q - 1] * comb(p, t - 1)
-    )
-    b = (
-        xi[0] * comb(p - 1, t - 1)
-        + sum(
-            xi[r - 1] * _comb(p - 1, t - 2) * comb(p - t + 1, (r - 1) * t + 1)
-            for r in range(2, q)
-        )
-        + xi[q - 1] * _comb(p - 1, t - 2)
-    )
-    if (m - b) % 2 != 0:
-        raise ParameterError("xi does not balance the pairing graphs (m - b is odd)")
-    c = (m - b) // 2
-    return m, b, c, b + c
+    s = _ladder_s(s, t, integer=False, needs="general-s family needs")
+    return _ladder_counts(*_ladder(s, t, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +276,25 @@ def block(
     return out
 
 
-def build_c1(t: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
-    """Materialize the c1 family for s = 1 + d/t; Type A columns first, then Type B."""
-    theta = _c1_ranges(t, d)
-    p = t + d
-    m, _ = c1_counts(t, d)
-    _check_cap(m, max_columns)
+def _build_ladder(p: int, t: int, xi: Sequence[int], max_columns: int) -> ArrayCode:
+    """The ladder's type blocks T_1..T_q in order, T_r's columns xi_r times each."""
+    _check_cap(_ladder_counts(p, t, xi)[0], max_columns)
     parts = range(1, p + 1)
     cells = _cells(p)
-    type_a = block(((subset, ()) for subset in combinations(parts, t)), cells, theta // d)
-    type_b = block(
-        (
-            (subset, tuple(i for i in parts if i not in subset))
+    columns = block(((subset, ()) for subset in combinations(parts, t)), cells, xi[0])
+    for mult, size in zip(xi[1:], _sum_sizes(p, t, len(xi))):
+        specs = (
+            (subset, summands)
             for subset in combinations(parts, t - 1)
-        ),
-        cells,
-        theta // t,
-    )
-    return ArrayCode.from_columns(p, type_a + type_b)
+            for summands in combinations([i for i in parts if i not in subset], size)
+        )
+        columns += block(specs, cells, mult)
+    return ArrayCode.from_columns(p, columns)
+
+
+def build_c1(t: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
+    """Materialize the c1 family for s = 1 + d/t; Type A columns first, then Type B."""
+    return _build_ladder(*_c1_ladder(t, d), max_columns)
 
 
 def build_c2(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
@@ -341,33 +324,6 @@ def build_c3(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     return ArrayCode.from_columns(p, type_a + type_b)
 
 
-def _build_type_blocks(
-    p: int, t: int, xi: Sequence[int], sum_sizes: list[int | None]
-) -> list[tuple[int, ...]]:
-    """Type blocks in order: entry r of sum_sizes is None for the all-singleton
-    type, the summand count for interior types, or -1 for the closing
-    all-remaining-parts type."""
-    parts = range(1, p + 1)
-    out: list[tuple[int, ...]] = []
-    cells = _cells(p)
-    for r, size in enumerate(sum_sizes, start=1):
-        if size is None:
-            specs = ((subset, ()) for subset in combinations(parts, t))
-        elif size == -1:
-            specs = (
-                (subset, tuple(i for i in parts if i not in subset))
-                for subset in combinations(parts, t - 1)
-            )
-        else:
-            specs = (
-                (subset, summands)
-                for subset in combinations(parts, t - 1)
-                for summands in combinations([i for i in parts if i not in subset], size)
-            )
-        out += block(specs, cells, xi[r - 1])
-    return out
-
-
 def build_integer_s(
     s: Fraction | int,
     t: int,
@@ -375,15 +331,8 @@ def build_integer_s(
     max_columns: int = DEFAULT_MAX_COLUMNS,
 ) -> ArrayCode:
     """Materialize the integer-s family; types T_1..T_s in order."""
-    s = Fraction(s)
-    m, _, _, _ = integer_s_counts(s, t, xi)
-    if xi is None:
-        xi = solve_xi(s, t)
-    _check_cap(m, max_columns)
-    sv = s.numerator
-    p = sv * t
-    sizes: list[int | None] = [None] + [(r - 1) * t + 1 for r in range(2, sv + 1)]
-    return ArrayCode.from_columns(p, _build_type_blocks(p, t, xi, sizes))
+    s = _ladder_s(s, t, integer=True, needs="integer-s family needs")
+    return _build_ladder(*_ladder(s, t, xi), max_columns)
 
 
 def build_general_s(
@@ -393,15 +342,8 @@ def build_general_s(
     max_columns: int = DEFAULT_MAX_COLUMNS,
 ) -> ArrayCode:
     """Materialize the general (non-integer s > 2) family; the last type sums all remaining parts."""
-    s = Fraction(s)
-    m, _, _, _ = general_s_counts(s, t, xi)
-    if xi is None:
-        xi = solve_xi(s, t)
-    _check_cap(m, max_columns)
-    p = _part_count(s, t)
-    q = -((-s.numerator) // s.denominator)
-    sizes: list[int | None] = [None] + [(r - 1) * t + 1 for r in range(2, q)] + [-1]
-    return ArrayCode.from_columns(p, _build_type_blocks(p, t, xi, sizes))
+    s = _ladder_s(s, t, integer=False, needs="general-s family needs")
+    return _build_ladder(*_ladder(s, t, xi), max_columns)
 
 
 class _Family(NamedTuple):

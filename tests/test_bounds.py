@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import ceil, comb, gcd, lcm
 
 import pytest
 
@@ -20,6 +21,7 @@ from pirarray import (
     upper_g_st,
 )
 from pirarray.bounds import c1_rate, general_beta_gamma, integer_beta_gamma
+from pirarray.constructions import c1_counts, general_s_counts, integer_s_counts, solve_xi
 from pirarray.errors import ParameterError
 
 from conftest import PRINTED_TABLE
@@ -194,6 +196,13 @@ def test_render_decimal():
     assert render_decimal(Fraction(407, 708), 5, trim=True) == "0.57486"
     assert render_decimal(Fraction(22902359, 40179558), 5, trim=True) == "0.57"
     assert render_decimal(Fraction(3, 2), 2) == "1.50"
+    assert render_decimal(Fraction(0), 3) == "0.000"
+
+
+def test_render_decimal_refuses_a_negative_value():
+    # divmod floors, which would print -1/4 as "-1.75000"
+    with pytest.raises(ParameterError, match="non-negative"):
+        render_decimal(Fraction(-1, 4))
 
 
 def test_table1_text_layout():
@@ -210,3 +219,115 @@ def test_table1_csv_format():
     assert lines[0] == "s,t,numerator,denominator,decimal"
     assert "2,2,7,10,0.700000" in lines
     assert "3,2,79,129,0.612403" in lines
+
+
+# ---------------------------------------------------------------------------
+# ladder differential test
+#
+# The integer and non-integer families were once written out separately:
+# two chain systems for xi, two sets of count sums (c in closed form for
+# integer s) and two beta/gamma sums.  Those forms are kept here as oracles
+# for the one ladder the library now evaluates.
+
+LADDER_GRID = [(Fraction(s), t) for s in range(2, 8) for t in range(1, 9)] + [
+    (Fraction(num, den), den * j)
+    for num, den in ((5, 2), (7, 2), (9, 2), (7, 3), (8, 3), (10, 3), (11, 3), (9, 4), (11, 4), (13, 4))
+    for j in range(1, 5)
+]
+
+
+def _oracle_chain(sigmas, rhos):
+    ratios = [Fraction(1)]
+    for sigma, rho in zip(sigmas, rhos):
+        ratios.append(ratios[-1] * sigma / rho)
+    scale = lcm(*(r.denominator for r in ratios))
+    values = [r.numerator * (scale // r.denominator) for r in ratios]
+    shrink = gcd(*values)
+    return tuple(v // shrink for v in values)
+
+
+def _oracle_xi(s, t):
+    p = (s * t).numerator
+    if s.denominator == 1:
+        sv = s.numerator
+        sigmas = [sv - 1] + [comb(p - t, (r - 1) * t + 1) for r in range(2, sv)]
+        rhos = [comb(p - t, r * t) for r in range(1, sv)]
+    else:
+        q = ceil(s)
+        sigmas = [p - t] + [comb(p - t, (r - 1) * t + 1) for r in range(2, q)]
+        rhos = [t * comb(p - t, t)] + [comb(p - t, r * t) for r in range(2, q - 1)] + [1]
+    return _oracle_chain(sigmas, rhos)
+
+
+def _oracle_counts(s, t, xi):
+    p = (s * t).numerator
+    q = len(xi)
+    below_t = comb(p - 1, t - 2) if t >= 2 else 0
+    if s.denominator == 1:
+        m = xi[0] * comb(p, t) + sum(
+            xi[r - 1] * comb(p, t - 1) * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q + 1)
+        )
+        b = xi[0] * comb(p - 1, t - 1) + sum(
+            xi[r - 1] * below_t * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q + 1)
+        )
+        c = sum(xi[r] * comb(p - 1, t - 1) * comb(p - t, r * t) for r in range(1, q))
+        assert m == b + 2 * c
+    else:
+        m = (
+            xi[0] * comb(p, t)
+            + sum(xi[r - 1] * comb(p, t - 1) * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q))
+            + xi[q - 1] * comb(p, t - 1)
+        )
+        b = (
+            xi[0] * comb(p - 1, t - 1)
+            + sum(xi[r - 1] * below_t * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q))
+            + xi[q - 1] * below_t
+        )
+        c = (m - b) // 2
+    return m, b, c, b + c
+
+
+def _oracle_beta_gamma(s, t, xi):
+    p = (s * t).numerator
+    q = len(xi)
+    if s.denominator == 1:
+        beta = xi[0] * (p - t + 1) + sum(
+            (t - 1) * xi[r - 1] * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q + 1)
+        )
+        gamma = (p - t + 1) * sum(xi[r] * comb(p - t, r * t) for r in range(1, q))
+    else:
+        beta = (
+            xi[0] * (p - t + 1)
+            + sum((t - 1) * xi[r - 1] * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q))
+            + (t - 1) * xi[q - 1]
+        )
+        gamma = (p - t + 1) * (sum(xi[r] * comb(p - t, r * t) for r in range(1, q - 1)) + xi[q - 1])
+    return beta, gamma
+
+
+def test_ladder_matches_the_per_family_forms():
+    assert len(LADDER_GRID) == 88
+    for s, t in LADDER_GRID:
+        integer = s.denominator == 1
+        counts_of = integer_s_counts if integer else general_s_counts
+        beta_gamma_of = integer_beta_gamma if integer else general_beta_gamma
+        rate_of = integer_s_rate if integer else general_s_rate
+        p = (s * t).numerator
+        xi = _oracle_xi(s, t)
+        assert solve_xi(s, t) == xi, (s, t)
+        m, b, c, k = counts_of(s, t)
+        assert (m, b, c, k) == _oracle_counts(s, t, xi), (s, t)
+        beta, gamma = beta_gamma_of(s, t)
+        assert (beta, gamma) == _oracle_beta_gamma(s, t, xi), (s, t)
+        assert b * (p - t + 1) == beta * comb(p - 1, t - 1), (s, t)
+        assert c * (p - t + 1) == gamma * comb(p - 1, t - 1), (s, t)
+        assert rate_of(s, t) == Fraction(k, m) == Fraction(beta + gamma, beta + 2 * gamma), (s, t)
+
+
+def test_c1_counts_match_the_closed_form():
+    for t in range(1, 13):
+        for d in range(1, t + 1):
+            theta = lcm(d, t)
+            p = t + d
+            m = comb(p, t) * theta // d + comb(p, t - 1) * theta // t
+            assert c1_counts(t, d) == (m, m - comb(p - 1, t) * theta // d), (t, d)

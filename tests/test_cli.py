@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from pirarray.cli import main
+from pirarray.cli import MAX_PRECISION, main
 from pirarray import parse_code, parse_plan
 from pirarray.model import MAX_PARTS
 
@@ -82,6 +82,53 @@ def test_table_text_and_csv(capsys):
     assert "8/11" in row5.split()
     code, stdout, _ = run(capsys, "table", "--format", "csv", "--max-t", "2")
     assert code == 0 and stdout.splitlines()[0] == "s,t,numerator,denominator,decimal"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("rate", "--family", "integer", "--s", "3", "--t", "2", "--precision", "5000"), "--precision"),
+        (("bounds", "--s", "3", "--t", "2", "--precision", "5000"), "--precision"),
+        (("bounds", "--s", "3", "--t", "2", "--precision", "0"), "--precision"),
+        (("table", "--format", "csv", "--precision", "5000"), "--precision"),
+        (("bounds", "--s", "3", "--t", "2", "--corollary-ell", "0"), "--corollary-ell"),
+        (("table", "--max-s", "1"), "--max-s"),
+        (("table", "--max-t", "0"), "--max-t"),
+    ],
+)
+def test_out_of_range_flags_exit_two_before_printing(capsys, argv, flag):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and err.startswith(f"error: {flag} must be ")
+
+
+def test_precision_up_to_the_limit(capsys):
+    code, stdout, _ = run(capsys, "rate", "--family", "c1", "--t", "2", "--d", "2", "--precision", str(MAX_PRECISION))
+    assert code == 0 and stdout.endswith("rate=7/10 (0.7" + "0" * (MAX_PRECISION - 1) + ")\n")
+
+
+# SHA-256 of the concatenated stdout of FORMULA_RUNS as printed when the
+# integer-s and non-integer-s counts, rates and beta/gamma were separate
+# formulas; `rate` reads the family counts, `bounds` and `table` the rates.
+FORMULA_RUNS = (
+    [("rate", "--family", "integer", "--s", str(s), "--t", str(t)) for s in range(2, 6) for t in (1, 2, 3, 5)]
+    + [
+        ("rate", "--family", "general", "--s", s, "--t", str(t))
+        for s, ts in (("5/2", (2, 4, 6)), ("7/3", (3, 6, 9)), ("8/3", (3, 6)))
+        for t in ts
+    ]
+    + [("bounds", "--s", s, "--t", t) for s, t in (("3", "2"), ("5/2", "2"), ("7/3", "3"))]
+    + [("table", "--format", "csv")]
+)
+GOLDEN_FORMULAS_SHA256 = "550011733ddad773d662c102ea9850544b2a48c9ab6fe331739be483aef9d53a"
+
+
+def test_formula_stdout_is_unchanged(capsys):
+    out = []
+    for argv in FORMULA_RUNS:
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0, argv
+        out.append(stdout)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == GOLDEN_FORMULAS_SHA256
 
 
 def test_simulate_deterministic_stdout(tmp_path, capsys):

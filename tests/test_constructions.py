@@ -353,3 +353,20 @@ def test_builders_share_one_cell_per_part_set():
     code = build_integer_s(3, 2)
     cells = [cell for col in code.columns for cell in col]
     assert len({id(cell) for cell in cells}) == len(set(cells))
+
+
+@pytest.mark.parametrize(
+    "s, t, xi, kind",
+    [
+        (3, 2, (4, 1, 4), "leading balance equation$"),
+        (4, 2, (15, 3, 5, 24), "interior balance equation at r=2$"),
+        # for integer s the last equation is the closing one, as for non-integer s
+        (3, 2, (3, 1, 5), "closing balance equation$"),
+        (4, 2, (15, 3, 4, 25), "closing balance equation$"),
+        (Fraction(7, 2), 2, (4, 1, 3, 2), "interior balance equation at r=2$"),
+        (Fraction(7, 2), 2, (4, 1, 2, 3), "closing balance equation$"),
+    ],
+)
+def test_check_xi_names_the_violated_equation(s, t, xi, kind):
+    with pytest.raises(ParameterError, match=kind):
+        check_xi(s, t, xi)
