@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, gcd, lcm, prod
+from math import ceil, comb, gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, ParameterError
@@ -105,13 +105,20 @@ def _balance(p: int, t: int, q: int) -> list[tuple[int, int]]:
 
 
 def _chain_solution(equations: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """Smallest positive solution of sigma_r xi_r = rho_r xi_{r+1}, r = 1..q-1."""
-    values = [
-        prod(sigma for sigma, _ in equations[:r]) * prod(rho for _, rho in equations[r:])
-        for r in range(len(equations) + 1)
-    ]
-    if any(v <= 0 for v in values):
+    """Smallest positive solution of sigma_r xi_r = rho_r xi_{r+1}, r = 1..q-1.
+
+    xi_{r+1} = xi_r sigma_r / rho_r is stepped in lowest terms from xi_1 = 1,
+    then scaled by the lcm of the denominators and divided by the gcd, so
+    the numbers stay the size of xi rather than of the products of all
+    sigma_r and rho_r.
+    """
+    if any(sigma <= 0 or rho <= 0 for sigma, rho in equations):
         raise ParameterError("balance equations have no positive solution")
+    ratios = [Fraction(1)]
+    for sigma, rho in equations:
+        ratios.append(ratios[-1] * sigma / rho)
+    scale = lcm(*(r.denominator for r in ratios))
+    values = [r.numerator * (scale // r.denominator) for r in ratios]
     shrink = gcd(*values)
     return tuple(v // shrink for v in values)
 

@@ -1,14 +1,19 @@
 """k-PIR verification: exhaustive set packing, singleton+pair matching, plan checks.
 
-Exhaustive mode is exact but limited to small column counts: per part it
-enumerates the inclusion-minimal recovery sets and solves the disjoint
-packing problem by memoized search over column bitmasks.  The enumeration
-is a depth-first search over columns in ascending order that carries the
-prefix's pivot table down the tree, skips a column that adds no rank and
-stops at a prefix that spans the part.  Its nodes are the ascending column
-lists in which every column adds rank to the ones before it and no proper
-prefix spans the part, so it is at most p - t + 1 columns deep, rather
-than all 2^m - 1 column subsets.  Pair mode counts
+Exhaustive mode is exact but limited to small column counts: it
+enumerates every part's inclusion-minimal recovery sets and solves each
+part's disjoint packing problem by memoized search over column bitmasks.
+The enumeration is one depth-first search over columns in ascending order,
+shared by all parts, that carries the prefix's pivot table and the parts
+the prefix does not span yet down the tree, skips a column that adds no
+rank, records a leaf for each part a node newly spans and stops where no
+part is left.  Its nodes are the ascending column lists in which every
+column adds rank to the ones before it and no proper prefix spans every
+part, rather than all 2^m - 1 column subsets once per part; a part that
+no set of columns spans costs nothing.  The packing is bounded: a column
+that holds the part alone is in no other minimal set and every other set
+has at least two columns, so holders-in-mask plus half the rest bounds
+it, and one more column raises it by at most one.  Pair mode counts
 singleton holders plus a maximum matching on the pair graph of the remaining
 columns; that is exact whenever optimal recovery sets have size at most two
 (true for every family this package generates) and a valid lower bound
@@ -306,72 +311,126 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     )
 
 
-def _minimal_recovery_masks(rows: list[tuple[int, ...]], target: int) -> list[int]:
-    """Sorted column bitmasks of the inclusion-minimal sets of columns whose
-    rows span `target`; `rows[j]` spans column j.
+def _minimal_recovery_masks(rows: list[tuple[int, ...]], p: int) -> list[Sequence[int]]:
+    """For each part index (0-based), the sorted column bitmasks of the
+    inclusion-minimal sets of columns whose rows span that part; `rows[j]`
+    spans column j, and parts that no set of columns spans share one empty
+    tuple.
 
-    Depth-first over columns in ascending order, carrying the pivot table of
-    the prefix.  A column that adds no rank to the prefix is skipped (it is
-    redundant in every superset), and a prefix that spans `target` is a leaf
-    (no superset of it is minimal).  Every minimal set is a leaf, since each
-    of its columns adds rank and none of its prefixes spans.  A leaf that is
-    not minimal contains a smaller leaf with the same highest column: the
-    leaf minus its last column does not span, so a spanning subset needs
-    that column.  Leaves are therefore kept in popcount order only when no
-    kept leaf of the same highest column is a subset.
+    One depth-first search over columns in ascending order serves every
+    part.  A node carries the pivot table of its prefix and the parts the
+    prefix does not span yet; the root's are the parts that all columns
+    together span, so a part stored nowhere costs nothing.  A column that
+    adds no rank to the prefix is skipped (it is redundant in every
+    superset); otherwise the child records a leaf for each of its parent's
+    parts that it spans (no superset of it is minimal for that part) and is
+    descended into while any part stays unspanned.  A node lies in part i's
+    tree exactly when its parent does not span e_i, so each part's leaves
+    are those of a search for that part alone.  Every minimal set is a
+    leaf, since each of its columns adds rank and none of its prefixes
+    spans.  A leaf that is not minimal contains a smaller leaf with the same
+    highest column: the leaf minus its last column does not span, so a
+    spanning subset needs that column.  Leaves are therefore kept in
+    popcount order only when no kept leaf of the same highest column is a
+    subset.
     """
     m = len(rows)
-    leaves: list[int] = []
+    whole: dict[int, int] = {}  # pivot table of every column
+    involved = 0
+    for col in rows:
+        for row in col:
+            pivot_insert(whole, row)
+            involved |= row
+    leaves: dict[int, list[int]] = {}  # part index -> its leaves
+    while involved:
+        bit = involved & -involved
+        involved ^= bit
+        if pivot_reduce(whole, bit) == 0:
+            leaves[bit.bit_length() - 1] = []
 
-    def extend(pivots: dict[int, int], mask: int, start: int) -> None:
+    def extend(pivots: dict[int, int], mask: int, start: int, open_parts: list[int]) -> None:
         for c in range(start, m):
-            trial = dict(pivots)
-            grew = False
+            trial = pivots
             for row in rows[c]:
-                if pivot_insert(trial, row):
-                    grew = True
-            if not grew:
+                residual = pivot_reduce(trial, row)
+                if residual:
+                    if trial is pivots:
+                        trial = dict(pivots)
+                    trial[residual.bit_length() - 1] = residual
+            if trial is pivots:
                 continue
-            if pivot_reduce(trial, target) == 0:
-                leaves.append(mask | 1 << c)
+            child = mask | 1 << c
+            # e_i reduces to itself unless bit i is a pivot
+            spanned = [i for i in open_parts if i in trial and pivot_reduce(trial, 1 << i) == 0]
+            for i in spanned:
+                leaves[i].append(child)
+            still = [i for i in open_parts if i not in spanned] if spanned else open_parts
+            if still:
+                extend(trial, child, c + 1, still)
+
+    if leaves:
+        extend({}, 0, 0, list(leaves))
+    out: list[Sequence[int]] = [()] * p
+    for i, found in leaves.items():
+        kept: defaultdict[int, list[int]] = defaultdict(list)
+        minimal: list[int] = []
+        for leaf in sorted(found, key=int.bit_count):
+            same_top = kept[leaf.bit_length()]
+            for known in same_top:
+                if known & leaf == known:
+                    break
             else:
-                extend(trial, mask | 1 << c, c + 1)
-
-    extend({}, 0, 0)
-    kept: defaultdict[int, list[int]] = defaultdict(list)
-    minimal: list[int] = []
-    for leaf in sorted(leaves, key=int.bit_count):
-        same_top = kept[leaf.bit_length()]
-        if not any(known & leaf == known for known in same_top):
-            same_top.append(leaf)
-            minimal.append(leaf)
-    minimal.sort()
-    return minimal
+                same_top.append(leaf)
+                minimal.append(leaf)
+        minimal.sort()
+        out[i] = minimal
+    return out
 
 
-def _max_packing(minimal: list[int], m: int) -> list[int]:
+def _max_packing(minimal: Sequence[int], m: int) -> list[int]:
     """A maximum collection of pairwise disjoint masks drawn from `minimal`.
 
     A candidate that fits inside `mask` and contains mask's lowest column c
     has c as its own lowest column, so candidates are grouped by lowest
-    column only.
+    column only.  Let H be the columns of the one-column sets.  The sets are
+    inclusion-minimal, so every other set has at least 2 columns and none
+    of H: no packing inside `mask` exceeds |mask & H| + |mask - H| // 2, and
+    a mask whose lowest column is in H takes it.  Otherwise, at most one
+    set of a packing holds c, so best(mask) is best(mask - c) or one more:
+    `best(mask)` scans no candidate when best(mask - c) meets the bound,
+    stops at the first candidate that raises it, and skips a candidate
+    whose remainder's bound is below best(mask - c).  Every value stays
+    exact, so the sets picked are those of the unbounded search.
     """
-    by_low: list[list[int]] = [[] for _ in range(m)]
+    by_low: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    held = 0
     for mask in minimal:
-        by_low[(mask & -mask).bit_length() - 1].append(mask)
+        by_low[(mask & -mask).bit_length() - 1].append((mask, mask.bit_count()))
+        if mask & (mask - 1) == 0:
+            held |= mask
+    free = ((1 << m) - 1) ^ held
     memo: dict[int, int] = {0: 0}
 
     def best(mask: int) -> int:
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        c = (mask & -mask).bit_length() - 1
-        value = best(mask & (mask - 1))
-        for candidate in by_low[c]:
-            if candidate & mask == candidate:
-                trial = 1 + best(mask & ~candidate)
-                if trial > value:
-                    value = trial
+        low = mask & -mask
+        value = best(mask ^ low)
+        if low & held:
+            value += 1
+        else:
+            held_in = (mask & held).bit_count()
+            free_in = (mask & free).bit_count()
+            if value < held_in + free_in // 2:
+                for candidate, size in by_low[low.bit_length() - 1]:
+                    if (
+                        candidate & mask == candidate
+                        and held_in + (free_in - size) // 2 >= value
+                        and best(mask ^ candidate) == value
+                    ):
+                        value += 1
+                        break
         memo[mask] = value
         return value
 
@@ -381,27 +440,30 @@ def _max_packing(minimal: list[int], m: int) -> list[int]:
         c = (mask & -mask).bit_length() - 1
         score = best(mask)
         picked = None
-        for candidate in by_low[c]:
-            if candidate & mask == candidate and 1 + best(mask & ~candidate) == score:
+        for candidate, _ in by_low[c]:
+            if candidate & mask == candidate and 1 + best(mask ^ candidate) == score:
                 picked = candidate
                 break
         if picked is None:
             mask &= mask - 1
         else:
             chosen.append(picked)
-            mask &= ~picked
+            mask ^= picked
     return chosen
 
 
 def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport:
     """Exact per-part maximum packing of disjoint recovery sets; needs m <= cap.
 
-    Per part, `_minimal_recovery_masks` finds the minimal recovery sets by a
-    rank-pruned depth-first search (its nodes are the column subsets in
-    which every column adds rank, at most p - t + 1 deep), and
-    `_max_packing` packs them by memoized search over column bitmasks,
-    which visits up to 2^m masks.  Random codes of 16 columns take
-    0.1-0.5 s with `cap=16` (Python 3.11, one core of a 2-vCPU Xeon VM).
+    `_minimal_recovery_masks` finds every part's minimal recovery sets by
+    one rank-pruned depth-first search (its nodes are the column subsets in
+    which every column adds rank and some part is still unspanned), and
+    `_max_packing` packs each part's sets by memoized search over column
+    bitmasks, which visits up to 2^m masks but stops at the packing bound
+    (see its docstring); a part with no minimal set gets k_i = 0 without a
+    search.  Seeded random codes of 16 columns (p 5-16, t 2-6) take
+    0.006-0.8 s with `cap=16`, the packing nearly all of it (Python 3.11.7,
+    one core of a 2-vCPU Xeon VM).
     """
     if code.m > cap:
         raise CapExceeded(
@@ -412,9 +474,8 @@ def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport
     rows = [tuple(piv.values()) for piv in _column_pivots(code)]
     per_part = []
     plan_sets = {}
-    for part in range(1, code.p + 1):
-        minimal = _minimal_recovery_masks(rows, 1 << (part - 1))
-        chosen = _max_packing(minimal, code.m)
+    for part, minimal in enumerate(_minimal_recovery_masks(rows, code.p), start=1):
+        chosen = _max_packing(minimal, code.m) if minimal else []
         per_part.append(len(chosen))
         plan_sets[part] = [
             tuple(j + 1 for j in range(code.m) if mask & (1 << j)) for mask in chosen

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import ceil, comb, gcd, lcm
+from math import ceil, comb, gcd, lcm, prod
 
 import pytest
 
@@ -21,7 +21,7 @@ from pirarray import (
     upper_g_st,
 )
 from pirarray.bounds import c1_rate, general_beta_gamma, integer_beta_gamma
-from pirarray.constructions import c1_counts, general_s_counts, integer_s_counts, solve_xi
+from pirarray.constructions import _chain_solution, c1_counts, general_s_counts, integer_s_counts, solve_xi
 from pirarray.errors import ParameterError
 
 from conftest import PRINTED_TABLE
@@ -246,7 +246,15 @@ def _oracle_chain(sigmas, rhos):
     return tuple(v // shrink for v in values)
 
 
-def _oracle_xi(s, t):
+def _oracle_product_chain(sigmas, rhos):
+    """The product form of the chain solution: xi_r is proportional to
+    sigma_1..sigma_{r-1} times rho_r..rho_{q-1}, reduced by the gcd of all."""
+    values = [prod(sigmas[:r]) * prod(rhos[r:]) for r in range(len(sigmas) + 1)]
+    shrink = gcd(*values)
+    return tuple(v // shrink for v in values)
+
+
+def _oracle_equations(s, t):
     p = (s * t).numerator
     if s.denominator == 1:
         sv = s.numerator
@@ -256,7 +264,11 @@ def _oracle_xi(s, t):
         q = ceil(s)
         sigmas = [p - t] + [comb(p - t, (r - 1) * t + 1) for r in range(2, q)]
         rhos = [t * comb(p - t, t)] + [comb(p - t, r * t) for r in range(2, q - 1)] + [1]
-    return _oracle_chain(sigmas, rhos)
+    return sigmas, rhos
+
+
+def _oracle_xi(s, t):
+    return _oracle_chain(*_oracle_equations(s, t))
 
 
 def _oracle_counts(s, t, xi):
@@ -322,6 +334,20 @@ def test_ladder_matches_the_per_family_forms():
         assert b * (p - t + 1) == beta * comb(p - 1, t - 1), (s, t)
         assert c * (p - t + 1) == gamma * comb(p - 1, t - 1), (s, t)
         assert rate_of(s, t) == Fraction(k, m) == Fraction(beta + gamma, beta + 2 * gamma), (s, t)
+
+
+def test_stepped_xi_matches_the_product_form():
+    # the solver steps xi_{r+1} = xi_r sigma_r / rho_r; the product form is
+    # what it computed before, and is far slower at large s
+    extra = [(Fraction(45), 45), (Fraction(60), 60), (Fraction(61, 2), 20)]
+    for s, t in LADDER_GRID + extra:
+        assert solve_xi(s, t) == _oracle_product_chain(*_oracle_equations(s, t)), (s, t)
+
+
+def test_chain_solution_refuses_a_nonpositive_coefficient():
+    for equations in ([(1, 0)], [(0, 1)], [(2, 3), (1, 0)], [(3, 2), (-1, 1)]):
+        with pytest.raises(ParameterError, match="no positive solution"):
+            _chain_solution(equations)
 
 
 def test_c1_counts_match_the_closed_form():

@@ -170,6 +170,15 @@ def test_simulate_refuses_a_huge_chunk_width(tmp_path, capsys):
     assert code == 2 and stdout == "" and "beyond the limit" in err
 
 
+def test_rate_at_large_s_is_fast(capsys):
+    # the balance chain is stepped in lowest terms, not formed from products
+    # of every binomial, so s = t = 60 (q = 60 types) takes a fraction of 1 s
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, "rate", "--family", "integer", "--s", "60", "--t", "60")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and stdout
+
+
 def test_simulate_sweep_json(tmp_path, capsys):
     out = tmp_path / "c.pir"
     run(capsys, "construct", "--family", "c1", "--t", "2", "--d", "2", "--out", str(out))
