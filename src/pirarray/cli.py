@@ -63,11 +63,9 @@ class CliConfig:
     """One validated invocation; family preconditions hold before any work runs."""
 
     subcommand: str
-    family: str | None = None
     s: Fraction | None = None
     t: int | None = None
-    d: int | None = None
-    max_columns: int = DEFAULT_MAX_COLUMNS
+    params: ConstructionParams | None = None  # construct and rate only
     mode: str = "pairs"
     cap: int = EXHAUSTIVE_CAP
     expect_k: int | None = None
@@ -95,14 +93,9 @@ class CliConfig:
         if args.subcommand in ("construct", "rate"):
             if args.t is None:
                 raise ParameterError("--t is required")
-            fields.update(
-                family=args.family,
-                t=args.t,
-                d=args.d,
-                s=parse_s(args.s) if args.s is not None else None,
-            )
+            fields.update(t=args.t, s=parse_s(args.s) if args.s is not None else None)
         if args.subcommand == "construct":
-            fields.update(output_path=args.out, max_columns=args.max_columns)
+            fields["output_path"] = args.out
         if args.subcommand in ("rate", "bounds", "table"):
             fields["precision"] = _flag("--precision", args.precision, 1, MAX_PRECISION)
         if args.subcommand == "verify":
@@ -141,14 +134,11 @@ class CliConfig:
             )
             if args.sweep_trials is not None and args.sweep_failures is None:
                 raise ParameterError("--sweep-trials needs --sweep-failures")
-        config = cls(**fields)
-        if config.subcommand in ("construct", "rate"):
-            config.construction()  # family preconditions checked before any work
-        return config
-
-    def construction(self) -> ConstructionParams:
-        assert self.family is not None and self.t is not None
-        return ConstructionParams(self.family, self.t, self.d, self.s, self.max_columns)
+        if args.subcommand in ("construct", "rate"):
+            # family preconditions are checked, and the counts evaluated, before any work
+            max_columns = args.max_columns if args.subcommand == "construct" else DEFAULT_MAX_COLUMNS
+            fields["params"] = ConstructionParams(args.family, args.t, args.d, fields["s"], max_columns)
+        return cls(**fields)
 
 
 def _fraction_text(value: Fraction, precision: int) -> str:
@@ -156,8 +146,8 @@ def _fraction_text(value: Fraction, precision: int) -> str:
 
 
 def _cmd_construct(config: CliConfig) -> int:
-    code = config.construction().build()
-    assert config.output_path is not None
+    assert config.params is not None and config.output_path is not None
+    code = config.params.build()
     config.output_path.write_text(serialize_code(code), encoding="utf-8")
     print(f"wrote {config.output_path} (p={code.p} t={code.t} m={code.m} s={code.s})")
     return EXIT_OK
@@ -185,9 +175,28 @@ def _cmd_verify(config: CliConfig) -> int:
     return EXIT_OK
 
 
+def _decimal_digits(n: int) -> int:
+    """Number of decimal digits of n >= 1, found without converting n to text."""
+    # log10(2) > 0.30102, so this starts at or below the count
+    digits = (n.bit_length() - 1) * 30102 // 100000 + 1
+    while 10**digits <= n:
+        digits += 1
+    return digits
+
+
 def _cmd_rate(config: CliConfig) -> int:
-    params = config.construction()
+    params = config.params
+    assert params is not None
     m, k = params.predicted_counts()
+    # k < m, and the rate's terms divide k and m, so m is the longest number
+    # printed; Pythons before 3.10.7 have no limit (0 reads as none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _decimal_digits(m)
+    if limit and digits > limit:
+        raise ParameterError(
+            f"m has {digits} decimal digits, beyond the limit of {limit} digits "
+            "this Python converts to text"
+        )
     rate = Fraction(k, m)
     pieces = [f"family={params.family}", f"t={params.t}"]
     if params.d is not None:

@@ -38,7 +38,7 @@ parameter (d, s or none), how s follows, its (m, k) counts and its builder;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, gcd, lcm
@@ -384,13 +384,16 @@ FAMILIES = tuple(_REGISTRY)
 class ConstructionParams:
     """Validated parameters for one family; `build` materializes the code.
 
-    `s` is derived for c1, c2 and c3; `d` is kept for c1 only."""
+    `s` is derived for c1, c2 and c3; `d` is kept for c1 only.  The family's
+    counts are evaluated once, on construction, which also checks that the
+    parameters lie in the family's range."""
 
     family: str
     t: int
     d: int | None = None
     s: Fraction | None = None
     max_columns: int = DEFAULT_MAX_COLUMNS
+    counts: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         family = _REGISTRY.get(self.family)
@@ -398,15 +401,14 @@ class ConstructionParams:
             raise ParameterError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if family.extra is not None and getattr(self, family.extra) is None:
             raise ParameterError(f"{self.family} needs {family.extra}")
-        family.counts(self)  # raises on parameters outside the family's range
+        object.__setattr__(self, "counts", family.counts(self))
         if family.extra != "d":
             object.__setattr__(self, "d", None)
         object.__setattr__(self, "s", family.s_of(self))
 
     def predicted_counts(self) -> tuple[int, int]:
         """(m, k) computed symbolically, without materializing anything."""
-        counts = _REGISTRY[self.family].counts(self)
-        return counts[0], counts[-1]
+        return self.counts[0], self.counts[-1]
 
     def build(self) -> ArrayCode:
         return _REGISTRY[self.family].build(self)

@@ -25,6 +25,15 @@ serialization is deterministic; columns keep their given order.  The order
 is set once, in `ArrayCode.__post_init__`, which sorts and checks each
 distinct column once and shares the sorted tuple among its repeats.
 
+Every column the constructions build holds singletons and at most one sum
+of other parts, so its cells have pairwise disjoint supports.  Such a
+column is checked by proof, not elimination: a nonempty XOR of disjoint
+nonzero cells has the union of their supports, so the cells are
+independent, and e_i is in the span only if some cell is e_i.  Disjoint
+supports also differ in their lowest part, so the canonical order is
+singletons by part, then sums by their lowest part.  A column whose
+supports overlap is sorted and checked by elimination.
+
 A `RecoveryPlan` holds, per part, its column sets as ascending tuples in
 ascending order; its constructor is the one place a plan is put in that
 order.
@@ -103,7 +112,6 @@ class ArrayCode:
         canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         columns = []
         for j, col in enumerate(self.columns, start=1):
-            col = tuple(col)
             if len(col) != t:
                 raise ParameterError(f"column {j} has {len(col)} cells, expected t={t}")
             done = canonical.get(col)
@@ -115,14 +123,37 @@ class ArrayCode:
     def _checked_column(
         self, j: int, col: tuple[int, ...], sort_keys: dict[int, tuple]
     ) -> tuple[int, ...]:
-        """Column j's cells in canonical order; raises on its first violation."""
+        """Column j's cells in canonical order; raises on its first violation.
+
+        When the cells' supports are pairwise disjoint, the cells are
+        independent and the column stores every e_i it spans, so no
+        elimination runs.  Disjoint supports differ in their lowest part,
+        so the canonical order is then singletons by part, then sums by
+        lowest part, and a column already in that order is returned as
+        given.  Every other column is sorted and checked by elimination.
+        """
+        p = self.p
+        union = 0
+        disjoint = ordered = True
+        last = 0
         for bits in col:
             if bits < 0:
                 raise ParameterError(f"column {j} holds a negative cell {bits}")
             if bits == 0:
                 raise ParameterError(f"column {j} holds a zero cell")
-            if bits >> self.p:
-                raise ParameterError(f"column {j} holds a cell with a part above p={self.p}")
+            if bits >> p:
+                raise ParameterError(f"column {j} holds a cell with a part above p={p}")
+            if union & bits:
+                disjoint = False
+            union |= bits
+            # a singleton's order key is its part (1..p), a sum's its lowest part + p
+            low = bits & -bits
+            rank = low.bit_length() if low == bits else low.bit_length() + p
+            if rank < last:
+                ordered = False
+            last = rank
+        if disjoint and ordered:
+            return col
 
         def key(bits: int) -> tuple:
             # singletons first ascending by part, then non-singletons by support
@@ -133,6 +164,8 @@ class ArrayCode:
             return found
 
         cells = tuple(sorted(col, key=key))
+        if disjoint:
+            return cells
         pivots: dict[int, int] = {}
         stored: set[int] = set()
         support = 0
@@ -229,16 +262,22 @@ def parse_code(text: str) -> ArrayCode:
     if len(body) != m:
         raise FormatError(f"expected {m} column lines, found {len(body)}")
     columns = []
-    cells_by_token: dict[str, int] = {}  # each distinct token is parsed once
+    # each distinct token and each distinct line is parsed once; a bad line
+    # raises at its first occurrence
+    cells_by_token: dict[str, int] = {}
+    cells_by_line: dict[str, tuple[int, ...]] = {}
     for line_no, line in enumerate(body, start=1):
-        cells = []
-        for tok in line.split(";"):
-            cell = cells_by_token.get(tok)
-            if cell is None:
-                cell = cells_by_token[tok] = parse_cell(tok, p)
-            cells.append(cell)
-        if len(cells) != t:
-            raise FormatError(f"column {line_no} has {len(cells)} cells, expected t={t}")
+        cells = cells_by_line.get(line)
+        if cells is None:
+            cells = []
+            for tok in line.split(";"):
+                cell = cells_by_token.get(tok)
+                if cell is None:
+                    cell = cells_by_token[tok] = parse_cell(tok, p)
+                cells.append(cell)
+            if len(cells) != t:
+                raise FormatError(f"column {line_no} has {len(cells)} cells, expected t={t}")
+            cells = cells_by_line[line] = tuple(cells)
         columns.append(cells)
     return ArrayCode.from_columns(p, columns)
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
 
-from pirarray.cli import MAX_PRECISION, main
+from pirarray import constructions
+from pirarray.cli import MAX_PRECISION, _decimal_digits, main
 from pirarray import parse_code, parse_plan
 from pirarray.model import MAX_PARTS
 
@@ -177,6 +179,40 @@ def test_rate_at_large_s_is_fast(capsys):
     code, stdout, _ = run(capsys, "rate", "--family", "integer", "--s", "60", "--t", "60")
     assert time.perf_counter() - start < 1.0
     assert code == 0 and stdout
+
+
+def test_rate_evaluates_the_ladder_once(capsys, monkeypatch):
+    calls = []
+    solve_xi = constructions.solve_xi
+
+    def counted(*args):
+        calls.append(args)
+        return solve_xi(*args)
+
+    monkeypatch.setattr(constructions, "solve_xi", counted)
+    code, stdout, _ = run(capsys, "rate", "--family", "integer", "--s", "60", "--t", "60")
+    assert code == 0 and stdout
+    assert len(calls) == 1
+
+
+def test_rate_refuses_an_m_too_long_to_print(capsys):
+    # at s = t = 100, m has 4678 digits; Python converts at most
+    # sys.get_int_max_str_digits() (4300 by default) to text
+    limit = sys.get_int_max_str_digits()
+    code, stdout, err = run(capsys, "rate", "--family", "integer", "--s", "100", "--t", "100")
+    assert code == 2 and stdout == ""
+    assert err == (
+        f"error: m has 4678 decimal digits, beyond the limit of {limit} digits "
+        "this Python converts to text\n"
+    )
+
+
+def test_decimal_digits_counts_without_text():
+    # 10**k - 1 has k digits and 10**k has k + 1, past the text limit too
+    for k in (*range(1, 60), 1000, 4299, 4300, 4301, 4677, 4678, 9000):
+        assert _decimal_digits(10**k - 1) == k
+        assert _decimal_digits(10**k) == k + 1
+    assert [_decimal_digits(2**b) for b in range(1, 40)] == [len(str(2**b)) for b in range(1, 40)]
 
 
 def test_simulate_sweep_json(tmp_path, capsys):

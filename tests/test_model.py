@@ -20,8 +20,9 @@ from pirarray import (
     serialize_plan,
     singleton_census,
 )
+from pirarray.constructions import FAMILIES, ConstructionParams
 from pirarray.errors import FormatError, ParameterError
-from pirarray.gf2 import parts_of
+from pirarray.gf2 import parts_of, pivot_insert, pivot_reduce
 from pirarray.model import MAX_PARTS, format_cell, parse_cell
 
 
@@ -237,9 +238,22 @@ def test_repeated_zero_cell_names_the_first_column():
         ArrayCode.from_columns(3, columns)
 
 
+# One code per family, so that every column shape a builder emits is
+# shuffled below; a family added to the registry must be added here too.
+FAMILY_EXAMPLES = {
+    "c1": ConstructionParams("c1", 3, d=2),
+    "c2": ConstructionParams("c2", 5),
+    "c3": ConstructionParams("c3", 4),
+    "integer": ConstructionParams("integer", 2, s=Fraction(3)),
+    "general": ConstructionParams("general", 3, s=Fraction(7, 3)),
+}
+
+
 def test_shuffled_cells_give_the_canonical_code():
+    assert set(FAMILY_EXAMPLES) == set(FAMILIES)
     rng = random.Random(5)
-    for code in (build_c1(3, 2), build_integer_s(3, 2), build_general_s(Fraction(7, 3), 3)):
+    for params in FAMILY_EXAMPLES.values():
+        code = params.build()
         # every copy of a repeated column is shuffled on its own, so equal
         # columns reach the model in different cell orders
         shuffled = []
@@ -278,3 +292,131 @@ def test_equal_cells_of_a_code_are_one_object():
         for col in code.columns:
             for cell in col:
                 assert first.setdefault(cell, cell) is cell
+
+
+# ---------------------------------------------------------------------------
+# columns with pairwise disjoint supports are checked by proof, not by
+# elimination; the oracle is the elimination path every column took before
+
+
+def _oracle_checked_column(p: int, j: int, col) -> tuple[int, ...]:
+    for bits in col:
+        if bits < 0:
+            raise ParameterError(f"column {j} holds a negative cell {bits}")
+        if bits == 0:
+            raise ParameterError(f"column {j} holds a zero cell")
+        if bits >> p:
+            raise ParameterError(f"column {j} holds a cell with a part above p={p}")
+    cells = tuple(sorted(col, key=lambda bits: (0, bits) if bits & (bits - 1) == 0 else (1, parts_of(bits))))
+    pivots: dict[int, int] = {}
+    stored = set()
+    support = 0
+    for bits in cells:
+        if not pivot_insert(pivots, bits):
+            raise ParameterError(f"column {j} cells are linearly dependent")
+        if bits & (bits - 1) == 0:
+            stored.add(bits)
+        support |= bits
+    while support:
+        bit = support & -support
+        support ^= bit
+        if bit not in stored and pivot_reduce(pivots, bit) == 0:
+            raise ParameterError(
+                f"column {j} spans part {bit.bit_length()} without storing it as a singleton"
+            )
+    return cells
+
+
+def _disjoint_column(rng: random.Random, p: int, t: int) -> list[int]:
+    """t cells over pairwise disjoint random part sets, in random order."""
+    parts = rng.sample(range(p), rng.randint(t, p))
+    cuts = sorted(rng.sample(range(1, len(parts)), t - 1))
+    cells = [sum(1 << i for i in parts[a:b]) for a, b in zip([0] + cuts, cuts + [len(parts)])]
+    rng.shuffle(cells)
+    return cells
+
+
+def _bad_column(rng: random.Random, p: int, t: int) -> list[int]:
+    """A column that breaks one invariant, or a check, in a random way."""
+    kind = rng.choice(("zero", "negative", "above-p", "dependent", "spans", "random"))
+    if kind == "random":  # overlapping supports, most of them invalid
+        return [rng.randrange(1, 1 << p) for _ in range(t)]
+    cells = _disjoint_column(rng, p, t) if t <= p else [rng.randrange(1, 1 << p) for _ in range(t)]
+    where = rng.randrange(t)
+    if kind == "zero":
+        cells[where] = 0
+    elif kind == "negative":
+        cells[where] = -rng.randrange(1, 1 << p)
+    elif kind == "above-p":
+        cells[where] |= 1 << rng.randrange(p, p + 3)
+    elif kind == "dependent" and t >= 2:
+        # a repeated cell, or the sum of two others
+        others = rng.sample([i for i in range(t) if i != where], min(t - 1, rng.randint(1, 2)))
+        cells[where] = 0
+        for i in others:
+            cells[where] ^= cells[i]
+    elif kind == "spans" and t >= 2:
+        # a singleton folded into another cell: x_i = (x_i + x_k) + x_k
+        other = rng.choice([i for i in range(t) if i != where])
+        low = cells[other] & -cells[other]
+        cells[where] |= low if cells[where] & low == 0 else 0
+    return cells
+
+
+def _model_or_error(p: int, columns) -> object:
+    try:
+        return ArrayCode.from_columns(p, columns).columns
+    except ParameterError as exc:
+        return str(exc)
+
+
+def _oracle_or_error(p: int, columns) -> object:
+    try:
+        return tuple(_oracle_checked_column(p, j, col) for j, col in enumerate(columns, start=1))
+    except ParameterError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_columns_match_the_elimination_oracle(seed):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(400):
+        p = rng.randint(1, 20)
+        t = rng.randint(1, 8)
+        columns = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5 and t <= p:
+                columns.append(_disjoint_column(rng, p, t))
+            elif rng.random() < 0.5 and t <= p:
+                columns.append(sorted(_disjoint_column(rng, p, t), key=lambda b: (b & (b - 1) != 0, b & -b)))
+            else:
+                columns.append(_bad_column(rng, p, t))
+        got, expected = _model_or_error(p, columns), _oracle_or_error(p, columns)
+        assert got == expected, (p, columns)
+        kinds = ("negative", "zero", "above", "dependent", "spans")
+        outcomes.add("code" if isinstance(expected, tuple) else next(k for k in kinds if k in expected))
+    # valid codes and every kind of rejection were reached
+    assert outcomes == {"code", "negative", "zero", "above", "dependent", "spans"}
+
+
+@pytest.mark.parametrize(
+    "columns, expected",
+    [
+        ([[0b011, 0b010]], "column 1 spans part 1 without storing it as a singleton"),
+        ([[0b001, 0b110], [0b110, 0b110]], "column 2 cells are linearly dependent"),
+        ([[0b011, 0b110, 0b101]], "column 1 cells are linearly dependent"),
+        # x_1+x_3 and x_1+x_2 overlap but span no singleton: a valid column
+        ([[0b1100, 0b0011], [0b0101, 0b0011]], ((0b0011, 0b1100), (0b0011, 0b0101))),
+    ],
+)
+def test_overlapping_columns_still_eliminate(columns, expected):
+    assert _model_or_error(4, columns) == _oracle_or_error(4, columns) == expected
+
+
+def test_disjoint_sums_are_ordered_by_lowest_part():
+    # {1,5} sorts before {2,3}: by lowest part, not by highest
+    e4, s15, s23 = 0b01000, 0b10001, 0b00110
+    code = ArrayCode.from_columns(5, [[s23, e4, s15]])
+    assert code.columns == ((e4, s15, s23),)
+    assert serialize_code(code).splitlines()[2] == "4;1+5;2+3"
