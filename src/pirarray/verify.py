@@ -5,15 +5,20 @@ enumerates every part's inclusion-minimal recovery sets and solves each
 part's disjoint packing problem by memoized search over column bitmasks.
 The enumeration is one depth-first search over columns in ascending order,
 shared by all parts, that carries the prefix's pivot table and the parts
-the prefix does not span yet down the tree, skips a column that adds no
-rank, records a leaf for each part a node newly spans and stops where no
-part is left.  Its nodes are the ascending column lists in which every
-column adds rank to the ones before it and no proper prefix spans every
-part, rather than all 2^m - 1 column subsets once per part; a part that
-no set of columns spans costs nothing.  The packing is bounded: a column
-that holds the part alone is in no other minimal set and every other set
-has at least two columns, so holders-in-mask plus half the rest bounds
-it, and one more column raises it by at most one.  Pair mode counts
+the prefix does not span yet down the tree, each with its residual against
+that table, skips a column that adds no rank, records a leaf for each part
+a node newly spans and stops where no part is left; a child reduces a
+residual further only when its top bit is one of the child's new pivots.
+Its nodes are the ascending column lists in which every column adds rank
+to the ones before it and no proper prefix spans every part, rather than
+all 2^m - 1 column subsets once per part; a part that no set of columns
+spans costs nothing.  The packing is bounded by the sizes of the sets it
+can use: a column that holds the part alone is in no other minimal set,
+every other set has at least two columns, and only the columns of the
+two-column sets can hold one of those, so with f the non-holder columns of
+a mask and q those of them in some two-column set, a packing inside the
+mask has at most holders-in-mask + min(f // 2, (f + q // 2) // 3) sets;
+one more column raises it by at most one.  Pair mode counts
 singleton holders plus a maximum matching on the pair graph of the remaining
 columns; that is exact whenever optimal recovery sets have size at most two
 (true for every family this package generates) and a valid lower bound
@@ -324,8 +329,13 @@ def _minimal_recovery_masks(rows: list[tuple[int, ...]], p: int) -> list[Sequenc
     adds no rank to the prefix is skipped (it is redundant in every
     superset); otherwise the child records a leaf for each of its parent's
     parts that it spans (no superset of it is minimal for that part) and is
-    descended into while any part stays unspanned.  A node lies in part i's
-    tree exactly when its parent does not span e_i, so each part's leaves
+    descended into while any part stays unspanned.  Each open part travels
+    with its residual: e_i reduced against the node's table, whose top bit
+    is no pivot of that table.  A child's table adds pivots and changes
+    none, so the residual is still e_i's residual there unless its top bit
+    is a new pivot; only then does the child reduce it further, and a
+    residual of 0 makes the child a leaf of that part.  A node lies in part
+    i's tree exactly when its parent does not span e_i, so each part's leaves
     are those of a search for that part alone.  Every minimal set is a
     leaf, since each of its columns adds rank and none of its prefixes
     spans.  A leaf that is not minimal contains a smaller leaf with the same
@@ -348,7 +358,7 @@ def _minimal_recovery_masks(rows: list[tuple[int, ...]], p: int) -> list[Sequenc
         if pivot_reduce(whole, bit) == 0:
             leaves[bit.bit_length() - 1] = []
 
-    def extend(pivots: dict[int, int], mask: int, start: int, open_parts: list[int]) -> None:
+    def extend(pivots: dict[int, int], mask: int, start: int, open_parts: list[tuple[int, int]]) -> None:
         for c in range(start, m):
             trial = pivots
             for row in rows[c]:
@@ -360,16 +370,19 @@ def _minimal_recovery_masks(rows: list[tuple[int, ...]], p: int) -> list[Sequenc
             if trial is pivots:
                 continue
             child = mask | 1 << c
-            # e_i reduces to itself unless bit i is a pivot
-            spanned = [i for i in open_parts if i in trial and pivot_reduce(trial, 1 << i) == 0]
-            for i in spanned:
-                leaves[i].append(child)
-            still = [i for i in open_parts if i not in spanned] if spanned else open_parts
+            still = []
+            for i, residual in open_parts:
+                if residual.bit_length() - 1 in trial:
+                    residual = pivot_reduce(trial, residual)
+                    if not residual:
+                        leaves[i].append(child)
+                        continue
+                still.append((i, residual))
             if still:
                 extend(trial, child, c + 1, still)
 
     if leaves:
-        extend({}, 0, 0, list(leaves))
+        extend({}, 0, 0, [(i, 1 << i) for i in leaves])
     out: list[Sequence[int]] = [()] * p
     for i, found in leaves.items():
         kept: defaultdict[int, list[int]] = defaultdict(list)
@@ -392,22 +405,35 @@ def _max_packing(minimal: Sequence[int], m: int) -> list[int]:
 
     A candidate that fits inside `mask` and contains mask's lowest column c
     has c as its own lowest column, so candidates are grouped by lowest
-    column only.  Let H be the columns of the one-column sets.  The sets are
-    inclusion-minimal, so every other set has at least 2 columns and none
-    of H: no packing inside `mask` exceeds |mask & H| + |mask - H| // 2, and
-    a mask whose lowest column is in H takes it.  Otherwise, at most one
-    set of a packing holds c, so best(mask) is best(mask - c) or one more:
-    `best(mask)` scans no candidate when best(mask - c) meets the bound,
-    stops at the first candidate that raises it, and skips a candidate
-    whose remainder's bound is below best(mask - c).  Every value stays
-    exact, so the sets picked are those of the unbounded search.
+    column only.  Let H be the columns of the one-column sets and Q those
+    of the two-column sets.  The sets are inclusion-minimal, so every other
+    set has at least 2 columns and none of H, and a mask whose lowest
+    column is in H takes it.  With f = |mask - H|, a packing inside `mask`
+    of a sets of two columns, all inside Q, and b larger ones has
+    2a <= |mask & Q|, 2a + 3b <= f and so a + b <= (f + a) / 3, giving
+
+        UB(mask) = |mask & H| + min(f // 2, (f + |mask & Q| // 2) // 3).
+
+    At most one set of a packing holds c, so best(mask) is best(mask - c)
+    or one more: `best(mask)` scans no candidate when best(mask - c) meets
+    UB(mask), stops at the first candidate that raises it, and skips a
+    candidate whose remainder's UB, read off its precomputed size and
+    |candidate & Q|, is below best(mask - c).  Both minimums are tested as
+    two comparisons, with no call per memo state.  Every value stays exact,
+    so the sets picked are those of the unbounded search.
     """
-    by_low: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    held = 0
+    held = paired = 0
     for mask in minimal:
-        by_low[(mask & -mask).bit_length() - 1].append((mask, mask.bit_count()))
-        if mask & (mask - 1) == 0:
+        size = mask.bit_count()
+        if size == 1:
             held |= mask
+        elif size == 2:
+            paired |= mask
+    by_low: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    for mask in minimal:
+        by_low[(mask & -mask).bit_length() - 1].append(
+            (mask, mask.bit_count(), (mask & paired).bit_count())
+        )
     free = ((1 << m) - 1) ^ held
     memo: dict[int, int] = {0: 0}
 
@@ -420,17 +446,22 @@ def _max_packing(minimal: Sequence[int], m: int) -> list[int]:
         if low & held:
             value += 1
         else:
-            held_in = (mask & held).bit_count()
+            # best(mask - c) packs the holders in mask and `others` other sets
+            others = value - (mask & held).bit_count()
             free_in = (mask & free).bit_count()
-            if value < held_in + free_in // 2:
-                for candidate, size in by_low[low.bit_length() - 1]:
-                    if (
-                        candidate & mask == candidate
-                        and held_in + (free_in - size) // 2 >= value
-                        and best(mask ^ candidate) == value
-                    ):
-                        value += 1
-                        break
+            if free_in // 2 > others:
+                paired_in = (mask & paired).bit_count()
+                if (free_in + paired_in // 2) // 3 > others:
+                    for candidate, size, pairs in by_low[low.bit_length() - 1]:
+                        rest = free_in - size
+                        if (
+                            candidate & mask == candidate
+                            and rest // 2 >= others
+                            and (rest + (paired_in - pairs) // 2) // 3 >= others
+                            and best(mask ^ candidate) == value
+                        ):
+                            value += 1
+                            break
         memo[mask] = value
         return value
 
@@ -440,7 +471,7 @@ def _max_packing(minimal: Sequence[int], m: int) -> list[int]:
         c = (mask & -mask).bit_length() - 1
         score = best(mask)
         picked = None
-        for candidate, _ in by_low[c]:
+        for candidate, _, _ in by_low[c]:
             if candidate & mask == candidate and 1 + best(mask ^ candidate) == score:
                 picked = candidate
                 break
@@ -459,11 +490,14 @@ def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport
     one rank-pruned depth-first search (its nodes are the column subsets in
     which every column adds rank and some part is still unspanned), and
     `_max_packing` packs each part's sets by memoized search over column
-    bitmasks, which visits up to 2^m masks but stops at the packing bound
-    (see its docstring); a part with no minimal set gets k_i = 0 without a
-    search.  Seeded random codes of 16 columns (p 5-16, t 2-6) take
-    0.006-0.8 s with `cap=16`, the packing nearly all of it (Python 3.11.7,
-    one core of a 2-vCPU Xeon VM).
+    bitmasks, which visits up to 2^m masks but stops at the size-aware
+    packing bound (see its docstring); a part with no minimal set gets
+    k_i = 0 without a search.  With `cap=16`, 72 seeded random codes of 16
+    columns (p 5-16, t 2-6) take 0.0003-0.57 s, median 0.023 s; the slowest,
+    t <= 3 at p = 16, spend half or more of it enumerating 13,000-17,500
+    minimal sets.  With `cap=20`, the seeded m=20, p=12, t=4 code takes
+    about 0.5 s, the packing most of it (Python 3.11.7, one core of a
+    2-vCPU Xeon VM).
     """
     if code.m > cap:
         raise CapExceeded(

@@ -472,19 +472,32 @@ def _golden_exhaustive_codes(intro_code) -> list[ArrayCode]:
 # (m, p, t) of seeded random codes past the golden set's m <= 14, on which
 # the bounded packing visits 2.1-7.9x fewer memo states; seed = 100 + position.
 BOUNDED_RANDOM_SHAPES = ((15, 6, 2), (15, 8, 3), (15, 10, 4), (16, 5, 2), (16, 8, 3), (16, 7, 2))
+# (m, p, t) of seeded random codes on which 90-98% of the minimal sets have
+# three or more columns, so the size-aware part of the packing bound is what
+# prunes; seed = 200 + position.
+LARGE_SET_SHAPES = ((16, 12, 5), (16, 16, 6), (18, 10, 4))
+ORACLE_CASES = (
+    *enumerate(BOUNDED_RANDOM_SHAPES, start=100),
+    *enumerate(LARGE_SET_SHAPES, start=200),
+)
 
 
-@pytest.mark.parametrize("position", range(len(BOUNDED_RANDOM_SHAPES)))
+@pytest.mark.parametrize("position", range(len(ORACLE_CASES)))
 def test_bounded_packing_matches_the_unbounded_oracle(position):
-    code = seeded_code(100 + position, *BOUNDED_RANDOM_SHAPES[position])
+    seed, shape = ORACLE_CASES[position]
+    code = seeded_code(seed, *shape)
     rows = [tuple(pivots.values()) for pivots in _column_pivots(code)]
+    masks = _minimal_recovery_masks(rows, code.p)
+    if shape in LARGE_SET_SHAPES:
+        sizes = [mask.bit_count() for minimal in masks for mask in minimal]
+        assert sum(size >= 3 for size in sizes) > 0.8 * len(sizes)
     sets_by_part = {}
-    for part, minimal in enumerate(_minimal_recovery_masks(rows, code.p), start=1):
+    for part, minimal in enumerate(masks, start=1):
         chosen = _oracle_packing(list(minimal), code.m)
         sets_by_part[part] = [
             frozenset(j + 1 for j in range(code.m) if mask >> j & 1) for mask in chosen
         ]
-    report = k_pir_exhaustive(code, cap=16)
+    report = k_pir_exhaustive(code, cap=code.m)
     assert verify_plan(code, report.plan).ok
     assert serialize_plan(report.plan) == serialize_plan(RecoveryPlan(sets_by_part))
 
@@ -496,3 +509,17 @@ def test_exhaustive_plans_are_unchanged(intro_code):
         assert verify_plan(code, report.plan).ok
         digest.update(serialize_plan(report.plan).encode())
     assert digest.hexdigest() == GOLDEN_EXHAUSTIVE_SHA256
+
+
+# SHA-256 of the PIRPLAN text of seeded_code(0, 20, 12, 4)'s exhaustive plan
+# at cap=20, as the packing bounded only by |mask & H| + |mask - H| // 2
+# produced it (commit 91d0f7d, 4.9 s on one core of a 2-vCPU Xeon VM).
+GOLDEN_M20_SHA256 = "68322b1e4a1f0a285cb5768cca57ea864871e8ddf9d7647ed5a8aee18c91c0fc"
+
+
+def test_exhaustive_plan_of_a_twenty_column_code_is_unchanged():
+    code = seeded_code(0, 20, 12, 4)
+    report = k_pir_exhaustive(code, cap=20)
+    assert report.k == 8
+    assert verify_plan(code, report.plan).ok
+    assert hashlib.sha256(serialize_plan(report.plan).encode()).hexdigest() == GOLDEN_M20_SHA256
