@@ -6,22 +6,30 @@ recovery session issues one read per column per recovery set, solves each
 set's GF(2) system for the target part, and reports whether all surviving
 sets agree.  Time is a simulated integer-microsecond clock: a response
 arrives at base latency plus seeded uniform jitter, events are replayed in
-(timestamp, kind, server) order, and identical (fleet, plan, seed) inputs
-produce byte-identical transcripts.
+(timestamp, kind, server or set) order, and identical (fleet, plan, seed)
+inputs produce byte-identical transcripts.
 
-A transcript renders as JSON lines, one event per line, with sorted keys and
-compact separators: exactly the bytes
-`json.dumps(event, sort_keys=True, separators=(",", ":"))` gives.
-`_event_line` writes those bytes from a fixed schema per event kind; every
-value is an int, a bool, a fixed ASCII word, a `0x` hex string or a list of
-these, so nothing needs escaping.  A `Fleet` renders each server's cells as
-hex once (each distinct cell once) and keeps per server a pivot table of its
-cells with their values, so a session neither re-renders a response nor
-re-eliminates a column.  A pivot row carries its value in its low bits,
-`(cell << chunk_width) | value`, so solving a set is the `gf2` kernel's
-elimination on those rows, with no second copy of the kernel.  A `Fleet`
-also records each (part, sets) of a plan that has passed `verify_plan`, so
-`retrieve` and `availability_sweep` check a replayed plan part only once.
+`retrieve` records each event as one small tuple whose first three fields,
+(time, kind, server or set), are its sort key and unique within a session,
+so a plain sort orders the session.  A `SessionTranscript` keeps those
+tuples; `jsonl()` renders them straight to JSON lines, and its `events`
+dicts and `sets` outcomes are views built from the same tuples on first
+access, so a caller that only prints a session builds neither.  The lines
+are exactly the bytes `json.dumps(event, sort_keys=True, separators=(",",
+":"))` gives for each of `events`: `jsonl()` holds the one fixed-schema
+template per event kind, and every value is an int, a bool, a fixed ASCII
+word, a `0x` hex string or a list of these, so nothing needs escaping.
+
+A `Fleet` renders each server's cells as hex once (each distinct cell
+once) and keeps per server a pivot table of its cells with their values, so
+a session neither re-renders a response nor re-eliminates a column.  A
+pivot row carries its value in its low bits, `(cell << chunk_width) |
+value`, so solving a set is the `gf2` kernel's elimination on those rows,
+with no second copy of the kernel; a one-column set needs none, since a
+column spans e_i only if it stores it (the singleton convention).  A
+`Fleet` also records each (part, sets) of a plan that has passed
+`verify_plan`, so `retrieve` and `availability_sweep` check a replayed plan
+part only once.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import ParameterError
@@ -147,67 +157,152 @@ class SetOutcome:
 
 @dataclass(frozen=True)
 class SessionTranscript:
-    """One part's recovery session: per-set outcomes plus the replayable event log."""
+    """One part's recovery session as its sorted event records.
+
+    `records` holds one tuple per event, in replay order; the first three
+    fields are its sort key (time, kind, server or set index):
+
+    * request   ``(0, _REQUEST, server, set)``
+    * response  ``(time, _RESPONSE, server, set, cells)``, `cells` the
+      server's cells as hex strings
+    * solve     ``(time, _SOLVE, set, columns, missing, value, value_hex)``;
+      `missing` is () for a solved set, and `value`/`value_hex` are None
+      for a faulted one
+    * verdict   ``(time, _VERDICT, 0, sets_ok, sets_total, value_hex)``,
+      always last
+
+    `jsonl()` renders the records, and `events` (one dict per record) and
+    `sets` (one `SetOutcome` per recovery set, in plan order) are views
+    built from them on first access and then kept.  Equality and hashing
+    see only the fields.
+    """
 
     part: int
     status: str
     agreement: bool
     value: int | None
-    sets: tuple[SetOutcome, ...]
-    events: tuple[dict, ...]
+    records: tuple[tuple, ...]
 
     def jsonl(self) -> str:
-        return "\n".join(map(_event_line, self.events)) + "\n"
+        """The records as JSON lines: exactly the bytes
+        json.dumps(event, sort_keys=True, separators=(",", ":")) gives for
+        each of `events`; the one place that knows each kind's keys in
+        sorted order."""
+        part = self.part
+        lines = []
+        append = lines.append
+        for record in self.records:
+            kind = record[1]
+            if kind == _REQUEST:
+                append(
+                    f'{{"event":"request","part":{part},"server":{record[2]},'
+                    f'"set":{record[3]},"time":{record[0]}}}'
+                )
+            elif kind == _RESPONSE:
+                time, _, server, index, cells = record
+                cells = '","'.join(cells)
+                append(
+                    f'{{"cells":["{cells}"],"event":"response","part":{part},'
+                    f'"server":{server},"set":{index},"time":{time}}}'
+                )
+            elif kind == _SOLVE:
+                time, _, index, columns, missing, _, text = record
+                columns = ",".join(map(str, columns))
+                if missing:
+                    missing = ",".join(map(str, missing))
+                    append(
+                        f'{{"columns":[{columns}],"event":"solve","missing":[{missing}],'
+                        f'"part":{part},"set":{index},"status":"faulted","time":{time}}}'
+                    )
+                else:
+                    append(
+                        f'{{"columns":[{columns}],"event":"solve","part":{part},"set":{index},'
+                        f'"status":"ok","time":{time},"value":"{text}"}}'
+                    )
+            else:
+                time, _, _, sets_ok, sets_total, text = record
+                value = f',"value":"{text}"' if text is not None else ""
+                append(
+                    f'{{"agreement":{"true" if self.agreement else "false"},"event":"verdict",'
+                    f'"part":{part},"sets_ok":{sets_ok},"sets_total":{sets_total},'
+                    f'"status":"{self.status}","time":{time}{value}}}'
+                )
+        return "\n".join(lines) + "\n"
 
+    @cached_property
+    def events(self) -> tuple[dict, ...]:
+        """One dict per record, holding what its JSON line holds."""
+        part = self.part
+        out = []
+        for record in self.records:
+            time, kind = record[0], record[1]
+            if kind == _REQUEST:
+                out.append({"event": "request", "time": time, "part": part, "set": record[3], "server": record[2]})
+            elif kind == _RESPONSE:
+                _, _, server, index, cells = record
+                response = {"event": "response", "time": time, "part": part, "set": index, "server": server}
+                response["cells"] = list(cells)
+                out.append(response)
+            elif kind == _SOLVE:
+                _, _, index, columns, missing, _, text = record
+                solve = {"event": "solve", "part": part, "set": index, "columns": list(columns), "time": time}
+                if missing:
+                    solve.update(status="faulted", missing=list(missing))
+                else:
+                    solve.update(status="ok", value=text)
+                out.append(solve)
+            else:
+                _, _, _, sets_ok, sets_total, text = record
+                verdict = {
+                    "event": "verdict",
+                    "time": time,
+                    "part": part,
+                    "status": self.status,
+                    "agreement": self.agreement,
+                    "sets_ok": sets_ok,
+                    "sets_total": sets_total,
+                }
+                if text is not None:
+                    verdict["value"] = text
+                out.append(verdict)
+        return tuple(out)
 
-def _event_line(e: dict) -> str:
-    """`e` as json.dumps(e, sort_keys=True, separators=(",", ":")) renders it;
-    the one place that knows each event kind's keys in sorted order."""
-    kind = e["event"]
-    if kind == "request":
-        return (
-            f'{{"event":"request","part":{e["part"]},"server":{e["server"]},'
-            f'"set":{e["set"]},"time":{e["time"]}}}'
+    @cached_property
+    def sets(self) -> tuple[SetOutcome, ...]:
+        """Each recovery set's outcome, in the plan's set order."""
+        solves = sorted((record for record in self.records if record[1] == _SOLVE), key=itemgetter(2))
+        return tuple(
+            SetOutcome(columns, True, None, None) if missing else SetOutcome(columns, False, value, time)
+            for time, _, _, columns, missing, value, _ in solves
         )
-    if kind == "response":
-        cells = '","'.join(e["cells"])
-        return (
-            f'{{"cells":["{cells}"],"event":"response","part":{e["part"]},'
-            f'"server":{e["server"]},"set":{e["set"]},"time":{e["time"]}}}'
-        )
-    if kind == "solve":
-        columns = ",".join(map(str, e["columns"]))
-        tail = f'"part":{e["part"]},"set":{e["set"]},"status":"{e["status"]}","time":{e["time"]}'
-        if "value" in e:
-            return f'{{"columns":[{columns}],"event":"solve",{tail},"value":"{e["value"]}"}}'
-        missing = ",".join(map(str, e["missing"]))
-        return f'{{"columns":[{columns}],"event":"solve","missing":[{missing}],{tail}}}'
-    value = f',"value":"{e["value"]}"' if "value" in e else ""
-    return (
-        f'{{"agreement":{"true" if e["agreement"] else "false"},"event":"verdict","part":{e["part"]},'
-        f'"sets_ok":{e["sets_ok"]},"sets_total":{e["sets_total"]},"status":"{e["status"]}",'
-        f'"time":{e["time"]}{value}}}'
-    )
 
 
 def _solve_set(fleet: Fleet, columns: tuple[int, ...], part: int) -> int:
     """The value of `part` from the cells of `columns`.
 
-    Every row's value is one linear function of its cell (the XOR of the
-    chunks of the cell's parts), so a row whose cell bits reduce to 0
-    reduces to 0 entirely and no pivot sits below bit chunk_width.  Reducing
-    e_part << chunk_width therefore leaves a residual below 1 << chunk_width
-    iff the set spans the part, and that residual is then the part's value.
+    A single column spans e_part only if it stores it (the singleton
+    convention `ArrayCode` enforces), so its answer is that cell's value.
+    For more columns: every row's value is one linear function of its cell
+    (the XOR of the chunks of the cell's parts), so a row whose cell bits
+    reduce to 0 reduces to 0 entirely and no pivot sits below bit
+    chunk_width.  Reducing e_part << chunk_width therefore leaves a residual
+    below 1 << chunk_width iff the set spans the part, and that residual is
+    then the part's value.
     """
+    target = 1 << (part - 1)
+    if len(columns) == 1:
+        j = columns[0] - 1
+        cells = fleet.code.columns[j]
+        if target not in cells:
+            raise ParameterError(f"recovery set does not span part {part}")
+        return fleet.server_values[j][cells.index(target)]
     width = fleet.chunk_width
     tables = fleet._pivots
-    pivots = tables[columns[0] - 1]
-    if len(columns) > 1:
-        pivots = dict(pivots)
-        for j in columns[1:]:
-            for row in tables[j - 1].values():
-                pivot_insert(pivots, row)
-    residual = pivot_reduce(pivots, 1 << (part - 1 + width))
+    pivots = dict(tables[columns[0] - 1])
+    for j in columns[1:]:
+        for row in tables[j - 1].values():
+            pivot_insert(pivots, row)
+    residual = pivot_reduce(pivots, target << width)
     if residual >> width:
         raise ParameterError(f"recovery set does not span part {part}")
     return residual
@@ -240,75 +335,48 @@ def retrieve(
     _check_plan(fleet, plan, (part,))
 
     rng = random.Random(fleet.seed * 1_000_003 + part)
+    jitter_us = fleet.jitter_us
+    latency = fleet.base_latency_us
+    drop = fleet.drop_probability
     cells_hex = fleet._cells_hex
-    events: list[tuple[tuple[int, int, int], dict]] = []
-    outcomes = []
-    for set_idx, columns in enumerate(sets, start=1):
+    records: list[tuple] = []
+    solved = []
+    texts: dict[int, str] = {}  # each solved value's hex, rendered once
+    for index, columns in enumerate(sets, start=1):
         missing = []
         latest = 0
         for server in columns:
-            jitter = rng.randrange(fleet.jitter_us + 1) if fleet.jitter_us else 0
-            dropped = rng.random() < fleet.drop_probability[server - 1]
-            events.append(
-                (
-                    (0, _REQUEST, server),
-                    {"event": "request", "time": 0, "part": part, "set": set_idx, "server": server},
-                )
-            )
+            jitter = rng.randrange(jitter_us + 1) if jitter_us else 0
+            dropped = rng.random() < drop[server - 1]
+            records.append((0, _REQUEST, server, index))
             if server in down or dropped:
                 missing.append(server)
                 continue
-            arrival = fleet.base_latency_us[server - 1] + jitter
-            latest = max(latest, arrival)
-            events.append(
-                (
-                    (arrival, _RESPONSE, server),
-                    {
-                        "event": "response",
-                        "time": arrival,
-                        "part": part,
-                        "set": set_idx,
-                        "server": server,
-                        "cells": list(cells_hex[server - 1]),
-                    },
-                )
-            )
-        solve: dict = {"event": "solve", "part": part, "set": set_idx, "columns": list(columns)}
+            arrival = latency[server - 1] + jitter
+            if arrival > latest:
+                latest = arrival
+            records.append((arrival, _RESPONSE, server, index, cells_hex[server - 1]))
         if missing:
-            outcomes.append(SetOutcome(columns, True, None, None))
-            solve.update(time=fleet.timeout_us, status="faulted", missing=missing)
-            events.append(((fleet.timeout_us, _SOLVE, set_idx), solve))
+            records.append((fleet.timeout_us, _SOLVE, index, columns, tuple(missing), None, None))
         else:
             value = _solve_set(fleet, columns, part)
-            outcomes.append(SetOutcome(columns, False, value, latest))
-            solve.update(time=latest, status="ok", value=fleet.chunk_hex(value))
-            events.append(((latest, _SOLVE, set_idx), solve))
+            solved.append(value)
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = fleet.chunk_hex(value)
+            records.append((latest, _SOLVE, index, columns, (), value, text))
 
-    solved = [o.value for o in outcomes if not o.faulted]
+    # A part's sets are pairwise disjoint (_check_plan verified it), so each
+    # server is requested once and the (time, kind, server or set) prefix of
+    # every record is unique: the sort never compares past it.
+    records.sort()
     agreement = len(solved) > 0 and len(set(solved)) == 1
     status = "ok" if solved else "retrieval-failed"
     value = solved[0] if agreement else None
-    end = max((key[0] for key, _ in events), default=0)
-    verdict = {
-        "event": "verdict",
-        "time": end,
-        "part": part,
-        "status": status,
-        "agreement": agreement,
-        "sets_ok": len(solved),
-        "sets_total": len(sets),
-    }
-    if value is not None:
-        verdict["value"] = fleet.chunk_hex(value)
-    events.append(((end, _VERDICT, 0), verdict))
-    events.sort(key=lambda pair: pair[0])
+    end = records[-1][0] if records else 0
+    records.append((end, _VERDICT, 0, len(solved), len(sets), texts.get(value)))
     return SessionTranscript(
-        part=part,
-        status=status,
-        agreement=agreement,
-        value=value,
-        sets=tuple(outcomes),
-        events=tuple(e for _, e in events),
+        part=part, status=status, agreement=agreement, value=value, records=tuple(records)
     )
 
 

@@ -152,13 +152,16 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
                 first = min(used.intersection(columns))
                 return PlanCheck(False, f"part {part}: column {first} appears in two recovery sets")
             used.update(columns)
-            pivots = table(columns[0]) if columns else {}
-            if len(columns) > 1:
-                pivots = dict(pivots)
+            if len(columns) == 1:
+                # singleton convention: a column spans e_i only if it stores it
+                spans = target in code.columns[columns[0] - 1]
+            else:
+                pivots = dict(table(columns[0])) if columns else {}
                 for j in columns[1:]:
                     for row in table(j).values():
                         pivot_insert(pivots, row)
-            if pivot_reduce(pivots, target) != 0:
+                spans = pivot_reduce(pivots, target) == 0
+            if not spans:
                 label = "{" + ",".join(map(str, columns)) + "}"
                 return PlanCheck(False, f"part {part}: columns {label} do not span it")
     return PlanCheck(True, None)

@@ -307,11 +307,12 @@ def _shape(event: dict) -> str:
     return event["event"]
 
 
-def test_jsonl_matches_json_dumps(intro_code):
+def _seeded_sessions(intro_code):
+    """(fleet, plan, part, failed) over codes, chunk widths, jitters and drop
+    rates that together give every event shape."""
     codes = [intro_code, build_c1(2, 2), build_c2(5)]
     codes += [seeded_code(seed, m, p, t) for seed, (m, p, t) in enumerate(((8, 5, 2), (10, 7, 3), (9, 6, 4)))]
     rng = random.Random(2024)
-    shapes = set()
     for code in codes:
         plan = k_pir_pairs(code).plan
         for chunk_width in (4, 64, 256):
@@ -326,9 +327,97 @@ def test_jsonl_matches_json_dumps(intro_code):
                     )
                     for part in plan.parts():
                         failed = rng.sample(range(1, code.m + 1), min(code.m, rng.randint(0, 3)))
-                        transcript = retrieve(fleet, plan, part, failed=failed)
-                        assert transcript.jsonl() == _reference_jsonl(transcript)
-                        shapes.update(map(_shape, transcript.events))
+                        yield fleet, plan, part, failed
+
+
+def test_jsonl_matches_json_dumps(intro_code):
+    shapes = set()
+    for fleet, plan, part, failed in _seeded_sessions(intro_code):
+        transcript = retrieve(fleet, plan, part, failed=failed)
+        assert transcript.jsonl() == _reference_jsonl(transcript)
+        shapes.update(map(_shape, transcript.events))
     assert shapes == {
         "request", "response", "solve-ok", "solve-faulted", "verdict-value", "verdict-no-value"
     }
+
+
+def _eager_session(fleet, plan, part, failed):
+    """A reference for the lazy views: a session's event dicts and set
+    outcomes built eagerly, one dict per event as the event happens, sorted
+    by (time, kind, server or set), and one SetOutcome per set in plan order."""
+    down = set(failed)
+    rng = random.Random(fleet.seed * 1_000_003 + part)
+    events, outcomes = [], []
+    for set_idx, columns in enumerate(plan.sets(part), start=1):
+        missing, latest = [], 0
+        for server in columns:
+            jitter = rng.randrange(fleet.jitter_us + 1) if fleet.jitter_us else 0
+            dropped = rng.random() < fleet.drop_probability[server - 1]
+            events.append(((0, 0, server), {"event": "request", "time": 0, "part": part, "set": set_idx, "server": server}))
+            if server in down or dropped:
+                missing.append(server)
+                continue
+            arrival = fleet.base_latency_us[server - 1] + jitter
+            latest = max(latest, arrival)
+            cells = [fleet.chunk_hex(value) for value in fleet.server_values[server - 1]]
+            response = {"event": "response", "time": arrival, "part": part, "set": set_idx, "server": server}
+            events.append(((arrival, 1, server), {**response, "cells": cells}))
+        solve = {"event": "solve", "part": part, "set": set_idx, "columns": list(columns)}
+        if missing:
+            outcomes.append(simulate.SetOutcome(columns, True, None, None))
+            solve.update(time=fleet.timeout_us, status="faulted", missing=missing)
+            events.append(((fleet.timeout_us, 2, set_idx), solve))
+        else:
+            value = simulate._solve_set(fleet, columns, part)
+            outcomes.append(simulate.SetOutcome(columns, False, value, latest))
+            solve.update(time=latest, status="ok", value=fleet.chunk_hex(value))
+            events.append(((latest, 2, set_idx), solve))
+    solved = [o.value for o in outcomes if not o.faulted]
+    agreement = len(solved) > 0 and len(set(solved)) == 1
+    end = max((key[0] for key, _ in events), default=0)
+    verdict = {
+        "event": "verdict",
+        "time": end,
+        "part": part,
+        "status": "ok" if solved else "retrieval-failed",
+        "agreement": agreement,
+        "sets_ok": len(solved),
+        "sets_total": len(outcomes),
+    }
+    if agreement:
+        verdict["value"] = fleet.chunk_hex(solved[0])
+    events.append(((end, 3, 0), verdict))
+    events.sort(key=lambda pair: pair[0])
+    return tuple(e for _, e in events), tuple(outcomes)
+
+
+def test_lazy_views_match_the_eager_construction(intro_code):
+    # events and sets are built from the records on first access; neither
+    # reading them nor the order of reads changes jsonl() or equality
+    for fleet, plan, part, failed in _seeded_sessions(intro_code):
+        transcript = retrieve(fleet, plan, part, failed=failed)
+        text = transcript.jsonl()
+        events, sets = _eager_session(fleet, plan, part, failed)
+        assert transcript.events == events
+        assert transcript.sets == sets
+        assert transcript.jsonl() == text
+        again = retrieve(fleet, plan, part, failed=failed)
+        assert again.events == events and again.sets == sets
+        assert again.jsonl() == text
+        assert again == transcript and hash(again) == hash(transcript)
+
+
+def test_a_one_column_set_reads_the_stored_singleton(c1_fleet):
+    # a column spans e_part only if it stores it, so a one-column solve is a
+    # lookup; a column without e_part is refused as the elimination refuses it
+    fleet, _ = c1_fleet
+    refused = 0
+    for j, column in enumerate(fleet.code.columns, start=1):
+        for part in range(1, fleet.code.p + 1):
+            if 1 << (part - 1) in column:
+                assert simulate._solve_set(fleet, (j,), part) == fleet.database[part - 1]
+            else:
+                refused += 1
+                with pytest.raises(ParameterError, match=f"recovery set does not span part {part}$"):
+                    simulate._solve_set(fleet, (j,), part)
+    assert refused
