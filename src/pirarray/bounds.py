@@ -26,7 +26,7 @@ lower-vs-upper consistency checks; call it explicitly when wanted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb, gcd
 from typing import Sequence
@@ -183,10 +183,8 @@ class BoundSheet:
     s4_rate: Fraction | None = None
 
     def entries(self) -> dict[str, Fraction]:
-        names = (
-            "upper_g_s", "upper_g_st", "corollary_bound", "t1_rate", "fvy_rate",
-            "c1_rate", "integer_s_rate", "general_s_rate", "s3_rate", "s4_rate",
-        )
+        """Every formula's value that is not None, in field order after s and t."""
+        names = (f.name for f in fields(self)[2:])
         return {n: v for n in names if (v := getattr(self, n)) is not None}
 
 

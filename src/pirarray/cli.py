@@ -1,17 +1,16 @@
 """Command-line front end: construct | verify | rate | bounds | table | simulate.
 
-Flags are parsed into a validated `CliConfig` before any work starts, so a
-bad family parameter fails fast with exit 2.  Exit codes: 0 success, 2
-parameter/format errors, 3 when --expect-k does not match the verified k.
-Output depends only on flags and seed, so runs are scriptable and
-diff-stable.
+Every flag is checked on argparse's namespace before any work starts, the
+family's parameters included, so a bad flag fails fast with exit 2.  Exit
+codes: 0 success, 2 parameter/format errors, 3 when --expect-k does not match
+the verified k.  Output depends only on flags and seed, so runs are
+scriptable and diff-stable.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .model import parse_code, parse_plan, serialize_code, serialize_plan
 from .simulate import Fleet, availability_sweep, retrieve
 from .verify import EXHAUSTIVE_CAP, k_pir_exhaustive, k_pir_pairs
 
-__all__ = ["main", "CliConfig", "parse_s"]
+__all__ = ["main", "parse_s"]
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -50,114 +49,54 @@ def parse_s(text: str) -> Fraction:
     return value
 
 
-def _flag(name: str, value: int, low: int, high: int | None = None) -> int:
-    """value, or ParameterError naming the flag unless low <= value (<= high)."""
+def _flag(name: str, value: int, low: int, high: int | None = None) -> None:
+    """ParameterError naming the flag unless low <= value (<= high)."""
     if value < low or (high is not None and value > high):
         wanted = f">= {low}" if high is None else f"between {low} and {high}"
         raise ParameterError(f"{name} must be {wanted}, got {value}")
-    return value
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """One validated invocation; family preconditions hold before any work runs."""
-
-    subcommand: str
-    s: Fraction | None = None
-    t: int | None = None
-    params: ConstructionParams | None = None  # construct and rate only
-    mode: str = "pairs"
-    cap: int = EXHAUSTIVE_CAP
-    expect_k: int | None = None
-    seed: int = 0
-    input_path: Path | None = None
-    output_path: Path | None = None
-    plan_path: Path | None = None
-    precision: int = 6
-    table_max_s: int = 6
-    table_max_t: int = 13
-    table_format: str = "text"
-    corollary_ell: int | None = None
-    part: int | None = None
-    fail_servers: tuple[int, ...] = ()
-    sweep_trials: int | None = None
-    sweep_failures: int | None = None
-    chunk_width: int = 64
-    base_latency_us: int = 1000
-    jitter_us: int = 250
-    drop_probability: float = 0.0
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> CliConfig:
-        fields: dict = {"subcommand": args.subcommand}
-        if args.subcommand in ("construct", "rate"):
-            if args.t is None:
-                raise ParameterError("--t is required")
-            fields.update(t=args.t, s=parse_s(args.s) if args.s is not None else None)
-        if args.subcommand == "construct":
-            fields["output_path"] = args.out
-        if args.subcommand in ("rate", "bounds", "table"):
-            fields["precision"] = _flag("--precision", args.precision, 1, MAX_PRECISION)
-        if args.subcommand == "verify":
-            fields.update(
-                input_path=args.infile,
-                mode=args.mode,
-                cap=args.cap,
-                plan_path=args.plan_out,
-                expect_k=args.expect_k,
-            )
-        if args.subcommand == "bounds":
-            if args.t is None:
-                raise ParameterError("--t is required")
-            if args.corollary_ell is not None:
-                fields["corollary_ell"] = _flag("--corollary-ell", args.corollary_ell, 1)
-            fields.update(s=parse_s(args.s), t=args.t)
-        if args.subcommand == "table":
-            fields.update(
-                table_max_s=_flag("--max-s", args.max_s, 2),
-                table_max_t=_flag("--max-t", args.max_t, 1),
-                table_format=args.format,
-            )
-        if args.subcommand == "simulate":
-            fields.update(
-                input_path=args.infile,
-                plan_path=args.plan,
-                seed=args.seed,
-                part=args.part,
-                fail_servers=tuple(args.fail_server or ()),
-                sweep_trials=args.sweep_trials,
-                sweep_failures=args.sweep_failures,
-                chunk_width=args.chunk_width,
-                base_latency_us=args.base_latency,
-                jitter_us=args.jitter,
-                drop_probability=args.drop_prob,
-            )
-            if args.sweep_trials is not None and args.sweep_failures is None:
-                raise ParameterError("--sweep-trials needs --sweep-failures")
-        if args.subcommand in ("construct", "rate"):
-            # family preconditions are checked, and the counts evaluated, before any work
-            max_columns = args.max_columns if args.subcommand == "construct" else DEFAULT_MAX_COLUMNS
-            fields["params"] = ConstructionParams(args.family, args.t, args.d, fields["s"], max_columns)
-        return cls(**fields)
+def _checked(args: argparse.Namespace) -> argparse.Namespace:
+    """args with its flags checked and --s parsed to a Fraction; for construct
+    and rate, `args.params` holds the family's checked ConstructionParams."""
+    command = args.subcommand
+    if command in ("construct", "rate"):
+        if args.t is None:
+            raise ParameterError("--t is required")
+        args.s = parse_s(args.s) if args.s is not None else None
+    if command in ("rate", "bounds", "table"):
+        _flag("--precision", args.precision, 1, MAX_PRECISION)
+    if command in ("construct", "rate"):
+        # family preconditions are checked, and the counts evaluated, before any work
+        max_columns = getattr(args, "max_columns", DEFAULT_MAX_COLUMNS)
+        args.params = ConstructionParams(args.family, args.t, args.d, args.s, max_columns)
+    if command == "bounds":
+        if args.corollary_ell is not None:
+            _flag("--corollary-ell", args.corollary_ell, 1)
+        args.s = parse_s(args.s)
+    if command == "table":
+        _flag("--max-s", args.max_s, 2)
+        _flag("--max-t", args.max_t, 1)
+    if command == "simulate" and args.sweep_trials is not None and args.sweep_failures is None:
+        raise ParameterError("--sweep-trials needs --sweep-failures")
+    return args
 
 
 def _fraction_text(value: Fraction, precision: int) -> str:
     return f"{value.numerator}/{value.denominator} ({bounds_mod.render_decimal(value, precision)})"
 
 
-def _cmd_construct(config: CliConfig) -> int:
-    assert config.params is not None and config.output_path is not None
-    code = config.params.build()
-    config.output_path.write_text(serialize_code(code), encoding="utf-8")
-    print(f"wrote {config.output_path} (p={code.p} t={code.t} m={code.m} s={code.s})")
+def _cmd_construct(args: argparse.Namespace) -> int:
+    code = args.params.build()
+    args.out.write_text(serialize_code(code), encoding="utf-8")
+    print(f"wrote {args.out} (p={code.p} t={code.t} m={code.m} s={code.s})")
     return EXIT_OK
 
 
-def _cmd_verify(config: CliConfig) -> int:
-    assert config.input_path is not None
-    code = parse_code(config.input_path.read_text(encoding="utf-8"))
-    if config.mode == "exhaustive":
-        report = k_pir_exhaustive(code, cap=config.cap)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    code = parse_code(args.infile.read_text(encoding="utf-8"))
+    if args.mode == "exhaustive":
+        report = k_pir_exhaustive(code, cap=args.cap)
     else:
         report = k_pir_pairs(code)
     rate = report.rate
@@ -166,11 +105,11 @@ def _cmd_verify(config: CliConfig) -> int:
     floor = bound.numerator // bound.denominator
     print(f"mode={report.mode} exact={'yes' if report.exact else 'no'} singleton_bound={bound} (k <= {floor})")
     print(f"scope: {report.scope}")
-    if config.plan_path is not None:
-        config.plan_path.write_text(serialize_plan(report.plan), encoding="utf-8")
-        print(f"wrote plan {config.plan_path}")
-    if config.expect_k is not None and report.k != config.expect_k:
-        print(f"expected k={config.expect_k} but verified k={report.k}", file=sys.stderr)
+    if args.plan_out is not None:
+        args.plan_out.write_text(serialize_plan(report.plan), encoding="utf-8")
+        print(f"wrote plan {args.plan_out}")
+    if args.expect_k is not None and report.k != args.expect_k:
+        print(f"expected k={args.expect_k} but verified k={report.k}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -184,9 +123,8 @@ def _decimal_digits(n: int) -> int:
     return digits
 
 
-def _cmd_rate(config: CliConfig) -> int:
-    params = config.params
-    assert params is not None
+def _cmd_rate(args: argparse.Namespace) -> int:
+    params = args.params
     m, k = params.predicted_counts()
     # k < m, and the rate's terms divide k and m, so m is the longest number
     # printed; Pythons before 3.10.7 have no limit (0 reads as none)
@@ -201,60 +139,57 @@ def _cmd_rate(config: CliConfig) -> int:
     pieces = [f"family={params.family}", f"t={params.t}"]
     if params.d is not None:
         pieces.append(f"d={params.d}")
-    pieces += [f"s={params.s}", f"m={m}", f"k={k}", f"rate={_fraction_text(rate, config.precision)}"]
+    pieces += [f"s={params.s}", f"m={m}", f"k={k}", f"rate={_fraction_text(rate, args.precision)}"]
     print(" ".join(pieces))
     return EXIT_OK
 
 
-def _cmd_bounds(config: CliConfig) -> int:
-    assert config.s is not None and config.t is not None
-    sheet = bounds_mod.reference_rates(config.s, config.t)
-    print(f"s={config.s} t={config.t}")
+def _cmd_bounds(args: argparse.Namespace) -> int:
+    sheet = bounds_mod.reference_rates(args.s, args.t)
+    print(f"s={args.s} t={args.t}")
     for name, value in sheet.entries().items():
-        print(f"{name}={_fraction_text(value, config.precision)}")
-    if config.corollary_ell is not None:
-        delta, tau = (config.s - 1).numerator, (config.s - 1).denominator
-        value = bounds_mod.corollary_bound(delta, tau, config.corollary_ell)
+        print(f"{name}={_fraction_text(value, args.precision)}")
+    if args.corollary_ell is not None:
+        delta, tau = (args.s - 1).numerator, (args.s - 1).denominator
+        value = bounds_mod.corollary_bound(delta, tau, args.corollary_ell)
         print(
-            f"corollary_bound(delta={delta},tau={tau},ell={config.corollary_ell})"
-            f"={_fraction_text(value, config.precision)}"
+            f"corollary_bound(delta={delta},tau={tau},ell={args.corollary_ell})"
+            f"={_fraction_text(value, args.precision)}"
         )
     return EXIT_OK
 
 
-def _cmd_table(config: CliConfig) -> int:
-    if config.table_format == "csv":
-        sys.stdout.write(bounds_mod.table1_csv(config.table_max_s, config.table_max_t, config.precision))
+def _cmd_table(args: argparse.Namespace) -> int:
+    if args.format == "csv":
+        sys.stdout.write(bounds_mod.table1_csv(args.max_s, args.max_t, args.precision))
     else:
-        sys.stdout.write(bounds_mod.table1_text(config.table_max_s, config.table_max_t))
+        sys.stdout.write(bounds_mod.table1_text(args.max_s, args.max_t))
     return EXIT_OK
 
 
-def _cmd_simulate(config: CliConfig) -> int:
-    assert config.input_path is not None
-    code = parse_code(config.input_path.read_text(encoding="utf-8"))
-    # The fleet checks its knobs (chunk width, jitter, drop probability)
-    # before the pair plan, which is the costly step, is computed.
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    code = parse_code(args.infile.read_text(encoding="utf-8"))
+    # The fleet checks its knobs (chunk width, latency, jitter, drop
+    # probability) before the pair plan, which is the costly step, is computed.
     fleet = Fleet(
         code=code,
-        seed=config.seed,
-        chunk_width=config.chunk_width,
-        base_latency_us=config.base_latency_us,
-        jitter_us=config.jitter_us,
-        drop_probability=config.drop_probability,
+        seed=args.seed,
+        chunk_width=args.chunk_width,
+        base_latency_us=args.base_latency,
+        jitter_us=args.jitter,
+        drop_probability=args.drop_prob,
     )
-    if config.plan_path is not None:
-        plan = parse_plan(config.plan_path.read_text(encoding="utf-8"))
+    if args.plan is not None:
+        plan = parse_plan(args.plan.read_text(encoding="utf-8"))
     else:
         plan = k_pir_pairs(code).plan
-    if config.sweep_trials is not None:
-        assert config.sweep_failures is not None
-        summary = availability_sweep(fleet, plan, config.sweep_trials, config.sweep_failures)
+    if args.sweep_trials is not None:
+        summary = availability_sweep(fleet, plan, args.sweep_trials, args.sweep_failures)
         print(summary.to_json())
         return EXIT_OK
-    parts = [config.part] if config.part is not None else list(plan.parts())
+    parts = [args.part] if args.part is not None else list(plan.parts())
     for part in parts:
-        transcript = retrieve(fleet, plan, part, failed=config.fail_servers)
+        transcript = retrieve(fleet, plan, part, failed=args.fail_server or ())
         sys.stdout.write(transcript.jsonl())
     return EXIT_OK
 
@@ -333,8 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_PARAMS if exc.code not in (0, None) else EXIT_OK
     try:
-        config = CliConfig.from_args(args)
-        return _HANDLERS[config.subcommand](config)
+        return _HANDLERS[args.subcommand](_checked(args))
     except (ValueError, OSError) as exc:  # ParameterError (CapExceeded too), FormatError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS

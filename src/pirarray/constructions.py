@@ -140,14 +140,8 @@ def _ladder_s(s: Fraction | int, t: int, integer: bool, needs: str) -> Fraction:
 def solve_xi(s: Fraction | int, t: int) -> tuple[int, ...]:
     """Gcd-reduced positive multiplicities xi_1..xi_ceil(s) for the s,t balance equations."""
     s = Fraction(s)
-    if t < 1:
-        raise ParameterError(f"need t >= 1, got {t}")
-    p = _part_count(s, t)
-    if s.denominator == 1 and s < 2:
-        raise ParameterError(f"integer s must be >= 2, got {s}")
-    if s.denominator != 1 and s <= 2:
-        raise ParameterError(f"non-integer s must be > 2, got {s}")
-    return _chain_solution(_balance(p, t, ceil(s)))
+    _ladder_s(s, t, integer=s.denominator == 1, needs="need")
+    return _chain_solution(_balance(_part_count(s, t), t, ceil(s)))
 
 
 def check_xi(s: Fraction | int, t: int, xi: Sequence[int]) -> None:

@@ -12,13 +12,14 @@ inputs produce byte-identical transcripts.
 `retrieve` records each event as one small tuple whose first three fields,
 (time, kind, server or set), are its sort key and unique within a session,
 so a plain sort orders the session.  A `SessionTranscript` keeps those
-tuples; `jsonl()` renders them straight to JSON lines, and its `events`
-dicts and `sets` outcomes are views built from the same tuples on first
-access, so a caller that only prints a session builds neither.  The lines
-are exactly the bytes `json.dumps(event, sort_keys=True, separators=(",",
-":"))` gives for each of `events`: `jsonl()` holds the one fixed-schema
-template per event kind, and every value is an int, a bool, a fixed ASCII
-word, a `0x` hex string or a list of these, so nothing needs escaping.
+tuples; `jsonl()` renders them straight to JSON lines through the one
+fixed-schema template per event kind, `events` parses those lines back to
+dicts and `sets` builds outcomes from the same tuples, both on first
+access, so a caller that only prints a session builds neither.  Each line
+is exactly the bytes `json.dumps(event, sort_keys=True, separators=(",",
+":"))` gives for the event it holds: every value is an int, a bool, a
+fixed ASCII word, a `0x` hex string or a list of these, so nothing needs
+escaping.
 
 A `Fleet` renders each server's cells as hex once (each distinct cell
 once) and keeps per server a pivot table of its cells with their values, so
@@ -105,8 +106,12 @@ class Fleet:
             )
         if self.jitter_us < 0:
             raise ParameterError("jitter_us must be >= 0")
+        if self.timeout_us < 0:
+            raise ParameterError("timeout_us must be >= 0")
         m = self.code.m
         object.__setattr__(self, "base_latency_us", _per_server(self.base_latency_us or 1000, m, "base_latency_us"))
+        if any(latency < 0 for latency in self.base_latency_us):
+            raise ParameterError("base_latency_us must be >= 0")
         object.__setattr__(self, "drop_probability", _per_server(self.drop_probability or 0.0, m, "drop_probability"))
         if any(not 0.0 <= q <= 1.0 for q in self.drop_probability):
             raise ParameterError("drop probabilities must lie in [0, 1]")
@@ -171,10 +176,10 @@ class SessionTranscript:
     * verdict   ``(time, _VERDICT, 0, sets_ok, sets_total, value_hex)``,
       always last
 
-    `jsonl()` renders the records, and `events` (one dict per record) and
-    `sets` (one `SetOutcome` per recovery set, in plan order) are views
-    built from them on first access and then kept.  Equality and hashing
-    see only the fields.
+    `jsonl()` renders the records; `events` (one dict per record, parsed
+    from its line) and `sets` (one `SetOutcome` per recovery set, in plan
+    order) are views built on first access and then kept.  Equality and
+    hashing see only the fields.
     """
 
     part: int
@@ -184,10 +189,9 @@ class SessionTranscript:
     records: tuple[tuple, ...]
 
     def jsonl(self) -> str:
-        """The records as JSON lines: exactly the bytes
+        """The records as JSON lines, each exactly the bytes
         json.dumps(event, sort_keys=True, separators=(",", ":")) gives for
-        each of `events`; the one place that knows each kind's keys in
-        sorted order."""
+        its event; the one place that knows each kind's keys."""
         part = self.part
         lines = []
         append = lines.append
@@ -231,41 +235,8 @@ class SessionTranscript:
 
     @cached_property
     def events(self) -> tuple[dict, ...]:
-        """One dict per record, holding what its JSON line holds."""
-        part = self.part
-        out = []
-        for record in self.records:
-            time, kind = record[0], record[1]
-            if kind == _REQUEST:
-                out.append({"event": "request", "time": time, "part": part, "set": record[3], "server": record[2]})
-            elif kind == _RESPONSE:
-                _, _, server, index, cells = record
-                response = {"event": "response", "time": time, "part": part, "set": index, "server": server}
-                response["cells"] = list(cells)
-                out.append(response)
-            elif kind == _SOLVE:
-                _, _, index, columns, missing, _, text = record
-                solve = {"event": "solve", "part": part, "set": index, "columns": list(columns), "time": time}
-                if missing:
-                    solve.update(status="faulted", missing=list(missing))
-                else:
-                    solve.update(status="ok", value=text)
-                out.append(solve)
-            else:
-                _, _, _, sets_ok, sets_total, text = record
-                verdict = {
-                    "event": "verdict",
-                    "time": time,
-                    "part": part,
-                    "status": self.status,
-                    "agreement": self.agreement,
-                    "sets_ok": sets_ok,
-                    "sets_total": sets_total,
-                }
-                if text is not None:
-                    verdict["value"] = text
-                out.append(verdict)
-        return tuple(out)
+        """One dict per record: its JSON line, parsed."""
+        return tuple(map(json.loads, self.jsonl().splitlines()))
 
     @cached_property
     def sets(self) -> tuple[SetOutcome, ...]:

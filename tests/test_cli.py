@@ -172,6 +172,15 @@ def test_simulate_refuses_a_huge_chunk_width(tmp_path, capsys):
     assert code == 2 and stdout == "" and "beyond the limit" in err
 
 
+def test_simulate_refuses_a_negative_base_latency(tmp_path, capsys):
+    src = tmp_path / "intro.pir"
+    src.write_text(INTRO_TEXT)
+    code, stdout, err = run(
+        capsys, "simulate", "--in", str(src), "--seed", "1", "--part", "1", "--base-latency", "-2000"
+    )
+    assert (code, stdout, err) == (2, "", "error: base_latency_us must be >= 0\n")
+
+
 def test_rate_at_large_s_is_fast(capsys):
     # the balance chain is stepped in lowest terms, not formed from products
     # of every binomial, so s = t = 60 (q = 60 types) takes a fraction of 1 s
@@ -303,25 +312,15 @@ def test_verify_cap_directs_to_pairs(tmp_path, capsys):
     assert code == 0 and stdout.splitlines()[0] == "k=13 m=15 rate=13/15"
 
 
-def test_cliconfig_validates_before_any_work(tmp_path):
-    from pirarray.cli import CliConfig, build_parser
-    from pirarray.errors import ParameterError
-
-    parser = build_parser()
-    out = tmp_path / "never.pir"
-    args = parser.parse_args(["construct", "--family", "c2", "--t", "4", "--out", str(out)])
-    with pytest.raises(ParameterError):
-        CliConfig.from_args(args)  # family precondition rejected at config time
-    assert not out.exists()
-
-    good = CliConfig.from_args(
-        parser.parse_args(["construct", "--family", "c2", "--t", "3", "--out", str(out)])
-    )
-    assert good.subcommand == "construct" and good.t == 3
-    from fractions import Fraction
-
-    cfg = CliConfig.from_args(parser.parse_args(["bounds", "--s", "5/2", "--t", "2"]))
-    assert cfg.s == Fraction(5, 2)
+def test_flags_are_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "construct", "--family", "c2", "--t", "4", "--out", "c2.pir")
+    assert code == 2 and stdout == "" and err.startswith("error: ")
+    assert not (tmp_path / "c2.pir").exists()
+    code, stdout, _ = run(capsys, "construct", "--family", "c2", "--t", "3", "--out", "c2.pir")
+    assert code == 0 and stdout.startswith("wrote c2.pir ") and (tmp_path / "c2.pir").exists()
+    code, stdout, _ = run(capsys, "bounds", "--s", "5/2", "--t", "2")
+    assert code == 0 and stdout.splitlines()[0] == "s=5/2 t=2"
 
 
 def test_simulate_respects_plan_file(tmp_path, capsys):
@@ -335,3 +334,90 @@ def test_simulate_respects_plan_file(tmp_path, capsys):
     assert code == 0
     verdict = json.loads(stdout.splitlines()[-1])
     assert verdict["sets_total"] == 3 and verdict["agreement"] is True
+
+
+# Error and flag-reading paths of every subcommand, run in a scratch cwd with
+# relative paths; pairs of bad flags pin which check runs first.
+CLI_RUNS = (
+    ("construct", "--family", "c1", "--d", "2", "--out", "x.pir"),
+    ("construct", "--family", "c1", "--d", "2", "--s", "2.5", "--out", "x.pir"),
+    ("construct", "--family", "integer", "--s", "2.5", "--t", "2", "--out", "x.pir"),
+    ("construct", "--family", "integer", "--s", "x", "--t", "2", "--out", "x.pir"),
+    ("construct", "--family", "integer", "--s", "1/0", "--t", "2", "--out", "x.pir"),
+    ("construct", "--family", "integer", "--s", "1", "--t", "2", "--out", "x.pir"),
+    ("construct", "--family", "c2", "--t", "4", "--out", "x.pir"),
+    ("construct", "--family", "c2", "--t", "4", "--s", "0.5", "--out", "x.pir"),
+    ("construct", "--family", "c1", "--t", "2", "--out", "x.pir"),
+    ("construct", "--family", "general", "--t", "2", "--out", "x.pir"),
+    ("construct", "--family", "general", "--s", "5/2", "--t", "3", "--out", "x.pir"),
+    ("construct", "--family", "integer", "--s", "3", "--t", "2", "--max-columns", "100", "--out", "x.pir"),
+    ("construct", "--family", "c1", "--t", "2", "--d", "2", "--out", "nodir/x.pir"),
+    ("construct", "--family", "c1", "--t", "2", "--d", "2", "--out", "c.pir"),
+    ("rate", "--family", "c1", "--d", "2"),
+    ("rate", "--family", "c1", "--d", "2", "--precision", "0"),
+    ("rate", "--family", "integer", "--s", "2.5", "--t", "2", "--precision", "0"),
+    ("rate", "--family", "integer", "--s", "3", "--t", "2", "--precision", "0"),
+    ("rate", "--family", "integer", "--s", "3", "--t", "2", "--precision", "5000"),
+    ("rate", "--family", "c1", "--t", "2", "--d", "9"),
+    ("rate", "--family", "c1", "--t", "2", "--precision", "0"),
+    ("rate", "--family", "integer", "--t", "2"),
+    ("rate", "--family", "integer", "--s", "100", "--t", "100"),
+    ("rate", "--family", "general", "--s", "5/2", "--t", "2", "--precision", "3"),
+    ("bounds", "--s", "3", "--t", "2", "--precision", "0"),
+    ("bounds", "--s", "3", "--t", "2", "--precision", "5000"),
+    ("bounds", "--s", "3", "--t", "2", "--corollary-ell", "0"),
+    ("bounds", "--s", "1", "--t", "2"),
+    ("bounds", "--s", "2.5", "--t", "2"),
+    ("bounds", "--s", "1", "--t", "2", "--precision", "0"),
+    ("bounds", "--s", "1", "--t", "2", "--corollary-ell", "0"),
+    ("bounds", "--s", "3"),
+    ("bounds", "--s", "5/2", "--t", "2", "--corollary-ell", "1", "--precision", "4"),
+    ("table", "--max-s", "1"),
+    ("table", "--max-t", "0"),
+    ("table", "--precision", "0"),
+    ("table", "--max-s", "1", "--precision", "0"),
+    ("table", "--max-s", "1", "--max-t", "0"),
+    ("table", "--max-s", "3", "--max-t", "2", "--format", "csv", "--precision", "3"),
+    ("verify", "--in", "missing.pir"),
+    ("verify", "--in", "bad.pir"),
+    ("verify", "--in", "intro.pir", "--mode", "exhaustive", "--expect-k", "4"),
+    ("verify", "--in", "intro.pir", "--mode", "exhaustive", "--cap", "2"),
+    ("verify", "--in", "c.pir", "--plan-out", "c.plan", "--expect-k", "7"),
+    ("simulate", "--in", "intro.pir", "--seed", "1", "--sweep-trials", "3"),
+    ("simulate", "--in", "missing.pir", "--seed", "1", "--sweep-trials", "3"),
+    ("simulate", "--in", "missing.pir", "--seed", "1"),
+    ("simulate", "--in", "intro.pir", "--seed", "1", "--chunk-width", "0"),
+    ("simulate", "--in", "intro.pir", "--seed", "1", "--jitter", "-1"),
+    ("simulate", "--in", "intro.pir", "--seed", "1", "--drop-prob", "2"),
+    ("simulate", "--in", "intro.pir", "--seed", "1", "--plan", "missing.plan"),
+    ("simulate", "--in", "intro.pir", "--seed", "1", "--part", "99"),
+    (
+        "simulate", "--in", "c.pir", "--plan", "c.plan", "--seed", "1", "--part", "1", "--fail-server", "2",
+        "--fail-server", "5", "--chunk-width", "8", "--base-latency", "10", "--jitter", "5", "--drop-prob", "0.1",
+    ),
+    ("simulate", "--in", "c.pir", "--seed", "2", "--sweep-trials", "4", "--sweep-failures", "2"),
+    ("table", "--bogus"),
+    ("frobnicate",),
+    (),
+    ("rate", "--family", "c1", "--t", "2", "--d", "2", "--max-columns", "5"),
+    ("verify", "--in", "intro.pir", "--mode", "bogus"),
+)
+# SHA-256 of the JSON list of [argv, exit code, stdout, stderr] over CLI_RUNS,
+# as printed when the flags were copied into a validated config object before
+# dispatch, under Python's default limit of 4300 digits for int-to-text.
+GOLDEN_CLI_RUNS_SHA256 = "58a505974223002696f8c02baf0f7914c53d4b4b4c87eafd163531fb3e3965ee"
+
+
+def test_cli_exit_codes_and_messages_are_unchanged(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "intro.pir").write_text(INTRO_TEXT)
+    (tmp_path / "bad.pir").write_text("PIRCODE v1\np=2 t=1 m=1\n3\n")
+    results = []
+    for argv in CLI_RUNS:
+        code, stdout, err = run(capsys, *argv)
+        if err.startswith("usage:"):
+            # argparse wraps its usage text to the terminal's width; its last
+            # line names the subcommand and the error
+            err = err.splitlines()[-1]
+        results.append([list(argv), code, stdout, err])
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == GOLDEN_CLI_RUNS_SHA256

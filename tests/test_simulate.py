@@ -285,6 +285,24 @@ def test_fleet_parameter_validation(intro_code):
     assert explicit.database == tuple(range(1, 13))
 
 
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"base_latency_us": -2000}, "base_latency_us must be >= 0"),
+        ({"base_latency_us": (1000, 1000, 1000, -1)}, "base_latency_us must be >= 0"),
+        ({"timeout_us": -5}, "timeout_us must be >= 0"),
+        ({"jitter_us": -1}, "jitter_us must be >= 0"),
+    ],
+)
+def test_fleet_refuses_negative_times(intro_code, knobs, message):
+    # a negative time would order a response or a faulted solve before the
+    # requests it answers
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        Fleet(code=intro_code, seed=1, **knobs)
+    zero = Fleet(code=intro_code, seed=1, base_latency_us=(0, 0, 0, 0), timeout_us=0)
+    assert zero.base_latency_us == (0, 0, 0, 0) and zero.timeout_us == 0
+
+
 def test_fleet_refuses_a_chunk_width_beyond_the_limit(intro_code):
     widest = Fleet(code=intro_code, seed=1, chunk_width=MAX_CHUNK_WIDTH)
     assert len(widest.chunk_hex(0)) == 2 + MAX_CHUNK_WIDTH // 4
