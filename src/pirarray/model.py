@@ -35,15 +35,19 @@ singletons by part, then sums by their lowest part.  A column whose
 supports overlap is sorted and checked by elimination.
 
 A `RecoveryPlan` holds, per part, its column sets as ascending tuples in
-ascending order; its constructor is the one place a plan is put in that
-order.
+ascending order.  Its constructor puts a plan in that order and keeps a
+set that already is such a tuple as it is; `parse_plan` checks each set as
+it reads it and builds its plan with `RecoveryPlan._of_ascending`, which
+only sorts each part's sets.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 from typing import Collection, Iterable, Mapping
 
 from .errors import FormatError, ParameterError
@@ -283,9 +287,16 @@ def parse_code(text: str) -> ArrayCode:
 
 
 def _canonical_set(one: Collection[int]) -> tuple[int, ...]:
-    if len(one) == 1:  # holders' sets, the most common, need no sort
-        (column,) = one
-        return (int(column),)
+    """`one` as an ascending tuple of distinct ints; a tuple that already
+    is one, as every set the verifiers make, is kept as it is."""
+    if type(one) is tuple:
+        last = None
+        for column in one:
+            if type(column) is not int or (last is not None and column <= last):
+                break
+            last = column
+        else:
+            return one
     return tuple(sorted(set(map(int, one))))
 
 
@@ -308,6 +319,13 @@ class RecoveryPlan:
             int(part): _canonical_sets(sets) if sets else ()
             for part, sets in sorted(sets_by_part.items())
         }
+
+    @classmethod
+    def _of_ascending(cls, sets_by_part: Mapping[int, list[tuple[int, ...]]]) -> RecoveryPlan:
+        """A plan whose sets are already ascending tuples of distinct ints."""
+        plan = cls({})
+        plan._sets = {part: tuple(sorted(sets)) for part, sets in sorted(sets_by_part.items())}
+        return plan
 
     def parts(self) -> tuple[int, ...]:
         return tuple(self._sets)
@@ -345,6 +363,42 @@ def serialize_plan(plan: RecoveryPlan) -> str:
 
 _PLAN_LINE_RE = re.compile(r"^part (\d+):(.*)$")
 _SET_RE = re.compile(r"^\{(\d+(?:,\d+)*)\}$")
+_SETS_RE = re.compile(r"\{\d+(?:,\d+)*\}(?:;\{\d+(?:,\d+)*\})*")
+_SETS_AS_JSON = str.maketrans("{};", "[],")
+
+
+def _plan_sets(rest: str, part: int, line_no: int) -> list[tuple[int, ...]]:
+    """The column sets of one plan line, from its text after "part <i>:".
+
+    A well-formed line is matched by one regex, read as one JSON array
+    of arrays and each of its sets checked once for ascending order; any
+    other line (or a number JSON does not read, such as a non-ASCII digit)
+    goes set by set, which raises at its first bad set.
+    """
+    if _SETS_RE.fullmatch(rest):
+        try:
+            sets = list(map(tuple, json.loads("[" + rest.translate(_SETS_AS_JSON) + "]")))
+        except ValueError:  # a number JSON or int() refuses, named below
+            pass
+        else:
+            if all(len(columns) < 2 or all(map(lt, columns, columns[1:])) for columns in sets):
+                return sets
+    sets = []
+    for tok in rest.split(";"):
+        set_match = _SET_RE.match(tok)
+        if set_match is None:
+            raise FormatError(f"malformed column set {tok!r} for part {part}")
+        runs = set_match.group(1).split(",")
+        try:
+            columns = [int(c) for c in runs]
+        except ValueError:
+            raise _too_long(f"plan line {line_no}", max(runs, key=len)) from None
+        if len(set(columns)) != len(columns):
+            raise FormatError(f"repeated column in set {tok!r} for part {part}")
+        if columns != sorted(columns):
+            raise FormatError(f"column set {tok!r} for part {part} must be ascending")
+        sets.append(tuple(columns))
+    return sets
 
 
 def parse_plan(text: str) -> RecoveryPlan:
@@ -365,21 +419,5 @@ def parse_plan(text: str) -> RecoveryPlan:
         if part in sets_by_part:
             raise FormatError(f"duplicate plan line for part {part}")
         rest = match.group(2).strip()
-        sets: list[tuple[int, ...]] = []
-        if rest:
-            for tok in rest.split(";"):
-                set_match = _SET_RE.match(tok)
-                if set_match is None:
-                    raise FormatError(f"malformed column set {tok!r} for part {part}")
-                runs = set_match.group(1).split(",")
-                try:
-                    columns = [int(c) for c in runs]
-                except ValueError:
-                    raise _too_long(f"plan line {line_no}", max(runs, key=len)) from None
-                if len(set(columns)) != len(columns):
-                    raise FormatError(f"repeated column in set {tok!r} for part {part}")
-                if columns != sorted(columns):
-                    raise FormatError(f"column set {tok!r} for part {part} must be ascending")
-                sets.append(tuple(columns))
-        sets_by_part[part] = sets
-    return RecoveryPlan(sets_by_part)
+        sets_by_part[part] = _plan_sets(rest, part, line_no) if rest else []
+    return RecoveryPlan._of_ascending(sets_by_part)

@@ -109,7 +109,9 @@ class Fleet:
         if self.timeout_us < 0:
             raise ParameterError("timeout_us must be >= 0")
         m = self.code.m
-        object.__setattr__(self, "base_latency_us", _per_server(self.base_latency_us or 1000, m, "base_latency_us"))
+        # only the default () means "1000 us"; an explicit 0 is kept
+        base = 1000 if self.base_latency_us == () else self.base_latency_us
+        object.__setattr__(self, "base_latency_us", _per_server(base, m, "base_latency_us"))
         if any(latency < 0 for latency in self.base_latency_us):
             raise ParameterError("base_latency_us must be >= 0")
         object.__setattr__(self, "drop_probability", _per_server(self.drop_probability or 0.0, m, "drop_probability"))

@@ -27,22 +27,30 @@ otherwise.
 Pair mode builds each part's pair graph one of two ways, whichever a size
 estimate says is cheaper for the code, as a neighbour map (column -> set of
 columns) that the matching takes as it is: no edge list is made, sorted or
-re-indexed, and one part's map is alive at a time.  The span index: for
-columns U, V that do not span e_i alone, e_i lies in span(U)+span(V) iff
-some x in span(U) has x ^ e_i in span(V).  The index maps each nonzero
-vector to the columns whose span holds it, built from every column's
-2^t - 1 span elements once per code; for each x of part i, every column
-holding x but not x ^ e_i then gains, by one set union, the columns holding
-x ^ e_i but not x, and the other way round.  Its cost is O(p*m*2^t) index
-work plus those unions, |only x| + |only x ^ e_i| of them per x, inside
-which an edge {U,V} is met once per element of span(U) & span(V) (at most
-2^(t-1) times); the index holds about m*2^t entries for all parts
-together.  The pair scan eliminates each of the sum_i C(m - alpha_i, 2)
-pairs of columns that do not hold part i alone, in O(m) memory.  The index
-is used when its m*(2^t - 1) entries number no more than those candidate
-pairs and no more than PAIRS_SPAN_CAP; many columns with small t
-(integer(3,3), c1(8,8)) take the index, few columns with large t (c2, c3)
-the scan.
+re-indexed, and at most two parts' maps are alive at a time.  The span
+index: for columns U, V that do not span e_i alone, e_i lies in
+span(U)+span(V) iff some x in span(U) has x ^ e_i in span(V).  The index
+maps each nonzero vector to the columns whose span holds it, built from
+every column's 2^t - 1 span elements once per code; for each x of part i,
+every column holding x but not x ^ e_i then gains, by one set union, the
+columns holding x ^ e_i but not x, and the other way round.  Its cost is
+O(p*m*2^t) index work plus those unions, |only x| + |only x ^ e_i| of them
+per x, inside which an edge {U,V} is met once per element of span(U) &
+span(V) (at most 2^(t-1) times); the index holds about m*2^t entries for
+all parts together.  The pair scan eliminates each of the
+sum_i C(m - alpha_i, 2) pairs of columns that do not hold part i alone, in
+O(m) memory.  The index is used when its m*(2^t - 1) entries number no more
+than those candidate pairs and no more than PAIRS_SPAN_CAP; many columns
+with small t (integer(3,3), c1(8,8)) take the index, few columns with large
+t (c2, c3) the scan.
+
+When the columns are closed under the part rotation e_i -> e_(i+1 mod p),
+as every ladder code (c1, integer and general s) and c3 are, only part 1's
+graph is built either way.  Each column j maps to a column pi(j) storing
+the rotation of j's cells, so part i+1's graph is part i's with every
+column renamed by pi; each part is still matched on its own graph, so the
+plan is that of the per-part build.  O(p) checks and one pass over the
+cells turn most other codes away before any cell is rotated.
 """
 
 from __future__ import annotations
@@ -179,11 +187,12 @@ def _span_index(code: ArrayCode) -> dict[int, list[int]]:
     return index
 
 
-def _lifts(index: dict[int, list[int]]) -> dict[int, list[int]]:
-    """Part i (1-based) -> the indexed vectors x with bit i set whose x ^ e_i is indexed too."""
+def _lifts(index: dict[int, list[int]], parts: int) -> dict[int, list[int]]:
+    """Part i (1-based) among the bits of `parts` -> the indexed vectors x
+    with bit i set whose x ^ e_i is indexed too."""
     lifts: defaultdict[int, list[int]] = defaultdict(list)
     for x in index:
-        rest = x
+        rest = x & parts
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -220,16 +229,16 @@ def _pair_neighbours(index: dict[int, list[int]], lifted: list[int], bit: int) -
     return neighbours
 
 
-def _indexed_edges(code: ArrayCode) -> Iterator[dict[int, set[int]]]:
-    """For parts 1..p in turn, the pair graph read off the span index as a
-    neighbour map (see `_pair_neighbours`).
+def _indexed_edges(code: ArrayCode, parts: int) -> Iterator[dict[int, set[int]]]:
+    """For parts 1..`parts` in turn, the pair graph read off the span index
+    as a neighbour map (see `_pair_neighbours`).
 
     A part with no lifts has no edges; skipping it keeps the cost of a code
     whose cells touch few of its p parts linear in p.
     """
     index = _span_index(code)
-    lifts = _lifts(index)
-    for part in range(1, code.p + 1):
+    lifts = _lifts(index, (1 << parts) - 1)
+    for part in range(1, parts + 1):
         lifted = lifts.get(part)
         yield _pair_neighbours(index, lifted, 1 << (part - 1)) if lifted else {}
 
@@ -278,26 +287,91 @@ def _use_span_index(code: ArrayCode, holders: list[Sequence[int]]) -> bool:
     return entries <= candidates
 
 
+def _rotation_image(code: ArrayCode, holders: list[Sequence[int]]) -> list[int] | None:
+    """The column map of the part rotation e_i -> e_(i+1 mod p), or None
+    when the code's columns are not closed under it.
+
+    `image[j]` (1-based, `image[0]` unused) is a column whose cell set is
+    the rotation of column j's cells; repeated columns map in order of
+    occurrence, so the map is a permutation.  Equal cell sets have equal
+    spans, so part i+1's pair graph is part i's with every column renamed
+    by the map.  Necessary conditions that cost O(p) and one pass over the
+    cells reject most codes before any cell is rotated: a rotation-closed
+    code stores every part as a singleton equally often, and the OR and the
+    XOR of all its cells are rotation-fixed, so each is 0 or all p parts
+    (the OR cannot be 0).
+    """
+    p = code.p
+    alpha = len(holders[0])
+    if any(len(held) != alpha for held in holders):
+        return None
+    full = (1 << p) - 1
+    union = parity = 0
+    for col in code.columns:
+        for cell in col:
+            union |= cell
+            parity ^= cell
+    if union != full or parity not in (0, full):
+        return None
+    top = p - 1
+    by_cells: defaultdict[frozenset[int], list[int]] = defaultdict(list)
+    for j in range(code.m, 0, -1):  # each list descending, so pop() takes the first
+        by_cells[frozenset(code.columns[j - 1])].append(j)
+    image = [0]
+    for col in code.columns:
+        same = by_cells.get(frozenset(((cell << 1) & full) | (cell >> top) for cell in col))
+        if not same:
+            return None
+        image.append(same.pop())
+    return image
+
+
+def _part_graphs(
+    code: ArrayCode, holders: list[Sequence[int]], image: list[int] | None
+) -> Iterator[dict[int, set[int]]]:
+    """For parts 1..p in turn, the pair graph as a neighbour map.
+
+    With no rotation `image`, every part's graph is built from the span
+    index or the pair scan, whichever `_use_span_index` judges cheaper.
+    With one, only part 1's is built that way; the span index is freed
+    before part 1 is matched, and each next part's graph is the last one's
+    with every column renamed by `image`, so at most two graphs are alive.
+    """
+    built = code.p if image is None else 1
+    if _use_span_index(code, holders):
+        graphs = _indexed_edges(code, built)
+    else:
+        graphs = _scanned_edges(code, holders)
+    if image is None:
+        yield from graphs
+        return
+    neighbours = next(graphs)
+    del graphs
+    yield neighbours
+    for _ in range(code.p - 1):
+        neighbours = {image[u]: {image[v] for v in near} for u, near in neighbours.items()}
+        yield neighbours
+
+
 def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     """Singleton holders plus maximum pair matching, per part.
 
     Exact for codes whose optimal recovery sets have size <= 2; otherwise
     the reported k is a valid lower bound.  Each part's pair graph comes
     from the span index or the pair scan, whichever `_use_span_index`
-    judges cheaper (see the module docstring); both give the same
-    neighbour map, which goes to `max_general_matching` as it is.  The
-    index costs O(p*m*2^t) plus one visit per element of span(U) & span(V)
-    for every edge {U,V}, with about m*2^t index entries in memory.  On the
-    c1(8,8) code (m=24310, t=8) it takes about 10 s, and the process that
-    builds and verifies it peaks at about 123 MB RSS (Python 3.11.7, one
-    core of a 2-vCPU Xeon VM); the span index is nearly all of both, and
-    the scan would take hours there.
+    judges cheaper (see the module docstring), or, for a code closed under
+    the part rotation, from the previous part's graph (`_part_graphs`);
+    every route gives the same neighbour map, which goes to
+    `max_general_matching` as it is.  The index costs O(p*m*2^t) plus one
+    visit per element of span(U) & span(V) for every edge {U,V}, with about
+    m*2^t index entries in memory.  The c1(8,8) code (m=24310, t=8) is
+    rotation-closed and takes 1.7-2.7 s, and the process that builds and
+    verifies it peaks at 99 MB RSS (Python 3.11.7, one core of a shared
+    2-vCPU Xeon VM); the span index is most of both, and the scan would
+    take hours there.
     """
     holders = _singleton_columns(code)
-    if _use_span_index(code, holders):
-        part_graphs = _indexed_edges(code)
-    else:
-        part_graphs = _scanned_edges(code, holders)
+    part_graphs = _part_graphs(code, holders, _rotation_image(code, holders))
     per_part = []
     plan_sets = {}
     for part, neighbours in enumerate(part_graphs, start=1):

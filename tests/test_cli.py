@@ -181,6 +181,18 @@ def test_simulate_refuses_a_negative_base_latency(tmp_path, capsys):
     assert (code, stdout, err) == (2, "", "error: base_latency_us must be >= 0\n")
 
 
+def test_simulate_keeps_a_zero_base_latency(tmp_path, capsys):
+    src = tmp_path / "intro.pir"
+    src.write_text(INTRO_TEXT)
+    code, stdout, _ = run(
+        capsys, "simulate", "--in", str(src), "--seed", "1", "--part", "1", "--base-latency", "0", "--jitter", "0"
+    )
+    assert code == 0
+    events = [json.loads(line) for line in stdout.splitlines()]
+    responses = [e["time"] for e in events if e["event"] == "response"]
+    assert responses and set(responses) == {0}
+
+
 def test_rate_at_large_s_is_fast(capsys):
     # the balance chain is stepped in lowest terms, not formed from products
     # of every binomial, so s = t = 60 (q = 60 types) takes a fraction of 1 s

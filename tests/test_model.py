@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -153,6 +154,85 @@ def test_plan_k_is_min_over_parts():
 def test_plan_parse_rejections(text, fragment):
     with pytest.raises(FormatError, match=fragment):
         parse_plan(text)
+
+
+def _reference_parse_plan(text: str) -> RecoveryPlan:
+    """The set-by-set reference parser: every set is matched, converted and
+    checked on its own, and the plan canonicalizes what it is given."""
+    lines = text.splitlines()
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != "PIRPLAN v1":
+        raise FormatError("missing 'PIRPLAN v1' header")
+    sets_by_part: dict[int, list[tuple[int, ...]]] = {}
+    for line_no, line in enumerate(lines[1:], start=2):
+        match = re.match(r"^part (\d+):(.*)$", line)
+        if match is None:
+            raise FormatError(f"malformed plan line {line!r}")
+        part = int(match.group(1))
+        if part in sets_by_part:
+            raise FormatError(f"duplicate plan line for part {part}")
+        rest = match.group(2).strip()
+        sets = []
+        for tok in rest.split(";") if rest else ():
+            set_match = re.match(r"^\{(\d+(?:,\d+)*)\}$", tok)
+            if set_match is None:
+                raise FormatError(f"malformed column set {tok!r} for part {part}")
+            columns = [int(c) for c in set_match.group(1).split(",")]
+            if len(set(columns)) != len(columns):
+                raise FormatError(f"repeated column in set {tok!r} for part {part}")
+            if columns != sorted(columns):
+                raise FormatError(f"column set {tok!r} for part {part} must be ascending")
+            sets.append(columns)
+        sets_by_part[part] = sets
+    return RecoveryPlan(sets_by_part)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "part 1: {1};{2,3}\npart 2:\n",
+        "part 2: {3};{1};{2,9,11}\npart 1: {4}\n",  # parts and sets out of order
+        "part 1: {1};{1}\n",  # one set twice
+        "part 1: {01,2};{007}\n",  # leading zeros, which JSON does not read
+        "part 1: {\u0661,\u0663}\n",  # Arabic-Indic digits 1 and 3
+        "part 1: {1};  {2}\n",
+        "part 1:   {1};{2}  \n",
+        "part 1: {1};\n",
+        "part 1: {1},{2}\n",
+        "part 1: {1};{3,2}\n",
+        "part 1: {1};{2,2};{3,x}\n",
+        "part 1: {1};{3,x};{2,2}\n",
+        "part 1: {1,2,3,5,4}\n",
+        "part 1: {1};{1e3}\n",
+        "part 1: {-1}\n",
+        "part 1: {}\n",
+        "part 1: {[1]}\n",
+        "part 1: {1}}\n",
+        f"part 1: {{1}};{{{'9' * 4000}}}\n",
+    ],
+)
+def test_parse_plan_matches_the_set_by_set_reference(body):
+    text = "PIRPLAN v1\n" + body
+    try:
+        expected = _reference_parse_plan(text)
+    except FormatError as err:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(err))}$"):
+            parse_plan(text)
+    else:
+        plan = parse_plan(text)
+        assert plan == expected
+        assert serialize_plan(plan) == serialize_plan(expected)
+        for part in plan.parts():
+            assert all(type(c) is int for columns in plan.sets(part) for c in columns)
+
+
+def test_recovery_plan_keeps_ascending_tuples_and_canonicalizes_the_rest():
+    ascending = (2, 5, 9)
+    plan = RecoveryPlan({1: [(7,), ascending, (3, 1), [4, 4, 6], (True, 3), frozenset({8})]})
+    assert plan.sets(1) == ((1, 3), (1, 3), (2, 5, 9), (4, 6), (7,), (8,))
+    assert any(columns is ascending for columns in plan.sets(1))
+    assert all(type(c) is int for columns in plan.sets(1) for c in columns)
 
 
 def test_columns_keep_file_order():

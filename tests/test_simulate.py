@@ -303,6 +303,18 @@ def test_fleet_refuses_negative_times(intro_code, knobs, message):
     assert zero.base_latency_us == (0, 0, 0, 0) and zero.timeout_us == 0
 
 
+def test_an_explicit_zero_base_latency_is_kept(c1_fleet):
+    # only the default () stands for 1000 us; with 0 latency and no jitter
+    # every response arrives at time 0
+    fleet, plan = c1_fleet
+    zero = Fleet(code=fleet.code, seed=42, base_latency_us=0, jitter_us=0)
+    assert zero.base_latency_us == (0,) * fleet.code.m
+    assert Fleet(code=fleet.code, seed=42).base_latency_us == (1000,) * fleet.code.m
+    events = [json.loads(line) for line in retrieve(zero, plan, 1).jsonl().splitlines()]
+    responses = [e["time"] for e in events if e["event"] == "response"]
+    assert responses and set(responses) == {0}
+
+
 def test_fleet_refuses_a_chunk_width_beyond_the_limit(intro_code):
     widest = Fleet(code=intro_code, seed=1, chunk_width=MAX_CHUNK_WIDTH)
     assert len(widest.chunk_hex(0)) == 2 + MAX_CHUNK_WIDTH // 4

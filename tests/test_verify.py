@@ -30,6 +30,8 @@ from pirarray.verify import (
     _column_pivots,
     _indexed_edges,
     _minimal_recovery_masks,
+    _part_graphs,
+    _rotation_image,
     _scanned_edges,
     _singleton_columns,
     _use_span_index,
@@ -276,7 +278,7 @@ def test_both_edge_paths_match_quadratic_oracle(code):
         _as_neighbours(_oracle_edges(code, part, held))
         for part, held in enumerate(holders, start=1)
     ]
-    assert list(_indexed_edges(code)) == oracle
+    assert list(_indexed_edges(code, code.p)) == oracle
     assert list(_scanned_edges(code, holders)) == oracle
     assert k_pir_pairs(code).plan == _oracle_plan(code)
 
@@ -320,6 +322,75 @@ def test_pair_plans_at_scale_are_unchanged(key):
     assert verify_plan(code, report.plan).ok
     digest = hashlib.sha256(serialize_plan(report.plan).encode()).hexdigest()
     assert digest == GOLDEN_PLAN_SHA256[key]
+
+
+def _both_routes(code: ArrayCode) -> tuple[list[int] | None, list, list]:
+    """The rotation image and every part's neighbour map, built part by part
+    and through the image (part by part again when there is none)."""
+    holders = _singleton_columns(code)
+    image = _rotation_image(code, holders)
+    return image, list(_part_graphs(code, holders, None)), list(_part_graphs(code, holders, image))
+
+
+ROTATION_CLOSED = sorted(
+    [(family, t, d, s) for family, t, d, s in GOLDEN_PLAN_SHA256 if family != "c2"]
+    + [("c3", t, None, None) for t in range(4, 17, 2)]
+    + [("c1", 3, 1, None)],
+    key=str,
+)
+
+
+@pytest.mark.parametrize("key", ROTATION_CLOSED, ids=str)
+def test_rotated_part_graphs_equal_the_built_ones(key):
+    family, t, d, s = key
+    code = ConstructionParams(family, t, d=d, s=None if s is None else Fraction(s)).build()
+    image, built, rotated = _both_routes(code)
+    assert image is not None
+    assert sorted(image[1:]) == list(range(1, code.m + 1))
+    assert rotated == built
+
+
+def test_codes_not_closed_under_rotation_get_no_column_map():
+    codes = [build_c2(t) for t in range(9, 16, 2)]
+    codes += [seeded_code(seed, *shape) for seed, shape in enumerate(GOLDEN_RANDOM_SHAPES * 2)]
+    for code in codes:
+        assert _rotation_image(code, _singleton_columns(code)) is None
+
+
+def test_a_rotation_closed_span_stored_in_other_bases_falls_back():
+    # {x1+x2, x2+x3} spans the even-weight vectors, which the rotation fixes,
+    # but its rotated cells {x2+x3, x1+x3} are stored in no column
+    code = parse_code("PIRCODE v1\np=3 t=2 m=4\n1+2;2+3\n1;2\n2;3\n1;3\n")
+    image, built, rotated = _both_routes(code)
+    assert image is None
+    report = k_pir_pairs(code)
+    assert report.per_part == (3, 3, 3)
+    assert report.plan == _oracle_plan(code)
+    # stored in all three rotated bases, the same span takes the column map
+    closed = parse_code("PIRCODE v1\np=3 t=2 m=6\n1+2;2+3\n2+3;1+3\n1+2;1+3\n1;2\n2;3\n1;3\n")
+    image, built, rotated = _both_routes(closed)
+    assert image is not None and rotated == built
+    assert k_pir_pairs(closed).plan == _oracle_plan(closed)
+
+
+def _rotated(cell: int, p: int, steps: int) -> int:
+    full = (1 << p) - 1
+    return ((cell << steps) | (cell >> (p - steps))) & full
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_codes(max_m=5, max_p=8, max_t=4, duplicates=True))
+def test_pair_plans_of_rotation_closed_codes_match_the_oracle(base):
+    # every column with all its part rotations: the verifier takes the map
+    columns = [
+        [_rotated(cell, base.p, steps) for cell in col]
+        for steps in range(base.p)
+        for col in base.columns
+    ]
+    code = ArrayCode.from_columns(base.p, columns)
+    image, built, rotated = _both_routes(code)
+    assert image is not None and rotated == built
+    assert k_pir_pairs(code).plan == _oracle_plan(code)
 
 
 @pytest.mark.parametrize("family,t", [("c3", 18), ("c2", 19)])
