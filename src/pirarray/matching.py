@@ -5,48 +5,82 @@ simple graph, which the pair-limited verifier needs because arbitrary codes
 produce non-bipartite pair graphs.  (The paper's bipartite matchings, via
 Hall's theorem, appear only in its proofs.)  A graph is given as a
 neighbour map, vertex -> the collection of its neighbours, listing every
-edge both ways; the pair verifier builds that map straight from its span
-index, so no edge list is made, sorted or re-indexed.  Vertices are taken
-in ascending order and each vertex's neighbours in ascending order, so a
-given graph always yields the same matching.
+edge both ways, or as an `IndexedGraph`.  A neighbour map is checked to be
+simple and undirected and indexed (vertices sorted, each neighbour row
+turned into ascending indices) on every call; `IndexedGraph.of` does that
+once, and `IndexedGraph.renamed` maps an indexed graph through a vertex
+renaming without checking it again, which is how the pair verifier gets
+every part of a rotation-closed code from part 1's graph.  Vertices are
+taken in ascending order and each vertex's neighbours in ascending order,
+so a given graph always yields the same matching.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Collection, Mapping
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .errors import ParameterError
 
-__all__ = ["max_general_matching"]
+__all__ = ["IndexedGraph", "max_general_matching"]
 
 
-def _adjacency(neighbours: Mapping[int, Collection[int]]) -> tuple[list[int], list[list[int]]]:
-    """The sorted vertices and, per vertex, its sorted neighbours as indices
-    into them; raises on a graph that is not simple and undirected.
+class IndexedGraph(NamedTuple):
+    """A simple undirected graph in index space: the ascending vertices
+    `verts` and, per vertex, `adj[i]` the ascending indices into `verts` of
+    vertex i's neighbours.  `max_general_matching` takes it as it is."""
 
-    Row j is filled with the i of every vertex that lists vertex j, in
-    ascending i, so no row needs sorting; once every edge is checked to be
-    listed both ways, that is exactly vertex j's own neighbours.
-    """
-    verts = sorted(neighbours)
-    index = {v: i for i, v in enumerate(verts)}
-    adj: list[list[int]] = [[] for _ in verts]
-    for i, v in enumerate(verts):
-        near = neighbours[v]
-        if v in near:
-            raise ParameterError(f"self-loop at vertex {v}")
-        if not isinstance(near, (set, frozenset)) and len(set(near)) != len(near):
-            raise ParameterError(f"vertex {v} lists a duplicate neighbour")
-        for u in near:
-            try:
-                j = index[u]
-            except KeyError:
-                raise ParameterError(f"vertex {v} has an unknown neighbour {u}") from None
-            if v not in neighbours[u]:
-                raise ParameterError(f"edge ({v},{u}) is listed one way only")
-            adj[j].append(i)
-    return verts, adj
+    verts: list[int]
+    adj: list[list[int]]
+
+    @classmethod
+    def of(cls, neighbours: Mapping[int, Collection[int]]) -> IndexedGraph:
+        """Index a neighbour map; raises on a graph that is not simple and
+        undirected.
+
+        Row j is filled with the i of every vertex that lists vertex j, in
+        ascending i, so no row needs sorting; once every edge is checked to
+        be listed both ways, that is exactly vertex j's own neighbours.
+        """
+        verts = sorted(neighbours)
+        index = {v: i for i, v in enumerate(verts)}
+        adj: list[list[int]] = [[] for _ in verts]
+        for i, v in enumerate(verts):
+            near = neighbours[v]
+            if v in near:
+                raise ParameterError(f"self-loop at vertex {v}")
+            if not isinstance(near, (set, frozenset)) and len(set(near)) != len(near):
+                raise ParameterError(f"vertex {v} lists a duplicate neighbour")
+            for u in near:
+                try:
+                    j = index[u]
+                except KeyError:
+                    raise ParameterError(f"vertex {v} has an unknown neighbour {u}") from None
+                if v not in neighbours[u]:
+                    raise ParameterError(f"edge ({v},{u}) is listed one way only")
+                adj[j].append(i)
+        return cls(verts, adj)
+
+    def renamed(self, image: Sequence[int]) -> IndexedGraph:
+        """The graph with every vertex v renamed `image[v]`, equal to
+        `IndexedGraph.of` of the renamed neighbour map; raises when `image`
+        sends two vertices to one.
+
+        Old index i becomes the position sigma[i] of its image among the
+        sorted images, and each row is mapped through sigma and sorted, with
+        no Python step per edge.  A renamed simple graph is simple, so
+        nothing is checked again.
+        """
+        mapped = list(map(image.__getitem__, self.verts))
+        verts = sorted(mapped)
+        pos = {v: i for i, v in enumerate(verts)}
+        if len(pos) != len(verts):
+            raise ParameterError("the vertex renaming sends two vertices to one")
+        sigma = list(map(pos.__getitem__, mapped))
+        adj: list[list[int]] = [[]] * len(verts)
+        for i, row in zip(sigma, self.adj):
+            adj[i] = sorted(map(sigma.__getitem__, row))
+        return IndexedGraph(verts, adj)
 
 
 def _lca(base: list[int], match: list[int], parent: list[int], a: int, b: int) -> int:
@@ -133,7 +167,9 @@ def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
     return False
 
 
-def max_general_matching(neighbours: Mapping[int, Collection[int]]) -> list[tuple[int, int]]:
+def max_general_matching(
+    neighbours: Mapping[int, Collection[int]] | IndexedGraph,
+) -> list[tuple[int, int]]:
     """Maximum matching of a simple undirected graph as ascending vertex
     pairs in ascending order.
 
@@ -141,8 +177,12 @@ def max_general_matching(neighbours: Mapping[int, Collection[int]]) -> list[tupl
     exactly when v is in `neighbours[u]`; a vertex with no neighbours maps
     to an empty collection.  A self-loop, a repeated neighbour, a neighbour
     that is not a key, or an edge listed one way only raises ParameterError.
+    An `IndexedGraph` is taken as it is, with no check.
     """
-    verts, adj = _adjacency(neighbours)
+    if isinstance(neighbours, IndexedGraph):
+        verts, adj = neighbours
+    else:
+        verts, adj = IndexedGraph.of(neighbours)
     n = len(verts)
     match = [-1] * n
     for v in range(n):  # greedy seed keeps the augmentation count low

@@ -22,16 +22,18 @@ one more column raises it by at most one.  Pair mode counts
 singleton holders plus a maximum matching on the pair graph of the remaining
 columns; that is exact whenever optimal recovery sets have size at most two
 (true for every family this package generates) and a valid lower bound
-otherwise.
+otherwise; a part whose non-holder columns number at most twice its
+matching size plus two is certified exact (see `k_pir_pairs`).
 
 Pair mode builds each part's pair graph one of two ways, whichever a size
 estimate says is cheaper for the code, as a neighbour map (column -> set of
-columns) that the matching takes as it is: no edge list is made, sorted or
-re-indexed, and at most two parts' maps are alive at a time.  The span
-index: for columns U, V that do not span e_i alone, e_i lies in
-span(U)+span(V) iff some x in span(U) has x ^ e_i in span(V).  The index
-maps each nonzero vector to the columns whose span holds it, built from
-every column's 2^t - 1 span elements once per code; for each x of part i,
+columns), and `matching.IndexedGraph.of` checks it once and indexes it
+(sorted columns, each row of ascending indices) for the matching; at most
+two parts' graphs are alive at a time.  The span index: for columns U, V
+that do not span e_i alone, e_i lies in span(U)+span(V) iff some x in
+span(U) has x ^ e_i in span(V).  The index maps each nonzero vector to
+the columns whose span holds it, built from every column's 2^t - 1 span
+elements once per code; for each x of part i,
 every column holding x but not x ^ e_i then gains, by one set union, the
 columns holding x ^ e_i but not x, and the other way round.  Its cost is
 O(p*m*2^t) index work plus those unions, |only x| + |only x ^ e_i| of them
@@ -46,11 +48,13 @@ t (c2, c3) the scan.
 
 When the columns are closed under the part rotation e_i -> e_(i+1 mod p),
 as every ladder code (c1, integer and general s) and c3 are, only part 1's
-graph is built either way.  Each column j maps to a column pi(j) storing
-the rotation of j's cells, so part i+1's graph is part i's with every
-column renamed by pi; each part is still matched on its own graph, so the
-plan is that of the per-part build.  O(p) checks and one pass over the
-cells turn most other codes away before any cell is rotated.
+graph is built and indexed either way.  Each column j maps to a column
+pi(j) storing the rotation of j's cells, so part i+1's graph is part i's
+with every column renamed by pi; the renaming is done on the indexed graph,
+one C-level map and sort per row, and gives exactly the indexed graph of
+the renamed map.  Each part is still matched on its own graph, so the plan
+is that of the per-part build.  O(p) checks and one pass over the cells
+turn most other codes away before any cell is rotated.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
 from .gf2 import pivot_insert, pivot_reduce
-from .matching import max_general_matching
+from .matching import IndexedGraph, max_general_matching
 from .model import ArrayCode, RecoveryPlan, singleton_census
 
 __all__ = [
@@ -84,12 +88,15 @@ PAIRS_SPAN_CAP = 1 << 23
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of one verification run; `per_part[i-1]` is k_i for part i."""
+    """Outcome of one verification run; `per_part[i-1]` is k_i for part i,
+    and `certified[i-1]` says that k_i is proved to be the most disjoint
+    recovery sets part i has (always, in exhaustive mode)."""
 
     mode: str
     m: int
     k: int
     per_part: tuple[int, ...]
+    certified: tuple[bool, ...]
     plan: RecoveryPlan
     singleton_bound: Fraction
     exact: bool
@@ -326,16 +333,20 @@ def _rotation_image(code: ArrayCode, holders: list[Sequence[int]]) -> list[int] 
     return image
 
 
+_NO_EDGES = IndexedGraph([], [])  # every part without edges, unindexed
+
+
 def _part_graphs(
     code: ArrayCode, holders: list[Sequence[int]], image: list[int] | None
-) -> Iterator[dict[int, set[int]]]:
-    """For parts 1..p in turn, the pair graph as a neighbour map.
+) -> Iterator[IndexedGraph]:
+    """For parts 1..p in turn, the pair graph, checked and indexed.
 
-    With no rotation `image`, every part's graph is built from the span
-    index or the pair scan, whichever `_use_span_index` judges cheaper.
-    With one, only part 1's is built that way; the span index is freed
-    before part 1 is matched, and each next part's graph is the last one's
-    with every column renamed by `image`, so at most two graphs are alive.
+    With no rotation `image`, every part's neighbour map is built from the
+    span index or the pair scan, whichever `_use_span_index` judges cheaper,
+    and indexed by `IndexedGraph.of`.  With one, only part 1's is built and
+    indexed that way; the span index is freed before part 1 is matched, and
+    each next part's graph is the last one's renamed by `image` in index
+    space, so at most two graphs are alive.
     """
     built = code.p if image is None else 1
     if _use_span_index(code, holders):
@@ -343,14 +354,17 @@ def _part_graphs(
     else:
         graphs = _scanned_edges(code, holders)
     if image is None:
-        yield from graphs
+        for neighbours in graphs:
+            yield IndexedGraph.of(neighbours) if neighbours else _NO_EDGES
         return
     neighbours = next(graphs)
-    del graphs
-    yield neighbours
+    del graphs  # frees the span index before part 1 is indexed
+    graph = IndexedGraph.of(neighbours)
+    del neighbours
+    yield graph
     for _ in range(code.p - 1):
-        neighbours = {image[u]: {image[v] for v in near} for u, near in neighbours.items()}
-        yield neighbours
+        graph = graph.renamed(image)
+        yield graph
 
 
 def k_pir_pairs(code: ArrayCode) -> VerifyReport:
@@ -361,8 +375,15 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     from the span index or the pair scan, whichever `_use_span_index`
     judges cheaper (see the module docstring), or, for a code closed under
     the part rotation, from the previous part's graph (`_part_graphs`);
-    every route gives the same neighbour map, which goes to
-    `max_general_matching` as it is.  The index costs O(p*m*2^t) plus one
+    every route gives the same indexed graph, which goes to
+    `max_general_matching` as it is.
+
+    Part i is certified when f <= 2*nu + 2, with f = m - alpha_i its
+    non-holder columns and nu its matching size.  Some optimal packing
+    uses every holder alone; its other sets are a <= nu pairs and b sets of
+    three or more columns inside the f non-holders, so 2a + 3b <= f and
+    k_i <= alpha_i + min(f // 2, (f + nu) // 3), which alpha_i + nu meets
+    exactly when f <= 2*nu + 2.  The index costs O(p*m*2^t) plus one
     visit per element of span(U) & span(V) for every edge {U,V}, with about
     m*2^t index entries in memory.  The c1(8,8) code (m=24310, t=8) is
     rotation-closed and takes 1.7-2.7 s, and the process that builds and
@@ -374,18 +395,21 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     part_graphs = _part_graphs(code, holders, _rotation_image(code, holders))
     per_part = []
     plan_sets = {}
-    for part, neighbours in enumerate(part_graphs, start=1):
+    for part, graph in enumerate(part_graphs, start=1):
         sets = [(j + 1,) for j in holders[part - 1]]
-        if neighbours:
-            sets.extend(max_general_matching(neighbours))
-        del neighbours  # free this part's graph before the next one is built
+        if graph.verts:
+            sets.extend(max_general_matching(graph))
+        del graph  # free this part's graph before the next one is built
         per_part.append(len(sets))
         plan_sets[part] = sets
+    # f <= 2*nu + 2 with f = m - alpha_i and nu = k_i - alpha_i
+    certified = [code.m + len(held) <= 2 * k + 2 for k, held in zip(per_part, holders)]
     return VerifyReport(
         mode="pairs",
         m=code.m,
         k=min(per_part),
         per_part=tuple(per_part),
+        certified=tuple(certified),
         plan=RecoveryPlan(plan_sets),
         singleton_bound=singleton_upper_bound(code),
         exact=False,
@@ -596,6 +620,7 @@ def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport
         m=code.m,
         k=min(per_part),
         per_part=tuple(per_part),
+        certified=(True,) * code.p,
         plan=RecoveryPlan(plan_sets),
         singleton_bound=singleton_upper_bound(code),
         exact=True,

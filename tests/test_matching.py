@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pirarray import build_c1, max_general_matching
+from pirarray import IndexedGraph, build_c1, max_general_matching
 from pirarray.errors import ParameterError
 from pirarray.gf2 import parts_of, pivot_insert, pivot_reduce
 
@@ -152,9 +152,9 @@ def test_general_matching_matches_bruteforce(case):
 GOLDEN_MATCHINGS_SHA256 = "2a1c702ba61136949cc6c1d8e08f33decab97f1b8c968df66afc20f73eb832f9"
 
 
-def test_matchings_on_seeded_graphs_are_unchanged():
+def seeded_graphs():
+    """The 300 seeded neighbour maps behind GOLDEN_MATCHINGS_SHA256."""
     rng = random.Random(2016)
-    digest = hashlib.sha256()
     for _ in range(300):
         n = rng.randint(2, 30)
         density = rng.random() * 0.5
@@ -165,5 +165,43 @@ def test_matchings_on_seeded_graphs_are_unchanged():
             for b in range(a + 1, n)
             if rng.random() < density
         ]
-        digest.update(repr(max_general_matching(graph(vertices, edges))).encode())
+        yield graph(vertices, edges)
+
+
+def test_matchings_on_seeded_graphs_are_unchanged():
+    digest = hashlib.sha256()
+    for g in seeded_graphs():
+        digest.update(repr(max_general_matching(g)).encode())
     assert digest.hexdigest() == GOLDEN_MATCHINGS_SHA256
+
+
+def test_indexed_graphs_match_as_their_neighbour_maps_do():
+    for g in seeded_graphs():
+        indexed = IndexedGraph.of(g)
+        assert max_general_matching(indexed) == max_general_matching(g)
+        # the matching reads the graph and leaves it as it was
+        assert indexed == IndexedGraph.of(g)
+
+
+def test_indexed_graph_of_sorts_and_indexes():
+    assert IndexedGraph.of({}) == IndexedGraph([], [])
+    assert IndexedGraph.of({5: {2, 9}, 2: {5}, 9: [5]}) == IndexedGraph([2, 5, 9], [[1], [0, 2], [1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_strategy, st.randoms(use_true_random=False))
+def test_renaming_an_indexed_graph_indexes_the_renamed_map(case, rng):
+    n, edges = case
+    vertices = rng.sample(range(40), n)
+    g = graph(vertices, [(vertices[u], vertices[v]) for u, v in edges])
+    image = rng.sample(range(100, 140), 40)  # a permutation of range(40) onto 100..139
+    renamed = {image[v]: {image[u] for u in near} for v, near in g.items()}
+    assert IndexedGraph.of(g).renamed(image) == IndexedGraph.of(renamed)
+    assert max_general_matching(IndexedGraph.of(g).renamed(image)) == max_general_matching(renamed)
+
+
+def test_renaming_two_vertices_to_one_is_refused():
+    indexed = IndexedGraph.of(graph([1, 2, 3], [(1, 2), (2, 3)]))
+    assert indexed.renamed([0, 3, 1, 2]) == IndexedGraph([1, 2, 3], [[1, 2], [0], [0]])
+    with pytest.raises(ParameterError, match="two vertices to one"):
+        indexed.renamed([0, 1, 1, 2])

@@ -13,6 +13,7 @@ from pirarray import (
     ArrayCode,
     ConstructionParams,
     RecoveryPlan,
+    VerifyReport,
     build_c1,
     build_c2,
     build_c3,
@@ -90,7 +91,9 @@ def test_c1_22_bound_and_k():
 
 def test_pairs_equals_exhaustive_on_family_codes(intro_code):
     for code in (build_c1(1, 1), build_c1(2, 1), build_c1(2, 2), build_c2(3), build_c2(5), build_c3(2), intro_code):
-        assert k_pir_pairs(code).k == k_pir_exhaustive(code).k
+        pairs = k_pir_pairs(code)
+        assert pairs.k == k_pir_exhaustive(code).k
+        assert all(pairs.certified)
 
 
 def test_pairs_is_strict_lower_bound_when_sets_need_three_columns():
@@ -99,6 +102,7 @@ def test_pairs_is_strict_lower_bound_when_sets_need_three_columns():
     pairs = k_pir_pairs(code)
     full = k_pir_exhaustive(code)
     assert pairs.per_part[0] == 0 and full.per_part[0] == 1
+    assert pairs.certified == (False, True, True)
     assert pairs.k == 0 and full.k == 1
     assert pairs.k <= full.k
 
@@ -289,8 +293,54 @@ def test_pairs_never_beats_exhaustive_on_small_codes(code):
     pairs, full = k_pir_pairs(code), k_pir_exhaustive(code)
     assert pairs.k <= full.k
     assert all(a <= b for a, b in zip(pairs.per_part, full.per_part))
+    assert all(a == b for a, b, sure in zip(pairs.per_part, full.per_part, pairs.certified) if sure)
+    assert full.certified == (True,) * code.p
     assert verify_plan(code, pairs.plan).ok
     assert verify_plan(code, full.plan).ok
+
+
+# (m, p, t) of seeded random codes, seeds 0-2, on whose 168 parts pair mode
+# is exact 88 times and certifies 86 of them; m=16, p=12, t=3 and m=16, p=8,
+# t=2 certify no part.
+CERTIFICATE_SHAPES = ((14, 6, 2), (14, 8, 3), (16, 10, 4), (16, 12, 3), (16, 8, 2), (14, 12, 5))
+
+
+def _certificate_cases() -> list[tuple[ArrayCode, list[int], VerifyReport, VerifyReport]]:
+    """Per code: the code, alpha_i per part, and its pair and exhaustive
+    reports at cap=m; the seeded codes come first, then family codes."""
+    codes = [seeded_code(seed, *shape) for seed in range(3) for shape in CERTIFICATE_SHAPES]
+    codes += [build_c2(t) for t in (9, 11, 13)] + [build_c3(t) for t in (4, 6, 8)]
+    codes += [build_c1(3, 1)]
+    return [
+        (code, list(map(len, _singleton_columns(code))), k_pir_pairs(code), k_pir_exhaustive(code, cap=code.m))
+        for code in codes
+    ]
+
+
+def test_certified_pair_counts_equal_the_exhaustive_ones():
+    seeded = len(CERTIFICATE_SHAPES) * 3
+    certified = exact = 0
+    for position, (code, _, pairs, full) in enumerate(_certificate_cases()):
+        assert len(pairs.certified) == code.p
+        assert full.certified == (True,) * code.p
+        assert not pairs.exact and full.exact
+        for got, best, sure in zip(pairs.per_part, full.per_part, pairs.certified):
+            assert got <= best
+            if sure:
+                assert got == best
+        if position < seeded:
+            certified += sum(pairs.certified)
+            exact += sum(map(int.__eq__, pairs.per_part, full.per_part))
+        else:  # every family part meets the certificate
+            assert all(pairs.certified)
+    assert (certified, exact) == (86, 88)
+
+
+def test_pair_certificate_bound_is_never_below_the_exhaustive_count():
+    for code, alphas, pairs, full in _certificate_cases():
+        for alpha, got, best in zip(alphas, pairs.per_part, full.per_part):
+            f, nu = code.m - alpha, got - alpha
+            assert alpha + min(f // 2, (f + nu) // 3) >= best
 
 
 # SHA-256 of the PIRPLAN text of these codes' pair plans: the first two as the
@@ -319,14 +369,16 @@ def test_pair_plans_at_scale_are_unchanged(key):
     assert _use_span_index(code, _singleton_columns(code)) == (family not in ("c2", "c3"))
     report = k_pir_pairs(code)
     assert (code.m, report.k) == params.predicted_counts()
+    assert all(report.certified)
     assert verify_plan(code, report.plan).ok
     digest = hashlib.sha256(serialize_plan(report.plan).encode()).hexdigest()
     assert digest == GOLDEN_PLAN_SHA256[key]
 
 
 def _both_routes(code: ArrayCode) -> tuple[list[int] | None, list, list]:
-    """The rotation image and every part's neighbour map, built part by part
-    and through the image (part by part again when there is none)."""
+    """The rotation image and every part's indexed graph, the matching's
+    input, built part by part and through the image (part by part again
+    when there is none)."""
     holders = _singleton_columns(code)
     image = _rotation_image(code, holders)
     return image, list(_part_graphs(code, holders, None)), list(_part_graphs(code, holders, image))
