@@ -6,12 +6,10 @@ arithmetic, and replays deterministic multi-server recovery sessions.
 """
 
 from .bounds import (
-    BoundSheet,
     corollary_bound,
     fvy_rate,
     general_s_rate,
     integer_s_rate,
-    min_servers_bound,
     reference_rates,
     render_decimal,
     s3_rate,
@@ -56,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayCode",
-    "BoundSheet",
     "CapExceeded",
     "ConstructionParams",
     "Fleet",
@@ -80,7 +77,6 @@ __all__ = [
     "k_pir_exhaustive",
     "k_pir_pairs",
     "max_general_matching",
-    "min_servers_bound",
     "parse_code",
     "parse_plan",
     "reference_rates",

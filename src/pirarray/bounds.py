@@ -1,5 +1,4 @@
-"""Exact-rational rate and bound formulas, the reference rate table, and the
-minimum-server-count bound.
+"""Exact-rational rate and bound formulas and the reference rate table.
 
 Everything is a `fractions.Fraction`; decimal strings exist only at the
 presentation layer (`render_decimal`, round-half-even).  Formula domains:
@@ -12,7 +11,9 @@ presentation layer (`render_decimal`, round-half-even).  Formula domains:
   t1_rate          g(s,1) = 2^(s-1) / (2^s - 1), integer s >= 1 (exact).
   fvy_rate         g(s, s-1) >= s/(2s-1), integer s >= 3.
   integer_s_rate   k/m of the integer-s family, integer s >= 2 and t >= 1;
-                   equals (beta+gamma)/(beta+2gamma) from the xi multiplicities.
+                   equals (beta+gamma)/(beta+2gamma), beta and gamma being a
+                   part's singleton holders and matched pairs scaled by
+                   (p-t+1)/C(p-1,t-1).
   general_s_rate   the same for the general family, non-integer s > 2 and
                    t >= 2 with st integral.
   s3_rate, s4_rate closed forms (16t^2+7t+1)/(24t^2+15t+3) and
@@ -20,31 +21,26 @@ presentation layer (`render_decimal`, round-half-even).  Formula domains:
 
 `corollary_bound` evaluates its published closed form verbatim.  For ell <
 delta that form can drop below rates this package actually achieves, so it
-is never auto-filled into a BoundSheet and is excluded from the
+is never filled into `reference_rates` and is excluded from the
 lower-vs-upper consistency checks; call it explicitly when wanted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import comb, gcd
-from typing import Sequence
+from math import gcd
 
-from .constructions import _ladder_s, c1_counts, general_s_counts, integer_s_counts
+from .constructions import c1_counts, general_s_counts, integer_s_counts
 from .errors import ParameterError
 
 __all__ = [
-    "BoundSheet",
     "upper_g_s",
     "upper_g_st",
     "corollary_bound",
     "t1_rate",
     "fvy_rate",
     "c1_rate",
-    "integer_beta_gamma",
     "integer_s_rate",
-    "general_beta_gamma",
     "general_s_rate",
     "s3_rate",
     "s4_rate",
@@ -52,7 +48,6 @@ __all__ = [
     "table1",
     "table1_text",
     "table1_csv",
-    "min_servers_bound",
     "render_decimal",
 ]
 
@@ -109,40 +104,15 @@ def c1_rate(t: int, d: int) -> Fraction:
     return Fraction(k, m)
 
 
-def _beta_gamma(s: Fraction, t: int, counts: tuple[int, int, int, int]) -> tuple[int, int]:
-    """The per-part counts (b, c) scaled by (p-t+1)/C(p-1,t-1), both exactly:
-    beta = xi_1(p-t+1) + (t-1) sum_{r>=2} xi_r C(p-t+1, a_r) and
-    gamma = (p-t+1) sum_{r>=2} xi_r C(p-t, a_r - 1), a_r being T_r's summand count."""
-    p = (s * t).numerator
-    _, b, c, _ = counts
-    return b * (p - t + 1) // comb(p - 1, t - 1), c * (p - t + 1) // comb(p - 1, t - 1)
-
-
-def integer_beta_gamma(
-    s: Fraction | int, t: int, xi: Sequence[int] | None = None
-) -> tuple[int, int]:
-    """(beta, gamma) for integer s >= 2."""
-    s = _ladder_s(s, t, integer=True, needs="need")
-    return _beta_gamma(s, t, integer_s_counts(s, t, xi))
-
-
-def integer_s_rate(s: Fraction | int, t: int, xi: Sequence[int] | None = None) -> Fraction:
-    """k/m = (beta+gamma)/(beta+2gamma); independent of the scaling of xi."""
-    m, _, _, k = integer_s_counts(_ladder_s(s, t, integer=True, needs="need"), t, xi)
+def integer_s_rate(s: Fraction | int, t: int) -> Fraction:
+    """k/m = (beta+gamma)/(beta+2gamma) of the integer-s family."""
+    m, k = integer_s_counts(s, t)
     return Fraction(k, m)
 
 
-def general_beta_gamma(
-    s: Fraction | int, t: int, xi: Sequence[int] | None = None
-) -> tuple[int, int]:
-    """(beta, gamma) for non-integer s > 2, including the closing type's terms."""
-    s = _ladder_s(s, t, integer=False, needs="need")
-    return _beta_gamma(s, t, general_s_counts(s, t, xi))
-
-
-def general_s_rate(s: Fraction | int, t: int, xi: Sequence[int] | None = None) -> Fraction:
+def general_s_rate(s: Fraction | int, t: int) -> Fraction:
     """k/m = (beta+gamma)/(beta+2gamma) of the general family."""
-    m, _, _, k = general_s_counts(_ladder_s(s, t, integer=False, needs="need"), t, xi)
+    m, k = general_s_counts(s, t)
     return Fraction(k, m)
 
 
@@ -162,34 +132,10 @@ def s4_rate(t: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class BoundSheet:
-    """Every formula applicable at (s, t); inapplicable entries stay None.
-
-    `corollary_bound` is present for explicit calls only (see module note).
-    """
-
-    s: Fraction
-    t: int
-    upper_g_s: Fraction | None = None
-    upper_g_st: Fraction | None = None
-    corollary_bound: Fraction | None = None
-    t1_rate: Fraction | None = None
-    fvy_rate: Fraction | None = None
-    c1_rate: Fraction | None = None
-    integer_s_rate: Fraction | None = None
-    general_s_rate: Fraction | None = None
-    s3_rate: Fraction | None = None
-    s4_rate: Fraction | None = None
-
-    def entries(self) -> dict[str, Fraction]:
-        """Every formula's value that is not None, in field order after s and t."""
-        names = (f.name for f in fields(self)[2:])
-        return {n: v for n in names if (v := getattr(self, n)) is not None}
-
-
-def reference_rates(s: Fraction | int, t: int) -> BoundSheet:
-    """Fill every applicable formula at (s, t); needs s > 1, t >= 1 and st integral."""
+def reference_rates(s: Fraction | int, t: int) -> dict[str, Fraction]:
+    """Every formula applicable at (s, t), by name, in the order upper_g_s,
+    upper_g_st, t1_rate, fvy_rate, c1_rate, integer_s_rate, general_s_rate,
+    s3_rate, s4_rate; needs s > 1, t >= 1 and st integral."""
     s = Fraction(s)
     if s <= 1:
         raise ParameterError(f"need s > 1, got {s}")
@@ -218,7 +164,7 @@ def reference_rates(s: Fraction | int, t: int) -> BoundSheet:
         values["s3_rate"] = s3_rate(t)
     if s == 4:
         values["s4_rate"] = s4_rate(t)
-    return BoundSheet(s=s, t=t, **values)
+    return values
 
 
 def table1(max_s: int = 6, max_t: int = 13) -> dict[tuple[int, int], Fraction]:
@@ -280,25 +226,3 @@ def table1_csv(max_s: int = 6, max_t: int = 13, digits: int = 6) -> str:
                 f"{s},{t},{value.numerator},{value.denominator},{render_decimal(value, digits)}"
             )
     return "\n".join(lines) + "\n"
-
-
-def min_servers_bound(s: Fraction | int, t: int, k: int) -> int:
-    """ceil(k / U) where U is the sharpest applicable upper bound on g(s, t).
-
-    U is the exact single-cell rate at t = 1, the tight 1 < s <= 2 bound when
-    s-1 maps to an integer d, and (s+1)/(2s) otherwise.
-    """
-    s = Fraction(s)
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
-    if s <= 1:
-        raise ParameterError(f"need s > 1, got {s}")
-    d = (s - 1) * t
-    if t == 1 and s.denominator == 1:
-        bound = t1_rate(s.numerator)
-    elif s <= 2 and d.denominator == 1:
-        bound = upper_g_st(t, d.numerator)
-    else:
-        bound = upper_g_s(s)
-    servers = Fraction(k) / bound
-    return -((-servers.numerator) // servers.denominator)

@@ -147,7 +147,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     sheet = bounds_mod.reference_rates(args.s, args.t)
     print(f"s={args.s} t={args.t}")
-    for name, value in sheet.entries().items():
+    for name, value in sheet.items():
         print(f"{name}={_fraction_text(value, args.precision)}")
     if args.corollary_ell is not None:
         delta, tau = (args.s - 1).numerator, (args.s - 1).denominator

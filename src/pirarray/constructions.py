@@ -21,15 +21,16 @@ Families (s = p/t throughout, theta = lcm(d, t)):
 
 The xi multiplicities balance the per-part pairing graphs so that servers
 without the singleton x_i pair up perfectly; `solve_xi` returns the unique
-gcd-reduced positive solution of the balance equations.
+gcd-reduced positive solution of the balance equations, and the integer and
+general families always use it.
 
-Counts are always evaluated symbolically before any cells are materialized;
-every builder refuses a code wider than `max_columns` with `CapExceeded`
-carrying the computed m.  A builder emits each column as a tuple of int
-cells (bit i-1 <-> x_i) in canonical order; the copies of a repeated column
-share one tuple, and the columns of one build share one int per distinct
-cell (Python caches no int above 256, so p > 8 would otherwise leave a copy
-of a cell in every column that holds it).
+Every family's counts are (m, k), evaluated symbolically before any cells
+are materialized; every builder refuses a code wider than `max_columns` with
+`CapExceeded` carrying the computed m.  A builder emits each column as a
+tuple of int cells (bit i-1 <-> x_i) in canonical order; the copies of a
+repeated column share one tuple, and the columns of one build share one int
+per distinct cell (Python caches no int above 256, so p > 8 would otherwise
+leave a copy of a cell in every column that holds it).
 
 One registry, keyed by the names in `FAMILIES`, holds each family's extra
 parameter (d, s or none), how s follows, its (m, k) counts and its builder;
@@ -123,55 +124,32 @@ def _chain_solution(equations: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(v // shrink for v in values)
 
 
-def _ladder_s(s: Fraction | int, t: int, integer: bool, needs: str) -> Fraction:
-    """s as a Fraction, inside the integer (s >= 2, t >= 1) or the general
-    (non-integer s > 2, t >= 2) family's domain; `needs` opens the message."""
-    s = Fraction(s)
-    if integer and (s.denominator != 1 or s < 2):
-        raise ParameterError(f"{needs} integer s >= 2, got {s}")
-    if not integer and (s.denominator == 1 or s <= 2):
-        raise ParameterError(f"{needs} non-integer s > 2, got {s}")
-    low = 1 if integer else 2
-    if t < low:
-        raise ParameterError(f"need t >= {low}, got {t}")
-    return s
+def _needs(integer: bool) -> str:
+    return "integer-s family needs integer s >= 2" if integer else "general-s family needs non-integer s > 2"
 
 
 def solve_xi(s: Fraction | int, t: int) -> tuple[int, ...]:
-    """Gcd-reduced positive multiplicities xi_1..xi_ceil(s) for the s,t balance equations."""
+    """Gcd-reduced positive multiplicities xi_1..xi_ceil(s) of the integer-s
+    (integer s >= 2, t >= 1) or the general-s (non-integer s > 2, t >= 2)
+    family, whichever s belongs to."""
     s = Fraction(s)
-    _ladder_s(s, t, integer=s.denominator == 1, needs="need")
+    integer = s.denominator == 1
+    if s < 2:  # a non-integer s cannot equal 2
+        raise ParameterError(f"{_needs(integer)}, got {s}")
+    low = 1 if integer else 2
+    if t < low:
+        raise ParameterError(f"need t >= {low}, got {t}")
     return _chain_solution(_balance(_part_count(s, t), t, ceil(s)))
 
 
-def check_xi(s: Fraction | int, t: int, xi: Sequence[int]) -> None:
-    """Raise ParameterError unless xi is a positive solution of the balance equations.
-
-    Equation r = 1 is the leading one; r = ceil(s)-1 >= 2 is the closing
-    one, whose right side counts the closing type; those between are
-    interior.
-    """
+def _ladder(s: Fraction | int, t: int, integer: bool) -> tuple[int, int, tuple[int, ...]]:
+    """(p, t, xi) of the integer-s or the general-s family's ladder; s must
+    belong to that family, and `solve_xi` checks the rest of its domain."""
     s = Fraction(s)
-    p = _part_count(s, t)
-    if any(x <= 0 for x in xi):
-        raise ParameterError("xi values must be positive")
-    q = ceil(s)
-    if len(xi) != q:
-        raise ParameterError(f"expected {q} xi values, got {len(xi)}")
-    for r, (sigma, rho) in enumerate(_balance(p, t, q), start=1):
-        if sigma * xi[r - 1] != rho * xi[r]:
-            kind = "leading" if r == 1 else "closing" if r == q - 1 else "interior"
-            where = f" at r={r}" if kind == "interior" else ""
-            raise ParameterError(f"xi violates the {kind} balance equation{where}")
-
-
-def _ladder(s: Fraction, t: int, xi: Sequence[int] | None) -> tuple[int, int, Sequence[int]]:
-    """(p, t, xi) of a ladder, with xi solved or, when given, checked."""
-    p = _part_count(s, t)
-    if xi is None:
-        return p, t, solve_xi(s, t)
-    check_xi(s, t, xi)
-    return p, t, xi
+    if (s.denominator == 1) != integer:
+        raise ParameterError(f"{_needs(integer)}, got {s}")
+    xi = solve_xi(s, t)
+    return (s * t).numerator, t, xi  # solve_xi found s*t integral
 
 
 def _c1_ladder(t: int, d: int) -> tuple[int, int, tuple[int, int]]:
@@ -188,24 +166,20 @@ def _c1_ladder(t: int, d: int) -> tuple[int, int, tuple[int, int]]:
 # symbolic counts
 
 
-def _ladder_counts(p: int, t: int, xi: Sequence[int]) -> tuple[int, int, int, int]:
-    """(m, b, c, k): b singleton holders per part, c matched pairs per part
-    (every column without the singleton is matched once the pairing graphs
-    balance, so c = (m-b)/2), and k = b + c."""
+def _ladder_counts(p: int, t: int, xi: Sequence[int]) -> tuple[int, int]:
+    """(m, k).  A part's b singleton holders serve it alone, and once xi
+    balances its pairing graphs the other m - b columns pair up perfectly,
+    so k = b + (m - b)/2."""
     # sum-type columns per (t-1)-subset of singletons
     per_subset = sum(x * comb(p - t + 1, a) for x, a in zip(xi[1:], _sum_sizes(p, t, len(xi))))
     m = xi[0] * comb(p, t) + comb(p, t - 1) * per_subset
     b = xi[0] * comb(p - 1, t - 1) + (comb(p - 1, t - 2) if t >= 2 else 0) * per_subset
-    if (m - b) % 2 != 0:
-        raise ParameterError("xi does not balance the pairing graphs (m - b is odd)")
-    c = (m - b) // 2
-    return m, b, c, b + c
+    return m, (m + b) // 2
 
 
 def c1_counts(t: int, d: int) -> tuple[int, int]:
     """(m, k) for the c1 family: m = C(p,t)theta/d + C(p,t-1)theta/t, k = m - C(p-1,t)theta/d."""
-    m, _, _, k = _ladder_counts(*_c1_ladder(t, d))
-    return m, k
+    return _ladder_counts(*_c1_ladder(t, d))
 
 
 def c2_counts(t: int) -> tuple[int, int]:
@@ -222,20 +196,14 @@ def c3_counts(t: int) -> tuple[int, int]:
     return 3 * t + 3, 3 * t + 1
 
 
-def integer_s_counts(
-    s: Fraction | int, t: int, xi: Sequence[int] | None = None
-) -> tuple[int, int, int, int]:
-    """(m, b, c, k) for integer s: b singleton holders per part, c matched pairs, k = b + c."""
-    s = _ladder_s(s, t, integer=True, needs="integer-s family needs")
-    return _ladder_counts(*_ladder(s, t, xi))
+def integer_s_counts(s: Fraction | int, t: int) -> tuple[int, int]:
+    """(m, k) for integer s >= 2."""
+    return _ladder_counts(*_ladder(s, t, integer=True))
 
 
-def general_s_counts(
-    s: Fraction | int, t: int, xi: Sequence[int] | None = None
-) -> tuple[int, int, int, int]:
-    """(m, b, c, k) for non-integer s > 2, with the closing all-remaining-parts type."""
-    s = _ladder_s(s, t, integer=False, needs="general-s family needs")
-    return _ladder_counts(*_ladder(s, t, xi))
+def general_s_counts(s: Fraction | int, t: int) -> tuple[int, int]:
+    """(m, k) for non-integer s > 2, with the closing all-remaining-parts type."""
+    return _ladder_counts(*_ladder(s, t, integer=False))
 
 
 # ---------------------------------------------------------------------------
@@ -325,26 +293,14 @@ def build_c3(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     return ArrayCode.from_columns(p, type_a + type_b)
 
 
-def build_integer_s(
-    s: Fraction | int,
-    t: int,
-    xi: Sequence[int] | None = None,
-    max_columns: int = DEFAULT_MAX_COLUMNS,
-) -> ArrayCode:
+def build_integer_s(s: Fraction | int, t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     """Materialize the integer-s family; types T_1..T_s in order."""
-    s = _ladder_s(s, t, integer=True, needs="integer-s family needs")
-    return _build_ladder(*_ladder(s, t, xi), max_columns)
+    return _build_ladder(*_ladder(s, t, integer=True), max_columns)
 
 
-def build_general_s(
-    s: Fraction | int,
-    t: int,
-    xi: Sequence[int] | None = None,
-    max_columns: int = DEFAULT_MAX_COLUMNS,
-) -> ArrayCode:
+def build_general_s(s: Fraction | int, t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     """Materialize the general (non-integer s > 2) family; the last type sums all remaining parts."""
-    s = _ladder_s(s, t, integer=False, needs="general-s family needs")
-    return _build_ladder(*_ladder(s, t, xi), max_columns)
+    return _build_ladder(*_ladder(s, t, integer=False), max_columns)
 
 
 class _Family(NamedTuple):
@@ -354,7 +310,7 @@ class _Family(NamedTuple):
 
     extra: str | None  # the parameter besides t: "d", "s" or none
     s_of: Callable[[ConstructionParams], Fraction]
-    counts: Callable[[ConstructionParams], tuple[int, ...]]  # m first, k last
+    counts: Callable[[ConstructionParams], tuple[int, int]]  # (m, k)
     build: Callable[[ConstructionParams], ArrayCode]
 
 
@@ -366,9 +322,9 @@ _REGISTRY: dict[str, _Family] = {
     "c3": _Family(None, lambda c: Fraction(c.t + 1, c.t), lambda c: c3_counts(c.t),
                   lambda c: build_c3(c.t, c.max_columns)),
     "integer": _Family("s", lambda c: Fraction(c.s), lambda c: integer_s_counts(c.s, c.t),
-                       lambda c: build_integer_s(c.s, c.t, max_columns=c.max_columns)),
+                       lambda c: build_integer_s(c.s, c.t, c.max_columns)),
     "general": _Family("s", lambda c: Fraction(c.s), lambda c: general_s_counts(c.s, c.t),
-                       lambda c: build_general_s(c.s, c.t, max_columns=c.max_columns)),
+                       lambda c: build_general_s(c.s, c.t, c.max_columns)),
 }
 
 FAMILIES = tuple(_REGISTRY)
@@ -387,7 +343,7 @@ class ConstructionParams:
     d: int | None = None
     s: Fraction | None = None
     max_columns: int = DEFAULT_MAX_COLUMNS
-    counts: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    counts: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         family = _REGISTRY.get(self.family)
@@ -402,7 +358,7 @@ class ConstructionParams:
 
     def predicted_counts(self) -> tuple[int, int]:
         """(m, k) computed symbolically, without materializing anything."""
-        return self.counts[0], self.counts[-1]
+        return self.counts
 
     def build(self) -> ArrayCode:
         return _REGISTRY[self.family].build(self)

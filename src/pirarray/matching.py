@@ -3,14 +3,13 @@
 `max_general_matching` is blossom-contraction augmentation and accepts any
 simple graph, which the pair-limited verifier needs because arbitrary codes
 produce non-bipartite pair graphs.  (The paper's bipartite matchings, via
-Hall's theorem, appear only in its proofs.)  A graph is given as a
-neighbour map, vertex -> the collection of its neighbours, listing every
-edge both ways, or as an `IndexedGraph`.  A neighbour map is checked to be
-simple and undirected and indexed (vertices sorted, each neighbour row
-turned into ascending indices) on every call; `IndexedGraph.of` does that
-once, and `IndexedGraph.renamed` maps an indexed graph through a vertex
-renaming without checking it again, which is how the pair verifier gets
-every part of a rotation-closed code from part 1's graph.  Vertices are
+Hall's theorem, appear only in its proofs.)  A graph is given as an
+`IndexedGraph`.  `IndexedGraph.of` checks a neighbour map, vertex -> the
+collection of its neighbours listing every edge both ways, to be simple and
+undirected and indexes it (vertices sorted, each neighbour row turned into
+ascending indices); `IndexedGraph.renamed` maps an indexed graph through a
+vertex renaming without checking it again, which is how the pair verifier
+gets every part of a rotation-closed code from part 1's graph.  Vertices are
 taken in ascending order and each vertex's neighbours in ascending order,
 so a given graph always yields the same matching.
 """
@@ -35,8 +34,11 @@ class IndexedGraph(NamedTuple):
 
     @classmethod
     def of(cls, neighbours: Mapping[int, Collection[int]]) -> IndexedGraph:
-        """Index a neighbour map; raises on a graph that is not simple and
-        undirected.
+        """Index a neighbour map.  `neighbours[v]` holds v's neighbours, and
+        u is in `neighbours[v]` exactly when v is in `neighbours[u]`; a vertex
+        with no neighbours maps to an empty collection.  A self-loop, a
+        repeated neighbour, a neighbour that is not a key, or an edge listed
+        one way only raises ParameterError.
 
         Row j is filled with the i of every vertex that lists vertex j, in
         ascending i, so no row needs sorting; once every edge is checked to
@@ -167,22 +169,11 @@ def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
     return False
 
 
-def max_general_matching(
-    neighbours: Mapping[int, Collection[int]] | IndexedGraph,
-) -> list[tuple[int, int]]:
+def max_general_matching(graph: IndexedGraph) -> list[tuple[int, int]]:
     """Maximum matching of a simple undirected graph as ascending vertex
-    pairs in ascending order.
-
-    `neighbours[v]` holds v's neighbours, and u is in `neighbours[v]`
-    exactly when v is in `neighbours[u]`; a vertex with no neighbours maps
-    to an empty collection.  A self-loop, a repeated neighbour, a neighbour
-    that is not a key, or an edge listed one way only raises ParameterError.
-    An `IndexedGraph` is taken as it is, with no check.
-    """
-    if isinstance(neighbours, IndexedGraph):
-        verts, adj = neighbours
-    else:
-        verts, adj = IndexedGraph.of(neighbours)
+    pairs in ascending order.  The graph is taken as it is, with no check;
+    `IndexedGraph.of` checks a neighbour map and indexes it."""
+    verts, adj = graph
     n = len(verts)
     match = [-1] * n
     for v in range(n):  # greedy seed keeps the augmentation count low

@@ -1,12 +1,14 @@
 """Shared fixtures: the classic 7x4 reference code, the published rate-table
 digits, a lazy cache of generated-and-verified family codes reused across
-the acceptance criteria, and seeded random codes under the singleton
-convention."""
+the acceptance criteria, seeded random codes under the singleton
+convention, and the beta/gamma oracle for the integer-s and general-s
+rates."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -63,8 +65,8 @@ FAMILY_BUILDERS = {
     "c2(5)": lambda: build_c2(5),
     "c3(2)": lambda: build_c3(2),
     "c3(4)": lambda: build_c3(4),
-    "integer(3,2)": lambda: build_integer_s(3, 2, (3, 1, 4)),
-    "general(5/2,2)": lambda: build_general_s(Fraction(5, 2), 2, (2, 1, 1)),
+    "integer(3,2)": lambda: build_integer_s(3, 2),
+    "general(5/2,2)": lambda: build_general_s(Fraction(5, 2), 2),
 }
 
 _family_cache: dict[str, tuple[ArrayCode, VerifyReport]] = {}
@@ -102,3 +104,24 @@ def seeded_code(seed: int, m: int, p: int, t: int) -> ArrayCode:
     rng = random.Random(seed)
     columns = [random_column(rng, p, t, p, 0) for _ in range(m)]
     return ArrayCode.from_columns(p, columns)
+
+
+def _oracle_beta_gamma(s, t, xi):
+    """(beta, gamma) of the integer-s or general-s ladder with multiplicities
+    xi, by the per-family sums: a part's singleton holders and matched pairs
+    scaled by (p-t+1)/C(p-1,t-1), so that k/m = (beta+gamma)/(beta+2gamma)."""
+    p = (s * t).numerator
+    q = len(xi)
+    if s.denominator == 1:
+        beta = xi[0] * (p - t + 1) + sum(
+            (t - 1) * xi[r - 1] * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q + 1)
+        )
+        gamma = (p - t + 1) * sum(xi[r] * comb(p - t, r * t) for r in range(1, q))
+    else:
+        beta = (
+            xi[0] * (p - t + 1)
+            + sum((t - 1) * xi[r - 1] * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q))
+            + (t - 1) * xi[q - 1]
+        )
+        gamma = (p - t + 1) * (sum(xi[r] * comb(p - t, r * t) for r in range(1, q - 1)) + xi[q - 1])
+    return beta, gamma

@@ -26,15 +26,16 @@ from pirarray import (
     parse_code,
     retrieve,
     serialize_plan,
+    solve_xi,
     table1,
     upper_g_s,
     upper_g_st,
     verify_plan,
 )
-from pirarray.bounds import general_beta_gamma, integer_beta_gamma, integer_s_rate, s3_rate, s4_rate
+from pirarray.bounds import general_s_rate, integer_s_rate, s3_rate, s4_rate
 from pirarray.gf2 import pivot_insert
 
-from conftest import INTRO_TEXT, PRINTED_TABLE, family_code, family_labels
+from conftest import INTRO_TEXT, PRINTED_TABLE, _oracle_beta_gamma, family_code, family_labels
 
 
 class Stopwatch:
@@ -133,8 +134,9 @@ def test_criterion_05_integer_s_end_to_end():
     assert verified.per_part == (79,) * 6, f"criterion 5: per-part k {verified.per_part}"
     rate = verified.rate
     assert rate == Fraction(79, 129), f"criterion 5: rate {rate}"
-    assert integer_beta_gamma(3, 2, (3, 1, 4)) == (29, 50), "criterion 5: beta/gamma"
-    assert rate == integer_s_rate(3, 2, (3, 1, 4)), "criterion 5: rate formula"
+    beta, gamma = _oracle_beta_gamma(3, 2, solve_xi(3, 2))
+    assert (beta, gamma) == (29, 50), "criterion 5: beta/gamma"
+    assert rate == integer_s_rate(3, 2) == Fraction(beta + gamma, beta + 2 * gamma), "criterion 5: rate formula"
     assert rate == s3_rate(2), "criterion 5: s=3 closed form"
     elapsed = watch.check(5)
     report(5, "integer-s end to end", elapsed)
@@ -146,7 +148,10 @@ def test_criterion_06_general_s_end_to_end():
     assert code.m == 45, f"criterion 6: m={code.m}"
     assert verified.k == 29, f"criterion 6: k={verified.k}"
     assert verified.rate == Fraction(29, 45), "criterion 6: rate"
-    assert general_beta_gamma(Fraction(5, 2), 2, (2, 1, 1)) == (13, 16), "criterion 6: beta/gamma"
+    beta, gamma = _oracle_beta_gamma(Fraction(5, 2), 2, solve_xi(Fraction(5, 2), 2))
+    assert (beta, gamma) == (13, 16), "criterion 6: beta/gamma"
+    rate_formula = Fraction(beta + gamma, beta + 2 * gamma)
+    assert verified.rate == general_s_rate(Fraction(5, 2), 2) == rate_formula, "criterion 6: rate formula"
     elapsed = watch.check(6)
     report(6, "general-s end to end", elapsed)
 

@@ -8,7 +8,6 @@ from pirarray import (
     fvy_rate,
     general_s_rate,
     integer_s_rate,
-    min_servers_bound,
     reference_rates,
     render_decimal,
     s3_rate,
@@ -20,11 +19,11 @@ from pirarray import (
     upper_g_s,
     upper_g_st,
 )
-from pirarray.bounds import c1_rate, general_beta_gamma, integer_beta_gamma
+from pirarray.bounds import c1_rate
 from pirarray.constructions import _chain_solution, c1_counts, general_s_counts, integer_s_counts, solve_xi
 from pirarray.errors import ParameterError
 
-from conftest import PRINTED_TABLE
+from conftest import PRINTED_TABLE, _oracle_beta_gamma
 
 
 def test_upper_g_s_values():
@@ -69,18 +68,18 @@ def test_reference_formula_values():
 
 
 def test_integer_rate_beta_gamma():
-    assert integer_beta_gamma(3, 2, (3, 1, 4)) == (29, 50)
-    assert integer_s_rate(3, 2) == Fraction(79, 129)
+    assert _oracle_beta_gamma(3, 2, solve_xi(3, 2)) == (29, 50)
+    assert integer_s_rate(3, 2) == Fraction(79, 129) == Fraction(29 + 50, 29 + 2 * 50)
     assert integer_s_rate(4, 2) == Fraction(407, 708)
-    # the rate is scaling-invariant
-    assert integer_s_rate(3, 2, (6, 2, 8)) == Fraction(79, 129)
 
 
 def test_general_rate_beta_gamma():
-    assert general_beta_gamma(Fraction(5, 2), 2, (2, 1, 1)) == (13, 16)
-    assert general_s_rate(Fraction(5, 2), 2) == Fraction(29, 45)
-    with pytest.raises(ParameterError):
+    assert _oracle_beta_gamma(Fraction(5, 2), 2, solve_xi(Fraction(5, 2), 2)) == (13, 16)
+    assert general_s_rate(Fraction(5, 2), 2) == Fraction(29, 45) == Fraction(13 + 16, 13 + 2 * 16)
+    with pytest.raises(ParameterError, match="^general-s family needs non-integer s > 2, got 3$"):
         general_s_rate(3, 2)
+    with pytest.raises(ParameterError, match="^integer-s family needs integer s >= 2, got 5/2$"):
+        integer_s_rate(Fraction(5, 2), 2)
 
 
 def test_integer_rate_at_t1_reproduces_single_cell_rate():
@@ -102,22 +101,23 @@ def test_s3_s4_closed_forms_match_beta_gamma():
 
 def test_reference_rates_sheet_contents():
     sheet = reference_rates(3, 2)
-    assert sheet.s3_rate == sheet.integer_s_rate == Fraction(79, 129)
-    assert sheet.fvy_rate == Fraction(3, 5)
-    assert sheet.upper_g_s == Fraction(2, 3)
-    assert sheet.general_s_rate is None
-    assert sheet.corollary_bound is None
+    assert sheet["s3_rate"] == sheet["integer_s_rate"] == Fraction(79, 129)
+    assert sheet["fvy_rate"] == Fraction(3, 5)
+    assert sheet["upper_g_s"] == Fraction(2, 3)
+    assert "general_s_rate" not in sheet
+    assert "corollary_bound" not in sheet
+    assert list(sheet) == ["upper_g_s", "upper_g_st", "fvy_rate", "integer_s_rate", "s3_rate"]
 
     sheet_t1 = reference_rates(6, 1)
-    assert sheet_t1.t1_rate == Fraction(32, 63)
-    assert sheet_t1.upper_g_st is None
+    assert sheet_t1["t1_rate"] == Fraction(32, 63)
+    assert "upper_g_st" not in sheet_t1
 
     sheet_g = reference_rates(Fraction(5, 2), 2)
-    assert sheet_g.general_s_rate == Fraction(29, 45)
-    assert sheet_g.upper_g_s == Fraction(7, 10)
+    assert sheet_g["general_s_rate"] == Fraction(29, 45)
+    assert sheet_g["upper_g_s"] == Fraction(7, 10)
 
     sheet_c1 = reference_rates(Fraction(3, 2), 2)
-    assert sheet_c1.c1_rate == sheet_c1.upper_g_st == upper_g_st(2, 1)
+    assert sheet_c1["c1_rate"] == sheet_c1["upper_g_st"] == upper_g_st(2, 1)
 
     with pytest.raises(ParameterError):
         reference_rates(Fraction(5, 2), 3)
@@ -135,8 +135,8 @@ def test_every_lower_bound_below_every_upper_bound():
     upper_names = ("upper_g_s", "upper_g_st", "t1_rate")
     for s, t in cases:
         sheet = reference_rates(s, t)
-        lower = {n: v for n in lower_names if (v := getattr(sheet, n)) is not None}
-        upper = {n: v for n in upper_names if (v := getattr(sheet, n)) is not None}
+        lower = {n: sheet[n] for n in lower_names if n in sheet}
+        upper = {n: sheet[n] for n in upper_names if n in sheet}
         for lo_name, lo in lower.items():
             for up_name, up in upper.items():
                 assert lo <= up, (s, t, lo_name, up_name)
@@ -182,14 +182,6 @@ def test_monotone_convergence_small():
         assert all(abs(r - upper_g_s(s)) < Fraction(1, t) for t, r in zip(range(2, 21), rates) if t >= 4)
 
 
-def test_min_servers_bound_examples():
-    assert min_servers_bound(2, 2, 7) == 10
-    assert min_servers_bound(3, 2, 79) == 119
-    assert min_servers_bound(2, 1, 2) == 3
-    with pytest.raises(ParameterError):
-        min_servers_bound(2, 2, 0)
-
-
 def test_render_decimal():
     assert render_decimal(Fraction(7, 10), 6) == "0.700000"
     assert render_decimal(Fraction(79, 129), 5, trim=True) == "0.6124"
@@ -226,8 +218,9 @@ def test_table1_csv_format():
 #
 # The integer and non-integer families were once written out separately:
 # two chain systems for xi, two sets of count sums (c in closed form for
-# integer s) and two beta/gamma sums.  Those forms are kept here as oracles
-# for the one ladder the library now evaluates.
+# integer s) and two beta/gamma sums.  Those forms are kept here, and the
+# beta/gamma sums in conftest.py, as oracles for the one ladder the library
+# now evaluates.
 
 LADDER_GRID = [(Fraction(s), t) for s in range(2, 8) for t in range(1, 9)] + [
     (Fraction(num, den), den * j)
@@ -299,38 +292,19 @@ def _oracle_counts(s, t, xi):
     return m, b, c, b + c
 
 
-def _oracle_beta_gamma(s, t, xi):
-    p = (s * t).numerator
-    q = len(xi)
-    if s.denominator == 1:
-        beta = xi[0] * (p - t + 1) + sum(
-            (t - 1) * xi[r - 1] * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q + 1)
-        )
-        gamma = (p - t + 1) * sum(xi[r] * comb(p - t, r * t) for r in range(1, q))
-    else:
-        beta = (
-            xi[0] * (p - t + 1)
-            + sum((t - 1) * xi[r - 1] * comb(p - t + 1, (r - 1) * t + 1) for r in range(2, q))
-            + (t - 1) * xi[q - 1]
-        )
-        gamma = (p - t + 1) * (sum(xi[r] * comb(p - t, r * t) for r in range(1, q - 1)) + xi[q - 1])
-    return beta, gamma
-
-
 def test_ladder_matches_the_per_family_forms():
     assert len(LADDER_GRID) == 88
     for s, t in LADDER_GRID:
         integer = s.denominator == 1
         counts_of = integer_s_counts if integer else general_s_counts
-        beta_gamma_of = integer_beta_gamma if integer else general_beta_gamma
         rate_of = integer_s_rate if integer else general_s_rate
         p = (s * t).numerator
         xi = _oracle_xi(s, t)
         assert solve_xi(s, t) == xi, (s, t)
-        m, b, c, k = counts_of(s, t)
-        assert (m, b, c, k) == _oracle_counts(s, t, xi), (s, t)
-        beta, gamma = beta_gamma_of(s, t)
-        assert (beta, gamma) == _oracle_beta_gamma(s, t, xi), (s, t)
+        m, k = counts_of(s, t)
+        oracle_m, b, c, oracle_k = _oracle_counts(s, t, xi)
+        assert (m, k) == (oracle_m, oracle_k) and m == b + 2 * c, (s, t)
+        beta, gamma = _oracle_beta_gamma(s, t, xi)
         assert b * (p - t + 1) == beta * comb(p - 1, t - 1), (s, t)
         assert c * (p - t + 1) == gamma * comb(p - 1, t - 1), (s, t)
         assert rate_of(s, t) == Fraction(k, m) == Fraction(beta + gamma, beta + 2 * gamma), (s, t)

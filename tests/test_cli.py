@@ -72,6 +72,35 @@ def test_bounds_subcommand(capsys):
     assert "general_s_rate=29/45" in stdout
 
 
+# `bounds` stdout, byte for byte, where the c1_rate and t1_rate entries
+# apply; no golden above reaches them.
+BOUNDS_STDOUT = {
+    ("3/2", "2"): (
+        "s=3/2 t=2\n"
+        "upper_g_s=5/6 (0.833333)\n"
+        "upper_g_st=7/9 (0.777778)\n"
+        "c1_rate=7/9 (0.777778)\n"
+    ),
+    ("6", "1"): (
+        "s=6 t=1\n"
+        "upper_g_s=7/12 (0.583333)\n"
+        "t1_rate=32/63 (0.507937)\n"
+        "integer_s_rate=32/63 (0.507937)\n"
+    ),
+    ("4/3", "3"): (
+        "s=4/3 t=3\n"
+        "upper_g_s=7/8 (0.875000)\n"
+        "upper_g_st=5/6 (0.833333)\n"
+        "c1_rate=5/6 (0.833333)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("s, t", list(BOUNDS_STDOUT))
+def test_bounds_stdout_where_c1_and_t1_rates_apply(capsys, s, t):
+    assert run(capsys, "bounds", "--s", s, "--t", t) == (0, BOUNDS_STDOUT[s, t], "")
+
+
 def test_bounds_corollary_on_request(capsys):
     code, stdout, _ = run(capsys, "bounds", "--s", "3/2", "--t", "2", "--corollary-ell", "1")
     assert code == 0 and "corollary_bound(delta=1,tau=2,ell=1)=7/9" in stdout

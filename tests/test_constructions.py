@@ -1,6 +1,6 @@
 import hashlib
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import ceil, comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from pirarray import (
     build_integer_s,
     parse_code,
     serialize_code,
+    singleton_census,
     solve_xi,
 )
 from pirarray.constructions import (
@@ -22,7 +23,6 @@ from pirarray.constructions import (
     c1_counts,
     c2_counts,
     c3_counts,
-    check_xi,
     general_s_counts,
     integer_s_counts,
 )
@@ -50,7 +50,7 @@ def test_solve_xi_satisfies_balance_equations():
         assert (s - 1) * xi[0] == comb(p - t, t) * xi[1]
         for r in range(2, s):
             assert comb(p - t, (r - 1) * t + 1) * xi[r - 1] == comb(p - t, r * t) * xi[r]
-        check_xi(s, t, xi)
+        assert len(xi) == s
 
 
 def test_solve_xi_general_satisfies_balance_equations():
@@ -62,7 +62,7 @@ def test_solve_xi_general_satisfies_balance_equations():
         for r in range(2, q - 1):
             assert comb(p - t, (r - 1) * t + 1) * xi[r - 1] == comb(p - t, r * t) * xi[r]
         assert xi[q - 2] * comb(p - t, (q - 2) * t + 1) == xi[q - 1]
-        check_xi(s, t, xi)
+        assert q == ceil(s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,8 +80,23 @@ def test_solve_xi_rejects_bad_domains():
         solve_xi(Fraction(3, 2), 2)  # non-integer s must exceed 2
     with pytest.raises(ParameterError):
         solve_xi(Fraction(5, 2), 3)  # p not an integer
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^integer-s family needs integer s >= 2, got 1$"):
         solve_xi(1, 4)
+    with pytest.raises(ParameterError, match="^need t >= 2, got 1$"):
+        solve_xi(Fraction(5, 2), 1)
+
+
+def test_ladder_families_name_themselves_in_domain_errors():
+    for call in (integer_s_counts, build_integer_s):
+        with pytest.raises(ParameterError, match="^integer-s family needs integer s >= 2, got 5/2$"):
+            call(Fraction(5, 2), 2)
+        with pytest.raises(ParameterError, match="^integer-s family needs integer s >= 2, got 1$"):
+            call(1, 2)
+    for call in (general_s_counts, build_general_s):
+        with pytest.raises(ParameterError, match="^general-s family needs non-integer s > 2, got 3$"):
+            call(3, 2)
+        with pytest.raises(ParameterError, match="^general-s family needs non-integer s > 2, got 3/2$"):
+            call(Fraction(3, 2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +182,10 @@ def test_c3_counts_and_shape():
 
 
 def test_integer_s_counts_and_type_blocks():
-    m, b, c, k = integer_s_counts(3, 2, (3, 1, 4))
-    assert (m, b, c, k) == (129, 29, 50, 79)
-    code = build_integer_s(3, 2, (3, 1, 4))
+    assert integer_s_counts(3, 2) == (129, 79)
+    code = build_integer_s(3, 2)
     assert code.m == 129
+    assert singleton_census(code) == [29] * 6  # b singleton holders per part; c = (129 - 29)/2 = 50
     by_type = {}
     for col in code.columns:
         by_type[column_type(code, col)] = by_type.get(column_type(code, col), 0) + 1
@@ -178,7 +193,7 @@ def test_integer_s_counts_and_type_blocks():
 
 
 def test_integer_s_t1_degenerates_to_three_column_code():
-    code = build_integer_s(2, 1, (1, 1))
+    code = build_integer_s(2, 1)
     assert [sorted(parts_of(c) for c in col) for col in code.columns] == [[(1,)], [(2,)], [(1, 2)]]
 
 
@@ -188,15 +203,16 @@ def test_integer_s_coincides_with_c1_at_s2():
 
 
 def test_general_s_counts_and_type_blocks():
-    m, b, c, k = general_s_counts(Fraction(5, 2), 2, (2, 1, 1))
-    assert (m, b, c, k) == (45, 13, 16, 29)
-    code = build_general_s(Fraction(5, 2), 2, (2, 1, 1))
+    assert general_s_counts(Fraction(5, 2), 2) == (45, 29)
+    code = build_general_s(Fraction(5, 2), 2)
+    assert singleton_census(code) == [13] * 5  # b per part; c = (45 - 13)/2 = 16
     by_type = {}
     for col in code.columns:
         tcode = column_type(code, col)
         by_type[tcode] = by_type.get(tcode, 0) + 1
     assert by_type == {1: 20, 2: 20, 3: 5}
-    assert general_s_counts(Fraction(7, 2), 2) == (322, 58, 132, 190)
+    assert general_s_counts(Fraction(7, 2), 2) == (322, 190)
+    assert singleton_census(build_general_s(Fraction(7, 2), 2)) == [58] * 7  # c = (322 - 58)/2 = 132
 
 
 def test_every_column_has_at_most_one_sum_cell():
@@ -272,22 +288,6 @@ def test_every_family_builds_its_count_and_honours_the_cap():
         assert err.value.columns == m, family
 
 
-def test_invalid_xi_rejected():
-    with pytest.raises(ParameterError):
-        build_integer_s(3, 2, (1, 1, 1))
-    with pytest.raises(ParameterError):
-        integer_s_counts(3, 2, (3, 1))
-    with pytest.raises(ParameterError):
-        general_s_counts(Fraction(5, 2), 2, (2, 1, 2))
-
-
-def test_scaled_xi_is_accepted_and_changes_nothing_but_multiplicity():
-    m1, b1, c1, k1 = integer_s_counts(3, 2, (3, 1, 4))
-    m2, b2, c2, k2 = integer_s_counts(3, 2, (6, 2, 8))
-    assert (m2, b2, c2, k2) == (2 * m1, 2 * b1, 2 * c1, 2 * k1)
-    assert Fraction(k1, m1) == Fraction(k2, m2)
-
-
 def test_construction_params_dispatch():
     params = ConstructionParams(family="c1", t=2, d=2)
     assert params.s == Fraction(2)
@@ -353,20 +353,3 @@ def test_builders_share_one_cell_per_part_set():
     code = build_integer_s(3, 2)
     cells = [cell for col in code.columns for cell in col]
     assert len({id(cell) for cell in cells}) == len(set(cells))
-
-
-@pytest.mark.parametrize(
-    "s, t, xi, kind",
-    [
-        (3, 2, (4, 1, 4), "leading balance equation$"),
-        (4, 2, (15, 3, 5, 24), "interior balance equation at r=2$"),
-        # for integer s the last equation is the closing one, as for non-integer s
-        (3, 2, (3, 1, 5), "closing balance equation$"),
-        (4, 2, (15, 3, 4, 25), "closing balance equation$"),
-        (Fraction(7, 2), 2, (4, 1, 3, 2), "interior balance equation at r=2$"),
-        (Fraction(7, 2), 2, (4, 1, 2, 3), "closing balance equation$"),
-    ],
-)
-def test_check_xi_names_the_violated_equation(s, t, xi, kind):
-    with pytest.raises(ParameterError, match=kind):
-        check_xi(s, t, xi)

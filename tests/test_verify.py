@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pirarray import (
     ArrayCode,
     ConstructionParams,
+    IndexedGraph,
     RecoveryPlan,
     VerifyReport,
     build_c1,
@@ -246,7 +247,8 @@ def _oracle_plan(code: ArrayCode) -> RecoveryPlan:
         sets = [frozenset({j + 1}) for j in sorted(holders)]
         edges = _oracle_edges(code, part, holders)
         if edges:
-            sets.extend(frozenset(e) for e in max_general_matching(_as_neighbours(edges)))
+            graph = IndexedGraph.of(_as_neighbours(edges))
+            sets.extend(frozenset(e) for e in max_general_matching(graph))
         sets_by_part[part] = sets
     return RecoveryPlan(sets_by_part)
 
