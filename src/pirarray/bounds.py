@@ -168,17 +168,11 @@ def reference_rates(s: Fraction | int, t: int) -> dict[str, Fraction]:
 
 
 def table1(max_s: int = 6, max_t: int = 13) -> dict[tuple[int, int], Fraction]:
-    """Reference rate grid: t = 1 by t1_rate, s = 2 by (3t+1)/(4t+2), s >= 3 by beta/gamma."""
-    grid: dict[tuple[int, int], Fraction] = {}
-    for s in range(2, max_s + 1):
-        for t in range(1, max_t + 1):
-            if t == 1:
-                grid[(s, t)] = t1_rate(s)
-            elif s == 2:
-                grid[(s, t)] = Fraction(3 * t + 1, 4 * t + 2)
-            else:
-                grid[(s, t)] = integer_s_rate(s, t)
-    return grid
+    """Reference rate grid: every cell is integer_s_rate(s, t), which the
+    paper's closed forms t1_rate(s) (t = 1) and (3t+1)/(4t+2) (s = 2) match."""
+    return {
+        (s, t): integer_s_rate(s, t) for s in range(2, max_s + 1) for t in range(1, max_t + 1)
+    }
 
 
 def render_decimal(value: Fraction, digits: int = 5, trim: bool = False) -> str:

@@ -155,9 +155,9 @@ def _ladder(s: Fraction | int, t: int, integer: bool) -> tuple[int, int, tuple[i
 def _c1_ladder(t: int, d: int) -> tuple[int, int, tuple[int, int]]:
     """(p, t, xi) of c1 as the two-type ladder, xi = (theta/d, theta/t)."""
     if t < 1:
-        raise ParameterError(f"need t >= 1, got {t}")
+        raise ParameterError(f"c1 needs t >= 1, got {t}")
     if not 1 <= d <= t:
-        raise ParameterError(f"need 1 <= d <= t, got d={d} t={t}")
+        raise ParameterError(f"c1 needs 1 <= d <= t, got d={d} t={t}")
     theta = lcm(d, t)
     return t + d, t, (theta // d, theta // t)
 

