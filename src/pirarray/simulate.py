@@ -32,7 +32,8 @@ with no second copy of the kernel; a one-column set needs none, since a
 column spans e_i only if it stores it (the singleton convention).  A
 `Fleet` also records each (part, sets) of a plan that has passed
 `verify_plan`, so `retrieve` and `availability_sweep` check a replayed plan
-part only once.
+part only once, and each multi-column set's solved value by (part,
+columns), so a replayed session solves none of its sets again.
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ class Fleet:
     _verified: set[tuple[int, tuple[tuple[int, ...], ...]]] = field(
         init=False, repr=False, compare=False
     )
+    # (part, columns) -> that part's value, for every multi-column set that
+    # has spanned its part, so each such set is solved once per fleet.
+    _solved: dict[tuple[int, tuple[int, ...]], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.chunk_width < 1 or self.chunk_width % 4:
@@ -136,6 +140,7 @@ class Fleet:
         object.__setattr__(self, "_cells_hex", tuple(cells_hex))
         object.__setattr__(self, "_pivots", tuple(pivot_tables))
         object.__setattr__(self, "_verified", set())
+        object.__setattr__(self, "_solved", {})
 
     def chunk_hex(self, value: int) -> str:
         return f"0x{value:0{self.chunk_width // 4}x}"
@@ -247,7 +252,8 @@ def _solve_set(fleet: Fleet, columns: tuple[int, ...], part: int) -> int:
     reduce to 0 reduces to 0 entirely and no pivot sits below bit
     chunk_width.  Reducing e_part << chunk_width therefore leaves a residual
     below 1 << chunk_width iff the set spans the part, and that residual is
-    then the part's value.
+    then the part's value.  A multi-column value is kept in the fleet once
+    solved; a set that does not span is not, and is refused each time.
     """
     target = 1 << (part - 1)
     if len(columns) == 1:
@@ -256,6 +262,10 @@ def _solve_set(fleet: Fleet, columns: tuple[int, ...], part: int) -> int:
         if target not in cells:
             raise ParameterError(f"recovery set does not span part {part}")
         return fleet.server_values[j][cells.index(target)]
+    key = (part, columns)
+    value = fleet._solved.get(key)
+    if value is not None:
+        return value
     width = fleet.chunk_width
     tables = fleet._pivots
     pivots = dict(tables[columns[0] - 1])
@@ -265,6 +275,7 @@ def _solve_set(fleet: Fleet, columns: tuple[int, ...], part: int) -> int:
     residual = pivot_reduce(pivots, target << width)
     if residual >> width:
         raise ParameterError(f"recovery set does not span part {part}")
+    fleet._solved[key] = residual
     return residual
 
 

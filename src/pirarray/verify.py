@@ -3,22 +3,20 @@
 Exhaustive mode is exact but limited to small column counts: it
 enumerates every part's inclusion-minimal recovery sets and solves each
 part's disjoint packing problem by memoized search over column bitmasks.
-The enumeration is one depth-first search over columns in ascending order,
-shared by all parts, that carries the prefix's pivot table and the parts
-the prefix does not span yet down the tree, each with its residual against
-that table, skips a column that adds no rank, records a leaf for each part
-a node newly spans and stops where no part is left; a child reduces a
-residual further only when its top bit is one of the child's new pivots.
-Its nodes are the ascending column lists in which every column adds rank
-to the ones before it and no proper prefix spans every part, rather than
-all 2^m - 1 column subsets once per part; a part that no set of columns
-spans costs nothing.  The packing is bounded by the sizes of the sets it
-can use: a column that holds the part alone is in no other minimal set,
-every other set has at least two columns, and only the columns of the
-two-column sets can hold one of those, so with f the non-holder columns of
-a mask and q those of them in some two-column set, a packing inside the
-mask has at most holders-in-mask + min(f // 2, (f + q // 2) // 3) sets;
-one more column raises it by at most one.  Pair mode counts
+The enumeration is one search by set size, shared by all parts: size s+1
+joins two kept s-column sets that differ in their highest column, and a
+set is kept while every column adds rank and some part is unspanned.  A
+candidate is tried only when all its s-column subsets are kept, and a part
+it spans that none of them spans is a minimal set found once, so no
+non-minimal set is recorded and none is filtered out afterwards; a part
+that no set of columns spans costs nothing.  The packing is bounded by the
+sizes of the sets it can use: a column that holds the part alone is in no
+other minimal set, every other set has at least two columns, and only the
+columns of the two-column sets can hold one of those, so with f the
+non-holder columns of a mask and q those of them in some two-column set, a
+packing inside the mask has at most
+holders-in-mask + min(f // 2, (f + q // 2) // 3) sets; one more column
+raises it by at most one.  Pair mode counts
 singleton holders plus a maximum matching on the pair graph of the remaining
 columns; that is exact whenever optimal recovery sets have size at most two
 (true for every family this package generates) and a valid lower bound
@@ -432,27 +430,21 @@ def _minimal_recovery_masks(rows: list[tuple[int, ...]], p: int) -> list[Sequenc
     spans column j, and parts that no set of columns spans share one empty
     tuple.
 
-    One depth-first search over columns in ascending order serves every
-    part.  A node carries the pivot table of its prefix and the parts the
-    prefix does not span yet; the root's are the parts that all columns
-    together span, so a part stored nowhere costs nothing.  A column that
-    adds no rank to the prefix is skipped (it is redundant in every
-    superset); otherwise the child records a leaf for each of its parent's
-    parts that it spans (no superset of it is minimal for that part) and is
-    descended into while any part stays unspanned.  Each open part travels
-    with its residual: e_i reduced against the node's table, whose top bit
-    is no pivot of that table.  A child's table adds pivots and changes
-    none, so the residual is still e_i's residual there unless its top bit
-    is a new pivot; only then does the child reduce it further, and a
-    residual of 0 makes the child a leaf of that part.  A node lies in part
-    i's tree exactly when its parent does not span e_i, so each part's leaves
-    are those of a search for that part alone.  Every minimal set is a
-    leaf, since each of its columns adds rank and none of its prefixes
-    spans.  A leaf that is not minimal contains a smaller leaf with the same
-    highest column: the leaf minus its last column does not span, so a
-    spanning subset needs that column.  Leaves are therefore kept in
-    popcount order only when no kept leaf of the same highest column is a
-    subset.
+    One search by set size serves every part; its targets are the parts
+    that all columns together span, so a part stored nowhere costs nothing.
+    Level s keeps each s-column set in which every column adds rank and
+    some target is still unspanned, with its pivot rows and those targets.
+    Kept sets are grouped by their columns but the highest, and two of a
+    group, S + a and S + b with a < b, join into the candidate S + a + b.
+    It is tried only when its other s-column subsets are kept too and
+    `open`, the targets that none of its s-column subsets spans, is not
+    empty; it is dropped when b adds no rank to S + a or its rank equals a
+    subset's (that subset's missing column adds none).  A part of `open`
+    that the candidate spans is spanned by none of its proper subsets, so
+    every set recorded is minimal.  Every proper subset T of a minimal set
+    M is kept: a column adding no rank to T adds none to M either, and then
+    M is not minimal.  So each minimal set is tried, from its two highest
+    columns, and recorded once.
     """
     m = len(rows)
     whole: dict[int, int] = {}  # pivot table of every column
@@ -461,52 +453,90 @@ def _minimal_recovery_masks(rows: list[tuple[int, ...]], p: int) -> list[Sequenc
         for row in col:
             pivot_insert(whole, row)
             involved |= row
-    leaves: dict[int, list[int]] = {}  # part index -> its leaves
+    found: dict[int, list[int]] = {}  # target part's bit -> its minimal sets
+    targets = 0
     while involved:
         bit = involved & -involved
         involved ^= bit
         if pivot_reduce(whole, bit) == 0:
-            leaves[bit.bit_length() - 1] = []
+            found[bit] = []
+            targets |= bit
 
-    def extend(pivots: dict[int, int], mask: int, start: int, open_parts: list[tuple[int, int]]) -> None:
-        for c in range(start, m):
-            trial = pivots
-            for row in rows[c]:
-                residual = pivot_reduce(trial, row)
-                if residual:
-                    if trial is pivots:
-                        trial = dict(pivots)
-                    trial[residual.bit_length() - 1] = residual
-            if trial is pivots:
-                continue
-            child = mask | 1 << c
-            still = []
-            for i, residual in open_parts:
-                if residual.bit_length() - 1 in trial:
-                    residual = pivot_reduce(trial, residual)
-                    if not residual:
-                        leaves[i].append(child)
+    # A kept set is (mask, pivot rows, unspanned targets).  `level` holds
+    # one size's by mask, and `groups` the same sets grouped by mask minus
+    # the highest column, each group's highest columns ascending.
+    level: dict[int, tuple[int, tuple[int, ...], int]] = {}
+    for c in range(m):
+        pivots: dict[int, int] = {}
+        for row in rows[c]:
+            pivot_insert(pivots, row)
+        unspanned = targets
+        for bit, minimal in found.items():
+            if pivot_reduce(pivots, bit) == 0:
+                minimal.append(1 << c)
+                unspanned ^= bit
+        if pivots and unspanned:
+            level[1 << c] = (1 << c, tuple(pivots.values()), unspanned)
+    groups = [list(level.values())] if level else []
+    while groups:
+        next_level: dict[int, tuple[int, tuple[int, ...], int]] = {}
+        next_groups = []
+        for group in groups:
+            shared = group[0][0]
+            shared ^= 1 << shared.bit_length() - 1
+            others = []  # the columns of `shared`, as bits
+            while shared:
+                bit = shared & -shared
+                shared ^= bit
+                others.append(bit)
+            for x, (base, base_rows, base_unspanned) in enumerate(group):
+                pivots = None
+                joined = []
+                for mask, top_rows, top_unspanned in group[x + 1 :]:
+                    open_parts = base_unspanned & top_unspanned
+                    if not open_parts:
                         continue
-                still.append((i, residual))
-            if still:
-                extend(trial, child, c + 1, still)
-
-    if leaves:
-        extend({}, 0, 0, [(i, 1 << i) for i in leaves])
+                    candidate = base | mask
+                    rank = max(len(base_rows), len(top_rows))
+                    for bit in others:
+                        subset = level.get(candidate ^ bit)
+                        if subset is None:
+                            break
+                        open_parts &= subset[2]
+                        if len(subset[1]) > rank:
+                            rank = len(subset[1])
+                    else:
+                        if not open_parts:
+                            continue
+                        if pivots is None:
+                            pivots = {row.bit_length() - 1: row for row in base_rows}
+                        trial = pivots
+                        for row in rows[mask.bit_length() - 1]:
+                            residual = pivot_reduce(trial, row)
+                            if residual:
+                                if trial is pivots:
+                                    trial = dict(pivots)
+                                trial[residual.bit_length() - 1] = residual
+                        if len(trial) <= rank:
+                            continue
+                        unspanned = open_parts
+                        while open_parts:
+                            bit = open_parts & -open_parts
+                            open_parts ^= bit
+                            if pivot_reduce(trial, bit) == 0:
+                                found[bit].append(candidate)
+                                unspanned ^= bit
+                        if unspanned:
+                            entry = (candidate, tuple(trial.values()), unspanned)
+                            next_level[candidate] = entry
+                            joined.append(entry)
+                if joined:
+                    next_groups.append(joined)
+        level, groups = next_level, next_groups
     out: list[Sequence[int]] = [()] * p
-    for i, found in leaves.items():
-        kept: defaultdict[int, list[int]] = defaultdict(list)
-        minimal: list[int] = []
-        for leaf in sorted(found, key=int.bit_count):
-            same_top = kept[leaf.bit_length()]
-            for known in same_top:
-                if known & leaf == known:
-                    break
-            else:
-                same_top.append(leaf)
-                minimal.append(leaf)
+    for bit, minimal in found.items():
         minimal.sort()
-        out[i] = minimal
+        out[bit.bit_length() - 1] = minimal
     return out
 
 
@@ -596,18 +626,18 @@ def _max_packing(minimal: Sequence[int], m: int) -> list[int]:
 def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport:
     """Exact per-part maximum packing of disjoint recovery sets; needs m <= cap.
 
-    `_minimal_recovery_masks` finds every part's minimal recovery sets by
-    one rank-pruned depth-first search (its nodes are the column subsets in
+    `_minimal_recovery_masks` finds every part's minimal recovery sets, each
+    once, by one search by set size (its kept sets are the column subsets in
     which every column adds rank and some part is still unspanned), and
     `_max_packing` packs each part's sets by memoized search over column
     bitmasks, which visits up to 2^m masks but stops at the size-aware
     packing bound (see its docstring); a part with no minimal set gets
     k_i = 0 without a search.  With `cap=16`, 72 seeded random codes of 16
-    columns (p 5-16, t 2-6) take 0.0003-0.57 s, median 0.023 s; the slowest,
-    t <= 3 at p = 16, spend half or more of it enumerating 13,000-17,500
-    minimal sets.  With `cap=20`, the seeded m=20, p=12, t=4 code takes
-    about 0.5 s, the packing most of it (Python 3.11.7, one core of a
-    2-vCPU Xeon VM).
+    columns (p 5-16, t 2-6) take 0.0003-0.50 s, median 0.011 s; the slowest,
+    t <= 3 at p = 16, have 13,000-17,700 minimal sets, and at t = 2
+    enumerating them is most of the time.  With `cap=20`, the seeded m=20,
+    p=12, t=4 code takes about 0.2 s, the packing most of it (Python
+    3.11.7, one core of a shared 2-vCPU Xeon VM).
     """
     if code.m > cap:
         raise CapExceeded(

@@ -456,3 +456,49 @@ def test_a_one_column_set_reads_the_stored_singleton(c1_fleet):
                 with pytest.raises(ParameterError, match=f"recovery set does not span part {part}$"):
                     simulate._solve_set(fleet, (j,), part)
     assert refused
+
+
+def _multi_column_sets(plan: RecoveryPlan) -> int:
+    return sum(len(columns) > 1 for part in plan.parts() for columns in plan.sets(part))
+
+
+def test_replayed_sessions_match_a_fresh_fleets_first_run(intro_code):
+    # a multi-column set is solved once per fleet; replays read the kept value
+    for fleet, plan, part, failed in _seeded_sessions(intro_code):
+        text = retrieve(fleet, plan, part, failed=failed).jsonl()
+        assert retrieve(fleet, plan, part, failed=failed).jsonl() == text
+        fresh = dataclasses.replace(fleet)
+        assert not fresh._solved
+        assert retrieve(fresh, plan, part, failed=failed).jsonl() == text
+        assert len(fleet._solved) <= _multi_column_sets(plan)
+
+
+def test_the_solve_cache_holds_at_most_the_plans_multi_column_sets():
+    code = build_c1(3, 2)
+    plan = k_pir_pairs(code).plan
+    fleet = Fleet(code=code, seed=5)
+    rng = random.Random(11)
+    for _ in range(3):
+        for part in plan.parts():
+            failed = rng.sample(range(1, code.m + 1), rng.randrange(4))
+            retrieve(fleet, plan, part, failed=failed)
+            assert len(fleet._solved) <= _multi_column_sets(plan)
+    for part in plan.parts():
+        retrieve(fleet, plan, part)
+    assert len(fleet._solved) == _multi_column_sets(plan) > 0
+    assert "_solved" not in repr(fleet)
+
+
+def test_a_multi_column_set_that_does_not_span_is_refused_every_time():
+    fleet = Fleet(code=build_c1(2, 2), seed=42)
+    target = 1
+    columns = next(
+        (a, b)
+        for a in range(1, fleet.code.m + 1)
+        for b in range(a + 1, fleet.code.m + 1)
+        if not verify_plan(fleet.code, RecoveryPlan({target: [(a, b)]})).ok
+    )
+    for _ in range(2):
+        with pytest.raises(ParameterError, match=f"recovery set does not span part {target}$"):
+            simulate._solve_set(fleet, columns, target)
+    assert not fleet._solved

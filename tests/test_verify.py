@@ -576,6 +576,46 @@ def test_exhaustive_enumeration_matches_size_ordered_oracle(code):
     assert serialize_plan(report.plan) == serialize_plan(oracle)
 
 
+def test_a_column_made_redundant_by_a_later_one_is_in_no_recorded_set():
+    # column 1's cells are x1+x2, stored by column 2, and x3+x4, stored by
+    # column 3, so {1,2,3} has the rank of {2,3}: column 3 adds rank to
+    # {1,2} but makes column 1 redundant, and no set holding all three is
+    # minimal for a part
+    code = ArrayCode.from_columns(
+        5, [[0b00011, 0b01100], [0b00011, 0b10000], [0b01100, 0b00001], [0b01000, 0b10010]]
+    )
+    rows = [tuple(pivots.values()) for pivots in _column_pivots(code)]
+    found = _minimal_recovery_masks(rows, code.p)
+    for part in range(1, code.p + 1):
+        assert list(found[part - 1]) == _oracle_minimal_masks(code, part)
+    assert list(found[4]) == [0b0010, 0b1101]
+    assert all(mask & 0b111 != 0b111 for masks in found for mask in masks)
+
+
+# (m, p, t) of seeded random codes past the hypothesis codes' 10 columns;
+# seed 0 each.
+LARGE_ENUMERATION_SHAPES = ((16, 16, 2), (16, 16, 3), (18, 10, 4), (20, 12, 4))
+# SHA-256 over every part of those codes, in order, of its sorted masks as
+# comma-joined decimals and a newline, as the depth-first enumeration with
+# its same-top leaf filter produced them (commit 5d4c43a).
+GOLDEN_LARGE_ENUMERATION_SHA256 = "a1b83f79248e7359439616d407428f1de0b3f626209ecb65ef357498333e6724"
+
+
+def test_enumeration_past_the_hypothesis_sizes_is_unchanged():
+    # the size-ordered oracle would take minutes here; it is compared on the
+    # hypothesis codes and on the hand-built case above
+    digest = hashlib.sha256()
+    total = 0
+    for shape in LARGE_ENUMERATION_SHAPES:
+        code = seeded_code(0, *shape)
+        rows = [tuple(pivots.values()) for pivots in _column_pivots(code)]
+        for masks in _minimal_recovery_masks(rows, code.p):
+            digest.update((",".join(map(str, masks)) + "\n").encode())
+            total += len(masks)
+    assert total == 41_692
+    assert digest.hexdigest() == GOLDEN_LARGE_ENUMERATION_SHA256
+
+
 # (m, p, t) of the seeded random codes in the exhaustive golden set; seed = position.
 GOLDEN_RANDOM_SHAPES = (
     (12, 5, 2), (12, 8, 3), (12, 12, 4), (12, 10, 5),
