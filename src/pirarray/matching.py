@@ -7,17 +7,15 @@ Hall's theorem, appear only in its proofs.)  A graph is given as an
 `IndexedGraph`.  `IndexedGraph.of` checks a neighbour map, vertex -> the
 collection of its neighbours listing every edge both ways, to be simple and
 undirected and indexes it (vertices sorted, each neighbour row turned into
-ascending indices); `IndexedGraph.renamed` maps an indexed graph through a
-vertex renaming without checking it again, which is how the pair verifier
-gets every part of a rotation-closed code from part 1's graph.  Vertices are
-taken in ascending order and each vertex's neighbours in ascending order,
-so a given graph always yields the same matching.
+ascending indices).  Vertices are taken in ascending order and each
+vertex's neighbours in ascending order, so a given graph always yields the
+same matching.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Collection, Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple
 
 from .errors import ParameterError
 
@@ -62,27 +60,6 @@ class IndexedGraph(NamedTuple):
                     raise ParameterError(f"edge ({v},{u}) is listed one way only")
                 adj[j].append(i)
         return cls(verts, adj)
-
-    def renamed(self, image: Sequence[int]) -> IndexedGraph:
-        """The graph with every vertex v renamed `image[v]`, equal to
-        `IndexedGraph.of` of the renamed neighbour map; raises when `image`
-        sends two vertices to one.
-
-        Old index i becomes the position sigma[i] of its image among the
-        sorted images, and each row is mapped through sigma and sorted, with
-        no Python step per edge.  A renamed simple graph is simple, so
-        nothing is checked again.
-        """
-        mapped = list(map(image.__getitem__, self.verts))
-        verts = sorted(mapped)
-        pos = {v: i for i, v in enumerate(verts)}
-        if len(pos) != len(verts):
-            raise ParameterError("the vertex renaming sends two vertices to one")
-        sigma = list(map(pos.__getitem__, mapped))
-        adj: list[list[int]] = [[]] * len(verts)
-        for i, row in zip(sigma, self.adj):
-            adj[i] = sorted(map(sigma.__getitem__, row))
-        return IndexedGraph(verts, adj)
 
 
 def _lca(base: list[int], match: list[int], parent: list[int], a: int, b: int) -> int:

@@ -328,7 +328,9 @@ class RecoveryPlan:
     def _of_ascending(cls, sets_by_part: Mapping[int, list[tuple[int, ...]]]) -> RecoveryPlan:
         """A plan whose sets are already ascending tuples of distinct ints."""
         plan = cls({})
-        plan._sets = {part: tuple(sorted(sets)) for part, sets in sorted(sets_by_part.items())}
+        plan._sets = {
+            part: tuple(sorted(sets)) if sets else () for part, sets in sorted(sets_by_part.items())
+        }
         return plan
 
     def parts(self) -> tuple[int, ...]:

@@ -26,8 +26,8 @@ matching size plus two is certified exact (see `k_pir_pairs`).
 Pair mode builds each part's pair graph one of two ways, whichever a size
 estimate says is cheaper for the code, as a neighbour map (column -> set of
 columns), and `matching.IndexedGraph.of` checks it once and indexes it
-(sorted columns, each row of ascending indices) for the matching; at most
-two parts' graphs are alive at a time.  The span index: for columns U, V
+(sorted columns, each row of ascending indices) for the matching; each
+part's graph is freed once it is matched.  The span index: for columns U, V
 that do not span e_i alone, e_i lies in span(U)+span(V) iff some x in
 span(U) has x ^ e_i in span(V).  The index maps each nonzero vector to
 the columns whose span holds it, built from every column's 2^t - 1 span
@@ -46,13 +46,16 @@ t (c2, c3) the scan.
 
 When the columns are closed under the part rotation e_i -> e_(i+1 mod p),
 as every ladder code (c1, integer and general s) and c3 are, only part 1's
-graph is built and indexed either way.  Each column j maps to a column
-pi(j) storing the rotation of j's cells, so part i+1's graph is part i's
-with every column renamed by pi; the renaming is done on the indexed graph,
-one C-level map and sort per row, and gives exactly the indexed graph of
-the renamed map.  Each part is still matched on its own graph, so the plan
-is that of the per-part build.  O(p) checks and one pass over the cells
-turn most other codes away before any cell is rotated.
+graph is built, either way, and matched.  Each column j maps to a column
+pi(j) storing the rotation of j's cells, and the rotation is a linear
+bijection, so pi carries a pair spanning e_i to a pair spanning e_(i+1),
+keeps disjoint sets disjoint and sends part i's holders to part i+1's:
+part i+1's graph is part i's with every column renamed by pi, and part
+i+1's sets are part i's mapped by pi.  So every k_i and certificate is that
+of matching each part on its own graph, and the sets differ from that only
+where a part's graph has more than one maximum matching.  O(p) checks and
+one pass over the cells turn most other codes away before any cell is
+rotated.
 """
 
 from __future__ import annotations
@@ -260,9 +263,11 @@ def _indexed_edges(code: ArrayCode, parts: int) -> Iterator[dict[int, set[int]]]
         yield _pair_neighbours(index, lifted, 1 << (part - 1)) if lifted else {}
 
 
-def _scanned_edges(code: ArrayCode, holders: list[Sequence[int]]) -> Iterator[dict[int, set[int]]]:
-    """For parts 1..p in turn, the pair graph as a neighbour map, found by
-    eliminating every pair of non-holder columns whose cells involve the part."""
+def _scanned_edges(
+    code: ArrayCode, holders: list[Sequence[int]], parts: int
+) -> Iterator[dict[int, set[int]]]:
+    """For parts 1..`parts` in turn, the pair graph as a neighbour map, found
+    by eliminating every pair of non-holder columns whose cells involve the part."""
     pivots = _column_pivots(code)
     rows = [tuple(piv.values()) for piv in pivots]
     involved = []
@@ -271,7 +276,7 @@ def _scanned_edges(code: ArrayCode, holders: list[Sequence[int]]) -> Iterator[di
         for cell in col:
             mask |= cell
         involved.append(mask)
-    for part in range(1, code.p + 1):
+    for part in range(1, parts + 1):
         target = 1 << (part - 1)
         held = set(holders[part - 1])
         rest = [j for j in range(code.m) if j not in held]
@@ -312,11 +317,12 @@ def _rotation_image(code: ArrayCode, holders: list[Sequence[int]]) -> list[int] 
     the rotation of column j's cells; repeated columns map in order of
     occurrence, so the map is a permutation.  Equal cell sets have equal
     spans, so part i+1's pair graph is part i's with every column renamed
-    by the map.  Necessary conditions that cost O(p) and one pass over the
-    cells reject most codes before any cell is rotated: a rotation-closed
-    code stores every part as a singleton equally often, and the OR and the
-    XOR of all its cells are rotation-fixed, so each is 0 or all p parts
-    (the OR cannot be 0).
+    by the map, and the map sends part i's recovery sets to part i+1's.
+    Necessary conditions that cost O(p) and one pass over the cells reject
+    most codes before any cell is rotated: a rotation-closed code stores
+    every part as a singleton equally often, and the OR and the XOR of all
+    its cells are rotation-fixed, so each is 0 or all p parts (the OR
+    cannot be 0).
     """
     p = code.p
     alpha = len(holders[0])
@@ -346,35 +352,21 @@ def _rotation_image(code: ArrayCode, holders: list[Sequence[int]]) -> list[int] 
 _NO_EDGES = IndexedGraph([], [])  # every part without edges, unindexed
 
 
-def _part_graphs(
-    code: ArrayCode, holders: list[Sequence[int]], image: list[int] | None
-) -> Iterator[IndexedGraph]:
-    """For parts 1..p in turn, the pair graph, checked and indexed.
-
-    With no rotation `image`, every part's neighbour map is built from the
-    span index or the pair scan, whichever `_use_span_index` judges cheaper,
-    and indexed by `IndexedGraph.of`.  With one, only part 1's is built and
-    indexed that way; the span index is freed before part 1 is matched, and
-    each next part's graph is the last one's renamed by `image` in index
-    space, so at most two graphs are alive.
-    """
-    built = code.p if image is None else 1
+def _part_graphs(code: ArrayCode, holders: list[Sequence[int]], parts: int) -> Iterator[IndexedGraph]:
+    """For parts 1..`parts` in turn, the pair graph, checked and indexed:
+    each part's neighbour map is built from the span index or the pair scan,
+    whichever `_use_span_index` judges cheaper, and indexed by
+    `IndexedGraph.of`; the span index is freed before the last part's graph
+    is indexed and matched."""
     if _use_span_index(code, holders):
-        graphs = _indexed_edges(code, built)
+        maps = _indexed_edges(code, parts)
     else:
-        graphs = _scanned_edges(code, holders)
-    if image is None:
-        for neighbours in graphs:
-            yield IndexedGraph.of(neighbours) if neighbours else _NO_EDGES
-        return
-    neighbours = next(graphs)
-    del graphs  # frees the span index before part 1 is indexed
-    graph = IndexedGraph.of(neighbours)
-    del neighbours
-    yield graph
-    for _ in range(code.p - 1):
-        graph = graph.renamed(image)
-        yield graph
+        maps = _scanned_edges(code, holders, parts)
+    for part in range(1, parts + 1):
+        neighbours = next(maps)
+        if part == parts:
+            del maps  # frees the span index before the last graph is indexed
+        yield IndexedGraph.of(neighbours) if neighbours else _NO_EDGES
 
 
 def k_pir_pairs(code: ArrayCode) -> VerifyReport:
@@ -383,10 +375,11 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     Exact for codes whose optimal recovery sets have size <= 2; otherwise
     the reported k is a valid lower bound.  Each part's pair graph comes
     from the span index or the pair scan, whichever `_use_span_index`
-    judges cheaper (see the module docstring), or, for a code closed under
-    the part rotation, from the previous part's graph (`_part_graphs`);
-    every route gives the same indexed graph, which goes to
-    `max_general_matching` as it is.
+    judges cheaper (see the module docstring), and goes to
+    `max_general_matching` as it is indexed.  For a code closed under the
+    part rotation only part 1 is matched, and part i+1's pairs are part i's
+    mapped by the column map of `_rotation_image`, so each part's sets are
+    as many as a matching of its own graph would give.
 
     Part i is certified when f <= 2*nu + 2, with f = m - alpha_i its
     non-holder columns and nu its matching size.  Some optimal packing
@@ -396,22 +389,33 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     exactly when f <= 2*nu + 2.  The index costs O(p*m*2^t) plus one
     visit per element of span(U) & span(V) for every edge {U,V}, with about
     m*2^t index entries in memory.  The c1(8,8) code (m=24310, t=8) is
-    rotation-closed and takes 1.7-2.7 s, and the process that builds and
-    verifies it peaks at 99 MB RSS (Python 3.11.7, one core of a shared
-    2-vCPU Xeon VM); the span index is most of both, and the scan would
-    take hours there.
+    rotation-closed and takes 1.3-2.8 s, and the process that builds and
+    verifies it peaks at 95 MB RSS (Python 3.11.7, one core of a shared
+    2-vCPU Xeon VM whose speed drifts); the span index is most of both, and
+    the scan would take hours there.
     """
     holders = _singleton_columns(code)
-    part_graphs = _part_graphs(code, holders, _rotation_image(code, holders))
-    per_part = []
+    image = _rotation_image(code, holders)
     plan_sets = {}
-    for part, graph in enumerate(part_graphs, start=1):
+    for part, graph in enumerate(_part_graphs(code, holders, code.p if image is None else 1), start=1):
         sets = [(j + 1,) for j in holders[part - 1]]
         if graph.verts:
             sets.extend(max_general_matching(graph))
         del graph  # free this part's graph before the next one is built
-        per_part.append(len(sets))
         plan_sets[part] = sets
+    if image is not None:
+        # part i+1's pairs are part i's mapped through the rotation, each
+        # put in order by one comparison (see the module docstring)
+        pairs = plan_sets[1][len(holders[0]) :]
+        lows = [u for u, _ in pairs]
+        highs = [v for _, v in pairs]
+        for part in range(2, code.p + 1):
+            lows = list(map(image.__getitem__, lows))
+            highs = list(map(image.__getitem__, highs))
+            sets = [(j + 1,) for j in holders[part - 1]]
+            sets += [(u, v) if u < v else (v, u) for u, v in zip(lows, highs)]
+            plan_sets[part] = sets
+    per_part = list(map(len, plan_sets.values()))
     # f <= 2*nu + 2 with f = m - alpha_i and nu = k_i - alpha_i
     certified = [code.m + len(held) <= 2 * k + 2 for k, held in zip(per_part, holders)]
     return VerifyReport(
@@ -419,7 +423,7 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
         m=code.m,
         per_part=tuple(per_part),
         certified=tuple(certified),
-        plan=RecoveryPlan(plan_sets),
+        plan=RecoveryPlan._of_ascending(plan_sets),
         singleton_bound=singleton_upper_bound(code),
     )
 

@@ -182,23 +182,3 @@ def test_matchings_on_seeded_graphs_are_unchanged():
 def test_indexed_graph_of_sorts_and_indexes():
     assert IndexedGraph.of({}) == IndexedGraph([], [])
     assert IndexedGraph.of({5: {2, 9}, 2: {5}, 9: [5]}) == IndexedGraph([2, 5, 9], [[1], [0, 2], [1]])
-
-
-@settings(max_examples=150, deadline=None)
-@given(graph_strategy, st.randoms(use_true_random=False))
-def test_renaming_an_indexed_graph_indexes_the_renamed_map(case, rng):
-    n, edges = case
-    vertices = rng.sample(range(40), n)
-    g = graph(vertices, [(vertices[u], vertices[v]) for u, v in edges])
-    image = rng.sample(range(100, 140), 40)  # a permutation of range(40) onto 100..139
-    renamed = {image[v]: {image[u] for u in near} for v, near in g.items()}
-    indexed = IndexedGraph.of(renamed)
-    assert IndexedGraph.of(g).renamed(image) == indexed
-    assert max_general_matching(IndexedGraph.of(g).renamed(image)) == max_general_matching(indexed)
-
-
-def test_renaming_two_vertices_to_one_is_refused():
-    indexed = IndexedGraph.of(graph([1, 2, 3], [(1, 2), (2, 3)]))
-    assert indexed.renamed([0, 3, 1, 2]) == IndexedGraph([1, 2, 3], [[1, 2], [0], [0]])
-    with pytest.raises(ParameterError, match="two vertices to one"):
-        indexed.renamed([0, 1, 1, 2])

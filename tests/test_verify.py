@@ -240,10 +240,11 @@ def _as_neighbours(edges: list[tuple[int, int]]) -> dict[int, set[int]]:
     return neighbours
 
 
-def _oracle_plan(code: ArrayCode) -> RecoveryPlan:
-    """Singleton holders plus a maximum matching on the oracle's pair graph."""
+def _oracle_plan(code: ArrayCode, parts: int | None = None) -> RecoveryPlan:
+    """Singleton holders plus a maximum matching on the oracle's pair graph,
+    for parts 1..`parts` (every part by default)."""
     sets_by_part = {}
-    for part, holders in enumerate(_singleton_columns(code), start=1):
+    for part, holders in enumerate(_singleton_columns(code)[:parts], start=1):
         sets = [frozenset({j + 1}) for j in sorted(holders)]
         edges = _oracle_edges(code, part, holders)
         if edges:
@@ -251,6 +252,28 @@ def _oracle_plan(code: ArrayCode) -> RecoveryPlan:
             sets.extend(frozenset(e) for e in max_general_matching(graph))
         sets_by_part[part] = sets
     return RecoveryPlan(sets_by_part)
+
+
+def _check_pair_plan(code: ArrayCode, parts: int | None = None) -> list[int] | None:
+    """Check `k_pir_pairs(code)` against `_oracle_plan(code, parts)` and
+    return the code's rotation map.  With no map the plans are equal.  With
+    one, part 1's sets equal the oracle's, every part has as many sets as
+    each oracle part (the parts' pair graphs are isomorphic), part i+1's
+    sets are part i's mapped by the map, and `verify_plan` passes."""
+    report, oracle = k_pir_pairs(code), _oracle_plan(code, parts)
+    image = _rotation_image(code, _singleton_columns(code))
+    if image is None:
+        assert report.plan == oracle
+        return None
+    plan = report.plan
+    assert plan.sets(1) == oracle.sets(1)
+    assert report.per_part == (oracle.k_for(1),) * code.p
+    assert {oracle.k_for(part) for part in oracle.parts()} == {oracle.k_for(1)}
+    for part in range(1, code.p):
+        mapped = sorted(tuple(sorted(map(image.__getitem__, columns))) for columns in plan.sets(part))
+        assert plan.sets(part + 1) == tuple(mapped)
+    assert verify_plan(code, plan).ok
+    return image
 
 
 @st.composite
@@ -285,8 +308,8 @@ def test_both_edge_paths_match_quadratic_oracle(code):
         for part, held in enumerate(holders, start=1)
     ]
     assert list(_indexed_edges(code, code.p)) == oracle
-    assert list(_scanned_edges(code, holders)) == oracle
-    assert k_pir_pairs(code).plan == _oracle_plan(code)
+    assert list(_scanned_edges(code, holders, code.p)) == oracle
+    _check_pair_plan(code)
 
 
 @settings(max_examples=100, deadline=None)
@@ -311,8 +334,8 @@ def _certificate_cases() -> list[tuple[ArrayCode, list[int], VerifyReport, Verif
     """Per code: the code, alpha_i per part, and its pair and exhaustive
     reports at cap=m; the seeded codes come first, then family codes."""
     codes = [seeded_code(seed, *shape) for seed in range(3) for shape in CERTIFICATE_SHAPES]
-    codes += [build_c2(t) for t in (9, 11, 13)] + [build_c3(t) for t in (4, 6, 8)]
-    codes += [build_c1(3, 1)]
+    codes += [build_c2(t) for t in (9, 11, 13, 15, 17, 19)] + [build_c3(t) for t in (4, 6, 8, 10)]
+    codes += [build_c1(3, 1), build_c1(4, 1)]
     return [
         (code, list(map(len, _singleton_columns(code))), k_pir_pairs(code), k_pir_exhaustive(code, cap=code.m))
         for code in codes
@@ -345,21 +368,24 @@ def test_pair_certificate_bound_is_never_below_the_exhaustive_count():
             assert alpha + min(f // 2, (f + nu) // 3) >= best
 
 
-# SHA-256 of the PIRPLAN text of these codes' pair plans: the first two as the
-# quadratic pair scan produced them, the rest as the verifier did when it
-# matched on edge lists.  The next six are the family-verify benchmark codes;
-# c2 and c3 take the pair scan, every other code the span index.
+# SHA-256 of the PIRPLAN text of these codes' pair plans.  Every family but
+# c2 is closed under the part rotation, so its plan is part 1's matching with
+# each next part's sets mapped through the rotation; c1 with d = t keeps the
+# digest of matching every part on its own, since each part's pair graph is a
+# perfect matching there.  The first two were first pinned from the quadratic
+# pair scan; the next six are the family-verify benchmark codes.  c2 and c3
+# take the pair scan, every other code the span index.
 GOLDEN_PLAN_SHA256 = {
-    ("integer", 3, None, 3): "93780efcf99edd72c9ae61e56add9c8c0aa6eb67eb70fa899df3ed097445f5e3",
+    ("integer", 3, None, 3): "34b44d5685d6d1aa97975bffc9694d40b557fdf35b90787c8710886807b87fae",
     ("c1", 6, 6, None): "30c9ac1e759436d07b18110938deb49c92a3a3aea2ef182b7bf95ed7631caa64",
-    ("integer", 2, None, 3): "21d38501fb03a9c5a4d761516a540be7340cae28328d562fcc458a82f7a0035a",
-    ("general", 3, None, "7/3"): "4082b243461ba521fd41db680218639c50595b4e5dc9d446fc735ad590fe5831",
-    ("c1", 6, 3, None): "ed807840ca0c593a658d2230c7cd8eea0fa4883139c40c8e94882afc1f276fbd",
+    ("integer", 2, None, 3): "a061f61c283791066ff07db4c9a0645f8b55e24daebd2ca62ef2f4abc8d5a291",
+    ("general", 3, None, "7/3"): "bb09ba3e822d705715c86c14467b5c728a25e112ab43d1f1ef35ecdc730a002a",
+    ("c1", 6, 3, None): "79b5c1b388f1a22116370a5bfedcf409afcc94261ccbd1c86ebc380bd0c7e283",
     ("c1", 5, 5, None): "4dcfd2b0dcadac721b4cee60e2ad13afe367de759282da773ed477162c9a71a3",
-    ("c1", 5, 3, None): "bbcb78645ca2f98a9b4037758c67a6768864b7aebc35c86d524a957b9a16f35a",
-    ("general", 3, None, "8/3"): "921add7b586c740e0c51f33cdde9bfaeb414a99c86522c214d355ca19c4b17ba",
+    ("c1", 5, 3, None): "4e254fd20a14ad7e85e07c92f40a4aa164f6315e4e1df830a7852959b6f32379",
+    ("general", 3, None, "8/3"): "78ee45cfce613315af9411ecea7da2ff16b05bb90200cac2527c40ac15121e8e",
     ("c2", 15, None, None): "33d93af8cbcbb5a13807d22dbe318a87d08423de5ced416f65deb0511682e3b0",
-    ("c3", 14, None, None): "e540c7b5f3b6fddbed992b287e000f3fadd99233304cfcf68254ca2a003aab3d",
+    ("c3", 14, None, None): "df86ed0d803316c09c6aa628d4c0ddce60be90f949be5724dd5046ee5bf3e471",
 }
 
 
@@ -377,15 +403,6 @@ def test_pair_plans_at_scale_are_unchanged(key):
     assert digest == GOLDEN_PLAN_SHA256[key]
 
 
-def _both_routes(code: ArrayCode) -> tuple[list[int] | None, list, list]:
-    """The rotation image and every part's indexed graph, the matching's
-    input, built part by part and through the image (part by part again
-    when there is none)."""
-    holders = _singleton_columns(code)
-    image = _rotation_image(code, holders)
-    return image, list(_part_graphs(code, holders, None)), list(_part_graphs(code, holders, image))
-
-
 ROTATION_CLOSED = sorted(
     [(family, t, d, s) for family, t, d, s in GOLDEN_PLAN_SHA256 if family != "c2"]
     + [("c3", t, None, None) for t in range(4, 17, 2)]
@@ -396,12 +413,21 @@ ROTATION_CLOSED = sorted(
 
 @pytest.mark.parametrize("key", ROTATION_CLOSED, ids=str)
 def test_rotated_part_graphs_equal_the_built_ones(key):
+    # part i+1's pair graph, built on its own, is part i's with every column
+    # renamed by the rotation map, so part 1's matching mapped part to part
+    # is a maximum matching of every part
     family, t, d, s = key
     code = ConstructionParams(family, t, d=d, s=None if s is None else Fraction(s)).build()
-    image, built, rotated = _both_routes(code)
+    image = _check_pair_plan(code, parts=1)
     assert image is not None
     assert sorted(image[1:]) == list(range(1, code.m + 1))
-    assert rotated == built
+    built = list(_part_graphs(code, _singleton_columns(code), code.p))
+    for part, (verts, adj) in enumerate(built):
+        next_verts, next_adj = built[(part + 1) % code.p]
+        assert sorted(image[v] for v in verts) == next_verts
+        position = {v: i for i, v in enumerate(next_verts)}
+        sigma = [position[image[v]] for v in verts]  # index here -> index there
+        assert all(sorted(sigma[j] for j in row) == next_adj[sigma[i]] for i, row in enumerate(adj))
 
 
 def test_codes_not_closed_under_rotation_get_no_column_map():
@@ -415,16 +441,13 @@ def test_a_rotation_closed_span_stored_in_other_bases_falls_back():
     # {x1+x2, x2+x3} spans the even-weight vectors, which the rotation fixes,
     # but its rotated cells {x2+x3, x1+x3} are stored in no column
     code = parse_code("PIRCODE v1\np=3 t=2 m=4\n1+2;2+3\n1;2\n2;3\n1;3\n")
-    image, built, rotated = _both_routes(code)
-    assert image is None
+    assert _rotation_image(code, _singleton_columns(code)) is None
     report = k_pir_pairs(code)
     assert report.per_part == (3, 3, 3)
     assert report.plan == _oracle_plan(code)
     # stored in all three rotated bases, the same span takes the column map
     closed = parse_code("PIRCODE v1\np=3 t=2 m=6\n1+2;2+3\n2+3;1+3\n1+2;1+3\n1;2\n2;3\n1;3\n")
-    image, built, rotated = _both_routes(closed)
-    assert image is not None and rotated == built
-    assert k_pir_pairs(closed).plan == _oracle_plan(closed)
+    assert _check_pair_plan(closed) is not None
 
 
 def _rotated(cell: int, p: int, steps: int) -> int:
@@ -442,9 +465,7 @@ def test_pair_plans_of_rotation_closed_codes_match_the_oracle(base):
         for col in base.columns
     ]
     code = ArrayCode.from_columns(base.p, columns)
-    image, built, rotated = _both_routes(code)
-    assert image is not None and rotated == built
-    assert k_pir_pairs(code).plan == _oracle_plan(code)
+    assert _check_pair_plan(code) is not None
 
 
 @pytest.mark.parametrize("family,t", [("c3", 18), ("c2", 19)])
