@@ -27,7 +27,8 @@ Pair mode builds each part's pair graph one of two ways, whichever a size
 estimate says is cheaper for the code, as a neighbour map (column -> set of
 columns), and `matching.IndexedGraph.of` checks it once and indexes it
 (sorted columns, each row of ascending indices) for the matching; each
-part's graph is freed once it is matched.  The span index: for columns U, V
+part's graph is freed once it is matched, and a part with no edges costs
+no graph.  The span index: for columns U, V
 that do not span e_i alone, e_i lies in span(U)+span(V) iff some x in
 span(U) has x ^ e_i in span(V).  The index maps each nonzero vector to
 the columns whose span holds it, built from every column's 2^t - 1 span
@@ -46,7 +47,10 @@ t (c2, c3) the scan.
 
 When the columns are closed under the part rotation e_i -> e_(i+1 mod p),
 as every ladder code (c1, integer and general s) and c3 are, only part 1's
-graph is built, either way, and matched.  Each column j maps to a column
+graph is built, either way, and matched; the span index then leaves out
+part 1's holders, which pair with no column for part 1 (a holder holds both
+x and x ^ e_1 for every x of its span), so it holds the other columns'
+span elements only.  Each column j maps to a column
 pi(j) storing the rotation of j's cells, and the rotation is a linear
 bijection, so pi carries a pair spanning e_i to a pair spanning e_(i+1),
 keeps disjoint sets disjoint and sends part i's holders to part i+1's:
@@ -60,9 +64,10 @@ rotated.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
@@ -156,7 +161,14 @@ def _singleton_columns(code: ArrayCode) -> list[Sequence[int]]:
 
 
 def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
-    """Check every set spans its part and per-part sets are pairwise disjoint."""
+    """Check every set spans its part and per-part sets are pairwise disjoint.
+
+    A part's columns are checked together first: one range test and one
+    disjointness test over all its sets.  Only a part that fails one of
+    them has its sets checked for range and overlap one at a time, in order
+    with the span checks, so the first violation is named as if every set
+    were checked in turn.
+    """
     tables: dict[int, dict[int, int]] = {}  # column -> pivot table of its cells
 
     def table(j: int) -> dict[int, int]:
@@ -171,15 +183,21 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
         if not 1 <= part <= code.p:
             return PlanCheck(False, f"part {part} out of range 1..{code.p}")
         target = 1 << (part - 1)
+        sets = plan.sets(part)
+        flat = list(chain.from_iterable(sets))
+        checked = not flat or (
+            min(flat) >= 1 and max(flat) <= code.m and len(set(flat)) == len(flat)
+        )
         used: set[int] = set()
-        for columns in plan.sets(part):
-            for j in columns:
-                if not 1 <= j <= code.m:
-                    return PlanCheck(False, f"part {part}: column {j} out of range 1..{code.m}")
-            if not used.isdisjoint(columns):
-                first = min(used.intersection(columns))
-                return PlanCheck(False, f"part {part}: column {first} appears in two recovery sets")
-            used.update(columns)
+        for columns in sets:
+            if not checked:
+                for j in columns:
+                    if not 1 <= j <= code.m:
+                        return PlanCheck(False, f"part {part}: column {j} out of range 1..{code.m}")
+                if not used.isdisjoint(columns):
+                    first = min(used.intersection(columns))
+                    return PlanCheck(False, f"part {part}: column {first} appears in two recovery sets")
+                used.update(columns)
             if len(columns) == 1:
                 # singleton convention: a column spans e_i only if it stores it
                 spans = target in code.columns[columns[0] - 1]
@@ -195,10 +213,20 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
     return PlanCheck(True, None)
 
 
-def _span_index(code: ArrayCode) -> dict[int, list[int]]:
-    """Every nonzero vector of some column's span -> the 1-based columns whose span holds it."""
+def _span_index(code: ArrayCode, skip: Sequence[int] = ()) -> dict[int, list[int]]:
+    """Every nonzero vector of some column's span -> the 1-based columns
+    whose span holds it, leaving out the 0-based columns in `skip`.
+
+    Part i's graph is the same with its holders (of e_i) left out: a holder
+    holds x ^ e_i with every x of its span, so it is on neither side of
+    `_pair_neighbours`' unions, and leaving it out only drops lifts that
+    would have an empty side.
+    """
+    skipped = {j + 1 for j in skip}
     index: defaultdict[int, list[int]] = defaultdict(list)
     for j, col in enumerate(code.columns, start=1):
+        if j in skipped:
+            continue
         span = [0]
         for cell in col:
             span += [x ^ cell for x in span]
@@ -249,25 +277,33 @@ def _pair_neighbours(index: dict[int, list[int]], lifted: list[int], bit: int) -
     return neighbours
 
 
-def _indexed_edges(code: ArrayCode, parts: int) -> Iterator[dict[int, set[int]]]:
-    """For parts 1..`parts` in turn, the pair graph read off the span index
-    as a neighbour map (see `_pair_neighbours`).
+def _indexed_edges(
+    code: ArrayCode, holders: list[Sequence[int]], parts: int
+) -> Iterator[tuple[int, dict[int, set[int]]]]:
+    """For parts 1..`parts` in ascending order, each part that has edges,
+    with its pair graph read off the span index as a neighbour map (see
+    `_pair_neighbours`); the index is freed before the last map is yielded.
 
-    A part with no lifts has no edges; skipping it keeps the cost of a code
-    whose cells touch few of its p parts linear in p.
+    When only part 1 is built, its holders are left out of the index (see
+    `_span_index`).  A part with no lifts has no edges; skipping it keeps
+    the cost of a code whose cells touch few of its p parts linear in p.
     """
-    index = _span_index(code)
+    index = _span_index(code, holders[0] if parts == 1 else ())
     lifts = _lifts(index, (1 << parts) - 1)
-    for part in range(1, parts + 1):
-        lifted = lifts.get(part)
-        yield _pair_neighbours(index, lifted, 1 << (part - 1)) if lifted else {}
+    for part in sorted(lifts):
+        neighbours = _pair_neighbours(index, lifts.pop(part), 1 << (part - 1))
+        if not lifts:
+            del index
+        if neighbours:
+            yield part, neighbours
 
 
 def _scanned_edges(
     code: ArrayCode, holders: list[Sequence[int]], parts: int
-) -> Iterator[dict[int, set[int]]]:
-    """For parts 1..`parts` in turn, the pair graph as a neighbour map, found
-    by eliminating every pair of non-holder columns whose cells involve the part."""
+) -> Iterator[tuple[int, dict[int, set[int]]]]:
+    """For parts 1..`parts` in turn, each part that has edges, with its pair
+    graph as a neighbour map, found by eliminating every pair of non-holder
+    columns whose cells involve the part."""
     pivots = _column_pivots(code)
     rows = [tuple(piv.values()) for piv in pivots]
     involved = []
@@ -293,7 +329,8 @@ def _scanned_edges(
                 if pivot_reduce(merged, target) == 0:
                     neighbours[u + 1].add(v + 1)
                     neighbours[v + 1].add(u + 1)
-        yield neighbours
+        if neighbours:
+            yield part, neighbours
 
 
 def _use_span_index(code: ArrayCode, holders: list[Sequence[int]]) -> bool:
@@ -303,9 +340,9 @@ def _use_span_index(code: ArrayCode, holders: list[Sequence[int]]) -> bool:
     if entries > PAIRS_SPAN_CAP:
         return False
     candidates = 0
-    for held in holders:
-        rest = code.m - len(held)
-        candidates += rest * (rest - 1) // 2
+    for alpha, parts in Counter(map(len, holders)).items():
+        rest = code.m - alpha
+        candidates += parts * (rest * (rest - 1) // 2)
     return entries <= candidates
 
 
@@ -349,24 +386,20 @@ def _rotation_image(code: ArrayCode, holders: list[Sequence[int]]) -> list[int] 
     return image
 
 
-_NO_EDGES = IndexedGraph([], [])  # every part without edges, unindexed
-
-
-def _part_graphs(code: ArrayCode, holders: list[Sequence[int]], parts: int) -> Iterator[IndexedGraph]:
-    """For parts 1..`parts` in turn, the pair graph, checked and indexed:
-    each part's neighbour map is built from the span index or the pair scan,
-    whichever `_use_span_index` judges cheaper, and indexed by
-    `IndexedGraph.of`; the span index is freed before the last part's graph
-    is indexed and matched."""
+def _part_graphs(
+    code: ArrayCode, holders: list[Sequence[int]], parts: int
+) -> Iterator[tuple[int, IndexedGraph]]:
+    """For parts 1..`parts` in turn, each part that has edges, with its pair
+    graph checked and indexed: each neighbour map is built from the span
+    index or the pair scan, whichever `_use_span_index` judges cheaper, and
+    indexed by `IndexedGraph.of`; the span index is freed before the last
+    graph is indexed and matched."""
     if _use_span_index(code, holders):
-        maps = _indexed_edges(code, parts)
+        maps = _indexed_edges(code, holders, parts)
     else:
         maps = _scanned_edges(code, holders, parts)
-    for part in range(1, parts + 1):
-        neighbours = next(maps)
-        if part == parts:
-            del maps  # frees the span index before the last graph is indexed
-        yield IndexedGraph.of(neighbours) if neighbours else _NO_EDGES
+    for part, neighbours in maps:
+        yield part, IndexedGraph.of(neighbours)
 
 
 def k_pir_pairs(code: ArrayCode) -> VerifyReport:
@@ -388,33 +421,37 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     k_i <= alpha_i + min(f // 2, (f + nu) // 3), which alpha_i + nu meets
     exactly when f <= 2*nu + 2.  The index costs O(p*m*2^t) plus one
     visit per element of span(U) & span(V) for every edge {U,V}, with about
-    m*2^t index entries in memory.  The c1(8,8) code (m=24310, t=8) is
-    rotation-closed and takes 1.3-2.8 s, and the process that builds and
-    verifies it peaks at 95 MB RSS (Python 3.11.7, one core of a shared
-    2-vCPU Xeon VM whose speed drifts); the span index is most of both, and
-    the scan would take hours there.
+    m*2^t index entries in memory; a one-part build leaves part 1's holders
+    out of the index.  The c1(8,8) code (m=24310, t=8) is rotation-closed
+    and takes 0.9-1.3 s, and the process that builds and verifies it peaks
+    at 72 MB RSS (Python 3.11.7, one core of a shared 2-vCPU Xeon VM whose
+    speed drifts); the span index is most of both, and the scan would take
+    hours there.  A part with no holders and no edges costs one step of two
+    loops over the parts, so a header of many parts stored nowhere stays
+    cheap.
     """
     holders = _singleton_columns(code)
     image = _rotation_image(code, holders)
-    plan_sets = {}
-    for part, graph in enumerate(_part_graphs(code, holders, code.p if image is None else 1), start=1):
-        sets = [(j + 1,) for j in holders[part - 1]]
-        if graph.verts:
-            sets.extend(max_general_matching(graph))
+    pairs = {}
+    for part, graph in _part_graphs(code, holders, code.p if image is None else 1):
+        pairs[part] = max_general_matching(graph)
         del graph  # free this part's graph before the next one is built
-        plan_sets[part] = sets
-    if image is not None:
+    if image is not None and pairs:
         # part i+1's pairs are part i's mapped through the rotation, each
         # put in order by one comparison (see the module docstring)
-        pairs = plan_sets[1][len(holders[0]) :]
-        lows = [u for u, _ in pairs]
-        highs = [v for _, v in pairs]
+        lows = [u for u, _ in pairs[1]]
+        highs = [v for _, v in pairs[1]]
         for part in range(2, code.p + 1):
             lows = list(map(image.__getitem__, lows))
             highs = list(map(image.__getitem__, highs))
-            sets = [(j + 1,) for j in holders[part - 1]]
-            sets += [(u, v) if u < v else (v, u) for u, v in zip(lows, highs)]
-            plan_sets[part] = sets
+            pairs[part] = [(u, v) if u < v else (v, u) for u, v in zip(lows, highs)]
+    # a part with no holders and no pairs costs one step of each loop below
+    plan_sets = dict.fromkeys(range(1, code.p + 1), ())
+    for part, held in enumerate(holders, start=1):
+        if held:
+            plan_sets[part] = [(j + 1,) for j in held]
+    for part, found in pairs.items():
+        plan_sets[part] = [*plan_sets[part], *found]
     per_part = list(map(len, plan_sets.values()))
     # f <= 2*nu + 2 with f = m - alpha_i and nu = k_i - alpha_i
     certified = [code.m + len(held) <= 2 * k + 2 for k, held in zip(per_part, holders)]

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pirarray import (
@@ -24,7 +24,7 @@ from pirarray import (
 from pirarray.constructions import FAMILIES, ConstructionParams
 from pirarray.errors import FormatError, ParameterError
 from pirarray.gf2 import parts_of, pivot_insert, pivot_reduce
-from pirarray.model import MAX_PARTS, format_cell, parse_cell
+from pirarray.model import MAX_PARTS, PLAN_MAGIC, format_cell, parse_cell
 
 
 def test_intro_parses_with_expected_shape(intro_code):
@@ -143,6 +143,35 @@ def test_plan_round_trip():
     assert text.splitlines()[0] == "PIRPLAN v1"
     assert "part 5: {1};{2};{3,4}" in text
     assert parse_plan(text) == plan
+
+
+def _reference_serialize_plan(plan: RecoveryPlan) -> str:
+    """The set-by-set rendering: each set's columns joined on their own."""
+    lines = [PLAN_MAGIC]
+    for part in plan.parts():
+        rendered = ";".join("{" + ",".join(map(str, s)) + "}" for s in plan.sets(part))
+        lines.append(f"part {part}: {rendered}" if rendered else f"part {part}:")
+    return "\n".join(lines) + "\n"
+
+
+_PLAN_COLUMNS = st.one_of(st.integers(1, 12), st.integers(10, 10**15))
+
+
+@example({1: [], 2: [frozenset()], 3: [frozenset({7})], 4: [frozenset({10, 123456}), frozenset({9})]})
+@given(
+    st.dictionaries(
+        st.integers(1, 10**6),
+        st.lists(st.frozensets(_PLAN_COLUMNS, max_size=4), max_size=6),
+        max_size=5,
+    )
+)
+def test_serialize_plan_matches_the_set_by_set_reference(sets_by_part):
+    # empty parts, empty sets, one-column sets and multi-digit columns
+    plan = RecoveryPlan(sets_by_part)
+    text = serialize_plan(plan)
+    assert text == _reference_serialize_plan(plan)
+    if all(all(plan.sets(part)) for part in plan.parts()):  # PIRPLAN has no empty set
+        assert parse_plan(text) == plan
 
 
 def test_plan_k_is_min_over_parts():

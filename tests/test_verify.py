@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import random
 import re
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from pirarray.verify import (
     _rotation_image,
     _scanned_edges,
     _singleton_columns,
+    _span_index,
     _use_span_index,
 )
 
@@ -197,6 +200,29 @@ def test_verify_plan_matches_the_reference_check_on_seeded_plans():
     assert kinds == {"ok", *violations}
 
 
+def test_verify_plan_names_the_first_violation_in_set_order():
+    # odd columns store x1 and even ones x2; part 1's sets are ascending
+    # singletons of odd columns and {1,19}, plus out-of-range, overlapping
+    # and non-spanning sets led by columns 4, 8 and 12 in every order and
+    # combination, so the part-wide range and disjointness tests must not
+    # change which violation is named first
+    code = ArrayCode.from_columns(2, [[1 if j % 2 else 2] for j in range(1, 21)])
+    bad = {
+        "range": lambda lead: ((lead, 21), "part 1: column 21 out of range 1..20"),
+        "overlap": lambda lead: ((lead, 19), "part 1: column 19 appears in two recovery sets"),
+        "span": lambda lead: ((lead,), f"part 1: columns {{{lead}}} do not span it"),
+    }
+    good = [(1, 19), (3,), (5,), (7,), (9,), (11,), (13,), (15,), (17,)]
+    assert verify_plan(code, RecoveryPlan({1: good, 2: [(2,), (6,)]})) == (True, None)
+    for size in range(1, 4):
+        for kinds in permutations(bad, size):
+            made = [bad[kind](lead) for kind, lead in zip(kinds, (4, 8, 12))]
+            plan = RecoveryPlan({1: good + [columns for columns, _ in made], 2: [(2,), (6,)]})
+            found = verify_plan(code, plan)
+            assert found == (False, made[0][1])
+            assert tuple(found) == _oracle_verify_plan(code, plan)
+
+
 def test_reports_respect_singleton_diagnostic():
     for code in (build_c1(2, 2), build_c2(3), build_c3(2)):
         report = k_pir_pairs(code)
@@ -216,9 +242,13 @@ def test_plans_have_per_part_counts(intro_code):
     assert report.plan.plan_k == report.k
 
 
-def _oracle_edges(code: ArrayCode, part: int, holders: set[int]) -> list[tuple[int, int]]:
-    """The quadratic reference scan: eliminate every pair of non-holder columns."""
+@functools.lru_cache(maxsize=32)
+def _oracle_edges(code: ArrayCode, part: int) -> tuple[tuple[int, int], ...]:
+    """The quadratic reference scan: eliminate every pair of columns that
+    do not hold the part alone.  Cached, since on the largest family codes
+    it takes seconds and two tests check part 1 of each against it."""
     target = 1 << (part - 1)
+    holders = set(_singleton_columns(code)[part - 1])
     rest = [j for j in range(code.m) if j not in holders]
     edges = []
     for a, u in enumerate(rest):
@@ -228,10 +258,10 @@ def _oracle_edges(code: ArrayCode, part: int, holders: set[int]) -> list[tuple[i
                 pivot_insert(pivots, cell)
             if pivot_reduce(pivots, target) == 0:
                 edges.append((u + 1, v + 1))
-    return edges
+    return tuple(edges)
 
 
-def _as_neighbours(edges: list[tuple[int, int]]) -> dict[int, set[int]]:
+def _as_neighbours(edges: Sequence[tuple[int, int]]) -> dict[int, set[int]]:
     """The neighbour map of an edge list: each endpoint -> its neighbours."""
     neighbours: dict[int, set[int]] = {}
     for u, v in edges:
@@ -246,7 +276,7 @@ def _oracle_plan(code: ArrayCode, parts: int | None = None) -> RecoveryPlan:
     sets_by_part = {}
     for part, holders in enumerate(_singleton_columns(code)[:parts], start=1):
         sets = [frozenset({j + 1}) for j in sorted(holders)]
-        edges = _oracle_edges(code, part, holders)
+        edges = _oracle_edges(code, part)
         if edges:
             graph = IndexedGraph.of(_as_neighbours(edges))
             sets.extend(frozenset(e) for e in max_general_matching(graph))
@@ -302,13 +332,16 @@ def valid_codes(draw, max_m: int, max_p: int = 14, max_t: int = 6, duplicates: b
 @settings(max_examples=150, deadline=None)
 @given(valid_codes(max_m=40))
 def test_both_edge_paths_match_quadratic_oracle(code):
+    # each path yields the parts that have edges, in ascending order
     holders = _singleton_columns(code)
-    oracle = [
-        _as_neighbours(_oracle_edges(code, part, held))
-        for part, held in enumerate(holders, start=1)
-    ]
-    assert list(_indexed_edges(code, code.p)) == oracle
+    oracle = []
+    for part in range(1, code.p + 1):
+        edges = _oracle_edges(code, part)
+        if edges:
+            oracle.append((part, _as_neighbours(edges)))
+    assert list(_indexed_edges(code, holders, code.p)) == oracle
     assert list(_scanned_edges(code, holders, code.p)) == oracle
+    _check_one_part_index(code)
     _check_pair_plan(code)
 
 
@@ -411,6 +444,25 @@ ROTATION_CLOSED = sorted(
 )
 
 
+def _check_one_part_index(code: ArrayCode) -> None:
+    """Part 1's graph from the span index built without part 1's holders,
+    as a one-part build makes it, equals the oracle's, and no holder is in
+    that index."""
+    holders = _singleton_columns(code)
+    edges = _oracle_edges(code, 1)
+    assert list(_indexed_edges(code, holders, 1)) == ([(1, _as_neighbours(edges))] if edges else [])
+    skipped = {j + 1 for j in holders[0]}
+    assert all(skipped.isdisjoint(columns) for columns in _span_index(code, holders[0]).values())
+
+
+@pytest.mark.parametrize("key", ROTATION_CLOSED, ids=str)
+def test_one_part_index_matches_the_oracle(key):
+    family, t, d, s = key
+    code = ConstructionParams(family, t, d=d, s=None if s is None else Fraction(s)).build()
+    assert _singleton_columns(code)[0]
+    _check_one_part_index(code)
+
+
 @pytest.mark.parametrize("key", ROTATION_CLOSED, ids=str)
 def test_rotated_part_graphs_equal_the_built_ones(key):
     # part i+1's pair graph, built on its own, is part i's with every column
@@ -421,7 +473,8 @@ def test_rotated_part_graphs_equal_the_built_ones(key):
     image = _check_pair_plan(code, parts=1)
     assert image is not None
     assert sorted(image[1:]) == list(range(1, code.m + 1))
-    built = list(_part_graphs(code, _singleton_columns(code), code.p))
+    built = [graph for _, graph in _part_graphs(code, _singleton_columns(code), code.p)]
+    assert len(built) == code.p
     for part, (verts, adj) in enumerate(built):
         next_verts, next_adj = built[(part + 1) % code.p]
         assert sorted(image[v] for v in verts) == next_verts
