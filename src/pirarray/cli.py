@@ -77,8 +77,18 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
     if command == "table":
         _flag("--max-s", args.max_s, 2)
         _flag("--max-t", args.max_t, 1)
-    if command == "simulate" and args.sweep_trials is not None and args.sweep_failures is None:
-        raise ParameterError("--sweep-trials needs --sweep-failures")
+    if command == "simulate":
+        # a sweep needs both of its flags and prints no session, so the
+        # session flags would be dropped without a word
+        if args.sweep_trials is None:
+            if args.sweep_failures is not None:
+                raise ParameterError("--sweep-failures needs --sweep-trials")
+        elif args.sweep_failures is None:
+            raise ParameterError("--sweep-trials needs --sweep-failures")
+        else:
+            for name, value in (("--part", args.part), ("--fail-server", args.fail_server)):
+                if value is not None:
+                    raise ParameterError(f"{name} does not apply to --sweep-trials")
     return args
 
 

@@ -13,33 +13,39 @@ fleet's latency, jitter and drop probability.
 
 `retrieve` records each event as one small tuple whose first three fields,
 (time, kind, server or set), are its sort key and unique within a session,
-so a plain sort orders the session.  A `SessionTranscript` keeps those
-tuples; `jsonl()` renders them straight to JSON lines through the one
-fixed-schema template per event kind, `events` parses those lines back to
-dicts and `sets` builds outcomes from the same tuples, both on first
-access, so a caller that only prints a session builds neither.  Each line
-is exactly the bytes `json.dumps(event, sort_keys=True, separators=(",",
-":"))` gives for the event it holds: every value is an int, a bool, a
-fixed ASCII word, a `0x` hex string or a list of these, so nothing needs
-escaping.
+so a plain sort orders the session.  It draws each response's jitter as
+`rng.randrange(jitter_us + 1)` would, straight from `getrandbits`, so the
+stream is randrange's without its Python wrapper.  A `SessionTranscript`
+keeps those tuples; `jsonl()` renders them straight to JSON lines through
+the one fixed-schema template per event kind, `events` parses those lines
+back to dicts and `sets` builds outcomes from the same tuples, both on
+first access, so a caller that only prints a session builds neither.  Each
+line is exactly the bytes `json.dumps(event, sort_keys=True,
+separators=(",", ":"))` gives for the event it holds: every value is an
+int, a bool, a fixed ASCII word, a `0x` hex string or a list of these, so
+nothing needs escaping.  Requests are all at time 0, so they are the
+leading records and render from one per-session prefix.
 
-A `Fleet` renders each server's cells as hex once (each distinct cell
-once) and keeps per server a pivot table of its cells with their values, so
-a session neither re-renders a response nor re-eliminates a column.  A
-pivot row carries its value in its low bits, `(cell << chunk_width) |
-value`, so solving a set is the `gf2` kernel's elimination on those rows,
-with no second copy of the kernel; a one-column set needs none, since a
-column spans e_i only if it stores it (the singleton convention).  A
-`Fleet` also records each (part, sets) of a plan that has passed
-`verify_plan`, so `retrieve` and `availability_sweep` check a replayed plan
-part only once, and each multi-column set's solved value by (part,
-columns), so a replayed session solves none of its sets again.
+A `Fleet` renders each server's cells once (each distinct cell's hex once)
+as the JSON fragment a response line holds, and keeps per server a pivot
+table of its cells with their values, so a session neither re-renders a
+response nor re-eliminates a column.  A pivot row carries its value in its
+low bits, `(cell << chunk_width) | value`, so solving a set is the `gf2`
+kernel's elimination on those rows, with no second copy of the kernel; a
+one-column set needs none, since a column spans e_i only if it stores it
+(the singleton convention).  A `Fleet` also records each (part, sets) of a
+plan that has passed `verify_plan`, with each set's columns rendered as
+the JSON list a solve line holds, so `retrieve` and `availability_sweep`
+check and render a replayed plan part only once, and each multi-column
+set's solved value by (part, columns), so a replayed session solves none
+of its sets again.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -85,13 +91,15 @@ class Fleet:
     drop_probability: float = 0.0
     database: tuple[int, ...] = field(init=False)
     server_values: tuple[tuple[int, ...], ...] = field(init=False)
-    # Per server: its cells as hex strings, and a pivot table of the rows
+    # Per server: its cells as the JSON fragment `0x…","0x…` a response line
+    # holds between its brackets, and a pivot table of the rows
     # (cell << chunk_width) | value with its cells reduced against one another.
-    _cells_hex: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    _cells_json: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _pivots: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
-    # Every (part, that part's sets) that has passed verify_plan on this
-    # fleet's code, so replaying a plan checks each of its parts once.
-    _verified: set[tuple[int, tuple[tuple[int, ...], ...]]] = field(
+    # (part, that part's sets) -> each set's columns rendered as the JSON
+    # list body `3,17`, for every part that has passed verify_plan on this
+    # fleet's code, so replaying a plan checks and renders each part once.
+    _verified: dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[str, ...]] = field(
         init=False, repr=False, compare=False
     )
     # (part, columns) -> that part's value, for every multi-column set that
@@ -120,7 +128,7 @@ class Fleet:
         width = self.chunk_width
         known: dict[int, tuple[int, str]] = {}
         rows: dict[int, int] = {}
-        values, cells_hex, pivot_tables = [], [], []
+        values, cells_json, pivot_tables = [], [], []
         for col in self.code.columns:
             cells = []
             pivots: dict[int, int] = {}
@@ -134,12 +142,12 @@ class Fleet:
                 cells.append(found)
                 pivot_insert(pivots, (cell << width) | found[0])
             values.append(tuple(chunk for chunk, _ in cells))
-            cells_hex.append(tuple(text for _, text in cells))
+            cells_json.append('","'.join(text for _, text in cells))
             pivot_tables.append({high: rows.setdefault(row, row) for high, row in pivots.items()})
         object.__setattr__(self, "server_values", tuple(values))
-        object.__setattr__(self, "_cells_hex", tuple(cells_hex))
+        object.__setattr__(self, "_cells_json", tuple(cells_json))
         object.__setattr__(self, "_pivots", tuple(pivot_tables))
-        object.__setattr__(self, "_verified", set())
+        object.__setattr__(self, "_verified", {})
         object.__setattr__(self, "_solved", {})
 
     def chunk_hex(self, value: int) -> str:
@@ -161,12 +169,14 @@ class SessionTranscript:
     `records` holds one tuple per event, in replay order; the first three
     fields are its sort key (time, kind, server or set index):
 
-    * request   ``(0, _REQUEST, server, set)``
+    * request   ``(0, _REQUEST, server, set)``, always at time 0, so every
+      request sorts before every other record
     * response  ``(time, _RESPONSE, server, set, cells)``, `cells` the
-      server's cells as hex strings
-    * solve     ``(time, _SOLVE, set, columns, missing, value, value_hex)``;
-      `missing` is () for a solved set, and `value`/`value_hex` are None
-      for a faulted one
+      server's cells as the fragment ``0x…","0x…`` of its JSON list
+    * solve     ``(time, _SOLVE, set, columns, columns_json, missing,
+      value, value_hex)``; `columns_json` is the set's JSON list body
+      ``3,17``, `missing` is () for a solved set, and `value`/`value_hex`
+      are None for a faulted one
     * verdict   ``(time, _VERDICT, 0, sets_ok, sets_total, value_hex)``,
       always last
 
@@ -187,25 +197,21 @@ class SessionTranscript:
         json.dumps(event, sort_keys=True, separators=(",", ":")) gives for
         its event; the one place that knows each kind's keys."""
         part = self.part
-        lines = []
+        records = self.records
+        # The requests are the leading records (time 0, kind _REQUEST), and
+        # their lines differ only in server and set.
+        requests = bisect_left(records, (0, _RESPONSE))
+        request = f'{{"event":"request","part":{part},"server":'
+        lines = [f'{request}{server},"set":{index},"time":0}}' for _, _, server, index in records[:requests]]
+        response = f'"],"event":"response","part":{part},"server":'
         append = lines.append
-        for record in self.records:
+        for record in records[requests:]:
             kind = record[1]
-            if kind == _REQUEST:
-                append(
-                    f'{{"event":"request","part":{part},"server":{record[2]},'
-                    f'"set":{record[3]},"time":{record[0]}}}'
-                )
-            elif kind == _RESPONSE:
+            if kind == _RESPONSE:
                 time, _, server, index, cells = record
-                cells = '","'.join(cells)
-                append(
-                    f'{{"cells":["{cells}"],"event":"response","part":{part},'
-                    f'"server":{server},"set":{index},"time":{time}}}'
-                )
+                append(f'{{"cells":["{cells}{response}{server},"set":{index},"time":{time}}}')
             elif kind == _SOLVE:
-                time, _, index, columns, missing, _, text = record
-                columns = ",".join(map(str, columns))
+                time, _, index, _, columns, missing, _, text = record
                 if missing:
                     missing = ",".join(map(str, missing))
                     append(
@@ -238,7 +244,7 @@ class SessionTranscript:
         solves = sorted((record for record in self.records if record[1] == _SOLVE), key=itemgetter(2))
         return tuple(
             SetOutcome(columns, True, None, None) if missing else SetOutcome(columns, False, value, time)
-            for time, _, _, columns, missing, value, _ in solves
+            for time, _, _, columns, _, missing, value, _ in solves
         )
 
 
@@ -279,17 +285,18 @@ def _solve_set(fleet: Fleet, columns: tuple[int, ...], part: int) -> int:
     return residual
 
 
-def _check_plan(fleet: Fleet, plan: RecoveryPlan, parts: Iterable[int]) -> None:
-    """Raise on the first of `parts`, in order, whose sets fail verify_plan;
-    a part whose sets have passed on this fleet before is not checked again."""
-    verified = fleet._verified
-    for part in parts:
-        sets = plan.sets(part)
-        if (part, sets) not in verified:
-            check = verify_plan(fleet.code, RecoveryPlan({part: sets}))
-            if not check.ok:
-                raise ParameterError(f"invalid plan: {check.violation}")
-            verified.add((part, sets))
+def _check_plan(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> tuple[str, ...]:
+    """Each of `part`'s sets rendered as its JSON list body, once `sets` has
+    passed verify_plan on this fleet; raise if they fail.  Sets that have
+    passed before are neither checked nor rendered again."""
+    key = (part, sets)
+    rendered = fleet._verified.get(key)
+    if rendered is None:
+        check = verify_plan(fleet.code, RecoveryPlan({part: sets}))
+        if not check.ok:
+            raise ParameterError(f"invalid plan: {check.violation}")
+        rendered = fleet._verified[key] = tuple(",".join(map(str, columns)) for columns in sets)
+    return rendered
 
 
 def retrieve(
@@ -303,39 +310,49 @@ def retrieve(
     if any(not 1 <= j <= code.m for j in down):
         raise ParameterError(f"failed server index out of range 1..{code.m}")
     sets = plan.sets(part)
-    _check_plan(fleet, plan, (part,))
+    rendered = _check_plan(fleet, part, sets)
 
     rng = random.Random(fleet.seed * 1_000_003 + part)
+    # Each jitter is drawn as rng.randrange(jitter_us + 1) draws it, without
+    # its wrapper: k-bit words until one is at most jitter_us, with
+    # k = (jitter_us + 1).bit_length().  With no jitter k = 0: getrandbits(0)
+    # is 0 and draws nothing, just as no randrange call would.
+    getrandbits = rng.getrandbits
+    uniform = rng.random
     jitter_us = fleet.jitter_us
+    bits = (jitter_us + 1).bit_length() if jitter_us else 0
     latency = fleet.base_latency_us
     drop = fleet.drop_probability
-    cells_hex = fleet._cells_hex
+    cells_json = fleet._cells_json
     records: list[tuple] = []
+    append = records.append
     solved = []
     texts: dict[int, str] = {}  # each solved value's hex, rendered once
-    for index, columns in enumerate(sets, start=1):
+    for index, (columns, columns_json) in enumerate(zip(sets, rendered), start=1):
         missing = []
         latest = 0
         for server in columns:
-            jitter = rng.randrange(jitter_us + 1) if jitter_us else 0
-            dropped = rng.random() < drop
-            records.append((0, _REQUEST, server, index))
+            jitter = getrandbits(bits)
+            while jitter > jitter_us:
+                jitter = getrandbits(bits)
+            dropped = uniform() < drop
+            append((0, _REQUEST, server, index))
             if server in down or dropped:
                 missing.append(server)
                 continue
             arrival = latency + jitter
             if arrival > latest:
                 latest = arrival
-            records.append((arrival, _RESPONSE, server, index, cells_hex[server - 1]))
+            append((arrival, _RESPONSE, server, index, cells_json[server - 1]))
         if missing:
-            records.append((TIMEOUT_US, _SOLVE, index, columns, tuple(missing), None, None))
+            append((TIMEOUT_US, _SOLVE, index, columns, columns_json, tuple(missing), None, None))
         else:
             value = _solve_set(fleet, columns, part)
             solved.append(value)
             text = texts.get(value)
             if text is None:
                 text = texts[value] = fleet.chunk_hex(value)
-            records.append((latest, _SOLVE, index, columns, (), value, text))
+            append((latest, _SOLVE, index, columns, columns_json, (), value, text))
 
     # A part's sets are pairwise disjoint (_check_plan verified it), so each
     # server is requested once and the (time, kind, server or set) prefix of
@@ -397,8 +414,9 @@ def availability_sweep(
         raise ParameterError(f"need trials >= 1, got {trials}")
     if not 0 <= failures_per_trial <= code.m:
         raise ParameterError(f"failures_per_trial out of range 0..{code.m}")
-    _check_plan(fleet, plan, plan.parts())
     parts = plan.parts()
+    for part in parts:
+        _check_plan(fleet, part, plan.sets(part))
     if not parts:
         raise ParameterError("plan covers no parts")
 

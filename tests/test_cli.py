@@ -222,6 +222,30 @@ def test_simulate_keeps_a_zero_base_latency(tmp_path, capsys):
     assert responses and set(responses) == {0}
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--sweep-failures", "1"), "--sweep-failures needs --sweep-trials"),
+        (("--sweep-trials", "3", "--sweep-failures", "1", "--part", "1"), "--part does not apply to --sweep-trials"),
+        (
+            ("--sweep-trials", "3", "--sweep-failures", "1", "--fail-server", "2"),
+            "--fail-server does not apply to --sweep-trials",
+        ),
+        (
+            ("--fail-server", "2", "--part", "1", "--sweep-failures", "1", "--sweep-trials", "3"),
+            "--part does not apply to --sweep-trials",
+        ),
+    ],
+)
+def test_simulate_refuses_flags_it_would_drop(tmp_path, capsys, flags, message):
+    # without --sweep-trials, --sweep-failures would print sessions, and a
+    # sweep prints no session, so --part and --fail-server would do nothing
+    src = tmp_path / "intro.pir"
+    src.write_text(INTRO_TEXT)
+    code, stdout, err = run(capsys, "simulate", "--in", str(src), "--seed", "1", *flags)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
 def test_rate_at_large_s_is_fast(capsys):
     # the balance chain is stepped in lowest terms, not formed from products
     # of every binomial, so s = t = 60 (q = 60 types) takes a fraction of 1 s

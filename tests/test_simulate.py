@@ -342,8 +342,15 @@ def _shape(event: dict) -> str:
     return event["event"]
 
 
+# (base_latency_us, jitter_us) pairs for _seeded_sessions.  At latency 0
+# responses and solves land at time 0, right after the requests; at 9_900
+# with jitter 255 (9-bit words, so some draws are rejected) arrivals straddle
+# and tie with TIMEOUT_US, where faulted solves land.
+_TIMINGS = ((1000, 0), (1000, 250), (0, 0), (0, 250), (9_900, 255))
+
+
 def _seeded_sessions(intro_code):
-    """(fleet, plan, part, failed) over codes, chunk widths, jitters and drop
+    """(fleet, plan, part, failed) over codes, chunk widths, timings and drop
     rates that together give every event shape."""
     codes = [intro_code, build_c1(2, 2), build_c2(5)]
     codes += [seeded_code(seed, m, p, t) for seed, (m, p, t) in enumerate(((8, 5, 2), (10, 7, 3), (9, 6, 4)))]
@@ -351,12 +358,13 @@ def _seeded_sessions(intro_code):
     for code in codes:
         plan = k_pir_pairs(code).plan
         for chunk_width in (4, 64, 256):
-            for jitter_us in (0, 250):
+            for base_latency_us, jitter_us in _TIMINGS:
                 for drop in (0.0, 0.3, 1.0):
                     fleet = Fleet(
                         code=code,
                         seed=rng.randrange(1000),
                         chunk_width=chunk_width,
+                        base_latency_us=base_latency_us,
                         jitter_us=jitter_us,
                         drop_probability=drop,
                     )
@@ -365,15 +373,29 @@ def _seeded_sessions(intro_code):
                         yield fleet, plan, part, failed
 
 
+def _ties(events) -> set[str]:
+    """Which record-order ties a session's events have: a response or solve
+    at time 0 with the requests, and a response or solved set at
+    TIMEOUT_US with a faulted one."""
+    at_zero = {_shape(e) for e in events if e["time"] == 0}
+    at_timeout = {_shape(e) for e in events if e["time"] == simulate.TIMEOUT_US}
+    ties = {f"{shape}@0" for shape in at_zero - {"request"}} if "request" in at_zero else set()
+    if "solve-faulted" in at_timeout:
+        ties |= {f"{shape}@timeout" for shape in at_timeout & {"response", "solve-ok"}}
+    return ties
+
+
 def test_jsonl_matches_json_dumps(intro_code):
-    shapes = set()
+    shapes, ties = set(), set()
     for fleet, plan, part, failed in _seeded_sessions(intro_code):
         transcript = retrieve(fleet, plan, part, failed=failed)
         assert transcript.jsonl() == _reference_jsonl(transcript)
         shapes.update(map(_shape, transcript.events))
+        ties |= _ties(transcript.events)
     assert shapes == {
         "request", "response", "solve-ok", "solve-faulted", "verdict-value", "verdict-no-value"
     }
+    assert {"response@0", "solve-ok@0", "response@timeout", "solve-ok@timeout"} <= ties
 
 
 def _eager_session(fleet, plan, part, failed):
@@ -440,6 +462,50 @@ def test_lazy_views_match_the_eager_construction(intro_code):
         assert again.events == events and again.sets == sets
         assert again.jsonl() == text
         assert again == transcript and hash(again) == hash(transcript)
+
+
+def test_two_plans_for_one_part_render_their_own_columns():
+    # a fleet keeps each (part, sets) it has checked with its rendered column
+    # lists; a second plan that gives part 1 other sets renders its own
+    code = build_c1(2, 2)
+    first = k_pir_pairs(code).plan
+    second = RecoveryPlan({1: first.sets(1)[1:]})
+    assert first.sets(1)[0] != second.sets(1)[0]
+    for plans in ((first, second), (second, first)):
+        fleet = Fleet(code=code, seed=3, drop_probability=0.3)
+        for plan in plans * 2:
+            transcript = retrieve(fleet, plan, 1, failed=[2])
+            events, sets = _eager_session(fleet, plan, 1, [2])
+            assert transcript.events == events and transcript.sets == sets
+            assert transcript.jsonl() == _reference_jsonl(transcript)
+            solves = [e["columns"] for e in events if e["event"] == "solve"]
+            assert sorted(map(tuple, solves)) == list(plan.sets(1))
+        assert len(fleet._verified) == 2
+
+
+def _jitters(fleet, plan, part) -> list[int]:
+    """The jitter of each server of `part`'s sets, in draw order, read off a
+    session's response times (no drops and no failures, so every server
+    answers)."""
+    arrivals = {e["server"]: e["time"] for e in retrieve(fleet, plan, part).events if e["event"] == "response"}
+    return [arrivals[server] - fleet.base_latency_us for columns in plan.sets(part) for server in columns]
+
+
+def test_jitter_is_drawn_as_randrange_draws_it():
+    # retrieve draws k-bit getrandbits words until one is at most jitter_us;
+    # the stream must be randrange's, with random() for the drop interleaved
+    code = build_c1(3, 2)
+    plan = k_pir_pairs(code).plan
+    draws = sum(map(len, plan.sets(1)))
+    for jitter_us in (1, 2, 3, 7, 250, 255, 256, 257, 1023, 1024, 65535):
+        for seed in range(50):
+            fleet = Fleet(code=code, seed=seed, jitter_us=jitter_us)
+            rng = random.Random(seed * 1_000_003 + 1)
+            expected = []
+            for _ in range(draws):
+                expected.append(rng.randrange(jitter_us + 1))
+                rng.random()
+            assert _jitters(fleet, plan, 1) == expected
 
 
 def test_a_one_column_set_reads_the_stored_singleton(c1_fleet):
