@@ -28,28 +28,26 @@ leading records and render from one per-session prefix.
 
 A `Fleet` renders each server's cells once (each distinct cell's hex once)
 as the JSON fragment a response line holds, and keeps per server a pivot
-table of its cells with their values, so a session neither re-renders a
-response nor re-eliminates a column.  A pivot row carries its value in its
+table of its cells with their values.  A pivot row carries its value in its
 low bits, `(cell << chunk_width) | value`, so solving a set is the `gf2`
-kernel's elimination on those rows, with no second copy of the kernel; a
-one-column set needs none, since a column spans e_i only if it stores it
-(the singleton convention).  A `Fleet` also records each (part, sets) of a
-plan that has passed `verify_plan`, with each set's columns rendered as
-the JSON list a solve line holds, so `retrieve` and `availability_sweep`
-check and render a replayed plan part only once, and each multi-column
-set's solved value by (part, columns), so a replayed session solves none
-of its sets again.
+kernel's elimination on those rows, with no second copy of the kernel, for
+a set of one column as for a set of many.  A `Fleet` records each (part,
+sets) of a plan that has passed `verify_plan`, so `availability_sweep`
+checks a plan part once, and the first session of each (part, sets) solves
+all of its sets and keeps each set's columns as the JSON list a solve line
+holds, its value and that value's hex, so a replayed session neither
+checks, solves nor renders a set again.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable
 
 from .errors import ParameterError
@@ -90,21 +88,20 @@ class Fleet:
     jitter_us: int = 250
     drop_probability: float = 0.0
     database: tuple[int, ...] = field(init=False)
-    server_values: tuple[tuple[int, ...], ...] = field(init=False)
     # Per server: its cells as the JSON fragment `0x…","0x…` a response line
     # holds between its brackets, and a pivot table of the rows
     # (cell << chunk_width) | value with its cells reduced against one another.
     _cells_json: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _pivots: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
-    # (part, that part's sets) -> each set's columns rendered as the JSON
-    # list body `3,17`, for every part that has passed verify_plan on this
-    # fleet's code, so replaying a plan checks and renders each part once.
-    _verified: dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[str, ...]] = field(
+    # Every (part, that part's sets) that has passed verify_plan on this
+    # fleet's code, so replaying a plan checks each part once.
+    _verified: set[tuple[int, tuple[tuple[int, ...], ...]]] = field(init=False, repr=False, compare=False)
+    # (part, that part's sets) -> per set (columns_json, value, value_hex):
+    # its columns as the JSON list body `3,17`, the part's value it solves
+    # to and that value's hex, so each set is solved and rendered once.
+    _solved: dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[tuple[str, int, str], ...]] = field(
         init=False, repr=False, compare=False
     )
-    # (part, columns) -> that part's value, for every multi-column set that
-    # has spanned its part, so each such set is solved once per fleet.
-    _solved: dict[tuple[int, tuple[int, ...]], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.chunk_width < 1 or self.chunk_width % 4:
@@ -128,9 +125,9 @@ class Fleet:
         width = self.chunk_width
         known: dict[int, tuple[int, str]] = {}
         rows: dict[int, int] = {}
-        values, cells_json, pivot_tables = [], [], []
+        cells_json, pivot_tables = [], []
         for col in self.code.columns:
-            cells = []
+            texts = []
             pivots: dict[int, int] = {}
             for cell in col:
                 found = known.get(cell)
@@ -139,15 +136,13 @@ class Fleet:
                     for part in parts_of(cell):
                         chunk ^= self.database[part - 1]
                     found = known[cell] = (chunk, self.chunk_hex(chunk))
-                cells.append(found)
+                texts.append(found[1])
                 pivot_insert(pivots, (cell << width) | found[0])
-            values.append(tuple(chunk for chunk, _ in cells))
-            cells_json.append('","'.join(text for _, text in cells))
+            cells_json.append('","'.join(texts))
             pivot_tables.append({high: rows.setdefault(row, row) for high, row in pivots.items()})
-        object.__setattr__(self, "server_values", tuple(values))
         object.__setattr__(self, "_cells_json", tuple(cells_json))
         object.__setattr__(self, "_pivots", tuple(pivot_tables))
-        object.__setattr__(self, "_verified", {})
+        object.__setattr__(self, "_verified", set())
         object.__setattr__(self, "_solved", {})
 
     def chunk_hex(self, value: int) -> str:
@@ -241,62 +236,56 @@ class SessionTranscript:
     @cached_property
     def sets(self) -> tuple[SetOutcome, ...]:
         """Each recovery set's outcome, in the plan's set order."""
-        solves = sorted((record for record in self.records if record[1] == _SOLVE), key=itemgetter(2))
+        solves = sorted((record for record in self.records if record[1] == _SOLVE), key=operator.itemgetter(2))
         return tuple(
             SetOutcome(columns, True, None, None) if missing else SetOutcome(columns, False, value, time)
             for time, _, _, columns, _, missing, value, _ in solves
         )
 
 
-def _solve_set(fleet: Fleet, columns: tuple[int, ...], part: int) -> int:
-    """The value of `part` from the cells of `columns`.
-
-    A single column spans e_part only if it stores it (the singleton
-    convention `ArrayCode` enforces), so its answer is that cell's value.
-    For more columns: every row's value is one linear function of its cell
-    (the XOR of the chunks of the cell's parts), so a row whose cell bits
-    reduce to 0 reduces to 0 entirely and no pivot sits below bit
-    chunk_width.  Reducing e_part << chunk_width therefore leaves a residual
-    below 1 << chunk_width iff the set spans the part, and that residual is
-    then the part's value.  A multi-column value is kept in the fleet once
-    solved; a set that does not span is not, and is refused each time.
-    """
-    target = 1 << (part - 1)
-    if len(columns) == 1:
-        j = columns[0] - 1
-        cells = fleet.code.columns[j]
-        if target not in cells:
-            raise ParameterError(f"recovery set does not span part {part}")
-        return fleet.server_values[j][cells.index(target)]
-    key = (part, columns)
-    value = fleet._solved.get(key)
-    if value is not None:
-        return value
-    width = fleet.chunk_width
-    tables = fleet._pivots
-    pivots = dict(tables[columns[0] - 1])
-    for j in columns[1:]:
-        for row in tables[j - 1].values():
-            pivot_insert(pivots, row)
-    residual = pivot_reduce(pivots, target << width)
-    if residual >> width:
-        raise ParameterError(f"recovery set does not span part {part}")
-    fleet._solved[key] = residual
-    return residual
-
-
-def _check_plan(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> tuple[str, ...]:
-    """Each of `part`'s sets rendered as its JSON list body, once `sets` has
-    passed verify_plan on this fleet; raise if they fail.  Sets that have
-    passed before are neither checked nor rendered again."""
+def _check_plan(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> None:
+    """Raise unless `part`'s `sets` pass verify_plan on this fleet's code;
+    sets that have passed before are not checked again."""
     key = (part, sets)
-    rendered = fleet._verified.get(key)
-    if rendered is None:
+    if key not in fleet._verified:
         check = verify_plan(fleet.code, RecoveryPlan({part: sets}))
         if not check.ok:
             raise ParameterError(f"invalid plan: {check.violation}")
-        rendered = fleet._verified[key] = tuple(",".join(map(str, columns)) for columns in sets)
-    return rendered
+        fleet._verified.add(key)
+
+
+def _solved_sets(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> tuple[tuple[str, int, str], ...]:
+    """Each of `part`'s sets as (columns_json, value, value_hex), once `sets`
+    has passed verify_plan; each (part, sets) is checked and solved once.
+
+    Every row's value is one linear function of its cell (the XOR of the
+    chunks of the cell's parts), so a row whose cell bits reduce to 0
+    reduces to 0 entirely and no pivot sits below bit chunk_width.  A set
+    that passed verify_plan spans e_part, so reducing e_part << chunk_width
+    by the rows of its columns leaves exactly the part's value.
+    """
+    key = (part, sets)
+    solved = fleet._solved.get(key)
+    if solved is None:
+        _check_plan(fleet, part, sets)
+        tables = fleet._pivots
+        target = (1 << (part - 1)) << fleet.chunk_width
+        texts: dict[int, str] = {}  # each distinct value's hex, rendered once
+        out = []
+        for columns in sets:
+            pivots = tables[columns[0] - 1]
+            if len(columns) > 1:
+                pivots = dict(pivots)
+                for j in columns[1:]:
+                    for row in tables[j - 1].values():
+                        pivot_insert(pivots, row)
+            value = pivot_reduce(pivots, target)
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = fleet.chunk_hex(value)
+            out.append((",".join(map(str, columns)), value, text))
+        solved = fleet._solved[key] = tuple(out)
+    return solved
 
 
 def retrieve(
@@ -306,11 +295,16 @@ def retrieve(
     code = fleet.code
     if not 1 <= part <= code.p:
         raise ParameterError(f"part {part} out of range 1..{code.p}")
-    down = {int(j) for j in failed}
+    down = set()
+    for j in failed:
+        try:
+            down.add(operator.index(j))
+        except TypeError:
+            raise ParameterError(f"failed server id must be an integer, got {j!r}") from None
     if any(not 1 <= j <= code.m for j in down):
         raise ParameterError(f"failed server index out of range 1..{code.m}")
     sets = plan.sets(part)
-    rendered = _check_plan(fleet, part, sets)
+    solved_sets = _solved_sets(fleet, part, sets)
 
     rng = random.Random(fleet.seed * 1_000_003 + part)
     # Each jitter is drawn as rng.randrange(jitter_us + 1) draws it, without
@@ -327,8 +321,8 @@ def retrieve(
     records: list[tuple] = []
     append = records.append
     solved = []
-    texts: dict[int, str] = {}  # each solved value's hex, rendered once
-    for index, (columns, columns_json) in enumerate(zip(sets, rendered), start=1):
+    solved_text = None  # the last solved set's hex: the agreed value's, if they agree
+    for index, (columns, (columns_json, value, text)) in enumerate(zip(sets, solved_sets), start=1):
         missing = []
         latest = 0
         for server in columns:
@@ -347,14 +341,11 @@ def retrieve(
         if missing:
             append((TIMEOUT_US, _SOLVE, index, columns, columns_json, tuple(missing), None, None))
         else:
-            value = _solve_set(fleet, columns, part)
             solved.append(value)
-            text = texts.get(value)
-            if text is None:
-                text = texts[value] = fleet.chunk_hex(value)
+            solved_text = text
             append((latest, _SOLVE, index, columns, columns_json, (), value, text))
 
-    # A part's sets are pairwise disjoint (_check_plan verified it), so each
+    # A part's sets are pairwise disjoint (verify_plan checked it), so each
     # server is requested once and the (time, kind, server or set) prefix of
     # every record is unique: the sort never compares past it.
     records.sort()
@@ -362,7 +353,7 @@ def retrieve(
     status = "ok" if solved else "retrieval-failed"
     value = solved[0] if agreement else None
     end = records[-1][0] if records else 0
-    records.append((end, _VERDICT, 0, len(solved), len(sets), texts.get(value)))
+    records.append((end, _VERDICT, 0, len(solved), len(sets), solved_text if agreement else None))
     return SessionTranscript(
         part=part, status=status, agreement=agreement, value=value, records=tuple(records)
     )

@@ -71,7 +71,7 @@ from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
-from .gf2 import pivot_insert, pivot_reduce
+from .gf2 import parts_of, pivot_insert, pivot_reduce
 from .matching import IndexedGraph, max_general_matching
 from .model import ArrayCode, RecoveryPlan, singleton_census
 
@@ -692,9 +692,7 @@ def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport
     for part, minimal in enumerate(_minimal_recovery_masks(rows, code.p), start=1):
         chosen = _max_packing(minimal, code.m) if minimal else []
         per_part.append(len(chosen))
-        plan_sets[part] = [
-            tuple(j + 1 for j in range(code.m) if mask & (1 << j)) for mask in chosen
-        ]
+        plan_sets[part] = [parts_of(mask) for mask in chosen]
     return VerifyReport(
         mode="exhaustive",
         m=code.m,

@@ -39,20 +39,30 @@ def test_database_and_values_are_seeded(c1_fleet):
     fleet, _ = c1_fleet
     again = Fleet(code=fleet.code, seed=42)
     assert fleet.database == again.database
-    assert fleet.server_values == again.server_values
+    assert fleet._cells_json == again._cells_json
     assert fleet == again and repr(fleet) == repr(again) and "_pivots" not in repr(fleet)
     other = Fleet(code=fleet.code, seed=43)
     assert fleet.database != other.database
 
 
-def test_server_cells_are_xor_of_chunks(c1_fleet):
-    fleet, _ = c1_fleet
-    for j, col in enumerate(fleet.code.columns):
-        for cell, value in zip(col, fleet.server_values[j]):
-            expected = 0
-            for part in parts_of(cell):
-                expected ^= fleet.database[part - 1]
-            assert value == expected
+def _cell_value(fleet, cell: int) -> int:
+    value = 0
+    for part in parts_of(cell):
+        value ^= fleet.database[part - 1]
+    return value
+
+
+def _hex(fleet, value: int) -> str:
+    return "0x" + format(value, "x").zfill(fleet.chunk_width // 4)
+
+
+def test_server_cells_are_xor_of_chunks(c1_fleet, intro_code):
+    # a response line holds each of the server's cells as the hex of the
+    # XOR of the database chunks of the cell's parts
+    for fleet in (c1_fleet[0], Fleet(code=intro_code, seed=3, chunk_width=4)):
+        assert len(fleet._cells_json) == fleet.code.m
+        for col, cells in zip(fleet.code.columns, fleet._cells_json):
+            assert json.loads(f'["{cells}"]') == [_hex(fleet, _cell_value(fleet, cell)) for cell in col]
 
 
 def test_retrieve_intro_recovery_sets(intro_code):
@@ -86,20 +96,21 @@ def test_retrieve_all_down_is_retrieval_failed(intro_code):
 
 
 def test_every_plan_set_recovers_its_part_at_every_chunk_width():
-    # a set is solved by eliminating rows (cell << chunk_width) | value, so
-    # the value bits ride along with the cell bits through one kernel
-    widest = 0
+    # one- and multi-column sets alike are solved by eliminating rows
+    # (cell << chunk_width) | value, so the value bits ride along with the
+    # cell bits through one kernel, up to the widest chunk a fleet accepts
+    sizes = set()
     for seed, shape in enumerate(((8, 5, 2), (10, 7, 3), (9, 6, 4), (12, 8, 3), (12, 10, 5))):
         code = seeded_code(seed, *shape)
         for plan in (k_pir_pairs(code).plan, k_pir_exhaustive(code).plan):
-            for chunk_width in (4, 64, 256):
+            for chunk_width in (4, 64, MAX_CHUNK_WIDTH):
                 fleet = Fleet(code=code, seed=seed, chunk_width=chunk_width)
                 for part in plan.parts():
                     transcript = retrieve(fleet, plan, part)
                     values = [outcome.value for outcome in transcript.sets]
                     assert values == [fleet.database[part - 1]] * plan.k_for(part)
-                    widest = max([widest] + [len(columns) for columns in plan.sets(part)])
-    assert widest >= 3
+                    sizes.update(len(columns) for columns in plan.sets(part))
+    assert min(sizes) == 1 and max(sizes) >= 3
 
 
 def test_zero_drop_probability_always_agrees(c1_fleet):
@@ -403,6 +414,7 @@ def _eager_session(fleet, plan, part, failed):
     outcomes built eagerly, one dict per event as the event happens, sorted
     by (time, kind, server or set), and one SetOutcome per set in plan order."""
     down = set(failed)
+    value = fleet.database[part - 1]
     rng = random.Random(fleet.seed * 1_000_003 + part)
     events, outcomes = [], []
     for set_idx, columns in enumerate(plan.sets(part), start=1):
@@ -416,7 +428,7 @@ def _eager_session(fleet, plan, part, failed):
                 continue
             arrival = fleet.base_latency_us + jitter
             latest = max(latest, arrival)
-            cells = [fleet.chunk_hex(value) for value in fleet.server_values[server - 1]]
+            cells = [_hex(fleet, _cell_value(fleet, cell)) for cell in fleet.code.columns[server - 1]]
             response = {"event": "response", "time": arrival, "part": part, "set": set_idx, "server": server}
             events.append(((arrival, 1, server), {**response, "cells": cells}))
         solve = {"event": "solve", "part": part, "set": set_idx, "columns": list(columns)}
@@ -425,9 +437,8 @@ def _eager_session(fleet, plan, part, failed):
             solve.update(time=simulate.TIMEOUT_US, status="faulted", missing=missing)
             events.append(((simulate.TIMEOUT_US, 2, set_idx), solve))
         else:
-            value = simulate._solve_set(fleet, columns, part)
             outcomes.append(simulate.SetOutcome(columns, False, value, latest))
-            solve.update(time=latest, status="ok", value=fleet.chunk_hex(value))
+            solve.update(time=latest, status="ok", value=_hex(fleet, value))
             events.append(((latest, 2, set_idx), solve))
     solved = [o.value for o in outcomes if not o.faulted]
     agreement = len(solved) > 0 and len(set(solved)) == 1
@@ -442,7 +453,7 @@ def _eager_session(fleet, plan, part, failed):
         "sets_total": len(outcomes),
     }
     if agreement:
-        verdict["value"] = fleet.chunk_hex(solved[0])
+        verdict["value"] = _hex(fleet, solved[0])
     events.append(((end, 3, 0), verdict))
     events.sort(key=lambda pair: pair[0])
     return tuple(e for _, e in events), tuple(outcomes)
@@ -508,63 +519,68 @@ def test_jitter_is_drawn_as_randrange_draws_it():
             assert _jitters(fleet, plan, 1) == expected
 
 
-def test_a_one_column_set_reads_the_stored_singleton(c1_fleet):
-    # a column spans e_part only if it stores it, so a one-column solve is a
-    # lookup; a column without e_part is refused as the elimination refuses it
-    fleet, _ = c1_fleet
-    refused = 0
-    for j, column in enumerate(fleet.code.columns, start=1):
-        for part in range(1, fleet.code.p + 1):
-            if 1 << (part - 1) in column:
-                assert simulate._solve_set(fleet, (j,), part) == fleet.database[part - 1]
-            else:
-                refused += 1
-                with pytest.raises(ParameterError, match=f"recovery set does not span part {part}$"):
-                    simulate._solve_set(fleet, (j,), part)
-    assert refused
-
-
-def _multi_column_sets(plan: RecoveryPlan) -> int:
-    return sum(len(columns) > 1 for part in plan.parts() for columns in plan.sets(part))
-
-
 def test_replayed_sessions_match_a_fresh_fleets_first_run(intro_code):
-    # a multi-column set is solved once per fleet; replays read the kept value
+    # each replayed (part, sets) is solved once per fleet; replays read the
+    # kept values
     for fleet, plan, part, failed in _seeded_sessions(intro_code):
         text = retrieve(fleet, plan, part, failed=failed).jsonl()
         assert retrieve(fleet, plan, part, failed=failed).jsonl() == text
         fresh = dataclasses.replace(fleet)
         assert not fresh._solved
         assert retrieve(fresh, plan, part, failed=failed).jsonl() == text
-        assert len(fleet._solved) <= _multi_column_sets(plan)
+        assert len(fleet._solved) <= len(plan.parts())
 
 
-def test_the_solve_cache_holds_at_most_the_plans_multi_column_sets():
+def test_a_one_column_set_reads_the_stored_singleton(c1_fleet):
+    # a column spans e_part only if it stores it, so a one-column set recovers
+    # the stored singleton; a column without e_part is refused by verify_plan
+    fleet, _ = c1_fleet
+    refused = 0
+    for j, column in enumerate(fleet.code.columns, start=1):
+        for part in range(1, fleet.code.p + 1):
+            plan = RecoveryPlan({part: [{j}]})
+            if 1 << (part - 1) in column:
+                assert retrieve(fleet, plan, part).value == fleet.database[part - 1]
+            else:
+                refused += 1
+                message = "invalid plan: " + verify_plan(fleet.code, plan).violation
+                with pytest.raises(ParameterError, match=re.escape(message)):
+                    retrieve(fleet, plan, part)
+    assert refused
+
+
+def test_the_solve_cache_holds_one_entry_per_replayed_part():
     code = build_c1(3, 2)
     plan = k_pir_pairs(code).plan
+    other = RecoveryPlan({1: plan.sets(1)[1:]})
     fleet = Fleet(code=code, seed=5)
     rng = random.Random(11)
+    replayed = set()
     for _ in range(3):
-        for part in plan.parts():
+        for part in plan.parts()[::2]:
             failed = rng.sample(range(1, code.m + 1), rng.randrange(4))
             retrieve(fleet, plan, part, failed=failed)
-            assert len(fleet._solved) <= _multi_column_sets(plan)
-    for part in plan.parts():
-        retrieve(fleet, plan, part)
-    assert len(fleet._solved) == _multi_column_sets(plan) > 0
+            replayed.add((part, plan.sets(part)))
+            assert set(fleet._solved) == replayed
+    retrieve(fleet, other, 1)
+    assert set(fleet._solved) == replayed | {(1, other.sets(1))}
     assert "_solved" not in repr(fleet)
 
 
-def test_a_multi_column_set_that_does_not_span_is_refused_every_time():
-    fleet = Fleet(code=build_c1(2, 2), seed=42)
-    target = 1
-    columns = next(
-        (a, b)
-        for a in range(1, fleet.code.m + 1)
-        for b in range(a + 1, fleet.code.m + 1)
-        if not verify_plan(fleet.code, RecoveryPlan({target: [(a, b)]})).ok
-    )
-    for _ in range(2):
-        with pytest.raises(ParameterError, match=f"recovery set does not span part {target}$"):
-            simulate._solve_set(fleet, columns, target)
-    assert not fleet._solved
+def test_a_sweep_solves_nothing(c1_fleet):
+    # a sweep only checks the plan and counts surviving sets
+    fleet, plan = c1_fleet
+    fresh = Fleet(code=fleet.code, seed=42)
+    availability_sweep(fresh, plan, trials=10, failures_per_trial=2)
+    assert not fresh._solved
+    assert fresh._verified == {(part, plan.sets(part)) for part in plan.parts()}
+
+
+@pytest.mark.parametrize("bad", [2.9, "3", None, 2.0])
+def test_failed_server_ids_must_be_integers(intro_code, bad):
+    fleet = Fleet(code=intro_code, seed=7)
+    plan = RecoveryPlan({5: [{1}, {2}, {3, 4}]})
+    with pytest.raises(ParameterError, match=re.escape(f"failed server id must be an integer, got {bad!r}")):
+        retrieve(fleet, plan, 5, failed=[1, bad])
+    # ints and anything with __index__ are read as the server they name
+    assert retrieve(fleet, plan, 5, failed=[True]).jsonl() == retrieve(fleet, plan, 5, failed=[1]).jsonl()
