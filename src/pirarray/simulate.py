@@ -11,20 +11,22 @@ server is given up as faulted at `TIMEOUT_US`, events are replayed in
 inputs produce byte-identical transcripts.  Every server shares the
 fleet's latency, jitter and drop probability.
 
-`retrieve` records each event as one small tuple whose first three fields,
-(time, kind, server or set), are its sort key and unique within a session,
-so a plain sort orders the session.  It draws each response's jitter as
-`rng.randrange(jitter_us + 1)` would, straight from `getrandbits`, so the
-stream is randrange's without its Python wrapper.  A `SessionTranscript`
-keeps those tuples; `jsonl()` renders them straight to JSON lines through
-the one fixed-schema template per event kind, `events` parses those lines
-back to dicts and `sets` builds outcomes from the same tuples, both on
-first access, so a caller that only prints a session builds neither.  Each
-line is exactly the bytes `json.dumps(event, sort_keys=True,
-separators=(",", ":"))` gives for the event it holds: every value is an
-int, a bool, a fixed ASCII word, a `0x` hex string or a list of these, so
-nothing needs escaping.  Requests are all at time 0, so they are the
-leading records and render from one per-session prefix.
+Every server of every set gets a request at time 0, failed or dropped
+alike, so a (part, sets)'s request lines are the same in every session and
+are rendered once, as the block every session's JSON lines start with.
+`retrieve` records each other event as one small tuple led by a unique int
+sort key (see `SessionTranscript`), so a plain sort orders the session and,
+while every key is below 2^30, compares only those ints.  It draws each
+response's jitter as `rng.randrange(jitter_us + 1)` would, straight from
+`getrandbits`, so the stream is randrange's without its Python wrapper.  A
+`SessionTranscript` keeps the block and the tuples; `jsonl()` renders them
+straight to JSON lines through the one fixed-schema template per event
+kind, `events` parses those lines back to dicts and `sets` builds outcomes
+from the solve tuples, both on first access, so a caller that only prints a
+session builds neither.  Each line is exactly the bytes `json.dumps(event,
+sort_keys=True, separators=(",", ":"))` gives for the event it holds: every
+value is an int, a bool, a fixed ASCII word, a `0x` hex string or a list of
+these, so nothing needs escaping.
 
 A `Fleet` renders each server's cells once (each distinct cell's hex once)
 as the JSON fragment a response line holds, and keeps per server a pivot
@@ -33,10 +35,10 @@ low bits, `(cell << chunk_width) | value`, so solving a set is the `gf2`
 kernel's elimination on those rows, with no second copy of the kernel, for
 a set of one column as for a set of many.  A `Fleet` records each (part,
 sets) of a plan that has passed `verify_plan`, so `availability_sweep`
-checks a plan part once, and the first session of each (part, sets) solves
-all of its sets and keeps each set's columns as the JSON list a solve line
-holds, its value and that value's hex, so a replayed session neither
-checks, solves nor renders a set again.
+checks a plan part once, and the first session of each (part, sets) renders
+its request block, solves all of its sets and keeps each set's columns as
+the JSON list a solve line holds, its value and that value's hex, so a
+replayed session neither checks, solves nor renders them again.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from __future__ import annotations
 import json
 import operator
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -72,7 +73,8 @@ MAX_CHUNK_WIDTH = 1 << 16
 # Simulated time at which a set with a missing server is given up as faulted.
 TIMEOUT_US = 10_000
 
-_REQUEST, _RESPONSE, _SOLVE, _VERDICT = 0, 1, 2, 3
+# Record kinds in a sort key; the time-0 requests (kind 0) come first.
+_RESPONSE, _SOLVE = 1, 2
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,14 @@ class Fleet:
     # Every (part, that part's sets) that has passed verify_plan on this
     # fleet's code, so replaying a plan checks each part once.
     _verified: set[tuple[int, tuple[tuple[int, ...], ...]]] = field(init=False, repr=False, compare=False)
-    # (part, that part's sets) -> per set (columns_json, value, value_hex):
-    # its columns as the JSON list body `3,17`, the part's value it solves
-    # to and that value's hex, so each set is solved and rendered once.
-    _solved: dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[tuple[str, int, str], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    # (part, that part's sets) -> (its sessions' request record (w,
+    # requests), see SessionTranscript; per set (columns_json, value,
+    # value_hex): its columns as the JSON list body `3,17`, the part's value
+    # it solves to and that value's hex), so each is rendered or solved once.
+    _solved: dict[
+        tuple[int, tuple[tuple[int, ...], ...]],
+        tuple[tuple[int, str], tuple[tuple[str, int, str], ...]],
+    ] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.chunk_width < 1 or self.chunk_width % 4:
@@ -159,24 +163,28 @@ class SetOutcome:
 
 @dataclass(frozen=True)
 class SessionTranscript:
-    """One part's recovery session as its sorted event records.
+    """One part's recovery session as its event records, in replay order.
 
-    `records` holds one tuple per event, in replay order; the first three
-    fields are its sort key (time, kind, server or set index):
+    `records` starts with the request record ``(w, requests)``: `w` is
+    ``m.bit_length()``, the id width of every key below, and `requests`
+    the session's request lines, all at time 0, in server order and each
+    ending in a newline, the one string its fleet rendered for the (part,
+    sets).  Then come the responses and solves, sorted by their first
+    field, the key ``(time << (w + 2)) | (kind << w) | id``, unique within
+    a session:
 
-    * request   ``(0, _REQUEST, server, set)``, always at time 0, so every
-      request sorts before every other record
-    * response  ``(time, _RESPONSE, server, set, cells)``, `cells` the
-      server's cells as the fragment ``0x…","0x…`` of its JSON list
-    * solve     ``(time, _SOLVE, set, columns, columns_json, missing,
-      value, value_hex)``; `columns_json` is the set's JSON list body
-      ``3,17``, `missing` is () for a solved set, and `value`/`value_hex`
-      are None for a faulted one
-    * verdict   ``(time, _VERDICT, 0, sets_ok, sets_total, value_hex)``,
-      always last
+    * response  ``(key, set, cells)``, `id` the server and `cells` its
+      cells as the fragment ``0x…","0x…`` of its JSON list
+    * solve     ``(key, columns, columns_json, missing, value,
+      value_hex)``, `id` the set index; `columns_json` is the set's JSON
+      list body ``3,17``, `missing` is () for a solved set, and
+      `value`/`value_hex` are None for a faulted one
 
-    `jsonl()` renders the records; `events` (one dict per record, parsed
-    from its line) and `sets` (one `SetOutcome` per recovery set, in plan
+    Last is the verdict ``(time, sets_ok, sets_total, value_hex)``, at the
+    last record's time (0 when there is none).
+
+    `jsonl()` renders the records; `events` (one dict per event, parsed
+    from its JSON line) and `sets` (one `SetOutcome` per recovery set, in plan
     order) are views built on first access and then kept.  Equality and
     hashing see only the fields.
     """
@@ -193,53 +201,54 @@ class SessionTranscript:
         its event; the one place that knows each kind's keys."""
         part = self.part
         records = self.records
-        # The requests are the leading records (time 0, kind _REQUEST), and
-        # their lines differ only in server and set.
-        requests = bisect_left(records, (0, _RESPONSE))
-        request = f'{{"event":"request","part":{part},"server":'
-        lines = [f'{request}{server},"set":{index},"time":0}}' for _, _, server, index in records[:requests]]
+        width, requests = records[0]
+        shift = width + 2
+        ids = (1 << width) - 1
+        response_bit = _RESPONSE << width
         response = f'"],"event":"response","part":{part},"server":'
+        lines = [requests]
         append = lines.append
-        for record in records[requests:]:
-            kind = record[1]
-            if kind == _RESPONSE:
-                time, _, server, index, cells = record
-                append(f'{{"cells":["{cells}{response}{server},"set":{index},"time":{time}}}')
-            elif kind == _SOLVE:
-                time, _, index, _, columns, missing, _, text = record
+        for record in records[1:-1]:
+            key = record[0]
+            if key & response_bit:
+                append(f'{{"cells":["{record[2]}{response}{key & ids},"set":{record[1]},"time":{key >> shift}}}\n')
+            else:
+                _, _, columns, missing, _, text = record
                 if missing:
                     missing = ",".join(map(str, missing))
                     append(
                         f'{{"columns":[{columns}],"event":"solve","missing":[{missing}],'
-                        f'"part":{part},"set":{index},"status":"faulted","time":{time}}}'
+                        f'"part":{part},"set":{key & ids},"status":"faulted","time":{key >> shift}}}\n'
                     )
                 else:
                     append(
-                        f'{{"columns":[{columns}],"event":"solve","part":{part},"set":{index},'
-                        f'"status":"ok","time":{time},"value":"{text}"}}'
+                        f'{{"columns":[{columns}],"event":"solve","part":{part},"set":{key & ids},'
+                        f'"status":"ok","time":{key >> shift},"value":"{text}"}}\n'
                     )
-            else:
-                time, _, _, sets_ok, sets_total, text = record
-                value = f',"value":"{text}"' if text is not None else ""
-                append(
-                    f'{{"agreement":{"true" if self.agreement else "false"},"event":"verdict",'
-                    f'"part":{part},"sets_ok":{sets_ok},"sets_total":{sets_total},'
-                    f'"status":"{self.status}","time":{time}{value}}}'
-                )
-        return "\n".join(lines) + "\n"
+        time, sets_ok, sets_total, text = records[-1]
+        value = f',"value":"{text}"' if text is not None else ""
+        append(
+            f'{{"agreement":{"true" if self.agreement else "false"},"event":"verdict",'
+            f'"part":{part},"sets_ok":{sets_ok},"sets_total":{sets_total},'
+            f'"status":"{self.status}","time":{time}{value}}}\n'
+        )
+        return "".join(lines)
 
     @cached_property
     def events(self) -> tuple[dict, ...]:
-        """One dict per record: its JSON line, parsed."""
+        """One dict per event: its JSON line, parsed."""
         return tuple(map(json.loads, self.jsonl().splitlines()))
 
     @cached_property
     def sets(self) -> tuple[SetOutcome, ...]:
         """Each recovery set's outcome, in the plan's set order."""
-        solves = sorted((record for record in self.records if record[1] == _SOLVE), key=operator.itemgetter(2))
+        width = self.records[0][0]
+        ids = (1 << width) - 1
+        # the solves are the 6-tuples; a key's low `width` bits are the set index
+        solves = sorted((record[0] & ids, record) for record in self.records[1:-1] if len(record) == 6)
         return tuple(
-            SetOutcome(columns, True, None, None) if missing else SetOutcome(columns, False, value, time)
-            for time, _, _, columns, _, missing, value, _ in solves
+            SetOutcome(columns, True, None, None) if missing else SetOutcome(columns, False, value, key >> width + 2)
+            for _, (key, columns, _, missing, value, _) in solves
         )
 
 
@@ -254,9 +263,12 @@ def _check_plan(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> N
         fleet._verified.add(key)
 
 
-def _solved_sets(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> tuple[tuple[str, int, str], ...]:
-    """Each of `part`'s sets as (columns_json, value, value_hex), once `sets`
-    has passed verify_plan; each (part, sets) is checked and solved once.
+def _solved_sets(
+    fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, str], tuple[tuple[str, int, str], ...]]:
+    """The sessions' request record (w, requests) and each of `part`'s sets
+    as (columns_json, value, value_hex), once `sets` has passed
+    verify_plan; each (part, sets) is checked, rendered and solved once.
 
     Every row's value is one linear function of its cell (the XOR of the
     chunks of the cell's parts), so a row whose cell bits reduce to 0
@@ -284,7 +296,11 @@ def _solved_sets(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> 
             if text is None:
                 text = texts[value] = fleet.chunk_hex(value)
             out.append((",".join(map(str, columns)), value, text))
-        solved = fleet._solved[key] = tuple(out)
+        # the sets are disjoint (verify_plan checked it): one request per server
+        set_of = {server: index for index, columns in enumerate(sets, start=1) for server in columns}
+        request = f'{{"event":"request","part":{part},"server":'
+        requests = "".join(f'{request}{j},"set":{set_of[j]},"time":0}}\n' for j in sorted(set_of))
+        solved = fleet._solved[key] = ((fleet.code.m.bit_length(), requests), tuple(out))
     return solved
 
 
@@ -304,7 +320,7 @@ def retrieve(
     if any(not 1 <= j <= code.m for j in down):
         raise ParameterError(f"failed server index out of range 1..{code.m}")
     sets = plan.sets(part)
-    solved_sets = _solved_sets(fleet, part, sets)
+    request_record, solved_sets = _solved_sets(fleet, part, sets)
 
     rng = random.Random(fleet.seed * 1_000_003 + part)
     # Each jitter is drawn as rng.randrange(jitter_us + 1) draws it, without
@@ -318,6 +334,13 @@ def retrieve(
     latency = fleet.base_latency_us
     drop = fleet.drop_probability
     cells_json = fleet._cells_json
+    # A record's key is (time << shift) | (kind << width) | id, with every id
+    # (a server, or a set index: the sets are disjoint, so there are at most
+    # m of them) below 1 << width.
+    width = request_record[0]
+    shift = width + 2
+    response_kind = _RESPONSE << width
+    solve_kind = _SOLVE << width
     records: list[tuple] = []
     append = records.append
     solved = []
@@ -329,33 +352,30 @@ def retrieve(
             jitter = getrandbits(bits)
             while jitter > jitter_us:
                 jitter = getrandbits(bits)
-            dropped = uniform() < drop
-            append((0, _REQUEST, server, index))
-            if server in down or dropped:
+            # the drop is drawn for every server, failed or not
+            if uniform() < drop or server in down:
                 missing.append(server)
                 continue
             arrival = latency + jitter
             if arrival > latest:
                 latest = arrival
-            append((arrival, _RESPONSE, server, index, cells_json[server - 1]))
+            append(((arrival << shift) | response_kind | server, index, cells_json[server - 1]))
         if missing:
-            append((TIMEOUT_US, _SOLVE, index, columns, columns_json, tuple(missing), None, None))
+            append(((TIMEOUT_US << shift) | solve_kind | index, columns, columns_json, tuple(missing), None, None))
         else:
             solved.append(value)
             solved_text = text
-            append((latest, _SOLVE, index, columns, columns_json, (), value, text))
+            append(((latest << shift) | solve_kind | index, columns, columns_json, (), value, text))
 
-    # A part's sets are pairwise disjoint (verify_plan checked it), so each
-    # server is requested once and the (time, kind, server or set) prefix of
-    # every record is unique: the sort never compares past it.
+    # Keys are unique, so the sort never compares past them.
     records.sort()
     agreement = len(solved) > 0 and len(set(solved)) == 1
     status = "ok" if solved else "retrieval-failed"
     value = solved[0] if agreement else None
-    end = records[-1][0] if records else 0
-    records.append((end, _VERDICT, 0, len(solved), len(sets), solved_text if agreement else None))
+    end = records[-1][0] >> shift if records else 0
+    verdict = (end, len(solved), len(sets), solved_text if agreement else None)
     return SessionTranscript(
-        part=part, status=status, agreement=agreement, value=value, records=tuple(records)
+        part=part, status=status, agreement=agreement, value=value, records=(request_record, *records, verdict)
     )
 
 

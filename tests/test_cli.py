@@ -401,6 +401,23 @@ def test_simulate_respects_plan_file(tmp_path, capsys):
     assert verdict["sets_total"] == 3 and verdict["agreement"] is True
 
 
+def test_simulate_a_part_with_no_sets_prints_only_its_verdict(tmp_path, capsys):
+    src = tmp_path / "intro.pir"
+    src.write_text(INTRO_TEXT)
+    plan_path = tmp_path / "intro.plan"
+    plan_path.write_text("PIRPLAN v1\npart 1:\npart 5: {1};{2};{3,4}\n")
+    # part 1 has an empty set list and part 2 is not in the plan
+    for part in (1, 2):
+        code, stdout, _ = run(
+            capsys, "simulate", "--in", str(src), "--plan", str(plan_path), "--seed", "9", "--part", str(part)
+        )
+        assert code == 0
+        assert stdout == (
+            f'{{"agreement":false,"event":"verdict","part":{part},"sets_ok":0,"sets_total":0,'
+            '"status":"retrieval-failed","time":0}\n'
+        )
+
+
 # Error and flag-reading paths of every subcommand, run in a scratch cwd with
 # relative paths; pairs of bad flags pin which check runs first.
 CLI_RUNS = (

@@ -356,15 +356,19 @@ def _shape(event: dict) -> str:
 # (base_latency_us, jitter_us) pairs for _seeded_sessions.  At latency 0
 # responses and solves land at time 0, right after the requests; at 9_900
 # with jitter 255 (9-bit words, so some draws are rejected) arrivals straddle
-# and tie with TIMEOUT_US, where faulted solves land.
-_TIMINGS = ((1000, 0), (1000, 250), (0, 0), (0, 250), (9_900, 255))
+# and tie with TIMEOUT_US, where faulted solves land; at 2**40 every sort key
+# is past 30 bits and every response arrives after the faulted solves.
+_TIMINGS = ((1000, 0), (1000, 250), (0, 0), (0, 250), (9_900, 255), (2**40, 255))
 
 
 def _seeded_sessions(intro_code):
     """(fleet, plan, part, failed) over codes, chunk widths, timings and drop
-    rates that together give every event shape."""
+    rates that together give every event shape.  The codes have m = 4, 7
+    and 8 among others: m = 7 fills every bit of a key's id, and m = 4 and
+    8 take a one-bit-wider id than m - 1 would."""
     codes = [intro_code, build_c1(2, 2), build_c2(5)]
-    codes += [seeded_code(seed, m, p, t) for seed, (m, p, t) in enumerate(((8, 5, 2), (10, 7, 3), (9, 6, 4)))]
+    shapes = ((8, 5, 2), (10, 7, 3), (9, 6, 4), (7, 5, 2))
+    codes += [seeded_code(seed, m, p, t) for seed, (m, p, t) in enumerate(shapes)]
     rng = random.Random(2024)
     for code in codes:
         plan = k_pir_pairs(code).plan
@@ -547,6 +551,42 @@ def test_a_one_column_set_reads_the_stored_singleton(c1_fleet):
                 with pytest.raises(ParameterError, match=re.escape(message)):
                     retrieve(fleet, plan, part)
     assert refused
+
+
+def test_a_plan_parts_request_block_is_rendered_once():
+    # every server of every set is requested at time 0, failed or not, so
+    # each session of a (part, sets) starts with the one rendered block
+    code = build_c1(3, 2)
+    plan = k_pir_pairs(code).plan
+    fleet = Fleet(code=code, seed=5, drop_probability=0.3)
+    availability_sweep(fleet, plan, trials=10, failures_per_trial=2)
+    assert not fleet._solved
+    first = retrieve(fleet, plan, 2)
+    second = retrieve(fleet, plan, 2, failed=[3, 9])
+    assert first.jsonl() != second.jsonl()
+    block = first.records[0][1]
+    assert second.records[0][1] is block and block.count("\n") == sum(map(len, plan.sets(2)))
+    assert first.jsonl().startswith(block) and second.jsonl().startswith(block)
+    assert [e for e in first.events if e["event"] == "request"] == [
+        e for e in _eager_session(fleet, plan, 2, [])[0] if e["event"] == "request"
+    ]
+    assert len(fleet._solved) == 1
+
+
+def test_a_part_with_no_sets_prints_only_its_verdict():
+    # an empty set list and a part the plan leaves out both give a session
+    # of no requests and no sets
+    code = build_c1(2, 2)
+    plan = RecoveryPlan({1: [], 2: k_pir_pairs(code).plan.sets(2)})
+    fleet = Fleet(code=code, seed=1)
+    for part in (1, code.p):
+        for failed in ((), (2,)):
+            transcript = retrieve(fleet, plan, part, failed=failed)
+            assert transcript.jsonl() == (
+                f'{{"agreement":false,"event":"verdict","part":{part},"sets_ok":0,"sets_total":0,'
+                '"status":"retrieval-failed","time":0}\n'
+            )
+            assert transcript.sets == () and transcript.value is None
 
 
 def test_the_solve_cache_holds_one_entry_per_replayed_part():
