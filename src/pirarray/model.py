@@ -47,10 +47,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import lt
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import FormatError, ParameterError
 from .gf2 import parts_of, pivot_insert, pivot_reduce
@@ -91,7 +93,9 @@ class ArrayCode:
 
     Only `p` and `columns` (any iterable of cell iterables) are given; t is
     the first column's length, m the column count and s = p/t, all set in
-    `__post_init__`.
+    `__post_init__`.  `_holders` and `_rotation` are computed the first time
+    a verifier reads them and kept on the instance; they are not fields, so
+    equality, hashing and repr never see them.
     """
 
     p: int
@@ -129,6 +133,16 @@ class ArrayCode:
                 done = canonical[col] = self._checked_column(j, col, sort_keys)
             columns.append(done)
         object.__setattr__(self, "columns", tuple(columns))
+
+    @cached_property
+    def _holders(self) -> tuple[tuple[int, ...], ...]:
+        """`_singleton_columns(self)`, computed once."""
+        return _singleton_columns(self)
+
+    @cached_property
+    def _rotation(self) -> tuple[int, ...] | None:
+        """`_rotation_image(self, self._holders)`, computed once."""
+        return _rotation_image(self, self._holders)
 
     def _checked_column(
         self, j: int, col: tuple[int, ...], sort_keys: dict[int, tuple]
@@ -198,14 +212,60 @@ class ArrayCode:
         return cells
 
 
-def singleton_census(code: ArrayCode) -> list[int]:
-    """alpha_i = number of columns storing x_i as a singleton cell; index i-1 <-> part i."""
-    alpha = [0] * code.p
-    for col in code.columns:
+def _singleton_columns(code: ArrayCode) -> tuple[tuple[int, ...], ...]:
+    """For each part index (0-based), the ascending 0-based columns storing
+    it as a singleton; parts stored nowhere share one empty tuple."""
+    held: dict[int, list[int]] = defaultdict(list)
+    for j, col in enumerate(code.columns):
         for cell in col:
             if cell & (cell - 1) == 0:
-                alpha[cell.bit_length() - 1] += 1
-    return alpha
+                held[cell.bit_length() - 1].append(j)
+    return tuple(tuple(held.get(i, ())) for i in range(code.p))
+
+
+def _rotation_image(code: ArrayCode, holders: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """The column map of the part rotation e_i -> e_(i+1 mod p), or None
+    when the code's columns are not closed under it.
+
+    `image[j]` (1-based, `image[0]` unused) is a column whose cell set is
+    the rotation of column j's cells; repeated columns map in order of
+    occurrence, so the map is a permutation.  Equal cell sets have equal
+    spans, and the rotation is a linear bijection, so the map sends a set
+    of columns spanning e_i to one spanning e_(i+1), and part i's holders
+    to part i+1's.  Necessary conditions that cost O(p) and one pass over
+    the cells reject most codes before any cell is rotated: a
+    rotation-closed code stores every part as a singleton equally often,
+    and the OR and the XOR of all its cells are rotation-fixed, so each is
+    0 or all p parts (the OR cannot be 0).
+    """
+    p = code.p
+    alpha = len(holders[0])
+    if any(len(held) != alpha for held in holders):
+        return None
+    full = (1 << p) - 1
+    union = parity = 0
+    for col in code.columns:
+        for cell in col:
+            union |= cell
+            parity ^= cell
+    if union != full or parity not in (0, full):
+        return None
+    top = p - 1
+    by_cells: defaultdict[frozenset[int], list[int]] = defaultdict(list)
+    for j in range(code.m, 0, -1):  # each list descending, so pop() takes the first
+        by_cells[frozenset(code.columns[j - 1])].append(j)
+    image = [0]
+    for col in code.columns:
+        same = by_cells.get(frozenset(((cell << 1) & full) | (cell >> top) for cell in col))
+        if not same:
+            return None
+        image.append(same.pop())
+    return tuple(image)
+
+
+def singleton_census(code: ArrayCode) -> list[int]:
+    """alpha_i = number of columns storing x_i as a singleton cell; index i-1 <-> part i."""
+    return list(map(len, code._holders))
 
 
 def format_cell(cell: int) -> str:

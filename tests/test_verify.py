@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import random
@@ -20,29 +21,34 @@ from pirarray import (
     build_c1,
     build_c2,
     build_c3,
+    build_general_s,
+    build_integer_s,
     k_pir_exhaustive,
     k_pir_pairs,
     max_general_matching,
     parse_code,
+    serialize_code,
     serialize_plan,
+    simulate,
+    singleton_census,
     singleton_upper_bound,
     verify_plan,
 )
+from pirarray import verify as verify_module
 from pirarray.errors import CapExceeded
 from pirarray.gf2 import pivot_insert, pivot_reduce
+from pirarray.model import _rotation_image, _singleton_columns
 from pirarray.verify import (
     _column_pivots,
     _indexed_edges,
     _minimal_recovery_masks,
     _part_graphs,
-    _rotation_image,
     _scanned_edges,
-    _singleton_columns,
     _span_index,
     _use_span_index,
 )
 
-from conftest import random_column, seeded_code
+from conftest import FAMILY_BUILDERS, random_column, seeded_code
 
 
 def test_intro_exhaustive_is_three(intro_code):
@@ -221,6 +227,154 @@ def test_verify_plan_names_the_first_violation_in_set_order():
             found = verify_plan(code, plan)
             assert found == (False, made[0][1])
             assert tuple(found) == _oracle_verify_plan(code, plan)
+
+
+# Codes closed under the part rotation, whose pair plans take the mapped
+# parts of verify_plan, and c2(5), which is not closed and has m <= 14.
+PLAN_CHECK_CODES = {
+    "c1(3,2)": lambda: build_c1(3, 2),
+    "c1(4,4)": lambda: build_c1(4, 4),
+    "c3(6)": lambda: build_c3(6),
+    "integer(3,2)": lambda: build_integer_s(3, 2),
+    "general(7/3,3)": lambda: build_general_s(Fraction(7, 3), 3),
+    "c2(5)": lambda: build_c2(5),
+}
+
+
+def _mutated_plans(code: ArrayCode, plan: RecoveryPlan, rng: random.Random) -> dict[str, list[RecoveryPlan]]:
+    """Seeded changes of `plan` in one part q >= 2 each, by kind."""
+    kinds: dict[str, list[RecoveryPlan]] = {}
+    parts = plan.parts()
+    for q in rng.sample(parts[1:], min(3, len(parts) - 1)):
+        sets = [list(columns) for columns in plan.sets(q)]
+        used = {j for columns in sets for j in columns}
+        unused = [j for j in range(1, code.m + 1) if j not in used]
+        a, b = rng.sample(range(len(sets)), 2)
+        x, y = rng.randrange(len(sets[a])), rng.randrange(len(sets[b]))
+
+        def with_part(new_sets, part=q, drop=()):
+            return RecoveryPlan({**{r: plan.sets(r) for r in parts if r not in drop}, part: new_sets})
+
+        swapped = [list(columns) for columns in sets]
+        swapped[a][x], swapped[b][y] = swapped[b][y], swapped[a][x]
+        kinds.setdefault("swapped column", []).append(with_part(swapped))
+        if unused:
+            moved = [list(columns) for columns in sets]
+            moved[a][x] = rng.choice(unused)
+            kinds["swapped column"].append(with_part(moved))
+        kinds.setdefault("dropped set", []).append(with_part(sets[:a] + sets[a + 1 :]))
+        added = rng.sample(range(1, code.m + 1), rng.randint(1, 3))
+        kinds.setdefault("added set", []).append(with_part(sets + [added]))
+        kinds.setdefault("overlap", []).append(
+            with_part([columns + [sets[b][y]] if i == a else columns for i, columns in enumerate(sets)])
+        )
+        kinds["overlap"].append(with_part(sets + [sets[a]]))  # a repeated set
+        kinds.setdefault("out of range", []).append(
+            with_part([columns[:x] + [code.m + 1] + columns[x + 1 :] if i == a else columns for i, columns in enumerate(sets)])
+        )
+        target = 1 << (q - 1)
+        lone = [j for j in range(1, code.m + 1) if target not in code.columns[j - 1] and j not in used]
+        if lone:
+            kinds.setdefault("not spanning", []).append(with_part(sets[:a] + [[rng.choice(lone)]] + sets[a + 1 :]))
+        for r in (q - 1, q + 1):
+            if r in parts:  # a valid set list, but another part's
+                kinds.setdefault("not spanning", []).append(with_part(plan.sets(r)))
+        merged = [sorted(sets[a] + sets[b])] + [columns for i, columns in enumerate(sets) if i not in (a, b)]
+        kinds.setdefault("valid, not the image", []).append(with_part(merged))
+        # part q follows part q - 2: with part q - 1's sets (which span
+        # e_(q-1)) and with its own
+        kinds.setdefault("non-contiguous parts", []).append(with_part(plan.sets(q - 1), drop=(q - 1,)))
+        kinds["non-contiguous parts"].append(with_part(plan.sets(q), drop=(q - 1,)))
+    return kinds
+
+
+def test_mapped_plan_parts_match_the_reference_check():
+    outcomes = set()
+    for label, build in PLAN_CHECK_CODES.items():
+        code = build()
+        assert (code._rotation is None) == (label == "c2(5)")
+        rng = random.Random(label)
+        bases = [k_pir_pairs(code).plan]
+        if code.m <= 14:
+            bases.append(k_pir_exhaustive(code).plan)
+        for base in bases:
+            assert verify_plan(code, base) == (True, None)
+            for kind, plans in _mutated_plans(code, base, rng).items():
+                for plan in plans:
+                    found = verify_plan(code, plan)
+                    assert tuple(found) == _oracle_verify_plan(code, plan), (label, kind)
+                    outcomes.add((kind, found.ok))
+    assert {kind for kind, ok in outcomes if not ok} == {
+        "swapped column",
+        "added set",
+        "overlap",
+        "out of range",
+        "not spanning",
+        "non-contiguous parts",
+    }
+    assert {kind for kind, ok in outcomes if ok} >= {"dropped set", "valid, not the image", "non-contiguous parts"}
+
+
+def test_a_rotation_closed_pair_plan_eliminates_part_1_only(monkeypatch):
+    code = build_c1(5, 5)
+    plan = k_pir_pairs(code).plan
+    calls = 0
+
+    def counted(pivots, bits):
+        nonlocal calls
+        calls += 1
+        return pivot_insert(pivots, bits)
+
+    monkeypatch.setattr(verify_module, "pivot_insert", counted)
+    assert verify_plan(code, plan) == (True, None)
+    whole, calls = calls, 0
+    assert verify_plan(code, RecoveryPlan({1: plan.sets(1)})) == (True, None)
+    assert any(len(columns) > 1 for columns in plan.sets(1))
+    assert whole == calls > 0
+
+
+def _census(code: ArrayCode) -> list[int]:
+    """alpha_i by a walk over every cell."""
+    alpha = [0] * code.p
+    for col in code.columns:
+        for cell in col:
+            if cell & (cell - 1) == 0:
+                alpha[cell.bit_length() - 1] += 1
+    return alpha
+
+
+def test_cached_holders_and_column_map_are_not_seen():
+    names = ("p", "columns", "t", "m", "s")
+    assert tuple(field.name for field in dataclasses.fields(ArrayCode)) == names
+    for build in PLAN_CHECK_CODES.values():
+        code = build()
+        text = serialize_code(code)
+        assert "_holders" not in vars(code) and "_rotation" not in vars(code)
+        report = k_pir_pairs(code)
+        assert verify_plan(code, report.plan).ok
+        fresh = parse_code(text)
+        assert "_holders" not in vars(fresh) and "_rotation" not in vars(fresh)
+        assert code == fresh and hash(code) == hash(fresh) and repr(code) == repr(fresh)
+        assert code._holders == _singleton_columns(fresh)
+        assert code._rotation == _rotation_image(fresh, _singleton_columns(fresh))
+        assert tuple(field.name for field in dataclasses.fields(ArrayCode)) == names
+        # a one-part plan, as a session replay checks, never computes the map
+        assert verify_plan(fresh, RecoveryPlan({2: report.plan.sets(2)})).ok
+        simulate.retrieve(simulate.Fleet(code=fresh, seed=1), report.plan, 2)
+        assert "_rotation" not in vars(fresh)
+
+
+def test_singleton_census_reads_the_cached_holders_unchanged():
+    codes = [build() for build in FAMILY_BUILDERS.values()]
+    for family, t, d, s in [*GOLDEN_PLAN_SHA256, *ROTATION_CLOSED]:
+        codes.append(ConstructionParams(family, t, d=d, s=None if s is None else Fraction(s)).build())
+    rng = random.Random(50)
+    for seed in range(50):
+        p = rng.randint(2, 12)
+        codes.append(seeded_code(seed, rng.randint(1, 20), p, rng.randint(1, min(p, 4))))
+    for code in codes:
+        assert singleton_census(code) == _census(code)
+        assert singleton_upper_bound(code) == Fraction(code.m + min(_census(code)), 2)
 
 
 def test_reports_respect_singleton_diagnostic():
