@@ -306,25 +306,28 @@ def build_general_s(s: Fraction | int, t: int, max_columns: int = DEFAULT_MAX_CO
 class _Family(NamedTuple):
     """A registry entry.  Each callable takes the ConstructionParams and names
     this module's function at call time, so a wrapper installed on the
-    module (a tracer's, say) is reached through the registry too."""
+    module (a tracer's, say) is reached through the registry too.  The
+    integer and general families solve their ladder once, into the params'
+    `ladder`, and count and build from it."""
 
     extra: str | None  # the parameter besides t: "d", "s" or none
     s_of: Callable[[ConstructionParams], Fraction]
+    ladder: Callable[[ConstructionParams], tuple[int, int, tuple[int, ...]]] | None
     counts: Callable[[ConstructionParams], tuple[int, int]]  # (m, k)
     build: Callable[[ConstructionParams], ArrayCode]
 
 
 _REGISTRY: dict[str, _Family] = {
-    "c1": _Family("d", lambda c: Fraction(c.t + c.d, c.t), lambda c: c1_counts(c.t, c.d),
+    "c1": _Family("d", lambda c: Fraction(c.t + c.d, c.t), None, lambda c: c1_counts(c.t, c.d),
                   lambda c: build_c1(c.t, c.d, c.max_columns)),
-    "c2": _Family(None, lambda c: Fraction(c.t + 1, c.t), lambda c: c2_counts(c.t),
+    "c2": _Family(None, lambda c: Fraction(c.t + 1, c.t), None, lambda c: c2_counts(c.t),
                   lambda c: build_c2(c.t, c.max_columns)),
-    "c3": _Family(None, lambda c: Fraction(c.t + 1, c.t), lambda c: c3_counts(c.t),
+    "c3": _Family(None, lambda c: Fraction(c.t + 1, c.t), None, lambda c: c3_counts(c.t),
                   lambda c: build_c3(c.t, c.max_columns)),
-    "integer": _Family("s", lambda c: Fraction(c.s), lambda c: integer_s_counts(c.s, c.t),
-                       lambda c: build_integer_s(c.s, c.t, c.max_columns)),
-    "general": _Family("s", lambda c: Fraction(c.s), lambda c: general_s_counts(c.s, c.t),
-                       lambda c: build_general_s(c.s, c.t, c.max_columns)),
+    "integer": _Family("s", lambda c: Fraction(c.s), lambda c: _ladder(c.s, c.t, integer=True),
+                       lambda c: _ladder_counts(*c.ladder), lambda c: _build_ladder(*c.ladder, c.max_columns)),
+    "general": _Family("s", lambda c: Fraction(c.s), lambda c: _ladder(c.s, c.t, integer=False),
+                       lambda c: _ladder_counts(*c.ladder), lambda c: _build_ladder(*c.ladder, c.max_columns)),
 }
 
 FAMILIES = tuple(_REGISTRY)
@@ -336,7 +339,9 @@ class ConstructionParams:
 
     `s` is derived for c1, c2 and c3; `d` is kept for c1 only.  The family's
     counts are evaluated once, on construction, which also checks that the
-    parameters lie in the family's range."""
+    parameters lie in the family's range.  The integer and general
+    families' (p, t, xi) is solved then too, kept as `ladder` (None for
+    the other families), and `build` reuses it."""
 
     family: str
     t: int
@@ -344,6 +349,7 @@ class ConstructionParams:
     s: Fraction | None = None
     max_columns: int = DEFAULT_MAX_COLUMNS
     counts: tuple[int, int] = field(init=False, compare=False, repr=False)
+    ladder: tuple[int, int, tuple[int, ...]] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         family = _REGISTRY.get(self.family)
@@ -351,6 +357,7 @@ class ConstructionParams:
             raise ParameterError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if family.extra is not None and getattr(self, family.extra) is None:
             raise ParameterError(f"{self.family} needs {family.extra}")
+        object.__setattr__(self, "ladder", None if family.ladder is None else family.ladder(self))
         object.__setattr__(self, "counts", family.counts(self))
         if family.extra != "d":
             object.__setattr__(self, "d", None)

@@ -41,6 +41,21 @@ it reads it and builds its plan with `RecoveryPlan._of_ascending`, which
 only sorts each part's sets.  `serialize_plan` renders a part's sets with
 one call to the C JSON encoder: their compact JSON `[[1],[3,7]]` is the
 plan text `{1};{3,7}` once the outer brackets go and each "],[" is "};{".
+
+`parse_plan` validates a line's sets with passes that run in C, not per
+set.  With n = one more than its count of ";", the text after "part <i>:"
+is read as JSON (after "{};" -> "[],", inside one more pair of brackets)
+only when deleting the characters 0-9{},; leaves nothing, it has n "{" and
+n - 1 "};{".  Every ";" then follows a "}" and every "{" but one follows a
+"};", so no brace nests in another, the JSON cannot recurse, and a ";"
+can only separate two sets.  It is accepted when JSON reads it, every item
+is an array (a bare number raises TypeError in `tuple`), the sets hold as
+many columns as there are "," plus n, so none is empty, and each set is
+ascending: the two-column sets by one `starmap(lt, ...)`, the larger ones,
+if the column count says there are any, one at a time.  The text is then
+`{c,...};...;{c,...}` with ascending columns in each set, and JSON reads
+the numbers as `int` does.  Any other line goes set by set and raises at
+its first bad set.
 """
 
 from __future__ import annotations
@@ -51,6 +66,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import starmap
 from operator import lt
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -236,7 +252,8 @@ def _rotation_image(code: ArrayCode, holders: Sequence[Sequence[int]]) -> tuple[
     the cells reject most codes before any cell is rotated: a
     rotation-closed code stores every part as a singleton equally often,
     and the OR and the XOR of all its cells are rotation-fixed, so each is
-    0 or all p parts (the OR cannot be 0).
+    0 or all p parts (the OR cannot be 0).  Past them, each distinct cell
+    is rotated once and each distinct column keyed once.
     """
     p = code.p
     alpha = len(holders[0])
@@ -250,13 +267,24 @@ def _rotation_image(code: ArrayCode, holders: Sequence[Sequence[int]]) -> tuple[
             parity ^= cell
     if union != full or parity not in (0, full):
         return None
+    # A column's canonical cell order follows from its cells, so columns
+    # with equal cell sets are equal tuples: each distinct column gets one
+    # list of its positions (descending, so pop() takes the first) and one key.
+    positions: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+    for j in range(code.m, 0, -1):
+        positions[code.columns[j - 1]].append(j)
+    by_cells = {frozenset(col): same for col, same in positions.items()}
     top = p - 1
-    by_cells: defaultdict[frozenset[int], list[int]] = defaultdict(list)
-    for j in range(code.m, 0, -1):  # each list descending, so pop() takes the first
-        by_cells[frozenset(code.columns[j - 1])].append(j)
+    turned = {cell: ((cell << 1) & full) | (cell >> top) for cell in set().union(*positions)}
+    onto = {}  # each distinct column -> the positions of its rotation
+    for col in positions:
+        same = by_cells.get(frozenset(map(turned.__getitem__, col)))
+        if same is None:
+            return None
+        onto[col] = same
     image = [0]
     for col in code.columns:
-        same = by_cells.get(frozenset(((cell << 1) & full) | (cell >> top) for cell in col))
+        same = onto[col]
         if not same:
             return None
         image.append(same.pop())
@@ -434,26 +462,35 @@ def serialize_plan(plan: RecoveryPlan) -> str:
 
 _PLAN_LINE_RE = re.compile(r"^part (\d+):(.*)$")
 _SET_RE = re.compile(r"^\{(\d+(?:,\d+)*)\}$")
-_SETS_RE = re.compile(r"\{\d+(?:,\d+)*\}(?:;\{\d+(?:,\d+)*\})*")
+_NOT_SETS_TEXT = str.maketrans("", "", "0123456789{},;")
 _SETS_AS_JSON = str.maketrans("{};", "[],")
 
 
 def _plan_sets(rest: str, part: int, line_no: int) -> list[tuple[int, ...]]:
     """The column sets of one plan line, from its text after "part <i>:".
 
-    A well-formed line is matched by one regex, read as one JSON array
-    of arrays and each of its sets checked once for ascending order; any
-    other line (or a number JSON does not read, such as a non-ASCII digit)
-    goes set by set, which raises at its first bad set.
+    A line of n sets is read as one JSON array of arrays when its shape
+    passes the counts of the module docstring and its sets are ascending;
+    any other line (or a number JSON does not read, such as one with a
+    leading zero or too many digits to convert) goes set by set, which
+    raises at its first bad set.
     """
-    if _SETS_RE.fullmatch(rest):
+    n = rest.count(";") + 1
+    if not rest.translate(_NOT_SETS_TEXT) and rest.count("{") == n and rest.count("};{") == n - 1:
         try:
             sets = list(map(tuple, json.loads("[" + rest.translate(_SETS_AS_JSON) + "]")))
-        except ValueError:  # a number JSON or int() refuses, named below
+        except (TypeError, ValueError):  # a bare number, or one JSON or int() refuses
             pass
         else:
-            if all(len(columns) < 2 or all(map(lt, columns, columns[1:])) for columns in sets):
-                return sets
+            size = sum(map(len, sets))
+            if size == rest.count(",") + n:
+                twos = [columns for columns in sets if len(columns) == 2]
+                # with no set empty, size - len(twos) == n leaves no set above two
+                if all(starmap(lt, twos)) and (
+                    size - len(twos) == n
+                    or all(all(map(lt, columns, columns[1:])) for columns in sets if len(columns) > 2)
+                ):
+                    return sets
     sets = []
     for tok in rest.split(";"):
         set_match = _SET_RE.match(tok)

@@ -61,13 +61,17 @@ where a part's graph has more than one maximum matching.  O(p) checks and
 one pass over the cells turn most other codes away before any cell is
 rotated.
 
-`verify_plan` takes the same map: on a rotation-closed code, a part whose
-sets are the part before's mapped by it passes without elimination, so a
-pair-mode plan of such a code has only part 1's multi-column sets
-eliminated.  A code's singleton holders and its column map are computed
-once, the first time a verifier reads them, and kept on the `ArrayCode`
-(`_holders`, `_rotation`), so `k_pir_pairs`, `singleton_upper_bound` and
-`verify_plan` share them.
+`verify_plan` takes the same map: on a rotation-closed code, a part that
+follows a passed part is first compared, as an exact sequence, with the
+part before's sets mapped by it and sorted.  On a match it passes with no
+elimination and no range or disjointness test: pi is a permutation of
+1..m, so the mapped sets are in range and disjoint because the part
+before's are, and a repeated set cannot match.  So a pair-mode plan of
+such a code has only part 1's multi-column sets eliminated and only part
+1's columns tested.  A code's singleton holders and its column map are
+computed once, the first time a verifier reads them, and kept on the
+`ArrayCode` (`_holders`, `_rotation`), so `k_pir_pairs`,
+`singleton_upper_bound` and `verify_plan` share them.
 """
 
 from __future__ import annotations
@@ -157,44 +161,49 @@ def _column_pivots(code: ArrayCode) -> list[dict[int, int]]:
     return out
 
 
-def _mapped(image: tuple[int, ...], sets: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """`sets` with each column j renamed image[j], each set ascending."""
-    out = set()
+def _mapped(image: tuple[int, ...], sets: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """`sets` with each column j renamed image[j], each set ascending, in
+    ascending order."""
+    out = []
     for columns in sets:
         if len(columns) == 2:  # most sets: put in order by one comparison
             u, v = image[columns[0]], image[columns[1]]
-            out.add((u, v) if u < v else (v, u))
+            out.append((u, v) if u < v else (v, u))
         elif len(columns) == 1:
-            out.add((image[columns[0]],))
+            out.append((image[columns[0]],))
         else:
-            out.add(tuple(sorted([image[j] for j in columns])))
+            out.append(tuple(sorted([image[j] for j in columns])))
+    out.sort()
     return out
 
 
 def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
     """Check every set spans its part and per-part sets are pairwise disjoint.
 
-    A part's columns are checked together first: one range test and one
-    disjointness test over all its sets.  Only a part that fails one of
-    them has its sets checked for range and overlap one at a time, in order
-    with the span checks, so the first violation is named as if every set
-    were checked in turn.
+    On a code closed under the part rotation, a part that follows a part
+    which has just passed is tested first against that part's sets mapped
+    by the rotation's column map pi (`ArrayCode._rotation`), as an exact
+    sequence: part i+1's sets, ascending, must equal part i's mapped and
+    sorted.  Such a part has no violation, and nothing else is checked for
+    it.  The cells of pi(j) are the rotation of j's and the rotation is
+    linear, so each mapped set spans e_(i+1), and a mapped singleton stores
+    it.  pi is a permutation of 1..m, so the mapped sets are in range and
+    pairwise disjoint because part i's are, and part i passed.  Part i's
+    sets are nonempty (an empty set spans nothing), so the mapped sets are
+    distinct and a repeated set cannot match.  The map is read only for a
+    part that follows a passed part, so a one-part plan never computes it.
 
-    On a code closed under the part rotation, part i+1 is not eliminated
-    when part i has just passed, part i+1 passes the part-wide tests, and
-    its sets, as a set, are part i's mapped by the rotation's column map pi
-    (`ArrayCode._rotation`).  The cells of pi(j) are the rotation of j's
-    and the rotation is linear, so each mapped set spans e_(i+1), and a
-    mapped singleton stores it; the disjointness test rules out a repeated
-    set, so part i+1's sets are exactly the mapped ones.  Such a part has
-    no violation, and every other part is checked set by set as above, so
-    the result and the first violation named are those of checking every
-    set.  The map is read only for a part that follows a passed part, so a
-    one-part plan never computes it.  A pair-mode plan of such a code has
-    only part 1's sets eliminated: on the benchmark's family-verify
-    workload (six codes, m 129-896) the traced check takes 1.9-2.2 ms per
-    op, against 3.8-4.3 ms when every part was eliminated (seed 1, three
-    runs each; Python 3.11.7, one core of a shared 2-vCPU Xeon VM).
+    Every other part has its columns tested together first: one range test
+    and one disjointness test over all its sets.  Only a part that fails
+    one of them has its sets checked for range and overlap one at a time,
+    in order with the span checks, so the first violation is named as if
+    every set were checked in turn.  A pair-mode plan of a rotation-closed code has only
+    part 1's sets eliminated and tested part-wide: on the benchmark's
+    family-verify workload (six codes, m 129-896) the traced check takes
+    1.58-1.64 ms per op, against 2.19-2.25 ms when each mapped part also
+    took the part-wide tests and 3.8-4.3 ms when every part was eliminated
+    (seed 1, three runs each; Python 3.11.7, one core of a shared 2-vCPU
+    Xeon VM).
     """
     tables: dict[int, dict[int, int]] = {}  # column -> pivot table of its cells
 
@@ -210,17 +219,17 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
     for part in plan.parts():
         if not 1 <= part <= code.p:
             return PlanCheck(False, f"part {part} out of range 1..{code.p}")
-        target = 1 << (part - 1)
         sets = plan.sets(part)
+        if part == last + 1 and passed is not None:
+            image = code._rotation
+            if image is not None and _mapped(image, passed) == list(sets):
+                last, passed = part, sets
+                continue
+        target = 1 << (part - 1)
         flat = list(chain.from_iterable(sets))
         checked = not flat or (
             min(flat) >= 1 and max(flat) <= code.m and len(set(flat)) == len(flat)
         )
-        if checked and part == last + 1 and passed is not None:
-            image = code._rotation
-            if image is not None and _mapped(image, passed) == set(sets):
-                last, passed = part, sets
-                continue
         used: set[int] = set()
         for columns in sets:
             if not checked:
@@ -476,10 +485,13 @@ def _minimal_recovery_masks(rows: list[tuple[int, ...]], p: int) -> list[Sequenc
     empty; it is dropped when b adds no rank to S + a or its rank equals a
     subset's (that subset's missing column adds none).  A part of `open`
     that the candidate spans is spanned by none of its proper subsets, so
-    every set recorded is minimal.  Every proper subset T of a minimal set
-    M is kept: a column adding no rank to T adds none to M either, and then
-    M is not minimal.  So each minimal set is tried, from its two highest
-    columns, and recorded once.
+    every set recorded is minimal.  A candidate whose rank is the code's
+    rank spans what all columns span, so it is recorded for every part of
+    `open` with no elimination, and it is not kept: no target is left
+    unspanned in it.  Every proper subset T of a minimal set M is kept: a
+    column adding no rank to T adds none to M either, and then M is not
+    minimal.  So each minimal set is tried, from its two highest columns,
+    and recorded once.
     """
     m = len(rows)
     whole: dict[int, int] = {}  # pivot table of every column
@@ -496,6 +508,7 @@ def _minimal_recovery_masks(rows: list[tuple[int, ...]], p: int) -> list[Sequenc
         if pivot_reduce(whole, bit) == 0:
             found[bit] = []
             targets |= bit
+    full_rank = len(whole)
 
     # A kept set is (mask, pivot rows, unspanned targets).  `level` holds
     # one size's by mask, and `groups` the same sets grouped by mask minus
@@ -553,6 +566,13 @@ def _minimal_recovery_masks(rows: list[tuple[int, ...]], p: int) -> list[Sequenc
                                     trial = dict(pivots)
                                 trial[residual.bit_length() - 1] = residual
                         if len(trial) <= rank:
+                            continue
+                        if len(trial) == full_rank:
+                            # it spans what all columns span, so every target
+                            while open_parts:
+                                bit = open_parts & -open_parts
+                                open_parts ^= bit
+                                found[bit].append(candidate)
                             continue
                         unspanned = open_parts
                         while open_parts:

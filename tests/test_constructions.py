@@ -18,6 +18,7 @@ from pirarray import (
     singleton_census,
     solve_xi,
 )
+from pirarray import constructions
 from pirarray.constructions import (
     FAMILIES,
     c1_counts,
@@ -311,6 +312,27 @@ def test_construction_params_dispatch():
         ConstructionParams(family="nope", t=2)
     with pytest.raises(ParameterError):
         ConstructionParams(family="general", t=2, s=Fraction(5, 3))  # p not integral
+
+
+@pytest.mark.parametrize(
+    "family, s, t, builder",
+    [("integer", Fraction(3), 2, build_integer_s), ("general", Fraction(7, 3), 3, build_general_s)],
+)
+def test_construct_solves_xi_once(monkeypatch, family, s, t, builder):
+    solve = constructions.solve_xi
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(constructions, "solve_xi", counted)
+    params = ConstructionParams(family=family, t=t, s=s)
+    code = params.build()
+    assert len(calls) == 1
+    assert params.ladder == (code.p, t, solve(s, t))
+    assert (code.m, (code.m + min(singleton_census(code))) // 2) == params.counts
+    assert code == builder(s, t)
 
 
 @settings(max_examples=20, deadline=None)

@@ -251,10 +251,28 @@ def _reference_parse_plan(text: str) -> RecoveryPlan:
         "part 1: {[1]}\n",
         "part 1: {1}}\n",
         f"part 1: {{1}};{{{'9' * 4000}}}\n",
+        # shapes JSON reads that the counts of "{", ";", "};{" and "," refuse
+        "part 1: {1;2},{3}\n",
+        "part 1: {{1}};2\n",
+        "part 1: {{1},{2}};{3}\n",
+        "part 1: 1;{2}\n",
+        "part 1: {1},{2};{3}\n",
+        "part 1: {1}{2}\n",
+        "part 1: {1,,2}\n",
+        "part 1: {1};;{2}\n",
+        "part 1: ;{1}\n",
+        # a bare number beside a set, which passes the counts
+        "part 1: {1},2\n",
+        "part 1: 2,{1}\n",
+        # nesting deep enough to make JSON recurse past the limit
+        "part 1: " + "{" * 5000 + "1" + "}" * 5000 + "\n",
     ],
 )
 def test_parse_plan_matches_the_set_by_set_reference(body):
-    text = "PIRPLAN v1\n" + body
+    _check_against_reference("PIRPLAN v1\n" + body)
+
+
+def _check_against_reference(text: str) -> None:
     try:
         expected = _reference_parse_plan(text)
     except FormatError as err:
@@ -266,6 +284,39 @@ def test_parse_plan_matches_the_set_by_set_reference(body):
         assert serialize_plan(plan) == serialize_plan(expected)
         for part in plan.parts():
             assert all(type(c) is int for columns in plan.sets(part) for c in columns)
+
+
+_FUZZ_ALPHABET = "0123456789{},; x-\u0661"
+_FUZZ_TOKENS = ["{", "}", ",", ";", "};{", "1", "12", "0", "07", "{1}", "{2,3}", "{{", "}}", " ", "x", "-", "\u0661"]
+
+
+def _fuzzed_sets(rng: random.Random) -> str:
+    """Seeded text after "part 1:": random characters of the plan alphabet
+    and a few others, random runs of plan tokens, or well-formed sets with
+    up to two characters inserted, deleted or replaced."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randint(0, 12)))
+    if kind == 1:
+        return "".join(rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(0, 8)))
+    sets = [sorted(rng.sample(range(15), rng.randint(1, 3))) for _ in range(rng.randint(1, 4))]
+    text = ";".join("{" + ",".join(map(str, columns)) + "}" for columns in sets)
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:at] + rng.choice(_FUZZ_ALPHABET) + text[at:]
+        elif edit == 1:
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + rng.choice(_FUZZ_ALPHABET) + text[at + 1 :]
+    return text
+
+
+def test_parse_plan_matches_the_reference_on_fuzzed_lines():
+    rng = random.Random(27)
+    for _ in range(4000):
+        _check_against_reference("PIRPLAN v1\npart 1: " + _fuzzed_sets(rng) + "\n")
 
 
 def test_recovery_plan_keeps_ascending_tuples_and_canonicalizes_the_rest():

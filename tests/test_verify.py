@@ -269,6 +269,11 @@ def _mutated_plans(code: ArrayCode, plan: RecoveryPlan, rng: random.Random) -> d
             with_part([columns + [sets[b][y]] if i == a else columns for i, columns in enumerate(sets)])
         )
         kinds["overlap"].append(with_part(sets + [sets[a]]))  # a repeated set
+        image = code._rotation
+        if image is not None:  # part q - 1's sets mapped by the column map, one of them twice
+            mapped = sorted(sorted(image[j] for j in columns) for columns in plan.sets(q - 1))
+            repeated = with_part(mapped + [rng.choice(mapped)])
+            kinds.setdefault("repeated image set", []).append(repeated)
         kinds.setdefault("out of range", []).append(
             with_part([columns[:x] + [code.m + 1] + columns[x + 1 :] if i == a else columns for i, columns in enumerate(sets)])
         )
@@ -303,11 +308,14 @@ def test_mapped_plan_parts_match_the_reference_check():
                 for plan in plans:
                     found = verify_plan(code, plan)
                     assert tuple(found) == _oracle_verify_plan(code, plan), (label, kind)
+                    if kind == "repeated image set":
+                        assert found.violation.endswith("appears in two recovery sets")
                     outcomes.add((kind, found.ok))
     assert {kind for kind, ok in outcomes if not ok} == {
         "swapped column",
         "added set",
         "overlap",
+        "repeated image set",
         "out of range",
         "not spanning",
         "non-contiguous parts",
@@ -642,6 +650,58 @@ def test_codes_not_closed_under_rotation_get_no_column_map():
     codes += [seeded_code(seed, *shape) for seed, shape in enumerate(GOLDEN_RANDOM_SHAPES * 2)]
     for code in codes:
         assert _rotation_image(code, _singleton_columns(code)) is None
+
+
+def _reference_rotation_image(code: ArrayCode, holders) -> tuple[int, ...] | None:
+    """The column map with every column keyed and rotated cell by cell on
+    its own, repeated columns mapping in order of occurrence."""
+    p = code.p
+    if len({len(held) for held in holders}) != 1:
+        return None
+    full = (1 << p) - 1
+    union = parity = 0
+    for col in code.columns:
+        for cell in col:
+            union |= cell
+            parity ^= cell
+    if union != full or parity not in (0, full):
+        return None
+    by_cells: dict[frozenset[int], list[int]] = {}
+    for j in range(code.m, 0, -1):
+        by_cells.setdefault(frozenset(code.columns[j - 1]), []).append(j)
+    image = [0]
+    for col in code.columns:
+        same = by_cells.get(frozenset(_rotated(cell, p, 1) for cell in col))
+        if not same:
+            return None
+        image.append(same.pop())
+    return tuple(image)
+
+
+def test_rotation_image_matches_the_per_column_reference():
+    codes = [build() for build in (*FAMILY_BUILDERS.values(), *PLAN_CHECK_CODES.values())]
+    for family, t, d, s in [*GOLDEN_PLAN_SHA256, *ROTATION_CLOSED]:
+        codes.append(ConstructionParams(family, t, d=d, s=None if s is None else Fraction(s)).build())
+    repeats = [code for code in (build_c1(5, 3), build_c3(6)) if len(set(code.columns)) < code.m]
+    assert len(repeats) == 2
+    codes += repeats
+    rng = random.Random(27)
+    for seed in range(50):
+        p = rng.randint(2, 8)
+        base = seeded_code(seed, rng.randint(1, 4), p, rng.randint(1, min(p, 4)))
+        # every column with all its rotations, one orbit twice, shuffled;
+        # then the same with one column dropped, and the base code itself
+        columns = [[_rotated(cell, p, steps) for cell in col] for col in base.columns for steps in range(p)]
+        columns += columns[:p]
+        rng.shuffle(columns)
+        codes += [ArrayCode(p, columns), ArrayCode(p, columns[1:]), base]
+    mapped = 0
+    for code in codes:
+        holders = _singleton_columns(code)
+        image = _rotation_image(code, holders)
+        assert image == _reference_rotation_image(code, holders)
+        mapped += image is not None
+    assert mapped > 50
 
 
 def test_a_rotation_closed_span_stored_in_other_bases_falls_back():
