@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from .constructions import DEFAULT_MAX_COLUMNS, FAMILIES, ConstructionParams
 from .errors import ParameterError
 from .model import parse_code, parse_plan, serialize_code, serialize_plan
-from .simulate import Fleet, availability_sweep, retrieve
+from .simulate import Fleet, availability_sweep, check_session, retrieve
 from .verify import EXHAUSTIVE_CAP, k_pir_exhaustive, k_pir_pairs
 
 __all__ = ["main", "parse_s"]
@@ -180,7 +180,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     code = parse_code(args.infile.read_text(encoding="utf-8"))
     # The fleet checks its knobs (chunk width, latency, jitter, drop
-    # probability) before the pair plan, which is the costly step, is computed.
+    # probability), and --part and --fail-server are checked against the
+    # code, before the pair plan, which is the costly step, is computed.
     fleet = Fleet(
         code=code,
         seed=args.seed,
@@ -189,6 +190,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         jitter_us=args.jitter,
         drop_probability=args.drop_prob,
     )
+    check_session(code, args.part, args.fail_server or ())
     if args.plan is not None:
         plan = parse_plan(args.plan.read_text(encoding="utf-8"))
     else:

@@ -13,20 +13,23 @@ fleet's latency, jitter and drop probability.
 
 Every server of every set gets a request at time 0, failed or dropped
 alike, so a (part, sets)'s request lines are the same in every session and
-are rendered once, as the block every session's JSON lines start with.
+are rendered once, as the block every session's JSON lines start with.  A
+response or ok solve line differs between sessions only in its time, so
+everything before its time is rendered once per (part, sets) too.
 `retrieve` records each other event as one small tuple led by a unique int
 sort key (see `SessionTranscript`), so a plain sort orders the session and,
 while every key is below 2^30, compares only those ints.  It draws each
 response's jitter as `rng.randrange(jitter_us + 1)` would, straight from
 `getrandbits`, so the stream is randrange's without its Python wrapper.  A
 `SessionTranscript` keeps the block and the tuples; `jsonl()` renders them
-straight to JSON lines through the one fixed-schema template per event
-kind, `events` parses those lines back to dicts and `sets` builds outcomes
-from the solve tuples, both on first access, so a caller that only prints a
-session builds neither.  Each line is exactly the bytes `json.dumps(event,
-sort_keys=True, separators=(",", ":"))` gives for the event it holds: every
-value is an int, a bool, a fixed ASCII word, a `0x` hex string or a list of
-these, so nothing needs escaping.
+straight to JSON lines, formatting only each response's and ok solve's
+time into its rendered text and a faulted solve or the verdict through its
+fixed-schema template; `events` parses those lines back to dicts and `sets`
+builds outcomes from the solve tuples, both on first access, so a caller
+that only prints a session builds neither.  Each line is exactly the bytes
+`json.dumps(event, sort_keys=True, separators=(",", ":"))` gives for the
+event it holds: every value is an int, a bool, a fixed ASCII word, a `0x`
+hex string or a list of these, so nothing needs escaping.
 
 A `Fleet` renders each server's cells once (each distinct cell's hex once)
 as the JSON fragment a response line holds, and keeps per server a pivot
@@ -36,9 +39,10 @@ kernel's elimination on those rows, with no second copy of the kernel, for
 a set of one column as for a set of many.  A `Fleet` records each (part,
 sets) of a plan that has passed `verify_plan`, so `availability_sweep`
 checks a plan part once, and the first session of each (part, sets) renders
-its request block, solves all of its sets and keeps each set's columns as
-the JSON list a solve line holds, its value and that value's hex, so a
-replayed session neither checks, solves nor renders them again.
+its request block, solves all of its sets and keeps per set its value, that
+value's hex, its ok solve line up to the time and each of its servers'
+response line text up to the time, so a replayed session neither checks,
+solves nor renders them again.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ __all__ = [
     "SetOutcome",
     "SessionTranscript",
     "SweepSummary",
+    "check_session",
     "retrieve",
     "availability_sweep",
 ]
@@ -75,6 +80,11 @@ TIMEOUT_US = 10_000
 
 # Record kinds in a sort key; the time-0 requests (kind 0) come first.
 _RESPONSE, _SOLVE = 1, 2
+
+# A replayed (part, sets) as its fleet keeps it: the sessions' request
+# record (w, requests) and per set (servers, head, value, value_hex), with
+# (server, cells, response) per server of the set (see Fleet._solved).
+_SolvedPart = tuple[tuple[int, str], tuple[tuple[tuple[tuple[int, str, str], ...], str, int, str], ...]]
 
 
 @dataclass(frozen=True)
@@ -99,13 +109,14 @@ class Fleet:
     # fleet's code, so replaying a plan checks each part once.
     _verified: set[tuple[int, tuple[tuple[int, ...], ...]]] = field(init=False, repr=False, compare=False)
     # (part, that part's sets) -> (its sessions' request record (w,
-    # requests), see SessionTranscript; per set (columns_json, value,
-    # value_hex): its columns as the JSON list body `3,17`, the part's value
-    # it solves to and that value's hex), so each is rendered or solved once.
-    _solved: dict[
-        tuple[int, tuple[tuple[int, ...], ...]],
-        tuple[tuple[int, str], tuple[tuple[str, int, str], ...]],
-    ] = field(init=False, repr=False, compare=False)
+    # requests), see SessionTranscript; per set (servers, head, value,
+    # value_hex): per server of the set (server, cells, response), its
+    # cells' fragment and its response line's text from `"],"event"` up to
+    # the time; the set's ok solve line up to the time; the part's value it
+    # solves to and that value's hex), so each is rendered or solved once.
+    _solved: dict[tuple[int, tuple[tuple[int, ...], ...]], _SolvedPart] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.chunk_width < 1 or self.chunk_width % 4:
@@ -173,12 +184,13 @@ class SessionTranscript:
     field, the key ``(time << (w + 2)) | (kind << w) | id``, unique within
     a session:
 
-    * response  ``(key, set, cells)``, `id` the server and `cells` its
-      cells as the fragment ``0x…","0x…`` of its JSON list
-    * solve     ``(key, columns, columns_json, missing, value,
-      value_hex)``, `id` the set index; `columns_json` is the set's JSON
-      list body ``3,17``, `missing` is () for a solved set, and
-      `value`/`value_hex` are None for a faulted one
+    * response  ``(key, cells, text)``, `id` the server, `cells` its cells
+      as the fragment ``0x…","0x…`` of its JSON list and `text` its line
+      from ``"],"event":"response"`` up to the time, the set in it
+    * solve     ``(key, columns, head, missing, value, value_hex)``, `id`
+      the set index; `head` is the set's ok solve line from its start up
+      to the time, `missing` is () for a solved set, and `value`/`value_hex`
+      are None for a faulted one, whose line is rendered from `columns`
 
     Last is the verdict ``(time, sets_ok, sets_total, value_hex)``, at the
     last record's time (0 when there is none).
@@ -205,26 +217,23 @@ class SessionTranscript:
         shift = width + 2
         ids = (1 << width) - 1
         response_bit = _RESPONSE << width
-        response = f'"],"event":"response","part":{part},"server":'
         lines = [requests]
         append = lines.append
         for record in records[1:-1]:
             key = record[0]
             if key & response_bit:
-                append(f'{{"cells":["{record[2]}{response}{key & ids},"set":{record[1]},"time":{key >> shift}}}\n')
+                append(f'{{"cells":["{record[1]}{record[2]}{key >> shift}}}\n')
             else:
-                _, _, columns, missing, _, text = record
+                _, columns, head, missing, _, text = record
                 if missing:
+                    columns = ",".join(map(str, columns))
                     missing = ",".join(map(str, missing))
                     append(
                         f'{{"columns":[{columns}],"event":"solve","missing":[{missing}],'
                         f'"part":{part},"set":{key & ids},"status":"faulted","time":{key >> shift}}}\n'
                     )
                 else:
-                    append(
-                        f'{{"columns":[{columns}],"event":"solve","part":{part},"set":{key & ids},'
-                        f'"status":"ok","time":{key >> shift},"value":"{text}"}}\n'
-                    )
+                    append(f'{head}{key >> shift},"value":"{text}"}}\n')
         time, sets_ok, sets_total, text = records[-1]
         value = f',"value":"{text}"' if text is not None else ""
         append(
@@ -263,12 +272,11 @@ def _check_plan(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> N
         fleet._verified.add(key)
 
 
-def _solved_sets(
-    fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, str], tuple[tuple[str, int, str], ...]]:
+def _solved_sets(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> _SolvedPart:
     """The sessions' request record (w, requests) and each of `part`'s sets
-    as (columns_json, value, value_hex), once `sets` has passed
-    verify_plan; each (part, sets) is checked, rendered and solved once.
+    as (servers, head, value, value_hex) (see `Fleet._solved`), once `sets`
+    has passed verify_plan; each (part, sets) is checked, rendered and
+    solved once.
 
     Every row's value is one linear function of its cell (the XOR of the
     chunks of the cell's parts), so a row whose cell bits reduce to 0
@@ -281,10 +289,12 @@ def _solved_sets(
     if solved is None:
         _check_plan(fleet, part, sets)
         tables = fleet._pivots
+        cells_json = fleet._cells_json
         target = (1 << (part - 1)) << fleet.chunk_width
         texts: dict[int, str] = {}  # each distinct value's hex, rendered once
+        response = f'"],"event":"response","part":{part},"server":'
         out = []
-        for columns in sets:
+        for index, columns in enumerate(sets, start=1):
             pivots = tables[columns[0] - 1]
             if len(columns) > 1:
                 pivots = dict(pivots)
@@ -295,7 +305,12 @@ def _solved_sets(
             text = texts.get(value)
             if text is None:
                 text = texts[value] = fleet.chunk_hex(value)
-            out.append((",".join(map(str, columns)), value, text))
+            servers = tuple((j, cells_json[j - 1], f'{response}{j},"set":{index},"time":') for j in columns)
+            head = (
+                f'{{"columns":[{",".join(map(str, columns))}],"event":"solve","part":{part},'
+                f'"set":{index},"status":"ok","time":'
+            )
+            out.append((servers, head, value, text))
         # the sets are disjoint (verify_plan checked it): one request per server
         set_of = {server: index for index, columns in enumerate(sets, start=1) for server in columns}
         request = f'{{"event":"request","part":{part},"server":'
@@ -304,12 +319,11 @@ def _solved_sets(
     return solved
 
 
-def retrieve(
-    fleet: Fleet, plan: RecoveryPlan, part: int, failed: Iterable[int] = ()
-) -> SessionTranscript:
-    """Replay one recovery session for `part`; servers in `failed` never answer."""
-    code = fleet.code
-    if not 1 <= part <= code.p:
+def check_session(code: ArrayCode, part: int | None, failed: Iterable[int]) -> set[int]:
+    """The servers in `failed` as a set; raise unless `part` (when not None)
+    is one of `code`'s parts and every failed server one of its columns,
+    checking the part first."""
+    if part is not None and not 1 <= part <= code.p:
         raise ParameterError(f"part {part} out of range 1..{code.p}")
     down = set()
     for j in failed:
@@ -319,6 +333,14 @@ def retrieve(
             raise ParameterError(f"failed server id must be an integer, got {j!r}") from None
     if any(not 1 <= j <= code.m for j in down):
         raise ParameterError(f"failed server index out of range 1..{code.m}")
+    return down
+
+
+def retrieve(
+    fleet: Fleet, plan: RecoveryPlan, part: int, failed: Iterable[int] = ()
+) -> SessionTranscript:
+    """Replay one recovery session for `part`; servers in `failed` never answer."""
+    down = check_session(fleet.code, part, failed)
     sets = plan.sets(part)
     request_record, solved_sets = _solved_sets(fleet, part, sets)
 
@@ -333,7 +355,6 @@ def retrieve(
     bits = (jitter_us + 1).bit_length() if jitter_us else 0
     latency = fleet.base_latency_us
     drop = fleet.drop_probability
-    cells_json = fleet._cells_json
     # A record's key is (time << shift) | (kind << width) | id, with every id
     # (a server, or a set index: the sets are disjoint, so there are at most
     # m of them) below 1 << width.
@@ -345,10 +366,10 @@ def retrieve(
     append = records.append
     solved = []
     solved_text = None  # the last solved set's hex: the agreed value's, if they agree
-    for index, (columns, (columns_json, value, text)) in enumerate(zip(sets, solved_sets), start=1):
+    for index, (columns, (servers, head, value, text)) in enumerate(zip(sets, solved_sets), start=1):
         missing = []
         latest = 0
-        for server in columns:
+        for server, cells, response in servers:
             jitter = getrandbits(bits)
             while jitter > jitter_us:
                 jitter = getrandbits(bits)
@@ -359,13 +380,13 @@ def retrieve(
             arrival = latency + jitter
             if arrival > latest:
                 latest = arrival
-            append(((arrival << shift) | response_kind | server, index, cells_json[server - 1]))
+            append(((arrival << shift) | response_kind | server, cells, response))
         if missing:
-            append(((TIMEOUT_US << shift) | solve_kind | index, columns, columns_json, tuple(missing), None, None))
+            append(((TIMEOUT_US << shift) | solve_kind | index, columns, head, tuple(missing), None, None))
         else:
             solved.append(value)
             solved_text = text
-            append(((latest << shift) | solve_kind | index, columns, columns_json, (), value, text))
+            append(((latest << shift) | solve_kind | index, columns, head, (), value, text))
 
     # Keys are unique, so the sort never compares past them.
     records.sort()

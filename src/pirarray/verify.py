@@ -675,6 +675,9 @@ def _max_packing(minimal: Sequence[int], m: int) -> list[int]:
         else:
             chosen.append(picked)
             mask ^= picked
+    # `best` refers to itself through its closure cell, a cycle that would
+    # keep it, `memo` and `by_low` alive until the collector runs
+    del best
     return chosen
 
 

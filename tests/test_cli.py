@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from pirarray import constructions
+from pirarray import cli, constructions
 from pirarray.cli import MAX_PRECISION, _decimal_digits, main
 from pirarray import parse_code, parse_plan
 from pirarray.model import MAX_PARTS
@@ -242,6 +242,29 @@ def test_simulate_refuses_flags_it_would_drop(tmp_path, capsys, flags, message):
     # sweep prints no session, so --part and --fail-server would do nothing
     src = tmp_path / "intro.pir"
     src.write_text(INTRO_TEXT)
+    code, stdout, err = run(capsys, "simulate", "--in", str(src), "--seed", "1", *flags)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--part", "0"), "part 0 out of range 1..10"),
+        (("--part", "11", "--fail-server", "0"), "part 11 out of range 1..10"),
+        (("--part", "1", "--fail-server", "0"), "failed server index out of range 1..462"),
+        (("--fail-server", "3", "--fail-server", "463"), "failed server index out of range 1..462"),
+    ],
+)
+def test_simulate_refuses_a_bad_part_or_server_before_the_pair_plan(tmp_path, capsys, monkeypatch, flags, message):
+    # the pair plan is the costly step, so --part and --fail-server are
+    # checked against the code before it, part first, as retrieve checks them
+    src = tmp_path / "c.pir"
+    run(capsys, "construct", "--family", "c1", "--t", "5", "--d", "5", "--out", str(src))
+
+    def refused(code):
+        raise AssertionError("k_pir_pairs ran")
+
+    monkeypatch.setattr(cli, "k_pir_pairs", refused)
     code, stdout, err = run(capsys, "simulate", "--in", str(src), "--seed", "1", *flags)
     assert (code, stdout, err) == (2, "", f"error: {message}\n")
 

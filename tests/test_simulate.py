@@ -573,6 +573,36 @@ def test_a_plan_parts_request_block_is_rendered_once():
     assert len(fleet._solved) == 1
 
 
+def test_a_plan_parts_response_and_solve_texts_are_rendered_once():
+    # a response or ok solve line differs between sessions of one (part,
+    # sets) only in its time, so every session reuses the text before it
+    code = build_c1(3, 2)
+    plan = k_pir_pairs(code).plan
+    fleet = Fleet(code=code, seed=5)
+    first = retrieve(fleet, plan, 2)
+    second = retrieve(fleet, plan, 2, failed=[3, 9])
+    assert first.jsonl() != second.jsonl()
+
+    def texts(transcript):
+        # the rendered text of each response by server and ok solve by set
+        width = transcript.records[0][0]
+        ids = (1 << width) - 1
+        body = transcript.records[1:-1]
+        responses = {r[0] & ids: r[2] for r in body if len(r) == 3}
+        solves = {r[0] & ids: r[2] for r in body if len(r) == 6 and not r[3]}
+        return responses, solves
+
+    responses, solves = texts(first)
+    again_responses, again_solves = texts(second)
+    assert len(responses) == sum(map(len, plan.sets(2))) and len(solves) == len(plan.sets(2))
+    assert again_responses and again_solves and len(again_solves) < len(solves)
+    for server, text in again_responses.items():
+        assert text is responses[server]
+    for index, text in again_solves.items():
+        assert text is solves[index]
+    assert len(fleet._solved) == 1
+
+
 def test_a_part_with_no_sets_prints_only_its_verdict():
     # an empty set list and a part the plan leaves out both give a session
     # of no requests and no sets

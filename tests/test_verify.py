@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import hashlib
 import random
 import re
@@ -976,3 +977,17 @@ def test_exhaustive_plan_of_a_twenty_column_code_is_unchanged():
     assert report.k == 8
     assert verify_plan(code, report.plan).ok
     assert hashlib.sha256(serialize_plan(report.plan).encode()).hexdigest() == GOLDEN_M20_SHA256
+
+
+def test_exhaustive_mode_leaves_no_cyclic_garbage(intro_code):
+    # the packing search's memoized closure must not outlive the call as a
+    # reference cycle: with the collector off, nothing is left for it to free
+    codes = [intro_code] + [seeded_code(seed, m, 8, 3) for seed, m in ((1, 12), (2, 13), (3, 14))]
+    gc.collect()
+    gc.disable()
+    try:
+        for code in codes:
+            assert k_pir_exhaustive(code).k > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
