@@ -35,12 +35,13 @@ singletons by part, then sums by their lowest part.  A column whose
 supports overlap is sorted and checked by elimination.
 
 A `RecoveryPlan` holds, per part, its column sets as ascending tuples in
-ascending order.  Its constructor puts a plan in that order and keeps a
-set that already is such a tuple as it is; `parse_plan` checks each set as
-it reads it and builds its plan with `RecoveryPlan._of_ascending`, which
-only sorts each part's sets.  `serialize_plan` renders a part's sets with
-one call to the C JSON encoder: their compact JSON `[[1],[3,7]]` is the
-plan text `{1};{3,7}` once the outer brackets go and each "],[" is "};{".
+ascending order.  Its constructor puts every set of a plan in that order.
+`parse_plan` checks each set as it reads it, and the verifiers and the
+simulator make only ascending sets, so they build their plans with
+`RecoveryPlan._of_ascending`, which only sorts each part's sets.
+`serialize_plan` renders a part's sets with one call to the C JSON
+encoder: their compact JSON `[[1],[3,7]]` is the plan text `{1};{3,7}`
+once the outer brackets go and each "],[" is "};{".
 
 `parse_plan` validates a line's sets with passes that run in C, not per
 set.  With n = one more than its count of ";", the text after "part <i>:"
@@ -380,24 +381,6 @@ def parse_code(text: str) -> ArrayCode:
     return ArrayCode.from_columns(p, columns)
 
 
-def _canonical_set(one: Collection[int]) -> tuple[int, ...]:
-    """`one` as an ascending tuple of distinct ints; a tuple that already
-    is one, as every set the verifiers make, is kept as it is."""
-    if type(one) is tuple:
-        last = None
-        for column in one:
-            if type(column) is not int or (last is not None and column <= last):
-                break
-            last = column
-        else:
-            return one
-    return tuple(sorted(set(map(int, one))))
-
-
-def _canonical_sets(sets: Iterable[Collection[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(map(_canonical_set, sets)))
-
-
 class RecoveryPlan:
     """Per part, a list of pairwise disjoint column sets each spanning that part.
 
@@ -410,12 +393,12 @@ class RecoveryPlan:
 
     def __init__(self, sets_by_part: Mapping[int, Iterable[Collection[int]]]):
         self._sets: dict[int, tuple[tuple[int, ...], ...]] = {
-            int(part): _canonical_sets(sets) if sets else ()
+            int(part): tuple(sorted(tuple(sorted(set(map(int, one)))) for one in sets)) if sets else ()
             for part, sets in sorted(sets_by_part.items())
         }
 
     @classmethod
-    def _of_ascending(cls, sets_by_part: Mapping[int, list[tuple[int, ...]]]) -> RecoveryPlan:
+    def _of_ascending(cls, sets_by_part: Mapping[int, Sequence[tuple[int, ...]]]) -> RecoveryPlan:
         """A plan whose sets are already ascending tuples of distinct ints."""
         plan = cls({})
         plan._sets = {

@@ -32,17 +32,18 @@ event it holds: every value is an int, a bool, a fixed ASCII word, a `0x`
 hex string or a list of these, so nothing needs escaping.
 
 A `Fleet` renders each server's cells once (each distinct cell's hex once)
-as the JSON fragment a response line holds, and keeps per server a pivot
-table of its cells with their values.  A pivot row carries its value in its
-low bits, `(cell << chunk_width) | value`, so solving a set is the `gf2`
-kernel's elimination on those rows, with no second copy of the kernel, for
-a set of one column as for a set of many.  A `Fleet` records each (part,
-sets) of a plan that has passed `verify_plan`, so `availability_sweep`
-checks a plan part once, and the first session of each (part, sets) renders
-its request block, solves all of its sets and keeps per set its value, that
-value's hex, its ok solve line up to the time and each of its servers'
-response line text up to the time, so a replayed session neither checks,
-solves nor renders them again.
+as the JSON fragment a response line holds, and keeps per server its cells
+with their values as rows, with no elimination when it is built.  A row
+carries its value in its low bits, `(cell << chunk_width) | value`, so
+solving a set is the `gf2` kernel's elimination on those rows, inserted
+into one fresh table per set, with no second copy of the kernel, for a set
+of one column as for a set of many.  A `Fleet` records each (part, sets) of
+a plan that has passed `verify_plan`, so `availability_sweep` checks a plan
+part once, and the first session of each (part, sets) renders its request
+block, solves all of its sets and keeps per set its value, that value's
+hex, its ok solve line up to the time and each of its servers' response
+line text up to the time, so a replayed session neither checks, solves nor
+renders them again.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ class Fleet:
     drop_probability: float = 0.0
     database: tuple[int, ...] = field(init=False)
     # Per server: its cells as the JSON fragment `0x…","0x…` a response line
-    # holds between its brackets, and a pivot table of the rows
-    # (cell << chunk_width) | value with its cells reduced against one another.
+    # holds between its brackets, and its cells as the rows
+    # (cell << chunk_width) | value, unreduced.
     _cells_json: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _pivots: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     # Every (part, that part's sets) that has passed verify_plan on this
     # fleet's code, so replaying a plan checks each part once.
     _verified: set[tuple[int, tuple[tuple[int, ...], ...]]] = field(init=False, repr=False, compare=False)
@@ -135,28 +136,27 @@ class Fleet:
         object.__setattr__(
             self, "database", tuple(rng.getrandbits(self.chunk_width) for _ in range(self.code.p))
         )
-        # Each distinct cell's value and hex text, and each distinct pivot
-        # row, is made once and shared by every column that holds it.
+        # Each distinct cell's row and hex text is made once and shared by
+        # every column that holds it.
         width = self.chunk_width
         known: dict[int, tuple[int, str]] = {}
-        rows: dict[int, int] = {}
-        cells_json, pivot_tables = [], []
+        cells_json, rows = [], []
         for col in self.code.columns:
             texts = []
-            pivots: dict[int, int] = {}
+            col_rows = []
             for cell in col:
                 found = known.get(cell)
                 if found is None:
                     chunk = 0
                     for part in parts_of(cell):
                         chunk ^= self.database[part - 1]
-                    found = known[cell] = (chunk, self.chunk_hex(chunk))
+                    found = known[cell] = ((cell << width) | chunk, self.chunk_hex(chunk))
+                col_rows.append(found[0])
                 texts.append(found[1])
-                pivot_insert(pivots, (cell << width) | found[0])
             cells_json.append('","'.join(texts))
-            pivot_tables.append({high: rows.setdefault(row, row) for high, row in pivots.items()})
+            rows.append(tuple(col_rows))
         object.__setattr__(self, "_cells_json", tuple(cells_json))
-        object.__setattr__(self, "_pivots", tuple(pivot_tables))
+        object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_verified", set())
         object.__setattr__(self, "_solved", {})
 
@@ -266,7 +266,7 @@ def _check_plan(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> N
     sets that have passed before are not checked again."""
     key = (part, sets)
     if key not in fleet._verified:
-        check = verify_plan(fleet.code, RecoveryPlan({part: sets}))
+        check = verify_plan(fleet.code, RecoveryPlan._of_ascending({part: sets}))
         if not check.ok:
             raise ParameterError(f"invalid plan: {check.violation}")
         fleet._verified.add(key)
@@ -278,29 +278,28 @@ def _solved_sets(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> 
     has passed verify_plan; each (part, sets) is checked, rendered and
     solved once.
 
-    Every row's value is one linear function of its cell (the XOR of the
-    chunks of the cell's parts), so a row whose cell bits reduce to 0
-    reduces to 0 entirely and no pivot sits below bit chunk_width.  A set
-    that passed verify_plan spans e_part, so reducing e_part << chunk_width
-    by the rows of its columns leaves exactly the part's value.
+    Each set inserts its columns' rows into one fresh pivot table.  Every
+    row's value is one linear function of its cell (the XOR of the chunks
+    of the cell's parts), so a row whose cell bits reduce to 0 reduces to 0
+    entirely and no pivot sits below bit chunk_width.  A set that passed
+    verify_plan spans e_part, so reducing e_part << chunk_width by the rows
+    of its columns leaves exactly the part's value.
     """
     key = (part, sets)
     solved = fleet._solved.get(key)
     if solved is None:
         _check_plan(fleet, part, sets)
-        tables = fleet._pivots
+        rows = fleet._rows
         cells_json = fleet._cells_json
         target = (1 << (part - 1)) << fleet.chunk_width
         texts: dict[int, str] = {}  # each distinct value's hex, rendered once
         response = f'"],"event":"response","part":{part},"server":'
         out = []
         for index, columns in enumerate(sets, start=1):
-            pivots = tables[columns[0] - 1]
-            if len(columns) > 1:
-                pivots = dict(pivots)
-                for j in columns[1:]:
-                    for row in tables[j - 1].values():
-                        pivot_insert(pivots, row)
+            pivots: dict[int, int] = {}
+            for j in columns:
+                for row in rows[j - 1]:
+                    pivot_insert(pivots, row)
             value = pivot_reduce(pivots, target)
             text = texts.get(value)
             if text is None:

@@ -23,6 +23,12 @@ columns; that is exact whenever optimal recovery sets have size at most two
 otherwise; a part whose non-holder columns number at most twice its
 matching size plus two is certified exact (see `k_pir_pairs`).
 
+A column's cells are a basis of its span, since `ArrayCode` refuses
+dependent cells, so exhaustive mode and `verify_plan` eliminate the cells
+themselves, with no reduced basis per column: `verify_plan` inserts a
+set's cells into one fresh pivot table.  Only the pair scan, which meets
+each column in O(m) pairs, keeps a pivot table per column.
+
 Pair mode builds each part's pair graph one of two ways, whichever a size
 estimate says is cheaper for the code, as a neighbour map (column -> set of
 columns), and `matching.IndexedGraph.of` checks it once and indexes it
@@ -39,8 +45,9 @@ O(p*m*2^t) index work plus those unions, |only x| + |only x ^ e_i| of them
 per x, inside which an edge {U,V} is met once per element of span(U) &
 span(V) (at most 2^(t-1) times); the index holds about m*2^t entries for
 all parts together.  The pair scan eliminates each of the
-sum_i C(m - alpha_i, 2) pairs of columns that do not hold part i alone, in
-O(m) memory.  The index is used when its m*(2^t - 1) entries number no more
+sum_i C(m - alpha_i, 2) pairs of columns that do not hold part i alone, by
+copying one column's pivot table and inserting the other's cells, in O(m)
+memory.  The index is used when its m*(2^t - 1) entries number no more
 than those candidate pairs and no more than PAIRS_SPAN_CAP; many columns
 with small t (integer(3,3), c1(8,8)) take the index, few columns with large
 t (c2, c3) the scan.
@@ -67,11 +74,11 @@ part before's sets mapped by it and sorted.  On a match it passes with no
 elimination and no range or disjointness test: pi is a permutation of
 1..m, so the mapped sets are in range and disjoint because the part
 before's are, and a repeated set cannot match.  So a pair-mode plan of
-such a code has only part 1's multi-column sets eliminated and only part
-1's columns tested.  A code's singleton holders and its column map are
-computed once, the first time a verifier reads them, and kept on the
-`ArrayCode` (`_holders`, `_rotation`), so `k_pir_pairs`,
-`singleton_upper_bound` and `verify_plan` share them.
+such a code has only part 1's multi-column sets eliminated, each cell
+inserted once, and only part 1's columns tested.  A code's singleton
+holders and its column map are computed once, the first time a verifier
+reads them, and kept on the `ArrayCode` (`_holders`, `_rotation`), so
+`k_pir_pairs`, `singleton_upper_bound` and `verify_plan` share them.
 """
 
 from __future__ import annotations
@@ -151,16 +158,6 @@ def singleton_upper_bound(code: ArrayCode) -> Fraction:
     return Fraction(code.m + min(singleton_census(code)), 2)
 
 
-def _column_pivots(code: ArrayCode) -> list[dict[int, int]]:
-    out = []
-    for col in code.columns:
-        pivots: dict[int, int] = {}
-        for cell in col:
-            pivot_insert(pivots, cell)
-        out.append(pivots)
-    return out
-
-
 def _mapped(image: tuple[int, ...], sets: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """`sets` with each column j renamed image[j], each set ascending, in
     ascending order."""
@@ -197,24 +194,15 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
     and one disjointness test over all its sets.  Only a part that fails
     one of them has its sets checked for range and overlap one at a time,
     in order with the span checks, so the first violation is named as if
-    every set were checked in turn.  A pair-mode plan of a rotation-closed code has only
+    every set were checked in turn.  A set of one column spans the part
+    only if the column stores it; a set of more columns inserts its
+    columns' cells into one fresh pivot table and reduces e_i, so each cell
+    is inserted once.  A pair-mode plan of a rotation-closed code has only
     part 1's sets eliminated and tested part-wide: on the benchmark's
     family-verify workload (six codes, m 129-896) the traced check takes
-    1.58-1.64 ms per op, against 2.19-2.25 ms when each mapped part also
-    took the part-wide tests and 3.8-4.3 ms when every part was eliminated
-    (seed 1, three runs each; Python 3.11.7, one core of a shared 2-vCPU
-    Xeon VM).
+    1.28-1.40 ms per op (seed 1, three runs; Python 3.11.7, one core of a
+    shared 2-vCPU Xeon VM).
     """
-    tables: dict[int, dict[int, int]] = {}  # column -> pivot table of its cells
-
-    def table(j: int) -> dict[int, int]:
-        found = tables.get(j)
-        if found is None:
-            found = tables[j] = {}
-            for cell in code.columns[j - 1]:
-                pivot_insert(found, cell)
-        return found
-
     last, passed = 0, None  # the part checked before, which passed, and its sets
     for part in plan.parts():
         if not 1 <= part <= code.p:
@@ -244,10 +232,10 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
                 # singleton convention: a column spans e_i only if it stores it
                 spans = target in code.columns[columns[0] - 1]
             else:
-                pivots = dict(table(columns[0])) if columns else {}
-                for j in columns[1:]:
-                    for row in table(j).values():
-                        pivot_insert(pivots, row)
+                pivots: dict[int, int] = {}
+                for j in columns:
+                    for cell in code.columns[j - 1]:
+                        pivot_insert(pivots, cell)
                 spans = pivot_reduce(pivots, target) == 0
             if not spans:
                 label = "{" + ",".join(map(str, columns)) + "}"
@@ -347,13 +335,16 @@ def _scanned_edges(
     """For parts 1..`parts` in turn, each part that has edges, with its pair
     graph as a neighbour map, found by eliminating every pair of non-holder
     columns whose cells involve the part."""
-    pivots = _column_pivots(code)
-    rows = [tuple(piv.values()) for piv in pivots]
+    rows = code.columns
+    pivots = []  # per column, a pivot table of its cells, reused by every pair
     involved = []
-    for col in code.columns:
+    for col in rows:
+        table: dict[int, int] = {}
         mask = 0
         for cell in col:
+            pivot_insert(table, cell)
             mask |= cell
+        pivots.append(table)
         involved.append(mask)
     for part in range(1, parts + 1):
         target = 1 << (part - 1)
@@ -468,11 +459,11 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     )
 
 
-def _minimal_recovery_masks(rows: list[tuple[int, ...]], p: int) -> list[Sequence[int]]:
+def _minimal_recovery_masks(rows: Sequence[Sequence[int]], p: int) -> list[Sequence[int]]:
     """For each part index (0-based), the sorted column bitmasks of the
     inclusion-minimal sets of columns whose rows span that part; `rows[j]`
-    spans column j, and parts that no set of columns spans share one empty
-    tuple.
+    are column j's cells, and parts that no set of columns spans share one
+    empty tuple.
 
     One search by set size serves every part; its targets are the parts
     that all columns together span, so a part stored nowhere costs nothing.
@@ -703,10 +694,9 @@ def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport
             "use k_pir_pairs instead",
             columns=code.m,
         )
-    rows = [tuple(piv.values()) for piv in _column_pivots(code)]
     per_part = []
     plan_sets = {}
-    for part, minimal in enumerate(_minimal_recovery_masks(rows, code.p), start=1):
+    for part, minimal in enumerate(_minimal_recovery_masks(code.columns, code.p), start=1):
         chosen = _max_packing(minimal, code.m) if minimal else []
         per_part.append(len(chosen))
         plan_sets[part] = [parts_of(mask) for mask in chosen]
@@ -715,6 +705,6 @@ def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport
         m=code.m,
         per_part=tuple(per_part),
         certified=(True,) * code.p,
-        plan=RecoveryPlan(plan_sets),
+        plan=RecoveryPlan._of_ascending(plan_sets),
         singleton_bound=singleton_upper_bound(code),
     )

@@ -22,7 +22,7 @@ from pirarray import (
 )
 from pirarray import simulate
 from pirarray.errors import ParameterError
-from pirarray.gf2 import parts_of
+from pirarray.gf2 import parts_of, pivot_insert
 from pirarray.simulate import MAX_CHUNK_WIDTH
 
 from conftest import seeded_code
@@ -40,7 +40,7 @@ def test_database_and_values_are_seeded(c1_fleet):
     again = Fleet(code=fleet.code, seed=42)
     assert fleet.database == again.database
     assert fleet._cells_json == again._cells_json
-    assert fleet == again and repr(fleet) == repr(again) and "_pivots" not in repr(fleet)
+    assert fleet == again and repr(fleet) == repr(again) and "_rows" not in repr(fleet)
     other = Fleet(code=fleet.code, seed=43)
     assert fleet.database != other.database
 
@@ -635,6 +635,30 @@ def test_the_solve_cache_holds_one_entry_per_replayed_part():
     retrieve(fleet, other, 1)
     assert set(fleet._solved) == replayed | {(1, other.sets(1))}
     assert "_solved" not in repr(fleet)
+
+
+def test_a_fleet_solves_from_its_rows_once(monkeypatch):
+    # building a Fleet eliminates nothing; the first session of a (part,
+    # sets) inserts each cell of its sets once, and a replay inserts none
+    calls = []
+
+    def counted(pivots, bits):
+        calls.append(bits)
+        return pivot_insert(pivots, bits)
+
+    monkeypatch.setattr(simulate, "pivot_insert", counted)
+    code = build_c1(3, 2)
+    plan = k_pir_pairs(code).plan
+    fleet = Fleet(code=code, seed=5)
+    assert calls == []
+    first = retrieve(fleet, plan, 2)
+    rows = [row for columns in plan.sets(2) for j in columns for row in fleet._rows[j - 1]]
+    assert len(rows) == code.t * sum(map(len, plan.sets(2)))
+    assert sorted(calls) == sorted(rows)
+    calls.clear()
+    assert retrieve(fleet, plan, 2, failed=[3]).jsonl() != first.jsonl()
+    assert retrieve(fleet, plan, 2) == first
+    assert calls == []
 
 
 def test_a_sweep_solves_nothing(c1_fleet):

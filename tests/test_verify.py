@@ -40,7 +40,6 @@ from pirarray.errors import CapExceeded
 from pirarray.gf2 import pivot_insert, pivot_reduce
 from pirarray.model import _rotation_image, _singleton_columns
 from pirarray.verify import (
-    _column_pivots,
     _indexed_edges,
     _minimal_recovery_masks,
     _part_graphs,
@@ -340,6 +339,8 @@ def test_a_rotation_closed_pair_plan_eliminates_part_1_only(monkeypatch):
     assert verify_plan(code, RecoveryPlan({1: plan.sets(1)})) == (True, None)
     assert any(len(columns) > 1 for columns in plan.sets(1))
     assert whole == calls > 0
+    # each multi-column set inserts each of its columns' t cells once
+    assert calls == code.t * sum(len(columns) for columns in plan.sets(1) if len(columns) > 1)
 
 
 def _census(code: ArrayCode) -> list[int]:
@@ -854,8 +855,7 @@ def _oracle_exhaustive_plan(code: ArrayCode) -> RecoveryPlan:
 @settings(max_examples=200, deadline=None)
 @given(valid_codes(max_m=10, max_p=9, max_t=9, duplicates=True))
 def test_exhaustive_enumeration_matches_size_ordered_oracle(code):
-    rows = [tuple(pivots.values()) for pivots in _column_pivots(code)]
-    found = _minimal_recovery_masks(rows, code.p)
+    found = _minimal_recovery_masks(code.columns, code.p)
     assert len(found) == code.p
     for part in range(1, code.p + 1):
         assert list(found[part - 1]) == _oracle_minimal_masks(code, part)
@@ -873,8 +873,7 @@ def test_a_column_made_redundant_by_a_later_one_is_in_no_recorded_set():
     code = ArrayCode.from_columns(
         5, [[0b00011, 0b01100], [0b00011, 0b10000], [0b01100, 0b00001], [0b01000, 0b10010]]
     )
-    rows = [tuple(pivots.values()) for pivots in _column_pivots(code)]
-    found = _minimal_recovery_masks(rows, code.p)
+    found = _minimal_recovery_masks(code.columns, code.p)
     for part in range(1, code.p + 1):
         assert list(found[part - 1]) == _oracle_minimal_masks(code, part)
     assert list(found[4]) == [0b0010, 0b1101]
@@ -897,8 +896,7 @@ def test_enumeration_past_the_hypothesis_sizes_is_unchanged():
     total = 0
     for shape in LARGE_ENUMERATION_SHAPES:
         code = seeded_code(0, *shape)
-        rows = [tuple(pivots.values()) for pivots in _column_pivots(code)]
-        for masks in _minimal_recovery_masks(rows, code.p):
+        for masks in _minimal_recovery_masks(code.columns, code.p):
             digest.update((",".join(map(str, masks)) + "\n").encode())
             total += len(masks)
     assert total == 41_692
@@ -940,8 +938,7 @@ ORACLE_CASES = (
 def test_bounded_packing_matches_the_unbounded_oracle(position):
     seed, shape = ORACLE_CASES[position]
     code = seeded_code(seed, *shape)
-    rows = [tuple(pivots.values()) for pivots in _column_pivots(code)]
-    masks = _minimal_recovery_masks(rows, code.p)
+    masks = _minimal_recovery_masks(code.columns, code.p)
     if shape in LARGE_SET_SHAPES:
         sizes = [mask.bit_count() for minimal in masks for mask in minimal]
         assert sum(size >= 3 for size in sizes) > 0.8 * len(sizes)
