@@ -11,39 +11,22 @@ server is given up as faulted at `TIMEOUT_US`, events are replayed in
 inputs produce byte-identical transcripts.  Every server shares the
 fleet's latency, jitter and drop probability.
 
-Every server of every set gets a request at time 0, failed or dropped
-alike, so a (part, sets)'s request lines are the same in every session and
-are rendered once, as the block every session's JSON lines start with.  A
-response or ok solve line differs between sessions only in its time, so
-everything before its time is rendered once per (part, sets) too.
-`retrieve` records each other event as one small tuple led by a unique int
-sort key (see `SessionTranscript`), so a plain sort orders the session and,
-while every key is below 2^30, compares only those ints.  It draws each
-response's jitter as `rng.randrange(jitter_us + 1)` would, straight from
-`getrandbits`, so the stream is randrange's without its Python wrapper.  A
-`SessionTranscript` keeps the block and the tuples; `jsonl()` renders them
-straight to JSON lines, formatting only each response's and ok solve's
-time into its rendered text and a faulted solve or the verdict through its
-fixed-schema template; `events` parses those lines back to dicts and `sets`
-builds outcomes from the solve tuples, both on first access, so a caller
-that only prints a session builds neither.  Each line is exactly the bytes
+A session's random stream is seeded by the fleet's seed and the part, and
+draws a jitter and a drop value for every server of every set, failed or
+not.  So all sessions of a (part, sets) on one fleet share their arrivals,
+drops and solves: the first builds that failure-free timeline once
+(`_timeline`), and each session is its text with the sets that failed
+servers fault edited in (`retrieve`); a session with no such set is the
+timeline's text object.  Each line is exactly the bytes
 `json.dumps(event, sort_keys=True, separators=(",", ":"))` gives for the
 event it holds: every value is an int, a bool, a fixed ASCII word, a `0x`
 hex string or a list of these, so nothing needs escaping.
 
-A `Fleet` renders each server's cells once (each distinct cell's hex once)
-as the JSON fragment a response line holds, and keeps per server its cells
-with their values as rows, with no elimination when it is built.  A row
-carries its value in its low bits, `(cell << chunk_width) | value`, so
-solving a set is the `gf2` kernel's elimination on those rows, inserted
-into one fresh table per set, with no second copy of the kernel, for a set
-of one column as for a set of many.  A `Fleet` records each (part, sets) of
-a plan that has passed `verify_plan`, so `availability_sweep` checks a plan
-part once, and the first session of each (part, sets) renders its request
-block, solves all of its sets and keeps per set its value, that value's
-hex, its ok solve line up to the time and each of its servers' response
-line text up to the time, so a replayed session neither checks, solves nor
-renders them again.
+Building a `Fleet` checks its knobs and draws the database; its servers'
+cells are rendered and made into rows on first use.  A row carries its
+value in its low bits, `(cell << chunk_width) | value`, so solving a set is
+the `gf2` kernel's elimination on those rows, inserted into one fresh table
+per set, for a set of one column as for a set of many.
 """
 
 from __future__ import annotations
@@ -51,10 +34,15 @@ from __future__ import annotations
 import json
 import operator
 import random
+import re
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, NamedTuple
 
 from .errors import ParameterError
 from .gf2 import parts_of, pivot_insert, pivot_reduce
@@ -81,11 +69,30 @@ TIMEOUT_US = 10_000
 
 # Record kinds in a sort key; the time-0 requests (kind 0) come first.
 _RESPONSE, _SOLVE = 1, 2
+# A line's time: every line has one "time" key, and no other value holds it.
+_TIME = re.compile(r'"time":(\d+)')
+# A part and its recovery sets, as a fleet keeps them.
+_Key = tuple[int, tuple[tuple[int, ...], ...]]
 
-# A replayed (part, sets) as its fleet keeps it: the sessions' request
-# record (w, requests) and per set (servers, head, value, value_hex), with
-# (server, cells, response) per server of the set (see Fleet._solved).
-_SolvedPart = tuple[tuple[int, str], tuple[tuple[tuple[tuple[int, str, str], ...], str, int, str], ...]]
+
+class _Timeline(NamedTuple):
+    """A (part, sets)'s failure-free session, as its fleet keeps it: `text`,
+    its JSON lines, and `where`, each server of `sets` mapped to its set's
+    index (0-based).  By server, `responses` holds its response line's
+    offset in `text`, -1 for a server that a drop silences or that is in no
+    set.  By set, `solves` holds its solve line's offset, `fault_at` where
+    its faulted solve line goes (the first line keyed at or after it) and
+    `values` its value, None when a drop faults it; `counts` counts the
+    sets of each value."""
+
+    text: str
+    sets: tuple[tuple[int, ...], ...]
+    where: dict[int, int]
+    responses: array
+    solves: array
+    fault_at: array
+    values: tuple[int | None, ...]
+    counts: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -101,23 +108,13 @@ class Fleet:
     jitter_us: int = 250
     drop_probability: float = 0.0
     database: tuple[int, ...] = field(init=False)
-    # Per server: its cells as the JSON fragment `0x…","0x…` a response line
-    # holds between its brackets, and its cells as the rows
-    # (cell << chunk_width) | value, unreduced.
-    _cells_json: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    # Every (part, that part's sets) that has passed verify_plan on this
-    # fleet's code, so replaying a plan checks each part once.
-    _verified: set[tuple[int, tuple[tuple[int, ...], ...]]] = field(init=False, repr=False, compare=False)
-    # (part, that part's sets) -> (its sessions' request record (w,
-    # requests), see SessionTranscript; per set (servers, head, value,
-    # value_hex): per server of the set (server, cells, response), its
-    # cells' fragment and its response line's text from `"],"event"` up to
-    # the time; the set's ok solve line up to the time; the part's value it
-    # solves to and that value's hex), so each is rendered or solved once.
-    _solved: dict[tuple[int, tuple[tuple[int, ...], ...]], _SolvedPart] = field(
-        init=False, repr=False, compare=False
-    )
+    # (part, that part's sets) that passed verify_plan on this fleet's code
+    # -> each server of the sets mapped to its set's index (0-based), so
+    # replaying a plan checks each part once.
+    _verified: dict[_Key, dict[int, int]] = field(init=False, repr=False, compare=False)
+    # (part, that part's sets) -> its failure-free session, built by the
+    # first session that replays it.
+    _timelines: dict[_Key, _Timeline] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.chunk_width < 1 or self.chunk_width % 4:
@@ -136,14 +133,23 @@ class Fleet:
         object.__setattr__(
             self, "database", tuple(rng.getrandbits(self.chunk_width) for _ in range(self.code.p))
         )
-        # Each distinct cell's row and hex text is made once and shared by
-        # every column that holds it.
+        object.__setattr__(self, "_verified", {})
+        object.__setattr__(self, "_timelines", {})
+
+    def chunk_hex(self, value: int) -> str:
+        return f"0x{value:0{self.chunk_width // 4}x}"
+
+    @cached_property
+    def _cells(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+        """Per server, its cells as the JSON fragment `0x…","0x…` a response
+        line holds between its brackets, and as the rows (cell <<
+        chunk_width) | value, unreduced; each distinct cell's row and hex
+        text is made once and shared by every column that holds it."""
         width = self.chunk_width
         known: dict[int, tuple[int, str]] = {}
         cells_json, rows = [], []
         for col in self.code.columns:
-            texts = []
-            col_rows = []
+            texts, col_rows = [], []
             for cell in col:
                 found = known.get(cell)
                 if found is None:
@@ -155,13 +161,7 @@ class Fleet:
                 texts.append(found[1])
             cells_json.append('","'.join(texts))
             rows.append(tuple(col_rows))
-        object.__setattr__(self, "_cells_json", tuple(cells_json))
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_verified", set())
-        object.__setattr__(self, "_solved", {})
-
-    def chunk_hex(self, value: int) -> str:
-        return f"0x{value:0{self.chunk_width // 4}x}"
+        return tuple(cells_json), tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -174,148 +174,189 @@ class SetOutcome:
 
 @dataclass(frozen=True)
 class SessionTranscript:
-    """One part's recovery session as its event records, in replay order.
+    """One part's recovery session.
 
-    `records` starts with the request record ``(w, requests)``: `w` is
-    ``m.bit_length()``, the id width of every key below, and `requests`
-    the session's request lines, all at time 0, in server order and each
-    ending in a newline, the one string its fleet rendered for the (part,
-    sets).  Then come the responses and solves, sorted by their first
-    field, the key ``(time << (w + 2)) | (kind << w) | id``, unique within
-    a session:
-
-    * response  ``(key, cells, text)``, `id` the server, `cells` its cells
-      as the fragment ``0x…","0x…`` of its JSON list and `text` its line
-      from ``"],"event":"response"`` up to the time, the set in it
-    * solve     ``(key, columns, head, missing, value, value_hex)``, `id`
-      the set index; `head` is the set's ok solve line from its start up
-      to the time, `missing` is () for a solved set, and `value`/`value_hex`
-      are None for a faulted one, whose line is rendered from `columns`
-
-    Last is the verdict ``(time, sets_ok, sets_total, value_hex)``, at the
-    last record's time (0 when there is none).
-
-    `jsonl()` renders the records; `events` (one dict per event, parsed
-    from its JSON line) and `sets` (one `SetOutcome` per recovery set, in plan
-    order) are views built on first access and then kept.  Equality and
-    hashing see only the fields.
+    `text` is its JSON lines: the requests, all at time 0, in server order;
+    the responses and solves in (time, kind, server or set) order; and the
+    verdict at the last response's or solve's time (0 when there is none).
+    `jsonl()` returns it; `events` (one dict per event, parsed from its
+    line) and `sets` (one `SetOutcome` per recovery set, in plan order, from
+    `_timeline`, the part's failure-free session, and `_faulted`, the sets
+    this session's failed servers fault) are views built on first access
+    and then kept.  Equality and hashing see only the first five fields.
     """
 
     part: int
     status: str
     agreement: bool
     value: int | None
-    records: tuple[tuple, ...]
+    text: str
+    _timeline: _Timeline = field(repr=False, compare=False)
+    _faulted: set[int] = field(repr=False, compare=False)
 
     def jsonl(self) -> str:
-        """The records as JSON lines, each exactly the bytes
+        """The session as JSON lines, each exactly the bytes
         json.dumps(event, sort_keys=True, separators=(",", ":")) gives for
-        its event; the one place that knows each kind's keys."""
-        part = self.part
-        records = self.records
-        width, requests = records[0]
-        shift = width + 2
-        ids = (1 << width) - 1
-        response_bit = _RESPONSE << width
-        lines = [requests]
-        append = lines.append
-        for record in records[1:-1]:
-            key = record[0]
-            if key & response_bit:
-                append(f'{{"cells":["{record[1]}{record[2]}{key >> shift}}}\n')
-            else:
-                _, columns, head, missing, _, text = record
-                if missing:
-                    columns = ",".join(map(str, columns))
-                    missing = ",".join(map(str, missing))
-                    append(
-                        f'{{"columns":[{columns}],"event":"solve","missing":[{missing}],'
-                        f'"part":{part},"set":{key & ids},"status":"faulted","time":{key >> shift}}}\n'
-                    )
-                else:
-                    append(f'{head}{key >> shift},"value":"{text}"}}\n')
-        time, sets_ok, sets_total, text = records[-1]
-        value = f',"value":"{text}"' if text is not None else ""
-        append(
-            f'{{"agreement":{"true" if self.agreement else "false"},"event":"verdict",'
-            f'"part":{part},"sets_ok":{sets_ok},"sets_total":{sets_total},'
-            f'"status":"{self.status}","time":{time}{value}}}\n'
-        )
-        return "".join(lines)
+        its event."""
+        return self.text
 
     @cached_property
     def events(self) -> tuple[dict, ...]:
         """One dict per event: its JSON line, parsed."""
-        return tuple(map(json.loads, self.jsonl().splitlines()))
+        return tuple(map(json.loads, self.text.splitlines()))
 
     @cached_property
     def sets(self) -> tuple[SetOutcome, ...]:
-        """Each recovery set's outcome, in the plan's set order."""
-        width = self.records[0][0]
-        ids = (1 << width) - 1
-        # the solves are the 6-tuples; a key's low `width` bits are the set index
-        solves = sorted((record[0] & ids, record) for record in self.records[1:-1] if len(record) == 6)
+        """Each recovery set's outcome, in the plan's set order; a solved
+        set's latency is the time on its line in the timeline."""
+        timeline = self._timeline
         return tuple(
-            SetOutcome(columns, True, None, None) if missing else SetOutcome(columns, False, value, key >> width + 2)
-            for _, (key, columns, _, missing, value, _) in solves
+            SetOutcome(columns, True, None, None)
+            if value is None or index in self._faulted
+            else SetOutcome(columns, False, value, int(_TIME.search(timeline.text, at)[1]))
+            for index, (columns, value, at) in enumerate(zip(timeline.sets, timeline.values, timeline.solves))
         )
 
 
-def _check_plan(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> None:
-    """Raise unless `part`'s `sets` pass verify_plan on this fleet's code;
-    sets that have passed before are not checked again."""
+def _set_of(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """Each server of `part`'s `sets` mapped to its set's index (0-based);
+    raise unless the sets pass verify_plan.  Sets that have passed before
+    are not checked again."""
     key = (part, sets)
-    if key not in fleet._verified:
+    where = fleet._verified.get(key)
+    if where is None:
         check = verify_plan(fleet.code, RecoveryPlan._of_ascending({part: sets}))
         if not check.ok:
             raise ParameterError(f"invalid plan: {check.violation}")
-        fleet._verified.add(key)
+        # the sets are disjoint (verify_plan checked it): one set per server
+        where = fleet._verified[key] = {j: index for index, columns in enumerate(sets) for j in columns}
+    return where
 
 
-def _solved_sets(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> _SolvedPart:
-    """The sessions' request record (w, requests) and each of `part`'s sets
-    as (servers, head, value, value_hex) (see `Fleet._solved`), once `sets`
-    has passed verify_plan; each (part, sets) is checked, rendered and
-    solved once.
+def _faulted_line(part: int, index: int, columns: Iterable[int], missing: Iterable[int]) -> str:
+    """Set `index`'s faulted solve line, at `TIMEOUT_US`."""
+    return (
+        f'{{"columns":[{",".join(map(str, columns))}],"event":"solve","missing":[{",".join(map(str, missing))}],'
+        f'"part":{part},"set":{index},"status":"faulted","time":{TIMEOUT_US}}}\n'
+    )
 
-    Each set inserts its columns' rows into one fresh pivot table.  Every
-    row's value is one linear function of its cell (the XOR of the chunks
-    of the cell's parts), so a row whose cell bits reduce to 0 reduces to 0
-    entirely and no pivot sits below bit chunk_width.  A set that passed
-    verify_plan spans e_part, so reducing e_part << chunk_width by the rows
-    of its columns leaves exactly the part's value.
+
+def _verdict(counts: dict[int, int]) -> tuple[int, int | None]:
+    """The number of solved sets, and their value if they all agree."""
+    solved = [value for value, n in counts.items() if n]
+    return sum(counts.values()), solved[0] if len(solved) == 1 else None
+
+
+def _verdict_line(part: int, sets_ok: int, sets_total: int, time: int, value_hex: str | None) -> str:
+    value = "" if value_hex is None else f',"value":"{value_hex}"'
+    return (
+        f'{{"agreement":{"false" if value_hex is None else "true"},"event":"verdict","part":{part},'
+        f'"sets_ok":{sets_ok},"sets_total":{sets_total},'
+        f'"status":"{"ok" if sets_ok else "retrieval-failed"}","time":{time}{value}}}\n'
+    )
+
+
+def _timeline(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> _Timeline:
+    """`part`'s failure-free session over `sets`, once they pass
+    verify_plan; each (part, sets) is checked, drawn, solved and rendered
+    once per fleet.  Each set that no drop faults inserts its columns' rows into one fresh
+    pivot table.  Every row's value is one linear function of its cell (the
+    XOR of the chunks of the cell's parts), so a row whose cell bits reduce
+    to 0 reduces to 0 entirely and no pivot sits below bit chunk_width.  A
+    set that passed verify_plan spans e_part, so reducing e_part <<
+    chunk_width by the rows of its columns leaves exactly the part's value.
     """
     key = (part, sets)
-    solved = fleet._solved.get(key)
-    if solved is None:
-        _check_plan(fleet, part, sets)
-        rows = fleet._rows
-        cells_json = fleet._cells_json
-        target = (1 << (part - 1)) << fleet.chunk_width
-        texts: dict[int, str] = {}  # each distinct value's hex, rendered once
-        response = f'"],"event":"response","part":{part},"server":'
-        out = []
-        for index, columns in enumerate(sets, start=1):
-            pivots: dict[int, int] = {}
-            for j in columns:
-                for row in rows[j - 1]:
-                    pivot_insert(pivots, row)
-            value = pivot_reduce(pivots, target)
-            text = texts.get(value)
-            if text is None:
-                text = texts[value] = fleet.chunk_hex(value)
-            servers = tuple((j, cells_json[j - 1], f'{response}{j},"set":{index},"time":') for j in columns)
-            head = (
-                f'{{"columns":[{",".join(map(str, columns))}],"event":"solve","part":{part},'
-                f'"set":{index},"status":"ok","time":'
-            )
-            out.append((servers, head, value, text))
-        # the sets are disjoint (verify_plan checked it): one request per server
-        set_of = {server: index for index, columns in enumerate(sets, start=1) for server in columns}
-        request = f'{{"event":"request","part":{part},"server":'
-        requests = "".join(f'{request}{j},"set":{set_of[j]},"time":0}}\n' for j in sorted(set_of))
-        solved = fleet._solved[key] = ((fleet.code.m.bit_length(), requests), tuple(out))
-    return solved
+    timeline = fleet._timelines.get(key)
+    if timeline is not None:
+        return timeline
+    where = _set_of(fleet, part, sets)
+    cells_json, rows = fleet._cells
+    rng = random.Random(fleet.seed * 1_000_003 + part)
+    # Each jitter is drawn as rng.randrange(jitter_us + 1) draws it, without
+    # its wrapper: k-bit words until one is at most jitter_us, with
+    # k = (jitter_us + 1).bit_length().  With no jitter k = 0: getrandbits(0)
+    # is 0 and draws nothing, just as no randrange call would.
+    getrandbits, uniform = rng.getrandbits, rng.random
+    jitter_us = fleet.jitter_us
+    bits = (jitter_us + 1).bit_length() if jitter_us else 0
+    latency = fleet.base_latency_us
+    drop = fleet.drop_probability
+    # A record's key is (time << shift) | (kind << width) | id, with every id
+    # (a server, or a set index: the sets are disjoint, so there are at most
+    # m of them) below 1 << width.
+    width = fleet.code.m.bit_length()
+    shift = width + 2
+    response_kind, solve_kind = _RESPONSE << width, _SOLVE << width
+    target = (1 << (part - 1)) << fleet.chunk_width
+    texts: dict[int, str] = {}  # each solved value's hex, rendered once
+    response = f'"],"event":"response","part":{part},"server":'
+    keys: list[int] = []
+    lines: list[str] = []
+    values = []
+    for index, columns in enumerate(sets, start=1):
+        missing = []
+        latest = 0
+        for j in columns:
+            jitter = getrandbits(bits)
+            while jitter > jitter_us:
+                jitter = getrandbits(bits)
+            if uniform() < drop:
+                missing.append(j)
+                continue
+            arrival = latency + jitter
+            if arrival > latest:
+                latest = arrival
+            keys.append((arrival << shift) | response_kind | j)
+            lines.append(f'{{"cells":["{cells_json[j - 1]}{response}{j},"set":{index},"time":{arrival}}}\n')
+        if missing:
+            values.append(None)
+            keys.append((TIMEOUT_US << shift) | solve_kind | index)
+            lines.append(_faulted_line(part, index, columns, missing))
+            continue
+        pivots: dict[int, int] = {}
+        for j in columns:
+            for row in rows[j - 1]:
+                pivot_insert(pivots, row)
+        value = pivot_reduce(pivots, target)
+        text = texts.get(value)
+        if text is None:
+            text = texts[value] = fleet.chunk_hex(value)
+        values.append(value)
+        keys.append((latest << shift) | solve_kind | index)
+        lines.append(
+            f'{{"columns":[{",".join(map(str, columns))}],"event":"solve","part":{part},'
+            f'"set":{index},"status":"ok","time":{latest},"value":"{text}"}}\n'
+        )
+    # Keys are unique ints: sorting the positions by key orders the lines.
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[n] for n in order]
+    request = f'{{"event":"request","part":{part},"server":'
+    lines = ["".join(f'{request}{j},"set":{where[j] + 1},"time":0}}\n' for j in sorted(where))] + [
+        lines[n] for n in order
+    ]
+    # starts[n] is where the n-th sorted line after the requests starts, and
+    # starts[-1] where the verdict starts
+    starts = list(accumulate(map(len, lines)))
+    ids = (1 << width) - 1
+    responses = array("q", [-1]) * (fleet.code.m + 1)
+    solves = array("q", [0]) * len(sets)
+    for record, start in zip(keys, starts):
+        if record & response_kind:
+            responses[record & ids] = start
+        else:
+            solves[(record & ids) - 1] = start
+    fault_at = array("q", (
+        starts[bisect_left(keys, (TIMEOUT_US << shift) | solve_kind | index)] for index in range(1, len(sets) + 1)
+    ))
+    counts = Counter(value for value in values if value is not None)
+    sets_ok, value = _verdict(counts)
+    end = keys[-1] >> shift if keys else 0
+    lines.append(_verdict_line(part, sets_ok, len(sets), end, None if value is None else texts[value]))
+    timeline = fleet._timelines[key] = _Timeline(
+        "".join(lines), sets, where, responses, solves, fault_at, tuple(values), counts
+    )
+    return timeline
 
 
 def check_session(code: ArrayCode, part: int | None, failed: Iterable[int]) -> set[int]:
@@ -340,62 +381,55 @@ def retrieve(
 ) -> SessionTranscript:
     """Replay one recovery session for `part`; servers in `failed` never answer."""
     down = check_session(fleet.code, part, failed)
-    sets = plan.sets(part)
-    request_record, solved_sets = _solved_sets(fleet, part, sets)
-
-    rng = random.Random(fleet.seed * 1_000_003 + part)
-    # Each jitter is drawn as rng.randrange(jitter_us + 1) draws it, without
-    # its wrapper: k-bit words until one is at most jitter_us, with
-    # k = (jitter_us + 1).bit_length().  With no jitter k = 0: getrandbits(0)
-    # is 0 and draws nothing, just as no randrange call would.
-    getrandbits = rng.getrandbits
-    uniform = rng.random
-    jitter_us = fleet.jitter_us
-    bits = (jitter_us + 1).bit_length() if jitter_us else 0
-    latency = fleet.base_latency_us
-    drop = fleet.drop_probability
-    # A record's key is (time << shift) | (kind << width) | id, with every id
-    # (a server, or a set index: the sets are disjoint, so there are at most
-    # m of them) below 1 << width.
-    width = request_record[0]
-    shift = width + 2
-    response_kind = _RESPONSE << width
-    solve_kind = _SOLVE << width
-    records: list[tuple] = []
-    append = records.append
-    solved = []
-    solved_text = None  # the last solved set's hex: the agreed value's, if they agree
-    for index, (columns, (servers, head, value, text)) in enumerate(zip(sets, solved_sets), start=1):
-        missing = []
-        latest = 0
-        for server, cells, response in servers:
-            jitter = getrandbits(bits)
-            while jitter > jitter_us:
-                jitter = getrandbits(bits)
-            # the drop is drawn for every server, failed or not
-            if uniform() < drop or server in down:
-                missing.append(server)
-                continue
-            arrival = latency + jitter
-            if arrival > latest:
-                latest = arrival
-            append(((arrival << shift) | response_kind | server, cells, response))
-        if missing:
-            append(((TIMEOUT_US << shift) | solve_kind | index, columns, head, tuple(missing), None, None))
-        else:
-            solved.append(value)
-            solved_text = text
-            append(((latest << shift) | solve_kind | index, columns, head, (), value, text))
-
-    # Keys are unique, so the sort never compares past them.
-    records.sort()
-    agreement = len(solved) > 0 and len(set(solved)) == 1
-    status = "ok" if solved else "retrieval-failed"
-    value = solved[0] if agreement else None
-    end = records[-1][0] >> shift if records else 0
-    verdict = (end, len(solved), len(sets), solved_text if agreement else None)
+    timeline = _timeline(fleet, part, plan.sets(part))
+    text, where, responses, values = timeline.text, timeline.where, timeline.responses, timeline.values
+    # (offset, 0, set index, line) puts a line in at offset, (offset, 1, 0,
+    # None) cuts the line there; a line put in goes before the line it meets.
+    edits: list[tuple[int, int, int, str | None]] = []
+    faulted = set()
+    for j in down:
+        index = where.get(j)
+        if index is not None:
+            faulted.add(index)
+            if responses[j] >= 0:
+                edits.append((responses[j], 1, 0, None))
+    counts = timeline.counts
+    if faulted:
+        counts = dict(counts)
+        for index in faulted:
+            columns = timeline.sets[index]
+            missing = [j for j in columns if j in down or responses[j] < 0]
+            edits.append((timeline.fault_at[index], 0, index, _faulted_line(part, index + 1, columns, missing)))
+            edits.append((timeline.solves[index], 1, 0, None))
+            if values[index] is not None:
+                counts[values[index]] -= 1
+    sets_ok, value = _verdict(counts)
+    if edits:
+        pieces = []
+        at = 0
+        cut = set()
+        for offset, kind, _, line in sorted(edits):
+            pieces.append(text[at:offset])
+            if kind:
+                cut.add(offset)
+                at = text.index("\n", offset) + 1
+            else:
+                pieces.append(line)
+                at = offset
+        # The verdict is at the last remaining line's time: that of the
+        # last line the edits keep, or the faulted solves' TIMEOUT_US.
+        verdict = text.rfind("\n", 0, len(text) - 1) + 1
+        start = text.rfind("\n", 0, verdict - 1) + 1
+        while start in cut:
+            start = text.rfind("\n", 0, start - 1) + 1
+        end = max(TIMEOUT_US, int(_TIME.search(text, start)[1]))
+        pieces.append(text[at:verdict])
+        pieces.append(_verdict_line(
+            part, sets_ok, len(timeline.sets), end, None if value is None else fleet.chunk_hex(value)
+        ))
+        text = "".join(pieces)
     return SessionTranscript(
-        part=part, status=status, agreement=agreement, value=value, records=(request_record, *records, verdict)
+        part, "ok" if sets_ok else "retrieval-failed", value is not None, value, text, timeline, faulted
     )
 
 
@@ -446,17 +480,15 @@ def availability_sweep(
     if not 0 <= failures_per_trial <= code.m:
         raise ParameterError(f"failures_per_trial out of range 0..{code.m}")
     parts = plan.parts()
-    for part in parts:
-        _check_plan(fleet, part, plan.sets(part))
+    # A part's sets are pairwise disjoint (verify_plan checked), so each
+    # failed server takes out at most the one set of the part holding it.
+    set_of = {part: _set_of(fleet, part, plan.sets(part)) for part in parts}
     if not parts:
         raise ParameterError("plan covers no parts")
 
     rng = random.Random(fleet.seed * 7_368_787 + failures_per_trial)
     minima = {part: plan.k_for(part) for part in parts}
     totals = {part: 0 for part in parts}
-    # A part's sets are pairwise disjoint (verify_plan checked), so each
-    # failed server takes out at most the one set of the part holding it.
-    set_of = {part: {j: i for i, columns in enumerate(plan.sets(part)) for j in columns} for part in parts}
     for _ in range(trials):
         down = rng.sample(range(1, code.m + 1), failures_per_trial)
         for part in parts:

@@ -39,8 +39,8 @@ def test_database_and_values_are_seeded(c1_fleet):
     fleet, _ = c1_fleet
     again = Fleet(code=fleet.code, seed=42)
     assert fleet.database == again.database
-    assert fleet._cells_json == again._cells_json
-    assert fleet == again and repr(fleet) == repr(again) and "_rows" not in repr(fleet)
+    assert fleet._cells == again._cells
+    assert fleet == again and repr(fleet) == repr(again) and "_cells" not in repr(fleet)
     other = Fleet(code=fleet.code, seed=43)
     assert fleet.database != other.database
 
@@ -60,8 +60,8 @@ def test_server_cells_are_xor_of_chunks(c1_fleet, intro_code):
     # a response line holds each of the server's cells as the hex of the
     # XOR of the database chunks of the cell's parts
     for fleet in (c1_fleet[0], Fleet(code=intro_code, seed=3, chunk_width=4)):
-        assert len(fleet._cells_json) == fleet.code.m
-        for col, cells in zip(fleet.code.columns, fleet._cells_json):
+        assert len(fleet._cells[0]) == fleet.code.m
+        for col, cells in zip(fleet.code.columns, fleet._cells[0]):
             assert json.loads(f'["{cells}"]') == [_hex(fleet, _cell_value(fleet, cell)) for cell in col]
 
 
@@ -530,9 +530,9 @@ def test_replayed_sessions_match_a_fresh_fleets_first_run(intro_code):
         text = retrieve(fleet, plan, part, failed=failed).jsonl()
         assert retrieve(fleet, plan, part, failed=failed).jsonl() == text
         fresh = dataclasses.replace(fleet)
-        assert not fresh._solved
+        assert not fresh._timelines
         assert retrieve(fresh, plan, part, failed=failed).jsonl() == text
-        assert len(fleet._solved) <= len(plan.parts())
+        assert len(fleet._timelines) <= len(plan.parts())
 
 
 def test_a_one_column_set_reads_the_stored_singleton(c1_fleet):
@@ -555,52 +555,169 @@ def test_a_one_column_set_reads_the_stored_singleton(c1_fleet):
 
 def test_a_plan_parts_request_block_is_rendered_once():
     # every server of every set is requested at time 0, failed or not, so
-    # each session of a (part, sets) starts with the one rendered block
+    # each session of a (part, sets) starts with its timeline's request lines
     code = build_c1(3, 2)
     plan = k_pir_pairs(code).plan
     fleet = Fleet(code=code, seed=5, drop_probability=0.3)
     availability_sweep(fleet, plan, trials=10, failures_per_trial=2)
-    assert not fleet._solved
+    assert not fleet._timelines
     first = retrieve(fleet, plan, 2)
     second = retrieve(fleet, plan, 2, failed=[3, 9])
     assert first.jsonl() != second.jsonl()
-    block = first.records[0][1]
-    assert second.records[0][1] is block and block.count("\n") == sum(map(len, plan.sets(2)))
-    assert first.jsonl().startswith(block) and second.jsonl().startswith(block)
+    requests = sum(map(len, plan.sets(2)))
+    block = "".join(first.jsonl().splitlines(keepends=True)[:requests])
+    assert first.jsonl() is fleet._timelines[(2, plan.sets(2))].text
+    assert second.jsonl().startswith(block) and first.events[requests]["event"] != "request"
     assert [e for e in first.events if e["event"] == "request"] == [
         e for e in _eager_session(fleet, plan, 2, [])[0] if e["event"] == "request"
     ]
-    assert len(fleet._solved) == 1
+    assert len(fleet._timelines) == 1
+
+
+def _signature(line: str) -> tuple:
+    event = json.loads(line)
+    return event["event"], event.get("server", 0), event.get("set", 0), event.get("status", "")
 
 
 def test_a_plan_parts_response_and_solve_texts_are_rendered_once():
-    # a response or ok solve line differs between sessions of one (part,
-    # sets) only in its time, so every session reuses the text before it
+    # a (part, sets)'s failure-free session is rendered once per fleet; a
+    # session with failed servers keeps the rest of its lines, in order, and
+    # trades the failed servers' responses, the solves of the sets they
+    # fault and the verdict for those sets' faulted solves and its verdict
     code = build_c1(3, 2)
     plan = k_pir_pairs(code).plan
     fleet = Fleet(code=code, seed=5)
     first = retrieve(fleet, plan, 2)
+    text = fleet._timelines[(2, plan.sets(2))].text
+    assert first.jsonl() is text
     second = retrieve(fleet, plan, 2, failed=[3, 9])
-    assert first.jsonl() != second.jsonl()
+    base, lines = text.splitlines(keepends=True), second.jsonl().splitlines(keepends=True)
+    assert [line for line in base if line in lines] == [line for line in lines if line in base]
+    hit = [index for index, columns in enumerate(plan.sets(2), start=1) if {3, 9} & set(columns)]
+    servers = [(server, index) for index in hit for server in plan.sets(2)[index - 1] if server in (3, 9)]
+    assert sorted(map(_signature, set(base) - set(lines))) == sorted(
+        [("response", server, index, "") for server, index in servers]
+        + [("solve", 0, index, "ok") for index in hit]
+        + [("verdict", 0, 0, "ok")]
+    )
+    assert sorted(map(_signature, set(lines) - set(base))) == sorted(
+        [("solve", 0, index, "faulted") for index in hit] + [("verdict", 0, 0, "ok")]
+    )
+    assert len(fleet._timelines) == 1
 
-    def texts(transcript):
-        # the rendered text of each response by server and ok solve by set
-        width = transcript.records[0][0]
-        ids = (1 << width) - 1
-        body = transcript.records[1:-1]
-        responses = {r[0] & ids: r[2] for r in body if len(r) == 3}
-        solves = {r[0] & ids: r[2] for r in body if len(r) == 6 and not r[3]}
-        return responses, solves
 
-    responses, solves = texts(first)
-    again_responses, again_solves = texts(second)
-    assert len(responses) == sum(map(len, plan.sets(2))) and len(solves) == len(plan.sets(2))
-    assert again_responses and again_solves and len(again_solves) < len(solves)
-    for server, text in again_responses.items():
-        assert text is responses[server]
-    for index, text in again_solves.items():
-        assert text is solves[index]
-    assert len(fleet._solved) == 1
+# (base_latency_us, jitter_us, drop_probability) for the edit's differential
+# check: no jitter at latency 0 ties every response and ok solve at time 0;
+# latency 9_900 with jitter 255 lands responses on both sides of TIMEOUT_US;
+# at 20_000 every response comes after the faulted solves.
+_EDIT_KNOBS = [(1000, 250, drop) for drop in (0.0, 0.1, 0.3, 1.0)] + [
+    (0, 0, 0.0), (0, 0, 0.3), (9_900, 255, 0.1), (20_000, 250, 0.1), (20_000, 250, 0.0)
+]
+
+
+def _edit_sessions(code, plans, rng):
+    """(plan, part, failed) over both plans and every part, interleaved:
+    no failure, a server in none of the part's sets, every server of one
+    set, repeated ids, and up to 8 servers."""
+    sessions = []
+    for _ in range(2):
+        for part in range(1, code.p + 1):
+            for plan in plans:
+                sets = plan.sets(part)
+                used = {j for columns in sets for j in columns}
+                unused = [j for j in range(1, code.m + 1) if j not in used]
+                whole = list(max(sets, key=len)) if sets else []
+                some = rng.sample(range(1, code.m + 1), min(code.m, rng.randint(1, 8)))
+                sessions += [
+                    (plan, part, []),
+                    (plan, part, unused[:1]),
+                    (plan, part, whole),
+                    (plan, part, some + some[:2]),
+                    (plan, part, rng.sample(range(1, code.m + 1), min(code.m, 8))),
+                ]
+    rng.shuffle(sessions)
+    return sessions
+
+
+def test_edited_sessions_match_the_eager_construction(intro_code):
+    # every session is its (part, sets)'s failure-free timeline with the
+    # failed servers edited out; it must match the eager reference and a
+    # fresh fleet's first session, whichever sessions came before it
+    rng = random.Random(30)
+    seen = set()
+    for code in (intro_code, build_c1(3, 2)):
+        pairs = k_pir_pairs(code).plan
+        fewer = RecoveryPlan({part: pairs.sets(part)[1:] for part in pairs.parts()})
+        for seed, (base_latency_us, jitter_us, drop) in enumerate(_EDIT_KNOBS):
+            fleet = Fleet(
+                code=code,
+                seed=seed,
+                base_latency_us=base_latency_us,
+                jitter_us=jitter_us,
+                drop_probability=drop,
+            )
+            for plan, part, failed in _edit_sessions(code, (pairs, fewer), rng):
+                transcript = retrieve(fleet, plan, part, failed=failed)
+                events, sets = _eager_session(fleet, plan, part, failed)
+                assert transcript.events == events and transcript.sets == sets
+                fresh = retrieve(dataclasses.replace(fleet), plan, part, failed=failed)
+                assert fresh.jsonl() == transcript.jsonl() and fresh == transcript
+                assert hash(fresh) == hash(transcript)
+                faulted = [e for e in events if e.get("status") == "faulted"]
+                if any(set(e["missing"]) - set(failed) for e in faulted if set(e["missing"]) & set(failed)):
+                    seen.add("dropped and failed in one set")
+                if any(e["event"] == "response" and e["time"] > simulate.TIMEOUT_US for e in events) and faulted:
+                    seen.add("faulted before a late response")
+                if failed and events[-1]["time"] > simulate.TIMEOUT_US:
+                    seen.add("late verdict")
+                if events[-1]["status"] == "retrieval-failed" and failed:
+                    seen.add("no set left")
+    assert seen == {"dropped and failed in one set", "faulted before a late response", "late verdict", "no set left"}
+
+
+def test_a_replay_draws_and_solves_nothing(monkeypatch):
+    # only the first session of a (part, sets) draws its stream and solves
+    # its sets; later ones, with or without failed servers and interleaved
+    # over parts and plans, create no Random and insert no row, and one
+    # whose failed servers fault no set returns the timeline's text object
+    code = build_c1(3, 2)
+    plan = k_pir_pairs(code).plan
+    other = RecoveryPlan({part: plan.sets(part)[1:] for part in (1, 2)})
+    fleet = Fleet(code=code, seed=5, drop_probability=0.1)
+    rng = random.Random(7)
+    sessions = [
+        (chosen, part, rng.sample(range(1, code.m + 1), rng.randrange(4)))
+        for _ in range(6)
+        for chosen in (plan, other)
+        for part in chosen.parts()
+    ]
+    made, inserted = [], []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
+
+    def counted(pivots, bits):
+        inserted.append(bits)
+        return pivot_insert(pivots, bits)
+
+    monkeypatch.setattr(simulate.random, "Random", Counted)
+    monkeypatch.setattr(simulate, "pivot_insert", counted)
+    replayed = set()
+    for chosen, part, failed in sessions:
+        made.clear()
+        inserted.clear()
+        transcript = retrieve(fleet, chosen, part, failed=failed)
+        key = (part, chosen.sets(part))
+        if key in replayed:
+            assert made == [] and inserted == []
+        else:
+            assert len(made) == 1 and inserted
+            replayed.add(key)
+        if not {j for columns in key[1] for j in columns} & set(failed):
+            assert transcript.jsonl() is fleet._timelines[key].text
+    assert len(replayed) == len(plan.parts()) + 2
 
 
 def test_a_part_with_no_sets_prints_only_its_verdict():
@@ -631,10 +748,10 @@ def test_the_solve_cache_holds_one_entry_per_replayed_part():
             failed = rng.sample(range(1, code.m + 1), rng.randrange(4))
             retrieve(fleet, plan, part, failed=failed)
             replayed.add((part, plan.sets(part)))
-            assert set(fleet._solved) == replayed
+            assert set(fleet._timelines) == replayed
     retrieve(fleet, other, 1)
-    assert set(fleet._solved) == replayed | {(1, other.sets(1))}
-    assert "_solved" not in repr(fleet)
+    assert set(fleet._timelines) == replayed | {(1, other.sets(1))}
+    assert "_timelines" not in repr(fleet)
 
 
 def test_a_fleet_solves_from_its_rows_once(monkeypatch):
@@ -652,7 +769,7 @@ def test_a_fleet_solves_from_its_rows_once(monkeypatch):
     fleet = Fleet(code=code, seed=5)
     assert calls == []
     first = retrieve(fleet, plan, 2)
-    rows = [row for columns in plan.sets(2) for j in columns for row in fleet._rows[j - 1]]
+    rows = [row for columns in plan.sets(2) for j in columns for row in fleet._cells[1][j - 1]]
     assert len(rows) == code.t * sum(map(len, plan.sets(2)))
     assert sorted(calls) == sorted(rows)
     calls.clear()
@@ -666,8 +783,8 @@ def test_a_sweep_solves_nothing(c1_fleet):
     fleet, plan = c1_fleet
     fresh = Fleet(code=fleet.code, seed=42)
     availability_sweep(fresh, plan, trials=10, failures_per_trial=2)
-    assert not fresh._solved
-    assert fresh._verified == {(part, plan.sets(part)) for part in plan.parts()}
+    assert not fresh._timelines and "_cells" not in vars(fresh)
+    assert set(fresh._verified) == {(part, plan.sets(part)) for part in plan.parts()}
 
 
 @pytest.mark.parametrize("bad", [2.9, "3", None, 2.0])
