@@ -201,8 +201,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
     parts = [args.part] if args.part is not None else list(plan.parts())
     for part in parts:
-        transcript = retrieve(fleet, plan, part, failed=args.fail_server or ())
-        sys.stdout.write(transcript.jsonl())
+        sys.stdout.write(retrieve(fleet, plan, part, failed=args.fail_server or ()).jsonl())
+        # each part is replayed once: its timeline goes once it is written
+        fleet._timelines.clear()
     return EXIT_OK
 
 

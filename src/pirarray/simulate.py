@@ -27,6 +27,11 @@ cells are rendered and made into rows on first use.  A row carries its
 value in its low bits, `(cell << chunk_width) | value`, so solving a set is
 the `gf2` kernel's elimination on those rows, inserted into one fresh table
 per set, for a set of one column as for a set of many.
+
+A sweep checks a plan once per fleet, and the fleet keeps the last swept
+plan object's table of set indices by server; a trial draws its failed
+servers and counts every part's lost sets in a few C-level passes over
+that table's rows (`availability_sweep`).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import ParameterError
@@ -73,6 +78,8 @@ _RESPONSE, _SOLVE = 1, 2
 _TIME = re.compile(r'"time":(\d+)')
 # A part and its recovery sets, as a fleet keeps them.
 _Key = tuple[int, tuple[tuple[int, ...], ...]]
+# json.dumps(payload, sort_keys=True, separators=(",", ":")), for sweeps
+_SWEEP_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 class _Timeline(NamedTuple):
@@ -115,6 +122,10 @@ class Fleet:
     # (part, that part's sets) -> its failure-free session, built by the
     # first session that replays it.
     _timelines: dict[_Key, _Timeline] = field(init=False, repr=False, compare=False)
+    # id() of the plan object swept last -> (that plan, each part's k, and
+    # by server, row 0 standing for none, its set index in each part or -1);
+    # holding the plan keeps any other object from taking its id().
+    _sweeps: dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.chunk_width < 1 or self.chunk_width % 4:
@@ -135,6 +146,7 @@ class Fleet:
         )
         object.__setattr__(self, "_verified", {})
         object.__setattr__(self, "_timelines", {})
+        object.__setattr__(self, "_sweeps", {})
 
     def chunk_hex(self, value: int) -> str:
         return f"0x{value:0{self.chunk_width // 4}x}"
@@ -218,19 +230,19 @@ class SessionTranscript:
         )
 
 
-def _set_of(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-    """Each server of `part`'s `sets` mapped to its set's index (0-based);
-    raise unless the sets pass verify_plan.  Sets that have passed before
-    are not checked again."""
-    key = (part, sets)
-    where = fleet._verified.get(key)
-    if where is None:
-        check = verify_plan(fleet.code, RecoveryPlan._of_ascending({part: sets}))
+def _verify(fleet: Fleet, keys: Iterable[_Key]) -> None:
+    """Raise unless every (part, sets) of `keys`, in plan order, passes
+    verify_plan, naming the first that fails; those not checked on this
+    fleet before are checked in one call and recorded if all pass."""
+    verified = fleet._verified
+    new = {part: sets for part, sets in keys if (part, sets) not in verified}
+    if new:
+        check = verify_plan(fleet.code, RecoveryPlan._of_ascending(new))
         if not check.ok:
             raise ParameterError(f"invalid plan: {check.violation}")
         # the sets are disjoint (verify_plan checked it): one set per server
-        where = fleet._verified[key] = {j: index for index, columns in enumerate(sets) for j in columns}
-    return where
+        for key in new.items():
+            verified[key] = {j: index for index, columns in enumerate(key[1]) for j in columns}
 
 
 def _faulted_line(part: int, index: int, columns: Iterable[int], missing: Iterable[int]) -> str:
@@ -270,7 +282,8 @@ def _timeline(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> _Ti
     timeline = fleet._timelines.get(key)
     if timeline is not None:
         return timeline
-    where = _set_of(fleet, part, sets)
+    _verify(fleet, (key,))
+    where = fleet._verified[key]
     cells_json, rows = fleet._cells
     rng = random.Random(fleet.seed * 1_000_003 + part)
     # Each jitter is drawn as rng.randrange(jitter_us + 1) draws it, without
@@ -452,17 +465,17 @@ class SweepSummary:
         return "ok" if self.overall_min > 0 else "retrieval-failed"
 
     def to_json(self) -> str:
-        payload = {
+        # int true division rounds correctly: mean_decimal is float(mean)
+        return _SWEEP_JSON({
             "trials": self.trials,
             "failures_per_trial": self.failures_per_trial,
             "overall_min": self.overall_min,
             "status": self.status,
             "per_part": [
-                {"part": part, "min": lo, "mean": str(mean), "mean_decimal": float(mean)}
+                {"part": part, "min": lo, "mean": str(mean), "mean_decimal": mean.numerator / mean.denominator}
                 for part, lo, mean in zip(self.parts, self.per_part_min, self.per_part_mean)
             ],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        })
 
 
 def availability_sweep(
@@ -473,36 +486,47 @@ def availability_sweep(
     For every part, at least k - f recovery sets survive any f failures
     because the sets are pairwise disjoint.  f = m is accepted and reports
     status "retrieval-failed" (no set survives).
+
+    A plan object's first sweep checks its parts not yet checked with one
+    verify_plan call and builds its table (`Fleet._sweeps`).  Zipped with
+    row 0, a trial's failed servers' rows give each part -1 and their set
+    indices, one more distinct value than the sets lost; trials are tallied
+    by those counts, so no per-part Python runs in a trial.
     """
     code = fleet.code
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
     if not 0 <= failures_per_trial <= code.m:
         raise ParameterError(f"failures_per_trial out of range 0..{code.m}")
-    parts = plan.parts()
-    # A part's sets are pairwise disjoint (verify_plan checked), so each
-    # failed server takes out at most the one set of the part holding it.
-    set_of = {part: _set_of(fleet, part, plan.sets(part)) for part in parts}
-    if not parts:
+    table = fleet._sweeps.get(id(plan))
+    if table is None:
+        keys = [(part, plan.sets(part)) for part in plan.parts()]
+        _verify(fleet, keys)
+        by_part = [list(map(fleet._verified[key].get, range(code.m + 1), repeat(-1))) for key in keys]
+        rows = list(zip(*by_part))
+        fleet._sweeps.clear()
+        table = fleet._sweeps[id(plan)] = (plan, tuple(len(sets) for _, sets in keys), rows)
+    _, ks, rows = table
+    if not ks:
         raise ParameterError("plan covers no parts")
 
-    rng = random.Random(fleet.seed * 7_368_787 + failures_per_trial)
-    minima = {part: plan.k_for(part) for part in parts}
-    totals = {part: 0 for part in parts}
-    for _ in range(trials):
-        down = rng.sample(range(1, code.m + 1), failures_per_trial)
-        for part in parts:
-            where = set_of[part]
-            surviving = plan.k_for(part) - len({where[j] for j in down if j in where})
-            totals[part] += surviving
-            if surviving < minima[part]:
-                minima[part] = surviving
-    per_part_min = tuple(minima[part] for part in parts)
-    per_part_mean = tuple(Fraction(totals[part], trials) for part in parts)
+    # per part, one more than the sets a trial takes out -> how many trials
+    tally: dict[tuple[int, ...], int] = Counter()
+    if failures_per_trial:
+        rng = random.Random(fleet.seed * 7_368_787 + failures_per_trial)
+        servers = range(1, code.m + 1)
+        for _ in range(trials):
+            down = map(rows.__getitem__, rng.sample(servers, failures_per_trial))
+            tally[tuple(map(len, map(set, zip(rows[0], *down))))] += 1
+    else:  # nothing fails, so no draw is made
+        tally[(1,) * len(ks)] = trials
+    # by part, its count in each tally key
+    columns = list(zip(*tally))
+    lost = [sum(map(operator.mul, column, tally.values())) - trials for column in columns]
     return SweepSummary(
         trials=trials,
         failures_per_trial=failures_per_trial,
-        parts=parts,
-        per_part_min=per_part_min,
-        per_part_mean=per_part_mean,
+        parts=plan.parts(),
+        per_part_min=tuple(k + 1 - max(column) for k, column in zip(ks, columns)),
+        per_part_mean=tuple(Fraction(k * trials - n, trials) for k, n in zip(ks, lost)),
     )

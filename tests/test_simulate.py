@@ -197,15 +197,17 @@ def test_a_replayed_plan_part_is_checked_once_per_fleet(intro_code, plan_checks)
     assert retrieve(fleet, plan, 5) == first
     retrieve(fleet, plan, 5, failed={1})
     assert plan_checks == [(5,)]
+    # a sweep checks every part not yet checked on the fleet, in one call
     availability_sweep(fleet, plan, trials=3, failures_per_trial=1)
-    assert plan_checks == [(5,)] + [(part,) for part in plan.parts() if part != 5]
+    assert plan_checks == [(5,), tuple(part for part in plan.parts() if part != 5)]
     availability_sweep(fleet, plan, trials=3, failures_per_trial=2)
+    availability_sweep(fleet, parse_plan(serialize_plan(plan)), trials=3, failures_per_trial=2)
     for part in plan.parts():
         retrieve(fleet, plan, part)
-    assert len(plan_checks) == len(plan.parts())
+    assert sorted(part for parts in plan_checks for part in parts) == list(plan.parts())
     # another fleet keeps its own record
     retrieve(Fleet(code=intro_code, seed=7), plan, 5)
-    assert len(plan_checks) == len(plan.parts()) + 1
+    assert plan_checks[2:] == [(5,)]
 
 
 def test_a_content_equal_plan_reuses_the_record(intro_code, plan_checks):
@@ -246,21 +248,80 @@ def test_sweep_respects_disjointness_guarantee(c1_fleet):
         assert summary.overall_min >= 7 - f
 
 
+def _sweep_oracle(fleet, plan, trials, f) -> tuple[list, str]:
+    """Per part (min, mean) of its surviving sets, recounted set by set from
+    the sweep's seeded draws, and the sweep's JSON as json.dumps renders a
+    payload of str(Fraction) and float(Fraction) means."""
+    rng = random.Random(fleet.seed * 7_368_787 + f)
+    draws = [set(rng.sample(range(1, fleet.code.m + 1), f)) for _ in range(trials)]
+    stats = []
+    for part in plan.parts():
+        alive = [sum(1 for columns in plan.sets(part) if draw.isdisjoint(columns)) for draw in draws]
+        stats.append((min(alive), Fraction(sum(alive), trials)))
+    low = min(lo for lo, _ in stats)
+    payload = {
+        "trials": trials,
+        "failures_per_trial": f,
+        "overall_min": low,
+        "status": "ok" if low > 0 else "retrieval-failed",
+        "per_part": [
+            {"part": part, "min": lo, "mean": str(mean), "mean_decimal": float(mean)}
+            for part, (lo, mean) in zip(plan.parts(), stats)
+        ],
+    }
+    return stats, json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def test_sweep_counts_the_sets_each_failure_draw_leaves():
-    # the sweep counts a part's surviving sets through a column -> set map;
-    # recount them set by set from the same seeded draws
+    # the sweep counts a part's lost sets through a per-server table; recount
+    # the surviving sets set by set from the same seeded draws, on exhaustive
+    # plans (servers in no set of a part, sets of three or more columns) and
+    # on c1(5,5)'s pair plan, and render the JSON the plain way
     trials = 25
+    cases = []
     for seed, shape in enumerate(((10, 7, 3), (12, 8, 3), (12, 10, 5))):
         code = seeded_code(seed, *shape)
-        plan = k_pir_exhaustive(code).plan
-        fleet = Fleet(code=code, seed=seed)
-        for f in (1, 2, 4):
+        cases.append((Fleet(code=code, seed=seed), k_pir_exhaustive(code).plan))
+    code = build_c1(5, 5)
+    cases.append((Fleet(code=code, seed=1), k_pir_pairs(code).plan))
+    seen = set()
+    for fleet, plan in cases:
+        for part in plan.parts():
+            used = {j for columns in plan.sets(part) for j in columns}
+            if len(used) < fleet.code.m:
+                seen.add("server in no set")
+            if any(len(columns) >= 3 for columns in plan.sets(part)):
+                seen.add("set of three or more columns")
+        for f in (0, 1, 2, 4, fleet.code.m):
             summary = availability_sweep(fleet, plan, trials=trials, failures_per_trial=f)
-            rng = random.Random(fleet.seed * 7_368_787 + f)
-            draws = [set(rng.sample(range(1, code.m + 1), f)) for _ in range(trials)]
-            for part, low, mean in zip(summary.parts, summary.per_part_min, summary.per_part_mean):
-                alive = [sum(1 for columns in plan.sets(part) if draw.isdisjoint(columns)) for draw in draws]
-                assert (low, mean) == (min(alive), Fraction(sum(alive), trials))
+            stats, text = _sweep_oracle(fleet, plan, trials, f)
+            assert summary.parts == plan.parts()
+            assert list(zip(summary.per_part_min, summary.per_part_mean)) == stats
+            assert summary.to_json() == text
+    assert seen == {"server in no set", "set of three or more columns"}
+
+
+def test_a_swept_plans_table_is_never_stale(c1_fleet):
+    # a fleet keeps the table of the plan object it swept last; plans of two
+    # contents, made fresh for each sweep and dropped after it, must each be
+    # swept as a fresh fleet sweeps them, whatever object ids come back
+    used, plan = c1_fleet
+    fleet = Fleet(code=used.code, seed=used.seed)
+    contents = (
+        {part: plan.sets(part) for part in plan.parts()},
+        {part: plan.sets(part)[2:] for part in plan.parts()[1:]},
+    )
+    expected = {
+        (which, f): availability_sweep(Fleet(code=used.code, seed=used.seed), RecoveryPlan(sets), 12, f)
+        for which, sets in enumerate(contents)
+        for f in (1, 3)
+    }
+    assert expected[0, 1] != expected[1, 1] and expected[0, 3] != expected[1, 3]
+    for which in (0, 1, 1, 0, 0, 1, 0, 1) * 3:
+        for f in (1, 3):
+            made = RecoveryPlan(contents[which])
+            assert availability_sweep(fleet, made, 12, f) == expected[which, f]
+            del made
 
 
 def test_sweep_all_failed_reports_failure(c1_fleet):
