@@ -2,14 +2,21 @@
 
 A length-p vector is stored as a Python int: bit i-1 is the coefficient of
 part x_i, and `parts_of` lists the parts of a vector.  `pivot_insert` and
-`pivot_reduce` are the one elimination kernel: a pivot table maps a row's
-highest set bit to the row, the rank of the inserted vectors is the
+`pivot_reduce` are the elimination kernel of the primal: a pivot table maps
+a row's highest set bit to the row, the rank of the inserted vectors is the
 table's size, and a vector lies in their span iff it reduces to 0.
+
+`orthogonal_cut`, its dual, is used only by exhaustive mode's enumeration:
+it keeps a basis of a span's parity checks over the n coordinates in play,
+so the rank is n minus its size, and a vector lies in the span iff it is
+orthogonal to every check (e_i iff no check has bit i).
 """
 
 from __future__ import annotations
 
-__all__ = ["parts_of", "pivot_insert", "pivot_reduce"]
+from typing import Iterable
+
+__all__ = ["orthogonal_cut", "parts_of", "pivot_insert", "pivot_reduce"]
 
 
 def parts_of(bits: int) -> tuple[int, ...]:
@@ -47,3 +54,20 @@ def pivot_reduce(pivots: dict[int, int], bits: int) -> int:
             return bits
         bits ^= row
     return 0
+
+
+def orthogonal_cut(dual: Iterable[int], cell: int) -> list[int] | None:
+    """The checks of the basis `dual` that are orthogonal to `cell`, as a
+    basis: the first check w with odd overlap is XORed into the other odd
+    ones and dropped.  None when every check already is (no rank gain)."""
+    out = []
+    first = 0
+    for check in dual:
+        if (check & cell).bit_count() & 1:
+            if first:
+                out.append(check ^ first)
+            else:
+                first = check
+        else:
+            out.append(check)
+    return out if first else None

@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .errors import ParameterError
@@ -115,10 +115,9 @@ class Fleet:
     jitter_us: int = 250
     drop_probability: float = 0.0
     database: tuple[int, ...] = field(init=False)
-    # (part, that part's sets) that passed verify_plan on this fleet's code
-    # -> each server of the sets mapped to its set's index (0-based), so
-    # replaying a plan checks each part once.
-    _verified: dict[_Key, dict[int, int]] = field(init=False, repr=False, compare=False)
+    # (part, that part's sets) that passed verify_plan on this fleet's code,
+    # so replaying a plan checks each part once.
+    _verified: set[_Key] = field(init=False, repr=False, compare=False)
     # (part, that part's sets) -> its failure-free session, built by the
     # first session that replays it.
     _timelines: dict[_Key, _Timeline] = field(init=False, repr=False, compare=False)
@@ -144,7 +143,7 @@ class Fleet:
         object.__setattr__(
             self, "database", tuple(rng.getrandbits(self.chunk_width) for _ in range(self.code.p))
         )
-        object.__setattr__(self, "_verified", {})
+        object.__setattr__(self, "_verified", set())
         object.__setattr__(self, "_timelines", {})
         object.__setattr__(self, "_sweeps", {})
 
@@ -240,9 +239,7 @@ def _verify(fleet: Fleet, keys: Iterable[_Key]) -> None:
         check = verify_plan(fleet.code, RecoveryPlan._of_ascending(new))
         if not check.ok:
             raise ParameterError(f"invalid plan: {check.violation}")
-        # the sets are disjoint (verify_plan checked it): one set per server
-        for key in new.items():
-            verified[key] = {j: index for index, columns in enumerate(key[1]) for j in columns}
+        verified.update(new.items())
 
 
 def _faulted_line(part: int, index: int, columns: Iterable[int], missing: Iterable[int]) -> str:
@@ -283,7 +280,8 @@ def _timeline(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> _Ti
     if timeline is not None:
         return timeline
     _verify(fleet, (key,))
-    where = fleet._verified[key]
+    # the sets are disjoint (verify_plan checked it): one set per server
+    where = {j: index for index, columns in enumerate(sets) for j in columns}
     cells_json, rows = fleet._cells
     rng = random.Random(fleet.seed * 1_000_003 + part)
     # Each jitter is drawn as rng.randrange(jitter_us + 1) draws it, without
@@ -502,7 +500,11 @@ def availability_sweep(
     if table is None:
         keys = [(part, plan.sets(part)) for part in plan.parts()]
         _verify(fleet, keys)
-        by_part = [list(map(fleet._verified[key].get, range(code.m + 1), repeat(-1))) for key in keys]
+        by_part = [[-1] * (code.m + 1) for _ in keys]
+        for row, (_, sets) in zip(by_part, keys):
+            for index, columns in enumerate(sets):
+                for j in columns:
+                    row[j] = index
         rows = list(zip(*by_part))
         fleet._sweeps.clear()
         table = fleet._sweeps[id(plan)] = (plan, tuple(len(sets) for _, sets in keys), rows)

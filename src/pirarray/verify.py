@@ -27,7 +27,8 @@ A column's cells are a basis of its span, since `ArrayCode` refuses
 dependent cells, so exhaustive mode and `verify_plan` eliminate the cells
 themselves, with no reduced basis per column: `verify_plan` inserts a
 set's cells into one fresh pivot table.  Only the pair scan, which meets
-each column in O(m) pairs, keeps a pivot table per column.
+each column in O(m) pairs, keeps a pivot table per column.  The
+enumeration keeps none: each kept set carries its span's parity checks.
 
 Pair mode builds each part's pair graph one of two ways, whichever a size
 estimate says is cheaper for the code, as a neighbour map (column -> set of
@@ -86,11 +87,13 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from operator import or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
-from .gf2 import parts_of, pivot_insert, pivot_reduce
+from .gf2 import orthogonal_cut, parts_of, pivot_insert, pivot_reduce
 from .matching import IndexedGraph, max_general_matching
 from .model import ArrayCode, RecoveryPlan, singleton_census
 
@@ -459,6 +462,15 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     )
 
 
+def _cut_all(dual: Sequence[int], cells: Iterable[int]) -> Sequence[int]:
+    """The parity checks `dual` cut by each of `cells` in turn."""
+    for cell in cells:
+        cut = orthogonal_cut(dual, cell)
+        if cut is not None:
+            dual = cut
+    return dual
+
+
 def _minimal_recovery_masks(rows: Sequence[Sequence[int]], p: int) -> list[Sequence[int]]:
     """For each part index (0-based), the sorted column bitmasks of the
     inclusion-minimal sets of columns whose rows span that part; `rows[j]`
@@ -467,55 +479,49 @@ def _minimal_recovery_masks(rows: Sequence[Sequence[int]], p: int) -> list[Seque
 
     One search by set size serves every part; its targets are the parts
     that all columns together span, so a part stored nowhere costs nothing.
-    Level s keeps each s-column set in which every column adds rank and
-    some target is still unspanned, with its pivot rows and those targets.
-    Kept sets are grouped by their columns but the highest, and two of a
-    group, S + a and S + b with a < b, join into the candidate S + a + b.
-    It is tried only when its other s-column subsets are kept too and
-    `open`, the targets that none of its s-column subsets spans, is not
-    empty; it is dropped when b adds no rank to S + a or its rank equals a
-    subset's (that subset's missing column adds none).  A part of `open`
-    that the candidate spans is spanned by none of its proper subsets, so
-    every set recorded is minimal.  A candidate whose rank is the code's
-    rank spans what all columns span, so it is recorded for every part of
-    `open` with no elimination, and it is not kept: no target is left
+    Each set's span is held by its parity checks: a basis of the vectors
+    orthogonal to it, over only the n parts the cells involve, so its rank
+    is n minus the basis's size and it spans e_i iff no check has bit i.
+    Adding a cell cuts the basis by `gf2.orthogonal_cut`.  Level s keeps
+    each s-column set in which every column adds rank and some target is
+    still unspanned, with its checks and those targets.  Kept sets are
+    grouped by their columns but the highest, and two of a group, S + a
+    and S + b with a < b, join into the candidate S + a + b.  It is tried
+    only when its other s-column subsets are kept too and `open`, the
+    targets that none of its s-column subsets spans, is not empty; it is
+    dropped when b adds no rank to S + a or its rank equals a subset's
+    (that subset's missing column adds none), both read off basis sizes.
+    A part of `open` that the candidate spans is spanned by none of its
+    proper subsets, so every set recorded is minimal; those parts are
+    `open` less the OR of its checks.  A candidate whose rank is the
+    code's rank spans what all columns span, so it is recorded for every
+    part of `open` with no OR, and it is not kept: no target is left
     unspanned in it.  Every proper subset T of a minimal set M is kept: a
     column adding no rank to T adds none to M either, and then M is not
     minimal.  So each minimal set is tried, from its two highest columns,
     and recorded once.
     """
     m = len(rows)
-    whole: dict[int, int] = {}  # pivot table of every column
-    involved = 0
-    for col in rows:
-        for row in col:
-            pivot_insert(whole, row)
-            involved |= row
-    found: dict[int, list[int]] = {}  # target part's bit -> its minimal sets
-    targets = 0
-    while involved:
-        bit = involved & -involved
-        involved ^= bit
-        if pivot_reduce(whole, bit) == 0:
-            found[bit] = []
-            targets |= bit
-    full_rank = len(whole)
+    involved = reduce(or_, chain.from_iterable(rows), 0)
+    units = [1 << part - 1 for part in parts_of(involved)]  # the empty span's checks
+    whole = _cut_all(units, chain.from_iterable(rows))
+    targets = involved & ~reduce(or_, whole, 0)
+    found: dict[int, list[int]] = {bit: [] for bit in units if bit & targets}  # target -> minimal sets
+    full_dim = len(whole)
 
-    # A kept set is (mask, pivot rows, unspanned targets).  `level` holds
+    # A kept set is (mask, parity checks, unspanned targets).  `level` holds
     # one size's by mask, and `groups` the same sets grouped by mask minus
     # the highest column, each group's highest columns ascending.
     level: dict[int, tuple[int, tuple[int, ...], int]] = {}
     for c in range(m):
-        pivots: dict[int, int] = {}
-        for row in rows[c]:
-            pivot_insert(pivots, row)
-        unspanned = targets
+        dual = _cut_all(units, rows[c])
+        checked = reduce(or_, dual, 0)
         for bit, minimal in found.items():
-            if pivot_reduce(pivots, bit) == 0:
+            if not bit & checked:
                 minimal.append(1 << c)
-                unspanned ^= bit
-        if pivots and unspanned:
-            level[1 << c] = (1 << c, tuple(pivots.values()), unspanned)
+        unspanned = targets & checked
+        if len(dual) < len(units) and unspanned:
+            level[1 << c] = (1 << c, tuple(dual), unspanned)
     groups = [list(level.values())] if level else []
     while groups:
         next_level: dict[int, tuple[int, tuple[int, ...], int]] = {}
@@ -528,52 +534,36 @@ def _minimal_recovery_masks(rows: Sequence[Sequence[int]], p: int) -> list[Seque
                 bit = shared & -shared
                 shared ^= bit
                 others.append(bit)
-            for x, (base, base_rows, base_unspanned) in enumerate(group):
-                pivots = None
+            for x, (base, base_dual, base_unspanned) in enumerate(group):
                 joined = []
-                for mask, top_rows, top_unspanned in group[x + 1 :]:
+                for mask, top_dual, top_unspanned in group[x + 1 :]:
                     open_parts = base_unspanned & top_unspanned
                     if not open_parts:
                         continue
                     candidate = base | mask
-                    rank = max(len(base_rows), len(top_rows))
+                    least = min(len(base_dual), len(top_dual))
                     for bit in others:
                         subset = level.get(candidate ^ bit)
                         if subset is None:
                             break
                         open_parts &= subset[2]
-                        if len(subset[1]) > rank:
-                            rank = len(subset[1])
+                        if len(subset[1]) < least:
+                            least = len(subset[1])
                     else:
                         if not open_parts:
                             continue
-                        if pivots is None:
-                            pivots = {row.bit_length() - 1: row for row in base_rows}
-                        trial = pivots
-                        for row in rows[mask.bit_length() - 1]:
-                            residual = pivot_reduce(trial, row)
-                            if residual:
-                                if trial is pivots:
-                                    trial = dict(pivots)
-                                trial[residual.bit_length() - 1] = residual
-                        if len(trial) <= rank:
+                        dual = _cut_all(base_dual, rows[mask.bit_length() - 1])
+                        if len(dual) >= least:
                             continue
-                        if len(trial) == full_rank:
-                            # it spans what all columns span, so every target
-                            while open_parts:
-                                bit = open_parts & -open_parts
-                                open_parts ^= bit
-                                found[bit].append(candidate)
-                            continue
-                        unspanned = open_parts
-                        while open_parts:
-                            bit = open_parts & -open_parts
-                            open_parts ^= bit
-                            if pivot_reduce(trial, bit) == 0:
-                                found[bit].append(candidate)
-                                unspanned ^= bit
+                        # at the code's rank it spans what all columns span: every target
+                        unspanned = 0 if len(dual) == full_dim else open_parts & reduce(or_, dual, 0)
+                        spanned = open_parts ^ unspanned
+                        while spanned:
+                            bit = spanned & -spanned
+                            spanned ^= bit
+                            found[bit].append(candidate)
                         if unspanned:
-                            entry = (candidate, tuple(trial.values()), unspanned)
+                            entry = (candidate, tuple(dual), unspanned)
                             next_level[candidate] = entry
                             joined.append(entry)
                 if joined:
@@ -682,11 +672,11 @@ def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport
     bitmasks, which visits up to 2^m masks but stops at the size-aware
     packing bound (see its docstring); a part with no minimal set gets
     k_i = 0 without a search.  With `cap=16`, 72 seeded random codes of 16
-    columns (p 5-16, t 2-6) take 0.0003-0.50 s, median 0.011 s; the slowest,
-    t <= 3 at p = 16, have 13,000-17,700 minimal sets, and at t = 2
-    enumerating them is most of the time.  With `cap=20`, the seeded m=20,
-    p=12, t=4 code takes about 0.2 s, the packing most of it (Python
-    3.11.7, one core of a shared 2-vCPU Xeon VM).
+    columns (p 5-16, t 2-6) take 0.0002-0.25 s, median 0.010 s; the slowest,
+    t <= 3 at p >= 14, have 10,700-16,900 minimal sets, and at t = 2
+    enumerating them is about half the time.  With `cap=20`, the seeded
+    m=20, p=12, t=4 code takes about 0.17 s, nearly all of it the packing
+    (Python 3.11.7, one core of a shared 2-vCPU Xeon VM).
     """
     if code.m > cap:
         raise CapExceeded(

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pirarray.errors import ParameterError
-from pirarray.gf2 import parts_of, pivot_insert, pivot_reduce
+from pirarray.gf2 import orthogonal_cut, parts_of, pivot_insert, pivot_reduce
 
 from conftest import INTRO_TEXT
 from pirarray import ArrayCode, parse_code
@@ -142,3 +143,42 @@ def test_generated_columns_have_full_rank():
     code = build_c1(3, 2)
     for col in code.columns:
         assert rank(col) == code.t
+
+
+def _cut_cases():
+    """Seeded cell lists at widths on both sides of bit 63, each with
+    dependent cells, a repeated cell and a zero cell mixed in, plus the
+    empty list."""
+    yield 5, []
+    for width in (1, 3, 8, 62, 63, 64, 65, 70):
+        for seed in range(6):
+            rng = random.Random(width * 100 + seed)
+            cells = [rng.getrandbits(width) | 1 << rng.randrange(width) for _ in range(rng.randint(1, width + 2))]
+            for _ in range(3):
+                a, b = rng.sample(range(len(cells)), 2) if len(cells) > 1 else (0, 0)
+                cells.insert(rng.randrange(len(cells) + 1), cells[a] ^ cells[b])
+            cells.insert(rng.randrange(len(cells) + 1), rng.choice(cells))
+            cells.insert(rng.randrange(len(cells) + 1), 0)
+            yield width, cells
+
+
+@pytest.mark.parametrize("width, cells", list(_cut_cases()))
+def test_orthogonal_cut_keeps_the_parity_checks_of_the_span(width, cells):
+    rng = random.Random(width + len(cells))
+    dual = [1 << i for i in range(width)]
+    pivots = {}
+    for n, cell in enumerate(cells, start=1):
+        cut = orthogonal_cut(dual, cell)
+        assert (cut is None) == (not pivot_insert(pivots, cell))
+        if cut is not None:
+            dual = cut
+        assert width - len(dual) == len(pivots)
+        assert all((check & earlier).bit_count() % 2 == 0 for check in dual for earlier in cells[:n])
+        inside = 0
+        for earlier in cells[:n]:
+            if rng.getrandbits(1):
+                inside ^= earlier
+        for vector in (inside, rng.getrandbits(width), inside ^ 1 << rng.randrange(width)):
+            orthogonal = all((check & vector).bit_count() % 2 == 0 for check in dual)
+            assert orthogonal == (pivot_reduce(pivots, vector) == 0)
+    assert len(dual) == width - rank(cells)

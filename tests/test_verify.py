@@ -37,7 +37,7 @@ from pirarray import (
 )
 from pirarray import verify as verify_module
 from pirarray.errors import CapExceeded
-from pirarray.gf2 import pivot_insert, pivot_reduce
+from pirarray.gf2 import parts_of, pivot_insert, pivot_reduce
 from pirarray.model import _rotation_image, _singleton_columns
 from pirarray.verify import (
     _indexed_edges,
@@ -901,6 +901,28 @@ def test_enumeration_past_the_hypothesis_sizes_is_unchanged():
             total += len(masks)
     assert total == 41_692
     assert digest.hexdigest() == GOLDEN_LARGE_ENUMERATION_SHA256
+
+
+# Parts a wide code's cells use: both sides of bit 63 (part 64), with parts
+# 6-61 and 67-69 stored nowhere.
+WIDE_PARTS = (1, 2, 3, 4, 5, 62, 63, 64, 65, 66, 70)
+
+
+@pytest.mark.parametrize("seed, m, t", [(0, 8, 2), (1, 9, 3), (2, 10, 2), (3, 10, 4)])
+def test_enumeration_on_cells_past_bit_63_matches_the_oracle(seed, m, t):
+    narrow = seeded_code(seed, m, len(WIDE_PARTS), t)
+    columns = [
+        [sum(1 << WIDE_PARTS[i - 1] - 1 for i in parts_of(cell)) for cell in column] for column in narrow.columns
+    ]
+    code = ArrayCode.from_columns(70, columns)
+    found = _minimal_recovery_masks(code.columns, code.p)
+    assert len(found) == 70
+    for part in range(1, 71):
+        if part in WIDE_PARTS:
+            assert list(found[part - 1]) == _oracle_minimal_masks(code, part)
+        else:
+            assert found[part - 1] == ()
+    assert any(found[63]) and any(found[:5])
 
 
 # (m, p, t) of the seeded random codes in the exhaustive golden set; seed = position.
