@@ -31,7 +31,7 @@ from .constructions import (
     solve_xi,
 )
 from .errors import CapExceeded, FormatError, ParameterError
-from .matching import IndexedGraph, max_general_matching
+from .matching import max_general_matching
 from .model import (
     ArrayCode,
     RecoveryPlan,
@@ -58,7 +58,6 @@ __all__ = [
     "ConstructionParams",
     "Fleet",
     "FormatError",
-    "IndexedGraph",
     "ParameterError",
     "RecoveryPlan",
     "SessionTranscript",

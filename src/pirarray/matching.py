@@ -3,63 +3,23 @@
 `max_general_matching` is blossom-contraction augmentation and accepts any
 simple graph, which the pair-limited verifier needs because arbitrary codes
 produce non-bipartite pair graphs.  (The paper's bipartite matchings, via
-Hall's theorem, appear only in its proofs.)  A graph is given as an
-`IndexedGraph`.  `IndexedGraph.of` checks a neighbour map, vertex -> the
-collection of its neighbours listing every edge both ways, to be simple and
-undirected and indexes it (vertices sorted, each neighbour row turned into
-ascending indices).  Vertices are taken in ascending order and each
-vertex's neighbours in ascending order, so a given graph always yields the
-same matching.
+Hall's theorem, appear only in its proofs.)  A graph is given as a
+neighbour map, vertex -> the collection of its neighbours listing every
+edge both ways; the matcher checks it to be simple and undirected and
+indexes it (vertices sorted, each neighbour row turned into ascending
+indices).  Vertices are taken in ascending order and each vertex's
+neighbours in ascending order, so a given graph always yields the same
+matching.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Collection, Mapping, NamedTuple
+from typing import Collection, Mapping
 
 from .errors import ParameterError
 
-__all__ = ["IndexedGraph", "max_general_matching"]
-
-
-class IndexedGraph(NamedTuple):
-    """A simple undirected graph in index space: the ascending vertices
-    `verts` and, per vertex, `adj[i]` the ascending indices into `verts` of
-    vertex i's neighbours.  `max_general_matching` takes it as it is."""
-
-    verts: list[int]
-    adj: list[list[int]]
-
-    @classmethod
-    def of(cls, neighbours: Mapping[int, Collection[int]]) -> IndexedGraph:
-        """Index a neighbour map.  `neighbours[v]` holds v's neighbours, and
-        u is in `neighbours[v]` exactly when v is in `neighbours[u]`; a vertex
-        with no neighbours maps to an empty collection.  A self-loop, a
-        repeated neighbour, a neighbour that is not a key, or an edge listed
-        one way only raises ParameterError.
-
-        Row j is filled with the i of every vertex that lists vertex j, in
-        ascending i, so no row needs sorting; once every edge is checked to
-        be listed both ways, that is exactly vertex j's own neighbours.
-        """
-        verts = sorted(neighbours)
-        index = {v: i for i, v in enumerate(verts)}
-        adj: list[list[int]] = [[] for _ in verts]
-        for i, v in enumerate(verts):
-            near = neighbours[v]
-            if v in near:
-                raise ParameterError(f"self-loop at vertex {v}")
-            if not isinstance(near, (set, frozenset)) and len(set(near)) != len(near):
-                raise ParameterError(f"vertex {v} lists a duplicate neighbour")
-            for u in near:
-                try:
-                    j = index[u]
-                except KeyError:
-                    raise ParameterError(f"vertex {v} has an unknown neighbour {u}") from None
-                if v not in neighbours[u]:
-                    raise ParameterError(f"edge ({v},{u}) is listed one way only")
-                adj[j].append(i)
-        return cls(verts, adj)
+__all__ = ["max_general_matching"]
 
 
 def _lca(base: list[int], match: list[int], parent: list[int], a: int, b: int) -> int:
@@ -146,11 +106,38 @@ def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
     return False
 
 
-def max_general_matching(graph: IndexedGraph) -> list[tuple[int, int]]:
+def max_general_matching(neighbours: Mapping[int, Collection[int]]) -> list[tuple[int, int]]:
     """Maximum matching of a simple undirected graph as ascending vertex
-    pairs in ascending order.  The graph is taken as it is, with no check;
-    `IndexedGraph.of` checks a neighbour map and indexes it."""
-    verts, adj = graph
+    pairs in ascending order.
+
+    `neighbours[v]` holds v's neighbours, and u is in `neighbours[v]`
+    exactly when v is in `neighbours[u]`; a vertex with no neighbours maps
+    to an empty collection.  A self-loop, a repeated neighbour, a neighbour
+    that is not a key, or an edge listed one way only raises
+    ParameterError.  The map is read, never changed.
+
+    The vertices are indexed in ascending order, and row j of the index
+    is filled with the i of every vertex that lists vertex j, in ascending
+    i, so no row needs sorting; once every edge is checked to be listed
+    both ways, that is exactly vertex j's own neighbours.
+    """
+    verts = sorted(neighbours)
+    index = {v: i for i, v in enumerate(verts)}
+    adj: list[list[int]] = [[] for _ in verts]
+    for i, v in enumerate(verts):
+        near = neighbours[v]
+        if v in near:
+            raise ParameterError(f"self-loop at vertex {v}")
+        if not isinstance(near, (set, frozenset)) and len(set(near)) != len(near):
+            raise ParameterError(f"vertex {v} lists a duplicate neighbour")
+        for u in near:
+            try:
+                j = index[u]
+            except KeyError:
+                raise ParameterError(f"vertex {v} has an unknown neighbour {u}") from None
+            if v not in neighbours[u]:
+                raise ParameterError(f"edge ({v},{u}) is listed one way only")
+            adj[j].append(i)
     n = len(verts)
     match = [-1] * n
     for v in range(n):  # greedy seed keeps the augmentation count low

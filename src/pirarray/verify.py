@@ -32,10 +32,10 @@ enumeration keeps none: each kept set carries its span's parity checks.
 
 Pair mode builds each part's pair graph one of two ways, whichever a size
 estimate says is cheaper for the code, as a neighbour map (column -> set of
-columns), and `matching.IndexedGraph.of` checks it once and indexes it
-(sorted columns, each row of ascending indices) for the matching; each
-part's graph is freed once it is matched, and a part with no edges costs
-no graph.  The span index: for columns U, V
+columns), and `max_general_matching` takes that map, checks it once and
+indexes it (sorted columns, each row of ascending indices); each part's
+graph is freed once it is matched, and a part with no edges costs no
+graph.  The span index: for columns U, V
 that do not span e_i alone, e_i lies in span(U)+span(V) iff some x in
 span(U) has x ^ e_i in span(V).  The index maps each nonzero vector to
 the columns whose span holds it, built from every column's 2^t - 1 span
@@ -69,7 +69,8 @@ where a part's graph has more than one maximum matching.  O(p) checks and
 one pass over the cells turn most other codes away before any cell is
 rotated.
 
-`verify_plan` takes the same map: on a rotation-closed code, a part that
+`verify_plan` takes the same map through the same `_mapped` that maps a
+pair plan's parts: on a rotation-closed code, a part that
 follows a passed part is first compared, as an exact sequence, with the
 part before's sets mapped by it and sorted.  On a match it passes with no
 elimination and no range or disjointness test: pi is a permutation of
@@ -94,7 +95,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded
 from .gf2 import orthogonal_cut, parts_of, pivot_insert, pivot_reduce
-from .matching import IndexedGraph, max_general_matching
+from .matching import max_general_matching
 from .model import ArrayCode, RecoveryPlan, singleton_census
 
 __all__ = [
@@ -330,6 +331,7 @@ def _indexed_edges(
             del index
         if neighbours:
             yield part, neighbours
+        del neighbours  # so a map the caller has dropped is freed before the next is built
 
 
 def _scanned_edges(
@@ -383,22 +385,6 @@ def _use_span_index(code: ArrayCode, holders: Sequence[Sequence[int]]) -> bool:
     return entries <= candidates
 
 
-def _part_graphs(
-    code: ArrayCode, holders: Sequence[Sequence[int]], parts: int
-) -> Iterator[tuple[int, IndexedGraph]]:
-    """For parts 1..`parts` in turn, each part that has edges, with its pair
-    graph checked and indexed: each neighbour map is built from the span
-    index or the pair scan, whichever `_use_span_index` judges cheaper, and
-    indexed by `IndexedGraph.of`; the span index is freed before the last
-    graph is indexed and matched."""
-    if _use_span_index(code, holders):
-        maps = _indexed_edges(code, holders, parts)
-    else:
-        maps = _scanned_edges(code, holders, parts)
-    for part, neighbours in maps:
-        yield part, IndexedGraph.of(neighbours)
-
-
 def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     """Singleton holders plus maximum pair matching, per part.
 
@@ -406,10 +392,12 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     the reported k is a valid lower bound.  Each part's pair graph comes
     from the span index or the pair scan, whichever `_use_span_index`
     judges cheaper (see the module docstring), and goes to
-    `max_general_matching` as it is indexed.  For a code closed under the
-    part rotation only part 1 is matched, and part i+1's pairs are part i's
-    mapped by the column map `ArrayCode._rotation`, so each part's sets are
-    as many as a matching of its own graph would give.
+    `max_general_matching` as the neighbour map it is built as.  For a code
+    closed under the part rotation only part 1 is matched, and part i+1's
+    pairs are part i's mapped by the column map `ArrayCode._rotation`
+    through `_mapped`, as `verify_plan` maps them, so each part's sets are
+    as many as a matching of its own graph would give.  Every part's
+    holders come from `ArrayCode._holders`.
 
     Part i is certified when f <= 2*nu + 2, with f = m - alpha_i its
     non-holder columns and nu its matching size.  Some optimal packing
@@ -429,19 +417,16 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     """
     holders = code._holders
     image = code._rotation
+    edges = _indexed_edges if _use_span_index(code, holders) else _scanned_edges
     pairs = {}
-    for part, graph in _part_graphs(code, holders, code.p if image is None else 1):
-        pairs[part] = max_general_matching(graph)
-        del graph  # free this part's graph before the next one is built
+    for part, neighbours in edges(code, holders, code.p if image is None else 1):
+        pairs[part] = max_general_matching(neighbours)
+        del neighbours  # free this part's graph before the next one is built
     if image is not None and pairs:
-        # part i+1's pairs are part i's mapped through the rotation, each
-        # put in order by one comparison (see the module docstring)
-        lows = [u for u, _ in pairs[1]]
-        highs = [v for _, v in pairs[1]]
+        # part i+1's pairs are part i's mapped through the rotation (see the
+        # module docstring)
         for part in range(2, code.p + 1):
-            lows = list(map(image.__getitem__, lows))
-            highs = list(map(image.__getitem__, highs))
-            pairs[part] = [(u, v) if u < v else (v, u) for u, v in zip(lows, highs)]
+            pairs[part] = _mapped(image, pairs[part - 1])
     # a part with no holders and no pairs costs one step of each loop below
     plan_sets = dict.fromkeys(range(1, code.p + 1), ())
     for part, held in enumerate(holders, start=1):

@@ -86,7 +86,11 @@ def family_labels() -> tuple[str, ...]:
 
 def random_column(rng: random.Random, p: int, t: int, used: int, forced: int) -> list[int]:
     """t cells over parts 1..used spanning a random space that contains `forced`
-    (when nonzero), storing every singleton of that space as a cell."""
+    (when nonzero), storing every singleton of that space as a cell.  Over
+    fewer than t parts no t cells are independent, so t > used raises
+    ValueError."""
+    if t > used:
+        raise ValueError(f"no {t} independent cells over {used} parts")
     span: dict[int, int] = {}
     cells = [forced] if forced else []
     for bits in cells:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pirarray import IndexedGraph, build_c1, max_general_matching
+from pirarray import build_c1, max_general_matching
 from pirarray.errors import ParameterError
 from pirarray.gf2 import parts_of, pivot_insert, pivot_reduce
 
@@ -45,32 +46,32 @@ def spans_part(code, columns, part):
 
 def test_complete_bipartite_k33():
     g = graph(range(1, 7), [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
-    matching = max_general_matching(IndexedGraph.of(g))
+    matching = max_general_matching(g)
     assert len(matching) == 3
     assert len({u for u, _ in matching}) == len({v for _, v in matching}) == 3
 
 
 def test_empty_graph():
     g = graph([], [])
-    assert max_general_matching(IndexedGraph.of(g)) == []
+    assert max_general_matching(g) == []
 
 
 def test_triangle_and_five_cycle():
     tri = graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    assert len(max_general_matching(IndexedGraph.of(tri))) == 1
+    assert len(max_general_matching(tri)) == 1
     cyc = graph(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
-    assert len(max_general_matching(IndexedGraph.of(cyc))) == 2
+    assert len(max_general_matching(cyc)) == 2
 
 
 def test_graph_validation():
     with pytest.raises(ParameterError, match="self-loop"):
-        IndexedGraph.of({1: {1}})
+        max_general_matching({1: {1}})
     with pytest.raises(ParameterError, match="duplicate"):
-        IndexedGraph.of({1: [2, 2], 2: [1]})
+        max_general_matching({1: [2, 2], 2: [1]})
     with pytest.raises(ParameterError, match="unknown"):
-        IndexedGraph.of({1: {3}, 2: set()})
+        max_general_matching({1: {3}, 2: set()})
     with pytest.raises(ParameterError, match="one way"):
-        IndexedGraph.of({1: {2}, 2: set()})
+        max_general_matching({1: {2}, 2: set()})
 
 
 def test_c1_pair_graph_has_perfect_matching():
@@ -96,13 +97,13 @@ def test_c1_pair_graph_has_perfect_matching():
             if spans_part(code, (u, v), target):
                 edges.append((u, v))
     g = graph(left + right, edges)
-    assert len(max_general_matching(IndexedGraph.of(g))) == 3
+    assert len(max_general_matching(g)) == 3
 
 
 def test_intro_pair_graph_for_part_five(intro_code):
     assert spans_part(intro_code, (3, 4), 5)
     g = graph([3, 4], [(3, 4)])
-    assert max_general_matching(IndexedGraph.of(g)) == [(3, 4)]
+    assert max_general_matching(g) == [(3, 4)]
 
 
 def test_regular_bipartite_has_perfect_matching():
@@ -111,16 +112,16 @@ def test_regular_bipartite_has_perfect_matching():
         left = list(range(n))
         right = list(range(n, 2 * n))
         edges = [(i, n + (i + shift) % n) for i in range(n) for shift in range(degree)]
-        assert len(max_general_matching(IndexedGraph.of(graph(left + right, edges)))) == n
+        assert len(max_general_matching(graph(left + right, edges))) == n
 
 
 def test_matching_is_deterministic():
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)]
     g = graph(range(1, 7), edges)
-    first = max_general_matching(IndexedGraph.of(g))
-    assert first == max_general_matching(IndexedGraph.of(g))
+    first = max_general_matching(g)
+    assert first == max_general_matching(g)
     reversed_rows = {v: sorted(near, reverse=True) for v, near in g.items()}
-    assert first == max_general_matching(IndexedGraph.of(reversed_rows))
+    assert first == max_general_matching(reversed_rows)
     assert len(first) == 3
 
 
@@ -140,7 +141,7 @@ graph_strategy = st.integers(min_value=2, max_value=8).flatmap(
 def test_general_matching_matches_bruteforce(case):
     n, edges = case
     g = graph(range(n), edges)
-    found = max_general_matching(IndexedGraph.of(g))
+    found = max_general_matching(g)
     assert len(found) == bruteforce_max_matching(range(n), edges)
     # result is a valid matching
     seen = [v for e in found for v in e]
@@ -172,13 +173,13 @@ def seeded_graphs():
 def test_matchings_on_seeded_graphs_are_unchanged():
     digest = hashlib.sha256()
     for g in seeded_graphs():
-        indexed = IndexedGraph.of(g)
-        digest.update(repr(max_general_matching(indexed)).encode())
-        # the matching reads the graph and leaves it as it was
-        assert indexed == IndexedGraph.of(g)
+        before = copy.deepcopy(g)
+        digest.update(repr(max_general_matching(g)).encode())
+        # the matching reads the neighbour map and leaves it as it was
+        assert g == before
     assert digest.hexdigest() == GOLDEN_MATCHINGS_SHA256
 
 
-def test_indexed_graph_of_sorts_and_indexes():
-    assert IndexedGraph.of({}) == IndexedGraph([], [])
-    assert IndexedGraph.of({5: {2, 9}, 2: {5}, 9: [5]}) == IndexedGraph([2, 5, 9], [[1], [0, 2], [1]])
+def test_matching_takes_set_and_list_rows():
+    assert max_general_matching({}) == []
+    assert max_general_matching({5: {2, 9}, 2: {5}, 9: [5]}) == [(2, 5)]

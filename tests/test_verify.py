@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from pirarray import (
     ArrayCode,
     ConstructionParams,
-    IndexedGraph,
     RecoveryPlan,
     VerifyReport,
     build_c1,
@@ -41,8 +40,8 @@ from pirarray.gf2 import parts_of, pivot_insert, pivot_reduce
 from pirarray.model import _rotation_image, _singleton_columns
 from pirarray.verify import (
     _indexed_edges,
+    _mapped,
     _minimal_recovery_masks,
-    _part_graphs,
     _scanned_edges,
     _span_index,
     _use_span_index,
@@ -442,8 +441,7 @@ def _oracle_plan(code: ArrayCode, parts: int | None = None) -> RecoveryPlan:
         sets = [frozenset({j + 1}) for j in sorted(holders)]
         edges = _oracle_edges(code, part)
         if edges:
-            graph = IndexedGraph.of(_as_neighbours(edges))
-            sets.extend(frozenset(e) for e in max_general_matching(graph))
+            sets.extend(frozenset(e) for e in max_general_matching(_as_neighbours(edges)))
         sets_by_part[part] = sets
     return RecoveryPlan(sets_by_part)
 
@@ -468,6 +466,15 @@ def _check_pair_plan(code: ArrayCode, parts: int | None = None) -> list[int] | N
         assert plan.sets(part + 1) == tuple(mapped)
     assert verify_plan(code, plan).ok
     return image
+
+
+def test_seeded_codes_refuse_more_cells_than_parts():
+    # over fewer than t parts no t cells are independent, so drawing them
+    # would never end
+    with pytest.raises(ValueError, match="no 5 independent cells over 2 parts"):
+        seeded_code(0, 3, 2, 5)
+    with pytest.raises(ValueError, match="no 3 independent cells over 2 parts"):
+        random_column(random.Random(0), 6, 3, 2, 0b11)
 
 
 @st.composite
@@ -637,14 +644,34 @@ def test_rotated_part_graphs_equal_the_built_ones(key):
     image = _check_pair_plan(code, parts=1)
     assert image is not None
     assert sorted(image[1:]) == list(range(1, code.m + 1))
-    built = [graph for _, graph in _part_graphs(code, _singleton_columns(code), code.p)]
+    holders = _singleton_columns(code)
+    edges = _indexed_edges if _use_span_index(code, holders) else _scanned_edges
+    built = [neighbours for _, neighbours in edges(code, holders, code.p)]
     assert len(built) == code.p
-    for part, (verts, adj) in enumerate(built):
-        next_verts, next_adj = built[(part + 1) % code.p]
-        assert sorted(image[v] for v in verts) == next_verts
-        position = {v: i for i, v in enumerate(next_verts)}
-        sigma = [position[image[v]] for v in verts]  # index here -> index there
-        assert all(sorted(sigma[j] for j in row) == next_adj[sigma[i]] for i, row in enumerate(adj))
+    for part, neighbours in enumerate(built):
+        renamed = {image[u]: {image[v] for v in near} for u, near in neighbours.items()}
+        assert renamed == built[(part + 1) % code.p]
+
+
+@pytest.mark.parametrize("key", ROTATION_CLOSED, ids=str)
+def test_pair_plan_parts_are_the_part_before_mapped(key, monkeypatch):
+    # part i+1's sets are part i's through verify_plan's own `_mapped`, so
+    # verify_plan eliminates part 1's sets and no other part's
+    family, t, d, s = key
+    code = ConstructionParams(family, t, d=d, s=None if s is None else Fraction(s)).build()
+    plan = k_pir_pairs(code).plan
+    for part in range(1, code.p):
+        assert plan.sets(part + 1) == tuple(_mapped(code._rotation, plan.sets(part)))
+    calls = 0
+
+    def counted(pivots, bits):
+        nonlocal calls
+        calls += 1
+        return pivot_insert(pivots, bits)
+
+    monkeypatch.setattr(verify_module, "pivot_insert", counted)
+    assert verify_plan(code, plan) == (True, None)
+    assert calls == code.t * sum(len(columns) for columns in plan.sets(1) if len(columns) > 1)
 
 
 def test_codes_not_closed_under_rotation_get_no_column_map():
