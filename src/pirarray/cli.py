@@ -77,6 +77,11 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
     if command == "table":
         _flag("--max-s", args.max_s, 2)
         _flag("--max-t", args.max_t, 1)
+    if command == "verify" and args.cap is not None:
+        # pair mode has no cap, so there --cap would be dropped without a word
+        if args.mode != "exhaustive":
+            raise ParameterError("--cap needs --mode exhaustive")
+        _flag("--cap", args.cap, 1)
     if command == "simulate":
         # a sweep needs both of its flags and prints no session, so the
         # session flags would be dropped without a word
@@ -106,7 +111,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     code = parse_code(args.infile.read_text(encoding="utf-8"))
     if args.mode == "exhaustive":
-        report = k_pir_exhaustive(code, cap=args.cap)
+        report = k_pir_exhaustive(code, cap=EXHAUSTIVE_CAP if args.cap is None else args.cap)
     else:
         report = k_pir_pairs(code)
     rate = report.rate
@@ -235,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify the k-PIR parameter of a PIRCODE file")
     verify.add_argument("--in", dest="infile", type=Path, required=True)
     verify.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
-    verify.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP, help="exhaustive column cap")
+    verify.add_argument("--cap", type=int, help=f"exhaustive column cap (default {EXHAUSTIVE_CAP})")
     verify.add_argument("--plan-out", type=Path)
     verify.add_argument("--expect-k", type=int)
 

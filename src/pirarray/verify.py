@@ -2,7 +2,9 @@
 
 Exhaustive mode is exact but limited to small column counts: it
 enumerates every part's inclusion-minimal recovery sets and solves each
-part's disjoint packing problem by memoized search over column bitmasks.
+part's disjoint packing problem by a depth-first search over column
+bitmasks for a packing of a given size, asked first for the packing bound
+below and for one set fewer each time it fails.
 The enumeration is one search by set size, shared by all parts: size s+1
 joins two kept s-column sets that differ in their highest column, and a
 set is kept while every column adds rank and some part is unspanned.  A
@@ -15,8 +17,9 @@ other minimal set, every other set has at least two columns, and only the
 columns of the two-column sets can hold one of those, so with f the
 non-holder columns of a mask and q those of them in some two-column set, a
 packing inside the mask has at most
-holders-in-mask + min(f // 2, (f + q // 2) // 3) sets; one more column
-raises it by at most one.  Pair mode counts
+holders-in-mask + min(f // 2, (f + q // 2) // 3) sets, and the search
+enters no branch whose remainder's bound is below the sets it still needs.
+Pair mode counts
 singleton holders plus a maximum matching on the pair graph of the remaining
 columns; that is exact whenever optimal recovery sets have size at most two
 (true for every family this package generates) and a valid lower bound
@@ -575,13 +578,17 @@ def _max_packing(minimal: Sequence[int], m: int) -> list[int]:
 
         UB(mask) = |mask & H| + min(f // 2, (f + |mask & Q| // 2) // 3).
 
-    At most one set of a packing holds c, so best(mask) is best(mask - c)
-    or one more: `best(mask)` scans no candidate when best(mask - c) meets
-    UB(mask), stops at the first candidate that raises it, and skips a
-    candidate whose remainder's UB, read off its precomputed size and
-    |candidate & Q|, is below best(mask - c).  Both minimums are tested as
-    two comparisons, with no call per memo state.  Every value stays exact,
-    so the sets picked are those of the unbounded search.
+    `find(mask, need)` looks depth first for `need` disjoint sets inside
+    `mask`, appending each set it picks to `chosen` and taking it back if
+    its branch fails.  At c it takes {c} if c is in H; else it tries each
+    candidate that fits, in order, where the remainder's UB is at least
+    need - 1, and last drops c where UB(mask - c) is at least need.
+    `fail[mask]` is the least need shown out of reach.  `need` starts at UB
+    of all columns and steps down until `find` succeeds, which is at the
+    maximum.  There a candidate's branch succeeds exactly when the
+    remainder's maximum is one less than mask's, so at every step the
+    search keeps the first candidate that attains the maximum, or else
+    drops c, whatever the bound and the memo prune.
     """
     held = paired = 0
     for mask in minimal:
@@ -590,60 +597,56 @@ def _max_packing(minimal: Sequence[int], m: int) -> list[int]:
             held |= mask
         elif size == 2:
             paired |= mask
-    by_low: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    by_low: list[list[int]] = [[] for _ in range(m)]
     for mask in minimal:
-        by_low[(mask & -mask).bit_length() - 1].append(
-            (mask, mask.bit_count(), (mask & paired).bit_count())
-        )
-    free = ((1 << m) - 1) ^ held
-    memo: dict[int, int] = {0: 0}
-
-    def best(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        low = mask & -mask
-        value = best(mask ^ low)
-        if low & held:
-            value += 1
-        else:
-            # best(mask - c) packs the holders in mask and `others` other sets
-            others = value - (mask & held).bit_count()
-            free_in = (mask & free).bit_count()
-            if free_in // 2 > others:
-                paired_in = (mask & paired).bit_count()
-                if (free_in + paired_in // 2) // 3 > others:
-                    for candidate, size, pairs in by_low[low.bit_length() - 1]:
-                        rest = free_in - size
-                        if (
-                            candidate & mask == candidate
-                            and rest // 2 >= others
-                            and (rest + (paired_in - pairs) // 2) // 3 >= others
-                            and best(mask ^ candidate) == value
-                        ):
-                            value += 1
-                            break
-        memo[mask] = value
-        return value
-
+        by_low[(mask & -mask).bit_length() - 1].append(mask)
+    full = (1 << m) - 1
+    free = full ^ held
+    fail: dict[int, int] = {}  # mask -> the least need shown out of reach
     chosen: list[int] = []
-    mask = (1 << m) - 1
-    while mask:
-        c = (mask & -mask).bit_length() - 1
-        score = best(mask)
-        picked = None
-        for candidate, _, _ in by_low[c]:
-            if candidate & mask == candidate and 1 + best(mask ^ candidate) == score:
-                picked = candidate
-                break
-        if picked is None:
-            mask &= mask - 1
+
+    def find(mask: int, need: int) -> bool:
+        if not need:
+            return True
+        if fail.get(mask, need + 1) <= need:
+            return False
+        low = mask & -mask
+        if low & held:
+            chosen.append(low)
+            if find(mask ^ low, need - 1):
+                return True
+            chosen.pop()
         else:
-            chosen.append(picked)
-            mask ^= picked
-    # `best` refers to itself through its closure cell, a cycle that would
-    # keep it, `memo` and `by_low` alive until the collector runs
-    del best
+            # the sets other than holders that a packing inside mask needs
+            others = need - (mask & held).bit_count()
+            free_in = (mask & free).bit_count()
+            paired_in = (mask & paired).bit_count()
+            for candidate in by_low[low.bit_length() - 1]:
+                if candidate & mask == candidate:
+                    rest = free_in - candidate.bit_count()
+                    if (
+                        rest // 2 >= others - 1
+                        and (rest + (paired_in - (candidate & paired).bit_count()) // 2) // 3 >= others - 1
+                    ):
+                        chosen.append(candidate)
+                        if find(mask ^ candidate, need - 1):
+                            return True
+                        chosen.pop()
+            free_in -= 1
+            if low & paired:
+                paired_in -= 1
+            if free_in // 2 >= others and (free_in + paired_in // 2) // 3 >= others and find(mask ^ low, need):
+                return True
+        fail[mask] = need
+        return False
+
+    free_in = free.bit_count()
+    need = held.bit_count() + min(free_in // 2, (free_in + paired.bit_count() // 2) // 3)
+    while not find(full, need):
+        need -= 1
+    # `find` refers to itself through its closure cell, a cycle that would
+    # keep it, `fail` and `by_low` alive until the collector runs
+    del find
     return chosen
 
 
@@ -653,15 +656,16 @@ def k_pir_exhaustive(code: ArrayCode, cap: int = EXHAUSTIVE_CAP) -> VerifyReport
     `_minimal_recovery_masks` finds every part's minimal recovery sets, each
     once, by one search by set size (its kept sets are the column subsets in
     which every column adds rank and some part is still unspanned), and
-    `_max_packing` packs each part's sets by memoized search over column
-    bitmasks, which visits up to 2^m masks but stops at the size-aware
-    packing bound (see its docstring); a part with no minimal set gets
-    k_i = 0 without a search.  With `cap=16`, 72 seeded random codes of 16
-    columns (p 5-16, t 2-6) take 0.0002-0.25 s, median 0.010 s; the slowest,
-    t <= 3 at p >= 14, have 10,700-16,900 minimal sets, and at t = 2
-    enumerating them is about half the time.  With `cap=20`, the seeded
-    m=20, p=12, t=4 code takes about 0.17 s, nearly all of it the packing
-    (Python 3.11.7, one core of a shared 2-vCPU Xeon VM).
+    `_max_packing` packs each part's sets by a depth-first search over
+    column bitmasks for as many sets as the size-aware packing bound
+    allows, then one fewer each time it fails (see its docstring); a part
+    with no minimal set gets k_i = 0 without a search.  With `cap=16`, 72
+    seeded random codes of 16 columns (p 5-16, t 2-6) take 0.0001-0.22 s,
+    median 0.004 s; the slowest, t = 2 at p = 16, have 13,400-13,700
+    minimal sets, and enumerating them is about three quarters of their
+    time.  With `cap=20`, the seeded m=20, p=12, t=4 code takes about
+    0.03 s, about three quarters of it the packing (Python 3.11.7, one core
+    of a shared 2-vCPU Xeon VM).
     """
     if code.m > cap:
         raise CapExceeded(

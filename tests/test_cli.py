@@ -7,8 +7,9 @@ import pytest
 
 from pirarray import cli, constructions
 from pirarray.cli import MAX_PRECISION, _decimal_digits, main
-from pirarray import parse_code, parse_plan
+from pirarray import k_pir_exhaustive, parse_code, parse_plan
 from pirarray.model import MAX_PARTS
+from pirarray.verify import EXHAUSTIVE_CAP
 
 from conftest import INTRO_TEXT
 
@@ -398,6 +399,41 @@ def test_verify_cap_directs_to_pairs(tmp_path, capsys):
     assert code == 2 and "k_pir_pairs" in err
     code, stdout, _ = run(capsys, "verify", "--in", str(out), "--mode", "pairs")
     assert code == 0 and stdout.splitlines()[0] == "k=13 m=15 rate=13/15"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--cap", "20"), "--cap needs --mode exhaustive"),
+        (("--mode", "pairs", "--cap", "20"), "--cap needs --mode exhaustive"),
+        (("--mode", "pairs", "--cap", "-1"), "--cap needs --mode exhaustive"),
+        (("--mode", "exhaustive", "--cap", "-1"), "--cap must be >= 1, got -1"),
+        (("--mode", "exhaustive", "--cap", "0"), "--cap must be >= 1, got 0"),
+    ],
+)
+def test_verify_refuses_a_cap_it_would_drop_or_cannot_meet(tmp_path, capsys, monkeypatch, flags, message):
+    # pair mode has no cap, and no code fits under a cap below 1; both are
+    # refused before the code is read
+    src = tmp_path / "intro.pir"
+    src.write_text(INTRO_TEXT)
+    monkeypatch.setattr(cli, "parse_code", None)
+    code, stdout, err = run(capsys, "verify", "--in", str(src), *flags)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_cap_defaults_to_the_exhaustive_cap(tmp_path, capsys, monkeypatch):
+    caps = []
+
+    def recording(code, cap):
+        caps.append(cap)
+        return k_pir_exhaustive(code, cap)
+
+    monkeypatch.setattr(cli, "k_pir_exhaustive", recording)
+    src = tmp_path / "intro.pir"
+    src.write_text(INTRO_TEXT)
+    assert run(capsys, "verify", "--in", str(src), "--mode", "exhaustive")[0] == 0
+    assert run(capsys, "verify", "--in", str(src), "--mode", "exhaustive", "--cap", "7")[0] == 0
+    assert caps == [EXHAUSTIVE_CAP, 7]
 
 
 def test_flags_are_checked_before_any_work(tmp_path, capsys, monkeypatch):

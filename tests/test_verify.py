@@ -41,6 +41,7 @@ from pirarray.model import _rotation_image, _singleton_columns
 from pirarray.verify import (
     _indexed_edges,
     _mapped,
+    _max_packing,
     _minimal_recovery_masks,
     _scanned_edges,
     _span_index,
@@ -971,7 +972,8 @@ def _golden_exhaustive_codes(intro_code) -> list[ArrayCode]:
 
 
 # (m, p, t) of seeded random codes past the golden set's m <= 14, on which
-# the bounded packing visits 2.1-7.9x fewer memo states; seed = 100 + position.
+# the packing's search makes 9-135x fewer calls than the unbounded oracle
+# memoizes masks; seed = 100 + position.
 BOUNDED_RANDOM_SHAPES = ((15, 6, 2), (15, 8, 3), (15, 10, 4), (16, 5, 2), (16, 8, 3), (16, 7, 2))
 # (m, p, t) of seeded random codes on which 90-98% of the minimal sets have
 # three or more columns, so the size-aware part of the packing bound is what
@@ -1000,6 +1002,46 @@ def test_bounded_packing_matches_the_unbounded_oracle(position):
     report = k_pir_exhaustive(code, cap=code.m)
     assert verify_plan(code, report.plan).ok
     assert serialize_plan(report.plan) == serialize_plan(RecoveryPlan(sets_by_part))
+
+
+def _random_antichain(rng: random.Random, m: int) -> list[int]:
+    """A seeded inclusion-minimal family of column masks on m columns, sorted:
+    up to m // 3 one-column sets and 1 to 3m draws of 2 to 5 columns, less
+    every draw that holds another."""
+    columns = range(m)
+    drawn = {1 << c for c in rng.sample(columns, rng.randint(0, m // 3))}
+    for _ in range(rng.randint(1, 3 * m)):
+        drawn.add(sum(1 << c for c in rng.sample(columns, min(m, rng.choice((2, 2, 3, 3, 4, 5))))))
+    return sorted(mask for mask in drawn if not any(other != mask and other & mask == other for other in drawn))
+
+
+def _packing_bound(minimal: list[int], m: int) -> int:
+    """The size-aware bound `_max_packing` starts its search at, on all m columns."""
+    held = paired = 0
+    for mask in minimal:
+        if mask.bit_count() == 1:
+            held |= mask
+        elif mask.bit_count() == 2:
+            paired |= mask
+    free = m - held.bit_count()
+    return held.bit_count() + min(free // 2, (free + paired.bit_count() // 2) // 3)
+
+
+def test_downward_packing_search_matches_the_oracle_on_synthetic_families():
+    # the search starts at the bound and steps down to the maximum, so the
+    # families must include bounds 1 and 2 or more above it
+    gaps = set()
+    sizes = set()
+    for seed in range(500):
+        rng = random.Random(seed)
+        m = rng.randint(2, 12)
+        minimal = _random_antichain(rng, m)
+        chosen = _oracle_packing(minimal, m)
+        assert _max_packing(minimal, m) == chosen, seed
+        gaps.add(min(_packing_bound(minimal, m) - len(chosen), 2))
+        sizes.update(min(mask.bit_count(), 3) for mask in minimal)
+    assert gaps == {0, 1, 2}
+    assert sizes == {1, 2, 3}
 
 
 def test_exhaustive_plans_are_unchanged(intro_code):
