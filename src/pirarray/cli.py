@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .constructions import DEFAULT_MAX_COLUMNS, FAMILIES, ConstructionParams
+from .constructions import _REGISTRY, DEFAULT_MAX_COLUMNS, FAMILIES, ConstructionParams
 from .errors import ParameterError
 from .model import parse_code, parse_plan, serialize_code, serialize_plan
 from .simulate import Fleet, availability_sweep, check_session, retrieve
@@ -64,6 +64,10 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
         if args.t is None:
             raise ParameterError("--t is required")
         args.s = parse_s(args.s) if args.s is not None else None
+        # a family takes --d (c1), --s (integer, general) or neither, and drops the other
+        for name in ("d", "s"):
+            if getattr(args, name) is not None and name != _REGISTRY[args.family].extra:
+                raise ParameterError(f"--{name} does not apply to --family {args.family}")
     if command in ("rate", "bounds", "table"):
         _flag("--precision", args.precision, 1, MAX_PRECISION)
     if command in ("construct", "rate"):

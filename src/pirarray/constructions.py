@@ -27,10 +27,13 @@ general families always use it.
 Every family's counts are (m, k), evaluated symbolically before any cells
 are materialized; every builder refuses a code wider than `max_columns` with
 `CapExceeded` carrying the computed m.  A builder emits each column as a
-tuple of int cells (bit i-1 <-> x_i) in canonical order; the copies of a
-repeated column share one tuple, and the columns of one build share one int
-per distinct cell (Python caches no int above 256, so p > 8 would otherwise
-leave a copy of a cell in every column that holds it).
+tuple of int cells (bit i-1 <-> x_i) in canonical order, straight from
+`combinations` of the unit cells 1 << (i-1): a type block is a product of
+combinations of singletons and of summands, already in canonical column
+order, so nothing is sorted but c2's and c3's few sum columns.  The copies
+of a repeated column share one tuple, and the columns of one build share
+one int per distinct sum (Python caches no int above 256, so p > 8 would
+otherwise leave a copy of a cell in every column that holds it).
 
 One registry, keyed by the names in `FAMILIES`, holds each family's extra
 parameter (d, s or none), how s follows, its (m, k) counts and its builder;
@@ -210,55 +213,43 @@ def general_s_counts(s: Fraction | int, t: int) -> tuple[int, int]:
 # materialization
 
 
-class _Cells(NamedTuple):
-    """The cells one build shares among its columns: part i's singleton at
-    `unit[i]`, and each summed cell made so far in `sums`, mapped to itself."""
-
-    unit: list[int]
-    sums: dict[int, int]
-
-
-def _cells(p: int) -> _Cells:
-    return _Cells([0] + [1 << i for i in range(p)], {})
-
-
-def block(
-    specs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], cells: _Cells, mult: int = 1
-) -> list[tuple[int, ...]]:
-    """One type block in canonical column order, each column `mult` times.
-
-    A spec is (singleton parts, summed parts), both ascending tuples; the
-    summed parts are empty for an all-singleton type.  Within one type,
-    comparing specs orders columns as comparing their canonical cells does,
-    so the sort needs no cells.  A builder passes the same `cells` to all
-    its blocks.
-    """
-    unit = cells.unit.__getitem__
-    sums = cells.sums
-    out: list[tuple[int, ...]] = []
-    for singles, summands in sorted(specs):
-        col = tuple(map(unit, singles))
-        if summands:
-            cell = sum(map(unit, summands))
-            col += (sums.setdefault(cell, cell),)
-        out.extend([col] * mult)
-    return out
-
-
 def _build_ladder(p: int, t: int, xi: Sequence[int], max_columns: int) -> ArrayCode:
-    """The ladder's type blocks T_1..T_q in order, T_r's columns xi_r times each."""
+    """The ladder's type blocks T_1..T_q in order, T_r's columns xi_r times each.
+
+    `combinations` of the ascending unit cells yields each block in the
+    lex order of its parts, which is canonical column order, and each
+    column's cells in canonical order: singletons ascending, then the sum.
+    Taking complements reverses lex order, so the (p-t+1)-subsets of the
+    units, reversed, are the parts each (t-1)-subset leaves, in step."""
     _check_cap(_ladder_counts(p, t, xi)[0], max_columns)
-    parts = range(1, p + 1)
-    cells = _cells(p)
-    columns = block(((subset, ()) for subset in combinations(parts, t)), cells, xi[0])
+    units = [1 << i for i in range(p)]
+    rests = list(combinations(units, p - t + 1))
+    rests.reverse()
+    sums: dict[int, int] = {}  # each summed cell made so far, mapped to itself
+    columns = [col for col in combinations(units, t) for _ in range(xi[0])]
     for mult, size in zip(xi[1:], _sum_sizes(p, t, len(xi))):
-        specs = (
-            (subset, summands)
-            for subset in combinations(parts, t - 1)
-            for summands in combinations([i for i in parts if i not in subset], size)
+        block = (
+            subset + (sums.setdefault(cell, cell),)
+            for subset, rest in zip(combinations(units, t - 1), rests)
+            for cell in map(sum, combinations(rest, size))
         )
-        columns += block(specs, cells, mult)
+        columns += [col for col in block for _ in range(mult)]  # copies share one tuple
     return ArrayCode.from_columns(p, columns)
+
+
+def _small_server(t: int, type_a_mult: int, pairs: Iterable[tuple[int, int]]) -> ArrayCode:
+    """c2 or c3 over p = t+1 parts: every t-subset of singletons
+    `type_a_mult` times, then per pair (i, j) of parts the column of the
+    other singletons plus x_i + x_j.  The type B columns' singleton sets
+    differ, so sorting their cells sorts them as their parts would."""
+    p = t + 1
+    units = [1 << i for i in range(p)]
+    type_b = sorted(
+        (*(u for u in units if u not in pair), sum(pair))
+        for pair in ((units[i - 1], units[j - 1]) for i, j in pairs)
+    )
+    type_a = [col for col in combinations(units, t) for _ in range(type_a_mult)]
+    return ArrayCode.from_columns(p, type_a + type_b)
 
 
 def build_c1(t: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
@@ -270,27 +261,15 @@ def build_c2(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     """Materialize the small-server odd-t family (m = (3t+3)/2)."""
     m, _ = c2_counts(t)
     _check_cap(m, max_columns)
-    p = t + 1
-    parts = range(1, p + 1)
-    cells = _cells(p)
-    type_a = block(((subset, ()) for subset in combinations(parts, t)), cells)
-    pairs = [(2 * j - 1, 2 * j) for j in range(1, (t + 1) // 2 + 1)]
-    type_b = block(((tuple(i for i in parts if i not in pair), pair) for pair in pairs), cells)
-    return ArrayCode.from_columns(p, type_a + type_b)
+    return _small_server(t, 1, [(2 * j - 1, 2 * j) for j in range(1, (t + 1) // 2 + 1)])
 
 
 def build_c3(t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:
     """Materialize the small-server even-t family (m = 3t+3); every t-subset appears twice."""
     m, _ = c3_counts(t)
     _check_cap(m, max_columns)
-    p = t + 1
-    parts = range(1, p + 1)
-    cells = _cells(p)
-    type_a = block(((subset, ()) for subset in combinations(parts, t)), cells, 2)
     # server j sums x_j + x_{j+1}, wrapping past p to x_1
-    pairs = [(j, j + 1) for j in range(1, p)] + [(1, p)]
-    type_b = block(((tuple(i for i in parts if i not in pair), pair) for pair in pairs), cells)
-    return ArrayCode.from_columns(p, type_a + type_b)
+    return _small_server(t, 2, [(j, j + 1) for j in range(1, t + 1)] + [(1, t + 1)])
 
 
 def build_integer_s(s: Fraction | int, t: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> ArrayCode:

@@ -326,14 +326,27 @@ def parse_cell(text: str, p: int) -> int:
 
 
 def serialize_code(code: ArrayCode) -> str:
+    """PIRCODE v1 text.  Each distinct cell is the "+"-join of its nonzero
+    8-part chunks, ascending, each distinct chunk (bits in place) formatted
+    once by `format_cell`; the walk jumps from one nonzero chunk to the next."""
     lines = [CODE_MAGIC, f"p={code.p} t={code.t} m={code.m}"]
-    texts: dict[int, str] = {}  # each distinct cell is formatted once
+    texts: dict[int, str] = {}
+    chunk_texts: dict[int, str] = {}
     for col in code.columns:
         rendered = []
         for cell in col:
             text = texts.get(cell)
             if text is None:
-                text = texts[cell] = format_cell(cell)
+                pieces = []
+                rest = cell
+                while rest:
+                    chunk = rest & (255 << ((rest & -rest).bit_length() - 1 & -8))
+                    rest ^= chunk
+                    piece = chunk_texts.get(chunk)
+                    if piece is None:
+                        piece = chunk_texts[chunk] = format_cell(chunk)
+                    pieces.append(piece)
+                text = texts[cell] = "+".join(pieces)
             rendered.append(text)
         lines.append(";".join(rendered))
     return "\n".join(lines) + "\n"

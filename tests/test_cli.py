@@ -270,6 +270,64 @@ def test_simulate_refuses_a_bad_part_or_server_before_the_pair_plan(tmp_path, ca
     assert (code, stdout, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["construct", "rate"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--family", "c1", "--t", "2", "--d", "2", "--s", "3"), "--s does not apply to --family c1"),
+        (("--family", "c2", "--t", "3", "--s", "7"), "--s does not apply to --family c2"),
+        (("--family", "c3", "--t", "2", "--s", "3/2"), "--s does not apply to --family c3"),
+        (("--family", "c2", "--t", "3", "--d", "1"), "--d does not apply to --family c2"),
+        (("--family", "c3", "--t", "2", "--d", "1"), "--d does not apply to --family c3"),
+        (
+            ("--family", "integer", "--s", "3", "--t", "2", "--d", "5"),
+            "--d does not apply to --family integer",
+        ),
+        (
+            ("--family", "general", "--s", "5/2", "--t", "2", "--d", "2"),
+            "--d does not apply to --family general",
+        ),
+        # --d is named first when both are foreign to the family
+        (("--family", "c2", "--t", "3", "--s", "7", "--d", "1"), "--d does not apply to --family c2"),
+        # a missing --t and a bad --s are still named before the family's parameters
+        (("--family", "c1", "--d", "2", "--s", "3"), "--t is required"),
+        (
+            ("--family", "c2", "--t", "3", "--s", "0.5"),
+            "s must be an exact fraction like 5/2, not a decimal: '0.5'",
+        ),
+    ],
+)
+def test_construct_and_rate_refuse_a_parameter_the_family_does_not_take(
+    tmp_path, capsys, monkeypatch, command, flags, message
+):
+    def refused(*args, **kwargs):
+        raise AssertionError("the family's parameters were evaluated")
+
+    monkeypatch.setattr(cli, "ConstructionParams", refused)
+    out = tmp_path / "x.pir"
+    argv = (command, *flags) + (("--out", str(out)) if command == "construct" else ())
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--family", "c1", "--t", "2", "--d", "2"),
+        ("--family", "c2", "--t", "3"),
+        ("--family", "c3", "--t", "2"),
+        ("--family", "integer", "--s", "3", "--t", "2"),
+        ("--family", "general", "--s", "5/2", "--t", "2"),
+    ],
+)
+def test_construct_and_rate_accept_each_family_own_parameters(tmp_path, capsys, flags):
+    code, stdout, _ = run(capsys, "rate", *flags)
+    assert code == 0 and stdout.startswith(f"family={flags[1]} ")
+    code, stdout, _ = run(capsys, "construct", *flags, "--out", str(tmp_path / "x.pir"))
+    assert code == 0 and stdout.startswith("wrote ")
+
+
 def test_rate_at_large_s_is_fast(capsys):
     # the balance chain is stepped in lowest terms, not formed from products
     # of every binomial, so s = t = 60 (q = 60 types) takes a fraction of 1 s

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, comb, gcd, lcm
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pirarray import (
+    ArrayCode,
     ConstructionParams,
     build_c1,
     build_c2,
@@ -385,3 +387,102 @@ def test_builders_share_one_cell_per_part_set():
     code = build_integer_s(3, 2)
     cells = [cell for col in code.columns for cell in col]
     assert len({id(cell) for cell in cells}) == len(set(cells))
+
+
+# ---------------------------------------------------------------------------
+# the builders against a spec-sorted oracle
+#
+# The builders once made every type block from (singleton parts, summed
+# parts) specs: sorted, mapped to cells and each column repeated xi times.
+# The oracle keeps that algorithm, with the families' definitions spelled
+# out, and the builders must give its columns in its order.
+
+
+def _oracle_block(specs, mult=1):
+    out = []
+    for singles, summands in sorted(specs):
+        col = tuple(1 << i - 1 for i in singles)
+        if summands:
+            col += (sum(1 << i - 1 for i in summands),)
+        out.extend([col] * mult)
+    return out
+
+
+def _oracle_ladder(p, t, xi):
+    parts = range(1, p + 1)
+    columns = _oracle_block(((subset, ()) for subset in combinations(parts, t)), xi[0])
+    # T_2..T_{q-1} sum (r-1)t+1 of the parts left, the closing type all of them
+    sizes = [(r - 1) * t + 1 for r in range(2, len(xi))] + [p - t + 1]
+    for mult, size in zip(xi[1:], sizes):
+        specs = (
+            (subset, summands)
+            for subset in combinations(parts, t - 1)
+            for summands in combinations([i for i in parts if i not in subset], size)
+        )
+        columns += _oracle_block(specs, mult)
+    return columns
+
+
+def _oracle_small_server(t, type_a_mult, pairs):
+    parts = range(1, t + 2)
+    type_a = _oracle_block(((subset, ()) for subset in combinations(parts, t)), type_a_mult)
+    return type_a + _oracle_block((tuple(i for i in parts if i not in pair), pair) for pair in pairs)
+
+
+def _oracle_c1(t, d):
+    theta = lcm(d, t)
+    return _oracle_ladder(t + d, t, (theta // d, theta // t))
+
+
+def _oracle_s(s, t):
+    return _oracle_ladder((s * t).numerator, t, solve_xi(s, t))
+
+
+def _oracle_c2(t):
+    return _oracle_small_server(t, 1, [(2 * j - 1, 2 * j) for j in range(1, (t + 1) // 2 + 1)])
+
+
+def _oracle_c3(t):
+    return _oracle_small_server(t, 2, [(j, j + 1) for j in range(1, t + 1)] + [(1, t + 1)])
+
+
+INTEGER_ORACLE_CASES = ((2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2))
+# middle types (q >= 3) whose sum cells recur across subsets
+GENERAL_ORACLE_CASES = (("7/3", 3), ("8/3", 3), ("10/3", 3), ("5/2", 2), ("5/2", 4))
+ORACLE_CASES = (
+    [(build_c1, (t, d), _oracle_c1) for t in range(1, 7) for d in range(1, t + 1)]
+    + [(build_integer_s, (Fraction(s), t), _oracle_s) for s, t in INTEGER_ORACLE_CASES]
+    + [(build_general_s, (Fraction(s), t), _oracle_s) for s, t in GENERAL_ORACLE_CASES]
+    + [(build_c2, (t,), _oracle_c2) for t in (3, 5, 7, 9)]
+    + [(build_c3, (t,), _oracle_c3) for t in (2, 4, 6, 8)]
+)
+
+
+@pytest.mark.parametrize(
+    "builder, args, oracle",
+    ORACLE_CASES,
+    ids=[f"{builder.__name__}({','.join(map(str, args))})" for builder, args, _ in ORACLE_CASES],
+)
+def test_builders_match_the_spec_sorted_oracle(monkeypatch, builder, args, oracle):
+    built = []
+
+    class Capture:
+        """Keeps the columns a builder hands to `ArrayCode.from_columns`."""
+
+        @staticmethod
+        def from_columns(p, columns):
+            built.append(columns)
+            return ArrayCode.from_columns(p, columns)
+
+    monkeypatch.setattr(constructions, "ArrayCode", Capture)
+    code = builder(*args)
+    expected = oracle(*args)
+    assert code.columns == tuple(expected)
+    (columns,) = built
+    assert columns == expected
+    # equal columns (a repeated column's copies) are one tuple, and equal
+    # cells one int, both as built and in the code
+    for cols in (columns, code.columns):
+        assert len({id(col) for col in cols}) == len(set(cols))
+        cells = [cell for col in cols for cell in col]
+        assert len({id(cell) for cell in cells}) == len(set(cells))

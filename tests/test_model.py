@@ -345,6 +345,63 @@ def test_parse_time_does_not_grow_with_header_p():
         assert elapsed < 0.5
 
 
+# Parts on either side of the 8-part chunks that `serialize_code` formats a
+# cell by, up to the largest p a file may declare.
+CHUNK_EDGE_PARTS = (1, 8, 9, 16, 17, 64, 65, 256, 257, MAX_PARTS)
+
+
+def _chunk_edge_cells():
+    units = [1 << part - 1 for part in CHUNK_EDGE_PARTS]
+    cells = set(units)
+    cells.update(a | b for i, a in enumerate(units) for b in units[i + 1 :])
+    cells.add(sum(units))
+    # runs that fill a chunk, cross one edge or span several chunks
+    cells.update({0xFF, 0x1FF, 0xFF00, 0xFFFF, 0x1FFFE, (1 << 300) - 1 ^ (1 << 250) - 1})
+    rng = random.Random(35)
+    near = sorted({q for part in CHUNK_EDGE_PARTS for q in range(part - 2, part + 3) if 1 <= q <= MAX_PARTS})
+    for _ in range(200):
+        cells.add(sum(1 << part - 1 for part in rng.sample(near, rng.randint(1, 6))))
+    return sorted(cells)
+
+
+def test_serialized_cells_read_as_format_cell_across_8_part_chunks():
+    cells = _chunk_edge_cells()
+    # one cell per column: a lone cell spans no singleton it does not store
+    code = ArrayCode.from_columns(MAX_PARTS, [(cell,) for cell in cells])
+    text = serialize_code(code)
+    assert text.splitlines()[2:] == [format_cell(cell) for cell in cells]
+    again = parse_code(text)
+    assert again == code and serialize_code(again) == text
+
+
+def test_serialized_columns_mix_cells_on_chunk_edges():
+    # singletons and one sum per column, as the families store them, with
+    # repeated cells and chunks
+    top = 1 << MAX_PARTS - 1
+    columns = [
+        (1 << 8, 1 << 256, (1 << 7) | (1 << 16) | top),
+        (1, 1 << 8, (1 << 16) | (1 << 64) | top),
+        (1 << 64, 1 << 256, (1 << 7) | (1 << 16) | top),
+        (1, 1 << 256, (1 << 8) | (1 << 9) | (1 << 255)),
+    ]
+    code = ArrayCode.from_columns(MAX_PARTS, columns)
+    text = serialize_code(code)
+    assert text.splitlines()[2:] == [";".join(map(format_cell, col)) for col in code.columns]
+    assert text.splitlines()[2] == f"9;257;8+17+{MAX_PARTS}"
+    assert serialize_code(parse_code(text)) == text
+
+
+def test_serialize_time_does_not_grow_with_a_cell_top_part():
+    # a cell is formatted one nonzero 8-part chunk at a time, with no walk
+    # over the empty chunks below its top part
+    top = 1 << MAX_PARTS - 1
+    code = ArrayCode.from_columns(MAX_PARTS, [(top | 1 << i,) for i in range(50)])
+    start = time.perf_counter()
+    text = serialize_code(code)
+    assert time.perf_counter() - start < 1
+    assert text.splitlines()[2] == f"1+{MAX_PARTS}"
+
+
 @pytest.mark.parametrize("p", [MAX_PARTS + 1, 10**9])
 def test_header_p_beyond_max_parts_is_refused(p):
     start = time.perf_counter()
