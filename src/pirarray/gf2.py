@@ -19,8 +19,25 @@ from typing import Iterable
 __all__ = ["orthogonal_cut", "parts_of", "pivot_insert", "pivot_reduce"]
 
 
+# the 1-based bit positions set in each byte value
+_BYTE_PARTS = tuple(tuple(i + 1 for i in range(8) if byte >> i & 1) for byte in range(256))
+
+
 def parts_of(bits: int) -> tuple[int, ...]:
-    """1-based indices of the parts with coefficient 1 in `bits`, ascending."""
+    """1-based indices of the parts with coefficient 1 in `bits`, ascending.
+
+    Taking the lowest part out of an int copies the int, so a walk part by
+    part costs the int's width for each part.  A vector of more than 64
+    parts is walked byte by byte instead, over one `to_bytes` copy and a
+    table of each byte's parts, in time linear in its width.  Up to about
+    64 parts the walk part by part is the faster one, at any width.
+    """
+    if bits.bit_count() > 64:
+        out: list[int] = []
+        for base, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) // 8, "little")):
+            if byte:
+                out += map((base * 8).__add__, _BYTE_PARTS[byte])
+        return tuple(out)
     out = []
     while bits:
         low = bits & -bits

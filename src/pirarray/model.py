@@ -22,8 +22,11 @@ File formats (UTF-8, LF):
 Cells inside a column are kept in canonical order (singletons first,
 ascending by part; then non-singletons ascending by support) so that
 serialization is deterministic; columns keep their given order.  The order
-is set once, in `ArrayCode.__post_init__`, which sorts and checks each
-distinct column once and shares the sorted tuple among its repeats.
+is set once, in `ArrayCode.__post_init__`.  It tests each distinct cell
+once, sorts and checks each distinct column once and shares the sorted
+tuple among its repeats; a copy next to its original, as the builders emit
+a column type's copies, is found by identity alone.  `serialize_code`
+likewise renders such a run of copies once.
 
 Every column the constructions build holds singletons and at most one sum
 of other parts, so its cells have pairwise disjoint supports.  Such a
@@ -95,7 +98,7 @@ PLAN_MAGIC = "PIRPLAN v1"
 # O(p) time and memory even for a file of a few bytes.
 MAX_PARTS = 1 << 18
 
-_HEADER_RE = re.compile(r"^p=(\d+) t=(\d+) m=(\d+)$")
+_HEADER_RE = re.compile(r"^p=([0-9]+) t=([0-9]+) m=([0-9]+)$")
 
 
 def _too_long(where: str, digits: str) -> FormatError:
@@ -138,16 +141,21 @@ class ArrayCode:
         object.__setattr__(self, "s", Fraction(self.p, t))
         # A column's checks and canonical order depend only on its cells, so
         # each distinct cell tuple is sorted and checked once and its repeats
-        # share the sorted tuple.
+        # share the sorted tuple; a copy next to its original is found by
+        # identity alone.
+        ranks: dict[int, int] = {}
         sort_keys: dict[int, tuple] = {}
         canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         columns = []
+        prev = done = None
         for j, col in enumerate(cols, start=1):
-            if len(col) != t:
-                raise ParameterError(f"column {j} has {len(col)} cells, expected t={t}")
-            done = canonical.get(col)
-            if done is None:
-                done = canonical[col] = self._checked_column(j, col, sort_keys)
+            if col is not prev:
+                if len(col) != t:
+                    raise ParameterError(f"column {j} has {len(col)} cells, expected t={t}")
+                done = canonical.get(col)
+                if done is None:
+                    done = canonical[col] = self._checked_column(j, col, ranks, sort_keys)
+                prev = col
             columns.append(done)
         object.__setattr__(self, "columns", tuple(columns))
 
@@ -162,34 +170,39 @@ class ArrayCode:
         return _rotation_image(self, self._holders)
 
     def _checked_column(
-        self, j: int, col: tuple[int, ...], sort_keys: dict[int, tuple]
+        self, j: int, col: tuple[int, ...], ranks: dict[int, int], sort_keys: dict[int, tuple]
     ) -> tuple[int, ...]:
         """Column j's cells in canonical order; raises on its first violation.
 
-        When the cells' supports are pairwise disjoint, the cells are
-        independent and the column stores every e_i it spans, so no
-        elimination runs.  Disjoint supports differ in their lowest part,
-        so the canonical order is then singletons by part, then sums by
-        lowest part, and a column already in that order is returned as
-        given.  Every other column is sorted and checked by elimination.
+        A cell is tested for sign, zero and parts above p the first time the
+        code meets it, and only then is its order key put in `ranks`, so
+        later columns holding it pay one dict lookup for it.  When the
+        cells' supports are pairwise disjoint, the cells are independent
+        and the column stores every e_i it spans, so no elimination runs.
+        Disjoint supports differ in their lowest part, so the canonical
+        order is then singletons by part, then sums by lowest part, and a
+        column already in that order is returned as given.  Every other
+        column is sorted and checked by elimination.
         """
         p = self.p
         union = 0
         disjoint = ordered = True
         last = 0
         for bits in col:
-            if bits < 0:
-                raise ParameterError(f"column {j} holds a negative cell {bits}")
-            if bits == 0:
-                raise ParameterError(f"column {j} holds a zero cell")
-            if bits >> p:
-                raise ParameterError(f"column {j} holds a cell with a part above p={p}")
+            rank = ranks.get(bits)
+            if rank is None:
+                if bits < 0:
+                    raise ParameterError(f"column {j} holds a negative cell {bits}")
+                if bits == 0:
+                    raise ParameterError(f"column {j} holds a zero cell")
+                if bits >> p:
+                    raise ParameterError(f"column {j} holds a cell with a part above p={p}")
+                # a singleton's order key is its part (1..p), a sum's its lowest part + p
+                low = bits & -bits
+                rank = ranks[bits] = low.bit_length() if low == bits else low.bit_length() + p
             if union & bits:
                 disjoint = False
             union |= bits
-            # a singleton's order key is its part (1..p), a sum's its lowest part + p
-            low = bits & -bits
-            rank = low.bit_length() if low == bits else low.bit_length() + p
             if rank < last:
                 ordered = False
             last = rank
@@ -302,11 +315,16 @@ def format_cell(cell: int) -> str:
 
 
 def parse_cell(text: str, p: int) -> int:
-    """Parse a "+"-joined cell; indices must be ascending and distinct."""
+    """Parse a "+"-joined cell; indices must be ASCII digits, ascending and
+    distinct.  A cell of more than 64 parts is set bit by bit in one
+    bytearray and read with one `int.from_bytes`, so its cost is linear in
+    its size; setting each bit in an int would copy the int each time."""
+    tokens = text.split("+")
+    flags = bytearray((p + 7) // 8) if len(tokens) > 64 else None
     bits = 0
     last = 0
-    for tok in text.split("+"):
-        if not tok.isdecimal():
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdecimal()):
             raise FormatError(f"malformed cell {text!r}")
         try:
             idx = int(tok)
@@ -320,35 +338,50 @@ def parse_cell(text: str, p: int) -> int:
             )
         if idx < last:
             raise FormatError(f"cell {text!r}: part indices must be ascending")
-        bits |= 1 << (idx - 1)
+        if flags is None:
+            bits |= 1 << (idx - 1)
+        else:
+            flags[(idx - 1) >> 3] |= 1 << ((idx - 1) & 7)
         last = idx
-    return bits
+    return bits if flags is None else int.from_bytes(flags, "little")
 
 
 def serialize_code(code: ArrayCode) -> str:
-    """PIRCODE v1 text.  Each distinct cell is the "+"-join of its nonzero
-    8-part chunks, ascending, each distinct chunk (bits in place) formatted
-    once by `format_cell`; the walk jumps from one nonzero chunk to the next."""
+    """PIRCODE v1 text.  A run of copies of one column object is rendered
+    once.  Each distinct cell within parts 1..64 is the "+"-join of its
+    nonzero 8-part chunks, ascending, each distinct chunk (bits in place)
+    formatted once by `format_cell`; the walk jumps from one nonzero chunk
+    to the next.  A wider cell is formatted whole by `format_cell`: each
+    jump would copy the cell, and `parts_of` walks it in linear time."""
     lines = [CODE_MAGIC, f"p={code.p} t={code.t} m={code.m}"]
     texts: dict[int, str] = {}
     chunk_texts: dict[int, str] = {}
+    line = prev = None
     for col in code.columns:
+        if col is prev:
+            lines.append(line)
+            continue
+        prev = col
         rendered = []
         for cell in col:
             text = texts.get(cell)
             if text is None:
-                pieces = []
-                rest = cell
-                while rest:
-                    chunk = rest & (255 << ((rest & -rest).bit_length() - 1 & -8))
-                    rest ^= chunk
-                    piece = chunk_texts.get(chunk)
-                    if piece is None:
-                        piece = chunk_texts[chunk] = format_cell(chunk)
-                    pieces.append(piece)
-                text = texts[cell] = "+".join(pieces)
+                if cell >> 64:
+                    text = texts[cell] = format_cell(cell)
+                else:
+                    pieces = []
+                    rest = cell
+                    while rest:
+                        chunk = rest & (255 << ((rest & -rest).bit_length() - 1 & -8))
+                        rest ^= chunk
+                        piece = chunk_texts.get(chunk)
+                        if piece is None:
+                            piece = chunk_texts[chunk] = format_cell(chunk)
+                        pieces.append(piece)
+                    text = texts[cell] = "+".join(pieces)
             rendered.append(text)
-        lines.append(";".join(rendered))
+        line = ";".join(rendered)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -391,6 +424,8 @@ def parse_code(text: str) -> ArrayCode:
                 raise FormatError(f"column {line_no} has {len(cells)} cells, expected t={t}")
             cells = cells_by_line[line] = tuple(cells)
         columns.append(cells)
+    # the lines and memos are freed before the code's own checks allocate theirs
+    del lines, body, cells_by_token, cells_by_line
     return ArrayCode.from_columns(p, columns)
 
 
@@ -456,8 +491,8 @@ def serialize_plan(plan: RecoveryPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PLAN_LINE_RE = re.compile(r"^part (\d+):(.*)$")
-_SET_RE = re.compile(r"^\{(\d+(?:,\d+)*)\}$")
+_PLAN_LINE_RE = re.compile(r"^part ([0-9]+):(.*)$")
+_SET_RE = re.compile(r"^\{([0-9]+(?:,[0-9]+)*)\}$")
 _NOT_SETS_TEXT = str.maketrans("", "", "0123456789{},;")
 _SETS_AS_JSON = str.maketrans("{};", "[],")
 

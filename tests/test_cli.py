@@ -619,3 +619,28 @@ def test_cli_exit_codes_and_messages_are_unchanged(tmp_path, capsys, monkeypatch
             err = err.splitlines()[-1]
         results.append([list(argv), code, stdout, err])
     assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == GOLDEN_CLI_RUNS_SHA256
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("cell.pir", "PIRCODE v1\np=3 t=1 m=1\n١\n"),
+        ("header.pir", "PIRCODE v1\np=٣ t=1 m=1\n1\n"),
+    ],
+)
+def test_non_ascii_digits_in_a_code_file_exit_two(tmp_path, capsys, name, text):
+    src = tmp_path / name
+    src.write_text(text, encoding="utf-8")
+    for command in ("verify", "simulate"):
+        argv = [command, "--in", str(src)] + (["--seed", "1"] if command == "simulate" else [])
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "") and err.startswith("error: malformed "), (command, err)
+
+
+def test_non_ascii_digits_in_a_plan_file_exit_two(tmp_path, capsys):
+    src = tmp_path / "c.pir"
+    src.write_text(INTRO_TEXT, encoding="utf-8")
+    plan = tmp_path / "p.plan"
+    plan.write_text("PIRPLAN v1\npart ١: {١,٢}\n", encoding="utf-8")
+    code, stdout, err = run(capsys, "simulate", "--in", str(src), "--plan", str(plan), "--seed", "1")
+    assert (code, stdout) == (2, "") and err.startswith("error: malformed plan line ")

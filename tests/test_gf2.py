@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -84,6 +85,41 @@ def test_parts_of():
     assert parts_of(0b111) == (1, 2, 3)
     assert parts_of(0) == ()
     assert parts_of(1 << 299 | 1) == (1, 300)
+
+
+def _parts_one_by_one(bits):
+    """The part-by-part walk: each step copies the int, so it is quadratic
+    in a dense vector's width."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
+    return tuple(out)
+
+
+def test_parts_of_matches_the_part_by_part_walk_at_every_width():
+    # vectors of more than 64 parts take the byte walk, so each width gets a
+    # dense vector and vectors of 63, 64 and 65 parts where they fit
+    rng = random.Random(36)
+    widths = sorted({*range(1, 200), *range(200, 4097, 7), 255, 256, 257, 511, 512, 513, 4095, 4096})
+    for width in widths:
+        top = 1 << width - 1
+        vectors = [top, rng.getrandbits(width) | top]
+        for count in (63, 64, 65):
+            if count <= width:
+                vectors.append(top | sum(1 << i for i in rng.sample(range(width - 1), count - 1)))
+        for bits in vectors:
+            assert parts_of(bits) == _parts_one_by_one(bits), (width, bits)
+
+
+def test_parts_of_a_vector_of_every_part_is_linear():
+    width = 1 << 18
+    start = time.perf_counter()
+    assert parts_of((1 << width) - 1) == tuple(range(1, width + 1))
+    # the part-by-part walk took seconds here
+    assert time.perf_counter() - start < 1
+    assert parts_of((1 << width) - 1 ^ 1 << 70) == tuple(p for p in range(1, width + 1) if p != 71)
 
 
 vectors_strategy = st.integers(min_value=3, max_value=8).flatmap(

@@ -207,7 +207,7 @@ def _reference_parse_plan(text: str) -> RecoveryPlan:
         raise FormatError("missing 'PIRPLAN v1' header")
     sets_by_part: dict[int, list[tuple[int, ...]]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
-        match = re.match(r"^part (\d+):(.*)$", line)
+        match = re.match(r"^part ([0-9]+):(.*)$", line)
         if match is None:
             raise FormatError(f"malformed plan line {line!r}")
         part = int(match.group(1))
@@ -216,7 +216,7 @@ def _reference_parse_plan(text: str) -> RecoveryPlan:
         rest = match.group(2).strip()
         sets = []
         for tok in rest.split(";") if rest else ():
-            set_match = re.match(r"^\{(\d+(?:,\d+)*)\}$", tok)
+            set_match = re.match(r"^\{([0-9]+(?:,[0-9]+)*)\}$", tok)
             if set_match is None:
                 raise FormatError(f"malformed column set {tok!r} for part {part}")
             columns = [int(c) for c in set_match.group(1).split(",")]
@@ -236,7 +236,7 @@ def _reference_parse_plan(text: str) -> RecoveryPlan:
         "part 2: {3};{1};{2,9,11}\npart 1: {4}\n",  # parts and sets out of order
         "part 1: {1};{1}\n",  # one set twice
         "part 1: {01,2};{007}\n",  # leading zeros, which JSON does not read
-        "part 1: {\u0661,\u0663}\n",  # Arabic-Indic digits 1 and 3
+        "part 1: {\u0661,\u0663}\n",  # Arabic-Indic digits 1 and 3, refused
         "part 1: {1};  {2}\n",
         "part 1:   {1};{2}  \n",
         "part 1: {1};\n",
@@ -648,3 +648,257 @@ def test_disjoint_sums_are_ordered_by_lowest_part():
     code = ArrayCode.from_columns(5, [[s23, e4, s15]])
     assert code.columns == ((e4, s15, s23),)
     assert serialize_code(code).splitlines()[2] == "4;1+5;2+3"
+
+
+# ---------------------------------------------------------------------------
+# each distinct cell is tested once per code, and a run of copies of one
+# column object is checked and rendered once; the oracle is the column check
+# that tested every cell occurrence and looked up every column
+
+
+def _per_occurrence_checked_column(p: int, j: int, col, sort_keys: dict) -> tuple[int, ...]:
+    union = 0
+    disjoint = ordered = True
+    last = 0
+    for bits in col:
+        if bits < 0:
+            raise ParameterError(f"column {j} holds a negative cell {bits}")
+        if bits == 0:
+            raise ParameterError(f"column {j} holds a zero cell")
+        if bits >> p:
+            raise ParameterError(f"column {j} holds a cell with a part above p={p}")
+        if union & bits:
+            disjoint = False
+        union |= bits
+        low = bits & -bits
+        rank = low.bit_length() if low == bits else low.bit_length() + p
+        if rank < last:
+            ordered = False
+        last = rank
+    if disjoint and ordered:
+        return col
+
+    def key(bits: int) -> tuple:
+        found = sort_keys.get(bits)
+        if found is None:
+            single = bits & (bits - 1) == 0
+            found = sort_keys[bits] = (0, bits) if single else (1, parts_of(bits))
+        return found
+
+    cells = tuple(sorted(col, key=key))
+    if disjoint:
+        return cells
+    pivots: dict[int, int] = {}
+    stored: set[int] = set()
+    support = 0
+    for bits in cells:
+        if not pivot_insert(pivots, bits):
+            raise ParameterError(f"column {j} cells are linearly dependent")
+        if bits & (bits - 1) == 0:
+            stored.add(bits)
+        support |= bits
+    while support:
+        bit = support & -support
+        support ^= bit
+        if bit not in stored and pivot_reduce(pivots, bit) == 0:
+            raise ParameterError(
+                f"column {j} spans part {bit.bit_length()} without storing it as a singleton"
+            )
+    return cells
+
+
+def _per_occurrence_or_error(p: int, columns) -> object:
+    cols = tuple(map(tuple, columns))
+    t = len(cols[0])
+    sort_keys: dict = {}
+    canonical: dict = {}
+    out = []
+    try:
+        for j, col in enumerate(cols, start=1):
+            if len(col) != t:
+                raise ParameterError(f"column {j} has {len(col)} cells, expected t={t}")
+            done = canonical.get(col)
+            if done is None:
+                done = canonical[col] = _per_occurrence_checked_column(p, j, col, sort_keys)
+            out.append(done)
+    except ParameterError as exc:
+        return str(exc)
+    return tuple(out)
+
+
+@st.composite
+def _column_runs(draw):
+    """p, and columns drawn from a small pool, each placed as the pool's
+    object, an equal copy or a shuffled copy, so that equal columns sit next
+    to each other and apart."""
+    p = draw(st.integers(1, 10))
+    t = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.integers(0, p - 1).map(lambda i: 1 << i),
+        st.integers(1, (1 << p) - 1),
+        st.sampled_from((0, -1, -(1 << p), 1 << p, 1 << p + 2 | 1)),
+    )
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("disjoint", "ordered", "one bad cell", "cells", "length")))
+        if kind in ("disjoint", "ordered", "one bad cell") and t <= p:
+            # t cells over pairwise disjoint supports, in the drawn order
+            order = draw(st.permutations(range(p)))
+            used = draw(st.integers(t, p))
+            cuts = sorted(draw(st.sets(st.integers(1, used - 1), min_size=t - 1, max_size=t - 1))) if t > 1 else []
+            bounds = [0, *cuts, used]
+            cells = [sum(1 << i for i in order[a:b]) for a, b in zip(bounds, bounds[1:])]
+            if kind == "ordered":
+                cells.sort(key=lambda bits: (bits & (bits - 1) != 0, bits & -bits))
+            elif kind == "one bad cell":
+                cells[draw(st.integers(0, t - 1))] = draw(cell)
+        elif kind == "length":
+            size = draw(st.sampled_from([size for size in (t - 1, t + 1) if size]))
+            cells = draw(st.lists(cell, min_size=size, max_size=size))
+        else:
+            cells = draw(st.lists(cell, min_size=t, max_size=t))
+        pool.append(tuple(cells))
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        col = draw(st.sampled_from(pool))
+        placed = draw(st.sampled_from(("object", "copy", "shuffled")))
+        if placed == "copy":
+            col = tuple(list(col))
+        elif placed == "shuffled":
+            col = tuple(draw(st.permutations(col)))
+        columns.append(col)
+    return p, columns
+
+
+@given(_column_runs())
+@example((3, [(1, 2), (1, 2), (0b110, 1), (1, 2)]))
+@example((3, [(1, 0b110), (0b110, 1), (1, 0b110), (4, 0)]))
+@example((2, [(1, 2), (1, 2), (1, 2), (1, 0b100)]))
+def test_column_checks_match_the_per_occurrence_oracle(case):
+    p, columns = case
+    got, expected = _model_or_error(p, columns), _per_occurrence_or_error(p, columns)
+    assert got == expected
+    if isinstance(got, tuple):
+        # columns given equal, as one object or as copies, are one object
+        first: dict = {}
+        for given_col, col in zip(columns, got):
+            assert first.setdefault(tuple(given_col), col) is col
+
+
+def test_a_run_of_one_column_object_is_checked_once(monkeypatch):
+    # a copy next to its original is found by identity, before any lookup;
+    # a copy elsewhere, or an equal tuple, by the column lookup
+    e1, e2, s12 = 0b001, 0b010, 0b011 << 1
+    a, b = (e1, s12), (e2, 0b101)
+    checked = []
+    real = ArrayCode._checked_column
+
+    def spy(self, j, col, *caches):
+        checked.append(j)
+        return real(self, j, col, *caches)
+
+    monkeypatch.setattr(ArrayCode, "_checked_column", spy)
+    code = ArrayCode.from_columns(3, [a, a, a, b, b, a, tuple(list(a)), b])
+    assert checked == [1, 4]
+    assert code.columns == (a, a, a, b, b, a, a, b)
+    assert len(set(map(id, code.columns))) == 2
+
+
+def test_serialized_runs_equal_a_per_column_rendering():
+    a, b, c = (0b0001, 0b0110), (0b0010, 0b1001), (0b0100, 0b1011)
+    columns = [a, a, a, b, a, tuple(list(a)), c, c, list(b), b]
+    codes = [ArrayCode.from_columns(4, columns), build_integer_s(3, 2), build_general_s(Fraction(5, 2), 2)]
+    codes.append(parse_code(serialize_code(codes[1])))
+    for code in codes:
+        text = serialize_code(code)
+        assert text.splitlines()[2:] == [";".join(map(format_cell, col)) for col in code.columns]
+        assert serialize_code(parse_code(text)) == text
+    # the builders emit runs of one object, which this test relies on
+    runs = codes[1].columns
+    assert any(x is y for x, y in zip(runs, runs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# a cell of many parts is read and written in time linear in its size
+
+
+def _dense_text() -> str:
+    """The two-column file of one cell holding every part of p = MAX_PARTS
+    and one cell of part 1 (1.7 MB)."""
+    return f"PIRCODE v1\np={MAX_PARTS} t=1 m=2\n" + "+".join(map(str, range(1, MAX_PARTS + 1))) + "\n1\n"
+
+
+def test_a_cell_of_every_part_round_trips_in_linear_time():
+    text = _dense_text()
+    start = time.perf_counter()
+    code = parse_code(text)
+    assert time.perf_counter() - start < 2
+    assert code.columns == (((1 << MAX_PARTS) - 1,), (1,))
+    start = time.perf_counter()
+    again = serialize_code(code)
+    assert time.perf_counter() - start < 2
+    assert again == text
+
+
+def test_parse_cell_sets_many_parts_as_it_sets_few():
+    rng = random.Random(36)
+    for p in (64, 65, 200, 4096):
+        for count in (1, 63, 64, 65, 66, p):
+            if count <= p:
+                parts = sorted(rng.sample(range(1, p + 1), count))
+                assert parse_cell("+".join(map(str, parts)), p) == sum(1 << part - 1 for part in parts)
+
+
+_EVERY_PART = "+".join(map(str, range(1, MAX_PARTS + 1)))
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        (_EVERY_PART + f"+{MAX_PARTS + 1}", f"part index {MAX_PARTS + 1} out of range 1..{MAX_PARTS}"),
+        (
+            _EVERY_PART + f"+{MAX_PARTS}",
+            f"duplicate part index {MAX_PARTS} (GF(2) would fold it to a zero cell)",
+        ),
+        (_EVERY_PART + "+5", "part indices must be ascending"),
+        ("0+" + _EVERY_PART, f"part index 0 out of range 1..{MAX_PARTS}"),
+    ],
+    ids=["above-p", "duplicate", "descending", "zero"],
+)
+def test_a_wide_bad_cell_keeps_its_message(cell, message):
+    with pytest.raises(FormatError) as raised:
+        parse_cell(cell, MAX_PARTS)
+    assert str(raised.value) == f"cell {cell!r}: {message}"
+
+
+@pytest.mark.parametrize("tail", ["+x", "+", "+١", "+1_0"])
+def test_a_wide_malformed_cell_is_named(tail):
+    cell = _EVERY_PART + tail
+    with pytest.raises(FormatError) as raised:
+        parse_cell(cell, MAX_PARTS)
+    assert str(raised.value) == f"malformed cell {cell!r}"
+
+
+# ---------------------------------------------------------------------------
+# numbers in PIRCODE and PIRPLAN text are ASCII digits only: int() and \d
+# also read other scripts' digits, whose text would not re-serialize as read
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_code, "PIRCODE v1\np=٣ t=1 m=1\n1\n", "malformed parameter line " + repr("p=٣ t=1 m=1")),
+        (parse_code, "PIRCODE v1\np=3 t=１ m=1\n1\n", "malformed parameter line " + repr("p=3 t=１ m=1")),
+        (parse_code, "PIRCODE v1\np=3 t=1 m=1\n١\n", "malformed cell " + repr("١")),
+        (parse_code, "PIRCODE v1\np=3 t=1 m=1\n１\n", "malformed cell " + repr("１")),
+        (parse_code, "PIRCODE v1\np=3 t=2 m=1\n1;2+٣\n", "malformed cell " + repr("2+٣")),
+        (parse_plan, "PIRPLAN v1\npart ١: {١,٢}\n", "malformed plan line " + repr("part ١: {١,٢}")),
+        (parse_plan, "PIRPLAN v1\npart 1: {١,٢}\n", "malformed column set " + repr("{١,٢}") + " for part 1"),
+        (parse_plan, "PIRPLAN v1\npart 1: {1};{２}\n", "malformed column set " + repr("{２}") + " for part 1"),
+    ],
+    ids=["header-p", "header-t", "cell-arabic", "cell-fullwidth", "cell-part", "plan-part", "plan-set", "plan-second-set"],
+)
+def test_non_ascii_digits_are_refused(parse, text, message):
+    with pytest.raises(FormatError) as raised:
+        parse(text)
+    assert str(raised.value) == message
