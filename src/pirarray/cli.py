@@ -32,6 +32,23 @@ EXIT_MISMATCH = 3
 MAX_PRECISION = 1000
 
 
+def _integer(text: str) -> int:
+    """int(text) for ASCII digits after an optional "-", as PIRCODE and
+    PIRPLAN text writes numbers; int() also reads other Unicode digits, "_",
+    a leading "+" and surrounding whitespace, which raise ValueError here."""
+    value = int(text)
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"{text!r} is not written in ASCII digits")
+    return value
+
+
+def _int_flag(text: str) -> int:
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def parse_s(text: str) -> Fraction:
     """Exact 'num/den' or integer; decimal notation is rejected to keep s exact."""
     if "." in text:
@@ -39,9 +56,9 @@ def parse_s(text: str) -> Fraction:
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            value = Fraction(int(num), int(den))
+            value = Fraction(_integer(num), _integer(den))
         else:
-            value = Fraction(int(text))
+            value = Fraction(_integer(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse s from {text!r}: {exc}") from None
     if value <= 1:
@@ -212,7 +229,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for part in parts:
         sys.stdout.write(retrieve(fleet, plan, part, failed=args.fail_server or ()).jsonl())
         # each part is replayed once: its timeline goes once it is written
-        fleet._timelines.clear()
+        fleet._record.timelines.clear()
     return EXIT_OK
 
 
@@ -235,49 +252,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     construct = sub.add_parser("construct", help="generate a code family and write PIRCODE text")
     construct.add_argument("--family", required=True, choices=FAMILIES)
-    construct.add_argument("--t", type=int)
-    construct.add_argument("--d", type=int)
+    construct.add_argument("--t", type=_int_flag)
+    construct.add_argument("--d", type=_int_flag)
     construct.add_argument("--s", type=str, help="exact rational like 5/2 or 3")
-    construct.add_argument("--max-columns", type=int, default=DEFAULT_MAX_COLUMNS)
+    construct.add_argument("--max-columns", type=_int_flag, default=DEFAULT_MAX_COLUMNS)
     construct.add_argument("--out", type=Path, required=True)
 
     verify = sub.add_parser("verify", help="verify the k-PIR parameter of a PIRCODE file")
     verify.add_argument("--in", dest="infile", type=Path, required=True)
     verify.add_argument("--mode", choices=("pairs", "exhaustive"), default="pairs")
-    verify.add_argument("--cap", type=int, help=f"exhaustive column cap (default {EXHAUSTIVE_CAP})")
+    verify.add_argument("--cap", type=_int_flag, help=f"exhaustive column cap (default {EXHAUSTIVE_CAP})")
     verify.add_argument("--plan-out", type=Path)
-    verify.add_argument("--expect-k", type=int)
+    verify.add_argument("--expect-k", type=_int_flag)
 
     rate = sub.add_parser("rate", help="symbolic m, k and rate for a family, nothing materialized")
     rate.add_argument("--family", required=True, choices=FAMILIES)
-    rate.add_argument("--t", type=int)
-    rate.add_argument("--d", type=int)
+    rate.add_argument("--t", type=_int_flag)
+    rate.add_argument("--d", type=_int_flag)
     rate.add_argument("--s", type=str)
-    rate.add_argument("--precision", type=int, default=6)
+    rate.add_argument("--precision", type=_int_flag, default=6)
 
     bounds_p = sub.add_parser("bounds", help="every bound and reference rate applicable at (s, t)")
     bounds_p.add_argument("--s", type=str, required=True)
-    bounds_p.add_argument("--t", type=int, required=True)
-    bounds_p.add_argument("--corollary-ell", type=int, help="also evaluate the reparametrized bound at this ell")
-    bounds_p.add_argument("--precision", type=int, default=6)
+    bounds_p.add_argument("--t", type=_int_flag, required=True)
+    bounds_p.add_argument("--corollary-ell", type=_int_flag, help="also evaluate the reparametrized bound at this ell")
+    bounds_p.add_argument("--precision", type=_int_flag, default=6)
 
     table = sub.add_parser("table", help="reference rate table for s in 2..max-s, t in 1..max-t")
-    table.add_argument("--max-s", type=int, default=6)
-    table.add_argument("--max-t", type=int, default=13)
+    table.add_argument("--max-s", type=_int_flag, default=6)
+    table.add_argument("--max-t", type=_int_flag, default=13)
     table.add_argument("--format", choices=("text", "csv"), default="text")
-    table.add_argument("--precision", type=int, default=6)
+    table.add_argument("--precision", type=_int_flag, default=6)
 
     simulate = sub.add_parser("simulate", help="replay recovery sessions or an availability sweep")
     simulate.add_argument("--in", dest="infile", type=Path, required=True)
     simulate.add_argument("--plan", type=Path, help="PIRPLAN file; default recomputes pair-mode plan")
-    simulate.add_argument("--seed", type=int, required=True)
-    simulate.add_argument("--part", type=int, help="single part; default replays every planned part")
-    simulate.add_argument("--fail-server", type=int, action="append", help="mark a server down (repeatable)")
-    simulate.add_argument("--sweep-trials", type=int)
-    simulate.add_argument("--sweep-failures", type=int)
-    simulate.add_argument("--chunk-width", type=int, default=64)
-    simulate.add_argument("--base-latency", type=int, default=1000)
-    simulate.add_argument("--jitter", type=int, default=250)
+    simulate.add_argument("--seed", type=_int_flag, required=True)
+    simulate.add_argument("--part", type=_int_flag, help="single part; default replays every planned part")
+    simulate.add_argument("--fail-server", type=_int_flag, action="append", help="mark a server down (repeatable)")
+    simulate.add_argument("--sweep-trials", type=_int_flag)
+    simulate.add_argument("--sweep-failures", type=_int_flag)
+    simulate.add_argument("--chunk-width", type=_int_flag, default=64)
+    simulate.add_argument("--base-latency", type=_int_flag, default=1000)
+    simulate.add_argument("--jitter", type=_int_flag, default=250)
     simulate.add_argument("--drop-prob", type=float, default=0.0)
 
     return parser

@@ -75,7 +75,7 @@ from operator import lt
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import FormatError, ParameterError
-from .gf2 import parts_of, pivot_insert, pivot_reduce
+from .gf2 import parts_of, pivot_insert
 
 __all__ = [
     "ArrayCode",
@@ -221,24 +221,21 @@ class ArrayCode:
         if disjoint:
             return cells
         pivots: dict[int, int] = {}
-        stored: set[int] = set()
-        support = 0
         for bits in cells:
             if not pivot_insert(pivots, bits):
                 raise ParameterError(f"column {j} cells are linearly dependent")
-            if bits & (bits - 1) == 0:
-                stored.add(bits)
-            support |= bits
-        # e_i can only lie in the span if bit i appears in some cell, so
-        # walking the support in ascending order finds the same first
-        # violation as walking all p parts.
-        while support:
-            bit = support & -support
-            support ^= bit
-            if bit not in stored and pivot_reduce(pivots, bit) == 0:
-                raise ParameterError(
-                    f"column {j} spans part {bit.bit_length()} without storing it as a singleton"
-                )
+        # Fully reduced, each row keeps its own pivot bit and no other's, so
+        # e_i lies in the span exactly when some row is e_i.
+        for high in sorted(pivots):
+            row = pivots[high]
+            for other, bits in pivots.items():
+                if other > high and bits >> high & 1:
+                    pivots[other] = bits ^ row
+        unstored = [row for row in pivots.values() if row & (row - 1) == 0 and row not in cells]
+        if unstored:
+            raise ParameterError(
+                f"column {j} spans part {min(unstored).bit_length()} without storing it as a singleton"
+            )
         return cells
 
 

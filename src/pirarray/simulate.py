@@ -11,27 +11,29 @@ server is given up as faulted at `TIMEOUT_US`, events are replayed in
 inputs produce byte-identical transcripts.  Every server shares the
 fleet's latency, jitter and drop probability.
 
+A fleet keeps one record (`_Record`), for the plan object in use: an
+object it has not seen is checked whole by one `verify_plan` call before
+its first session or sweep, and replaces the record.  The first sweep adds
+the plan's table of set indices by server, and a trial counts every part's
+lost sets in a few C-level passes over its rows (`availability_sweep`).
+
 A session's random stream is seeded by the fleet's seed and the part, and
 draws a jitter and a drop value for every server of every set, failed or
-not.  So all sessions of a (part, sets) on one fleet share their arrivals,
-drops and solves: the first builds that failure-free timeline once
-(`_timeline`), and each session is its text with the sets that failed
-servers fault edited in (`retrieve`); a session with no such set is the
-timeline's text object.  Each line is exactly the bytes
+not.  So all sessions of a part of one plan on one fleet share their
+arrivals, drops and solves: the first builds that failure-free timeline
+once (`_timeline`) into the record, and each session is its text with the
+sets that failed servers fault edited in (`retrieve`); a session with no
+such set is the timeline's text object.  Each line is exactly the bytes
 `json.dumps(event, sort_keys=True, separators=(",", ":"))` gives for the
 event it holds: every value is an int, a bool, a fixed ASCII word, a `0x`
-hex string or a list of these, so nothing needs escaping.
+hex string or a list of these, so nothing needs escaping, and a
+transcript's `events` and `sets` are parsed from its text.
 
 Building a `Fleet` checks its knobs and draws the database; its servers'
 cells are rendered and made into rows on first use.  A row carries its
 value in its low bits, `(cell << chunk_width) | value`, so solving a set is
 the `gf2` kernel's elimination on those rows, inserted into one fresh table
 per set, for a set of one column as for a set of many.
-
-A sweep checks a plan once per fleet, and the fleet keeps the last swept
-plan object's table of set indices by server; a trial draws its failed
-servers and counts every part's lost sets in a few C-level passes over
-that table's rows (`availability_sweep`).
 """
 
 from __future__ import annotations
@@ -76,14 +78,12 @@ TIMEOUT_US = 10_000
 _RESPONSE, _SOLVE = 1, 2
 # A line's time: every line has one "time" key, and no other value holds it.
 _TIME = re.compile(r'"time":(\d+)')
-# A part and its recovery sets, as a fleet keeps them.
-_Key = tuple[int, tuple[tuple[int, ...], ...]]
 # json.dumps(payload, sort_keys=True, separators=(",", ":")), for sweeps
 _SWEEP_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 class _Timeline(NamedTuple):
-    """A (part, sets)'s failure-free session, as its fleet keeps it: `text`,
+    """A part's failure-free session, as its fleet's record keeps it: `text`,
     its JSON lines, and `where`, each server of `sets` mapped to its set's
     index (0-based).  By server, `responses` holds its response line's
     offset in `text`, -1 for a server that a drop silences or that is in no
@@ -102,6 +102,17 @@ class _Timeline(NamedTuple):
     counts: dict[int, int]
 
 
+@dataclass
+class _Record:
+    """A fleet's plan object, which verify_plan has passed whole; by part,
+    its timeline; and from its first sweep, each part's k and by server,
+    row 0 standing for none, its set index in each part or -1."""
+
+    plan: RecoveryPlan
+    timelines: dict[int, _Timeline] = field(default_factory=dict)
+    sweep: tuple[tuple[int, ...], list[tuple[int, ...]]] | None = None
+
+
 @dataclass(frozen=True)
 class Fleet:
     """An m-server fleet: the code, a database of p chunks drawn from the
@@ -115,16 +126,7 @@ class Fleet:
     jitter_us: int = 250
     drop_probability: float = 0.0
     database: tuple[int, ...] = field(init=False)
-    # (part, that part's sets) that passed verify_plan on this fleet's code,
-    # so replaying a plan checks each part once.
-    _verified: set[_Key] = field(init=False, repr=False, compare=False)
-    # (part, that part's sets) -> its failure-free session, built by the
-    # first session that replays it.
-    _timelines: dict[_Key, _Timeline] = field(init=False, repr=False, compare=False)
-    # id() of the plan object swept last -> (that plan, each part's k, and
-    # by server, row 0 standing for none, its set index in each part or -1);
-    # holding the plan keeps any other object from taking its id().
-    _sweeps: dict[int, tuple] = field(init=False, repr=False, compare=False)
+    _record: _Record | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.chunk_width < 1 or self.chunk_width % 4:
@@ -143,9 +145,6 @@ class Fleet:
         object.__setattr__(
             self, "database", tuple(rng.getrandbits(self.chunk_width) for _ in range(self.code.p))
         )
-        object.__setattr__(self, "_verified", set())
-        object.__setattr__(self, "_timelines", {})
-        object.__setattr__(self, "_sweeps", {})
 
     def chunk_hex(self, value: int) -> str:
         return f"0x{value:0{self.chunk_width // 4}x}"
@@ -190,11 +189,9 @@ class SessionTranscript:
     `text` is its JSON lines: the requests, all at time 0, in server order;
     the responses and solves in (time, kind, server or set) order; and the
     verdict at the last response's or solve's time (0 when there is none).
-    `jsonl()` returns it; `events` (one dict per event, parsed from its
-    line) and `sets` (one `SetOutcome` per recovery set, in plan order, from
-    `_timeline`, the part's failure-free session, and `_faulted`, the sets
-    this session's failed servers fault) are views built on first access
-    and then kept.  Equality and hashing see only the first five fields.
+    `jsonl()` returns it; `events` (one dict per event) and `sets` (one
+    `SetOutcome` per recovery set, in plan order) are parsed from it on
+    first access and then kept.
     """
 
     part: int
@@ -202,8 +199,6 @@ class SessionTranscript:
     agreement: bool
     value: int | None
     text: str
-    _timeline: _Timeline = field(repr=False, compare=False)
-    _faulted: set[int] = field(repr=False, compare=False)
 
     def jsonl(self) -> str:
         """The session as JSON lines, each exactly the bytes
@@ -218,28 +213,24 @@ class SessionTranscript:
 
     @cached_property
     def sets(self) -> tuple[SetOutcome, ...]:
-        """Each recovery set's outcome, in the plan's set order; a solved
-        set's latency is the time on its line in the timeline."""
-        timeline = self._timeline
+        """Each recovery set's outcome, in the plan's set order, read off its
+        solve line: its columns, status, and a solved set's value and time."""
         return tuple(
-            SetOutcome(columns, True, None, None)
-            if value is None or index in self._faulted
-            else SetOutcome(columns, False, value, int(_TIME.search(timeline.text, at)[1]))
-            for index, (columns, value, at) in enumerate(zip(timeline.sets, timeline.values, timeline.solves))
+            SetOutcome(tuple(e["columns"]), False, int(e["value"], 16), e["time"]) if e["status"] == "ok"
+            else SetOutcome(tuple(e["columns"]), True, None, None)
+            for _, e in sorted((e["set"], e) for e in self.events if e["event"] == "solve")
         )
 
 
-def _verify(fleet: Fleet, keys: Iterable[_Key]) -> None:
-    """Raise unless every (part, sets) of `keys`, in plan order, passes
-    verify_plan, naming the first that fails; those not checked on this
-    fleet before are checked in one call and recorded if all pass."""
-    verified = fleet._verified
-    new = {part: sets for part, sets in keys if (part, sets) not in verified}
-    if new:
-        check = verify_plan(fleet.code, RecoveryPlan._of_ascending(new))
+def _record(fleet: Fleet, plan: RecoveryPlan) -> _Record:
+    """The fleet's record of `plan`, made once the plan passes verify_plan
+    if it is not the plan object in use; raises on an invalid plan."""
+    if fleet._record is None or fleet._record.plan is not plan:
+        check = verify_plan(fleet.code, plan)
         if not check.ok:
             raise ParameterError(f"invalid plan: {check.violation}")
-        verified.update(new.items())
+        object.__setattr__(fleet, "_record", _Record(plan))
+    return fleet._record
 
 
 def _faulted_line(part: int, index: int, columns: Iterable[int], missing: Iterable[int]) -> str:
@@ -266,20 +257,14 @@ def _verdict_line(part: int, sets_ok: int, sets_total: int, time: int, value_hex
 
 
 def _timeline(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> _Timeline:
-    """`part`'s failure-free session over `sets`, once they pass
-    verify_plan; each (part, sets) is checked, drawn, solved and rendered
-    once per fleet.  Each set that no drop faults inserts its columns' rows into one fresh
-    pivot table.  Every row's value is one linear function of its cell (the
-    XOR of the chunks of the cell's parts), so a row whose cell bits reduce
-    to 0 reduces to 0 entirely and no pivot sits below bit chunk_width.  A
-    set that passed verify_plan spans e_part, so reducing e_part <<
-    chunk_width by the rows of its columns leaves exactly the part's value.
+    """`part`'s failure-free session over `sets`, which verify_plan has
+    passed.  Each set no drop faults inserts its columns' rows into one fresh
+    pivot table.  A row's value is one linear function of its cell (the XOR
+    of the chunks of the cell's parts), so a row whose cell bits reduce to 0
+    reduces to 0 entirely and no pivot sits below bit chunk_width.  A set
+    that passed verify_plan spans e_part, so reducing e_part << chunk_width
+    by the rows of its columns leaves exactly the part's value.
     """
-    key = (part, sets)
-    timeline = fleet._timelines.get(key)
-    if timeline is not None:
-        return timeline
-    _verify(fleet, (key,))
     # the sets are disjoint (verify_plan checked it): one set per server
     where = {j: index for index, columns in enumerate(sets) for j in columns}
     cells_json, rows = fleet._cells
@@ -364,10 +349,7 @@ def _timeline(fleet: Fleet, part: int, sets: tuple[tuple[int, ...], ...]) -> _Ti
     sets_ok, value = _verdict(counts)
     end = keys[-1] >> shift if keys else 0
     lines.append(_verdict_line(part, sets_ok, len(sets), end, None if value is None else texts[value]))
-    timeline = fleet._timelines[key] = _Timeline(
-        "".join(lines), sets, where, responses, solves, fault_at, tuple(values), counts
-    )
-    return timeline
+    return _Timeline("".join(lines), sets, where, responses, solves, fault_at, tuple(values), counts)
 
 
 def check_session(code: ArrayCode, part: int | None, failed: Iterable[int]) -> set[int]:
@@ -390,9 +372,13 @@ def check_session(code: ArrayCode, part: int | None, failed: Iterable[int]) -> s
 def retrieve(
     fleet: Fleet, plan: RecoveryPlan, part: int, failed: Iterable[int] = ()
 ) -> SessionTranscript:
-    """Replay one recovery session for `part`; servers in `failed` never answer."""
+    """Replay one recovery session for `part`; servers in `failed` never
+    answer.  The part's first session of the plan builds its timeline."""
     down = check_session(fleet.code, part, failed)
-    timeline = _timeline(fleet, part, plan.sets(part))
+    timelines = _record(fleet, plan).timelines
+    timeline = timelines.get(part)
+    if timeline is None:
+        timeline = timelines[part] = _timeline(fleet, part, plan.sets(part))
     text, where, responses, values = timeline.text, timeline.where, timeline.responses, timeline.values
     # (offset, 0, set index, line) puts a line in at offset, (offset, 1, 0,
     # None) cuts the line there; a line put in goes before the line it meets.
@@ -439,9 +425,7 @@ def retrieve(
             part, sets_ok, len(timeline.sets), end, None if value is None else fleet.chunk_hex(value)
         ))
         text = "".join(pieces)
-    return SessionTranscript(
-        part, "ok" if sets_ok else "retrieval-failed", value is not None, value, text, timeline, faulted
-    )
+    return SessionTranscript(part, "ok" if sets_ok else "retrieval-failed", value is not None, value, text)
 
 
 @dataclass(frozen=True)
@@ -485,8 +469,8 @@ def availability_sweep(
     because the sets are pairwise disjoint.  f = m is accepted and reports
     status "retrieval-failed" (no set survives).
 
-    A plan object's first sweep checks its parts not yet checked with one
-    verify_plan call and builds its table (`Fleet._sweeps`).  Zipped with
+    The plan is checked whole once per plan object (`_record`), and its
+    first sweep adds its table to the record.  Zipped with
     row 0, a trial's failed servers' rows give each part -1 and their set
     indices, one more distinct value than the sets lost; trials are tallied
     by those counts, so no per-part Python runs in a trial.
@@ -496,19 +480,16 @@ def availability_sweep(
         raise ParameterError(f"need trials >= 1, got {trials}")
     if not 0 <= failures_per_trial <= code.m:
         raise ParameterError(f"failures_per_trial out of range 0..{code.m}")
-    table = fleet._sweeps.get(id(plan))
-    if table is None:
-        keys = [(part, plan.sets(part)) for part in plan.parts()]
-        _verify(fleet, keys)
-        by_part = [[-1] * (code.m + 1) for _ in keys]
-        for row, (_, sets) in zip(by_part, keys):
+    record = _record(fleet, plan)
+    if record.sweep is None:
+        all_sets = list(map(plan.sets, plan.parts()))
+        by_part = [[-1] * (code.m + 1) for _ in all_sets]
+        for row, sets in zip(by_part, all_sets):
             for index, columns in enumerate(sets):
                 for j in columns:
                     row[j] = index
-        rows = list(zip(*by_part))
-        fleet._sweeps.clear()
-        table = fleet._sweeps[id(plan)] = (plan, tuple(len(sets) for _, sets in keys), rows)
-    _, ks, rows = table
+        record.sweep = (tuple(map(len, all_sets)), list(zip(*by_part)))
+    ks, rows = record.sweep
     if not ks:
         raise ParameterError("plan covers no parts")
 

@@ -316,9 +316,9 @@ def _pair_neighbours(index: dict[int, list[int]], lifted: list[int], bit: int) -
 
 
 def _indexed_edges(
-    code: ArrayCode, holders: Sequence[Sequence[int]], parts: int
+    code: ArrayCode, holders: Sequence[Sequence[int]], parts: int, wanted: int = -1
 ) -> Iterator[tuple[int, dict[int, set[int]]]]:
-    """For parts 1..`parts` in ascending order, each part that has edges,
+    """For parts 1..`parts` in `wanted`, ascending, each part that has edges,
     with its pair graph read off the span index as a neighbour map (see
     `_pair_neighbours`); the index is freed before the last map is yielded.
 
@@ -327,7 +327,7 @@ def _indexed_edges(
     the cost of a code whose cells touch few of its p parts linear in p.
     """
     index = _span_index(code, holders[0] if parts == 1 else ())
-    lifts = _lifts(index, (1 << parts) - 1)
+    lifts = _lifts(index, ((1 << parts) - 1) & wanted)
     for part in sorted(lifts):
         neighbours = _pair_neighbours(index, lifts.pop(part), 1 << (part - 1))
         if not lifts:
@@ -338,11 +338,11 @@ def _indexed_edges(
 
 
 def _scanned_edges(
-    code: ArrayCode, holders: Sequence[Sequence[int]], parts: int
+    code: ArrayCode, holders: Sequence[Sequence[int]], parts: int, wanted: int = -1
 ) -> Iterator[tuple[int, dict[int, set[int]]]]:
-    """For parts 1..`parts` in turn, each part that has edges, with its pair
-    graph as a neighbour map, found by eliminating every pair of non-holder
-    columns whose cells involve the part."""
+    """For parts 1..`parts` in `wanted`, in turn, each part that has edges,
+    with its pair graph as a neighbour map, found by eliminating every pair
+    of non-holder columns whose cells involve the part."""
     rows = code.columns
     pivots = []  # per column, a pivot table of its cells, reused by every pair
     involved = []
@@ -354,7 +354,7 @@ def _scanned_edges(
             mask |= cell
         pivots.append(table)
         involved.append(mask)
-    for part in range(1, parts + 1):
+    for part in parts_of(((1 << parts) - 1) & wanted):
         target = 1 << (part - 1)
         held = set(holders[part - 1])
         rest = [j for j in range(code.m) if j not in held]
@@ -417,14 +417,18 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     hours there.  A part with no holders and no edges costs one step of two
     loops over the parts, so a header of many parts stored nowhere stays
     cheap.
+    A column that involves part i but does not hold e_i has i in a sum cell,
+    so a build of every part skips parts in no sum cell, or builds nothing.
     """
     holders = code._holders
     image = code._rotation
-    edges = _indexed_edges if _use_span_index(code, holders) else _scanned_edges
+    wanted = 1 if image is not None else reduce(or_, {c for col in code.columns for c in col if c & (c - 1)}, 0)
     pairs = {}
-    for part, neighbours in edges(code, holders, code.p if image is None else 1):
-        pairs[part] = max_general_matching(neighbours)
-        del neighbours  # free this part's graph before the next one is built
+    if wanted:
+        edges = _indexed_edges if _use_span_index(code, holders) else _scanned_edges
+        for part, neighbours in edges(code, holders, code.p if image is None else 1, wanted):
+            pairs[part] = max_general_matching(neighbours)
+            del neighbours  # free this part's graph before the next one is built
     if image is not None and pairs:
         # part i+1's pairs are part i's mapped through the rotation (see the
         # module docstring)

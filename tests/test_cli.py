@@ -644,3 +644,60 @@ def test_non_ascii_digits_in_a_plan_file_exit_two(tmp_path, capsys):
     plan.write_text("PIRPLAN v1\npart ١: {١,٢}\n", encoding="utf-8")
     code, stdout, err = run(capsys, "simulate", "--in", str(src), "--plan", str(plan), "--seed", "1")
     assert (code, stdout) == (2, "") and err.startswith("error: malformed plan line ")
+
+
+def test_simulate_refuses_a_plan_with_one_bad_part_before_writing(tmp_path, capsys):
+    # the plan is checked whole before the first session, so parts 1 and 2
+    # are not written before part 3 is found bad
+    code_path, plan_path, bad_path = tmp_path / "c.pir", tmp_path / "c.plan", tmp_path / "bad.plan"
+    run(capsys, "construct", "--family", "c1", "--t", "2", "--d", "2", "--out", str(code_path))
+    run(capsys, "verify", "--in", str(code_path), "--plan-out", str(plan_path))
+    text = plan_path.read_text()
+    assert "\npart 3: {1,10};" in text
+    bad_path.write_text(text.replace("\npart 3: {1,10};", "\npart 3: {1};"))
+    for extra in ((), ("--part", "1"), ("--sweep-trials", "2", "--sweep-failures", "1")):
+        code, stdout, err = run(
+            capsys, "simulate", "--in", str(code_path), "--plan", str(bad_path), "--seed", "1", *extra
+        )
+        assert (code, stdout, err) == (2, "", "error: invalid plan: part 3: columns {1} do not span it\n"), extra
+    code, stdout, _ = run(capsys, "simulate", "--in", str(code_path), "--plan", str(plan_path), "--seed", "1")
+    assert code == 0 and stdout.count('"event":"verdict"') == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rate", "--family", "c1", "--t", "٢", "--d", "2"),
+        ("rate", "--family", "c1", "--t", "2", "--d", "２"),
+        ("rate", "--family", "c1", "--t", "1_0", "--d", "2"),
+        ("rate", "--family", "c1", "--t", " 2", "--d", "2"),
+        ("rate", "--family", "c1", "--t", "+2", "--d", "2"),
+        ("rate", "--family", "c1", "--t", "2", "--d", "2", "--precision", "1_0"),
+        ("rate", "--family", "integer", "--s", "٣", "--t", "2"),
+        ("construct", "--family", "integer", "--s", "3", "--t", "2", "--max-columns", "٩٩", "--out", "x.pir"),
+        ("bounds", "--s", "5_0/2", "--t", "2"),
+        ("bounds", "--s", "5/٢", "--t", "2"),
+        ("bounds", "--s", "+3", "--t", "2"),
+        ("bounds", "--s", "3", "--t", "2", "--corollary-ell", "١"),
+        ("table", "--max-s", "٣"),
+        ("verify", "--in", "intro.pir", "--expect-k", "٣"),
+        ("simulate", "--in", "intro.pir", "--seed", "١"),
+        ("simulate", "--in", "intro.pir", "--seed", "1", "--part", "1_0"),
+        ("simulate", "--in", "intro.pir", "--seed", "1", "--fail-server", "\t2"),
+    ],
+)
+def test_number_flags_take_ascii_digits_only(tmp_path, capsys, monkeypatch, argv):
+    # int() reads each of these values; a flag, like PIRCODE and PIRPLAN
+    # text, takes ASCII digits after an optional "-" only
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "intro.pir").write_text(INTRO_TEXT)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "") and err
+    assert not (tmp_path / "x.pir").exists()
+
+
+def test_no_flag_reads_its_number_with_int():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    flags = [action for parser in subparsers.values() for action in parser._actions if action.type is not None]
+    assert not [action.dest for action in flags if action.type is int]
+    assert sum(action.type is cli._int_flag for action in flags) == 22

@@ -902,3 +902,19 @@ def test_non_ascii_digits_are_refused(parse, text, message):
     with pytest.raises(FormatError) as raised:
         parse(text)
     assert str(raised.value) == message
+
+
+def test_a_wide_column_whose_cells_overlap_is_checked_in_linear_time():
+    # a cell of every part and the cell of part 1 overlap, so the column is
+    # checked by elimination; no step may walk the 2^18 parts one by one
+    text = f"PIRCODE v1\np={MAX_PARTS} t=2 m=1\n{_EVERY_PART};1\n"
+    start = time.perf_counter()
+    code = parse_code(text)
+    assert time.perf_counter() - start < 2
+    assert code.columns == ((1, (1 << MAX_PARTS) - 1),)
+    # the same cell with a copy lacking part 2 spans part 2 without storing it
+    every = (1 << MAX_PARTS) - 1
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="^column 1 spans part 2 without storing it as a singleton$"):
+        ArrayCode(MAX_PARTS, [[every, every ^ 0b10]])
+    assert time.perf_counter() - start < 2

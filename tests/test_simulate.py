@@ -162,26 +162,33 @@ def test_invalid_plan_is_contract_error(intro_code):
 
 
 def test_an_invalid_plan_is_refused_on_every_call(intro_code):
+    # a plan is checked whole, so a session of any of its parts and a sweep
+    # refuse it on every call with its first violation, and a refused plan
+    # leaves the record of the plan in use as it was
     fleet = Fleet(code=intro_code, seed=7)
     good = k_pir_pairs(intro_code).plan
     bad = RecoveryPlan({**{part: good.sets(part) for part in good.parts()}, 3: [{1}]})
     message = "invalid plan: " + verify_plan(intro_code, bad).violation
     for _ in range(3):
-        with pytest.raises(ParameterError, match=re.escape(message)):
-            retrieve(fleet, bad, 3)
-        # parts 1 and 2 pass before part 3 fails; the message stays part 3's
+        for part in (3, 5, 1):
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                retrieve(fleet, bad, part)
         with pytest.raises(ParameterError, match=re.escape(message)):
             availability_sweep(fleet, bad, trials=2, failures_per_trial=1)
-    assert retrieve(fleet, bad, 5).status == "ok"
+    assert fleet._record is None
+    text = retrieve(fleet, good, 5).jsonl()
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        retrieve(fleet, bad, 5)
+    assert fleet._record.plan is good and retrieve(fleet, good, 5).jsonl() is text
 
 
 @pytest.fixture
 def plan_checks(monkeypatch):
-    """The parts of every plan simulate.verify_plan is called on."""
+    """Every plan object simulate.verify_plan is called on."""
     calls = []
 
     def counting(code, plan):
-        calls.append(plan.parts())
+        calls.append(plan)
         return verify_plan(code, plan)
 
     monkeypatch.setattr(simulate, "verify_plan", counting)
@@ -189,41 +196,61 @@ def plan_checks(monkeypatch):
 
 
 def test_a_replayed_plan_part_is_checked_once_per_fleet(intro_code, plan_checks):
+    # the first session checks the whole plan in one call; later sessions
+    # of any part, and sweeps, check nothing more
     fleet = Fleet(code=intro_code, seed=7)
-    assert "_verified" not in repr(fleet)
+    assert "_record" not in repr(fleet)
     plan = k_pir_pairs(intro_code).plan
     first = retrieve(fleet, plan, 5)
-    assert plan_checks == [(5,)]
+    assert len(plan_checks) == 1 and plan_checks[0] is plan
     assert retrieve(fleet, plan, 5) == first
     retrieve(fleet, plan, 5, failed={1})
-    assert plan_checks == [(5,)]
-    # a sweep checks every part not yet checked on the fleet, in one call
     availability_sweep(fleet, plan, trials=3, failures_per_trial=1)
-    assert plan_checks == [(5,), tuple(part for part in plan.parts() if part != 5)]
     availability_sweep(fleet, plan, trials=3, failures_per_trial=2)
-    availability_sweep(fleet, parse_plan(serialize_plan(plan)), trials=3, failures_per_trial=2)
     for part in plan.parts():
         retrieve(fleet, plan, part)
-    assert sorted(part for parts in plan_checks for part in parts) == list(plan.parts())
+    assert len(plan_checks) == 1
     # another fleet keeps its own record
     retrieve(Fleet(code=intro_code, seed=7), plan, 5)
-    assert plan_checks[2:] == [(5,)]
+    assert len(plan_checks) == 2 and plan_checks[1] is plan
 
 
-def test_a_content_equal_plan_reuses_the_record(intro_code, plan_checks):
+def test_verify_plan_runs_once_per_plan_object(plan_checks):
+    # sessions and sweeps share one check per plan object, in whichever
+    # order they come; a different object, even a content-equal one,
+    # replaces the record, so going back to the first object checks it again
+    code = build_c1(3, 2)
+    plan = k_pir_pairs(code).plan
+    copy = parse_plan(serialize_plan(plan))
+    fleet = Fleet(code=code, seed=5)
+    rng = random.Random(37)
+    for chosen in (plan, copy, plan):
+        calls = len(plan_checks)
+        for _ in range(3):
+            availability_sweep(fleet, chosen, trials=2, failures_per_trial=rng.randrange(3))
+            for part in rng.sample(plan.parts(), 4):
+                retrieve(fleet, chosen, part, failed=rng.sample(range(1, code.m + 1), rng.randrange(3)))
+        assert len(plan_checks) == calls + 1 and plan_checks[calls] is chosen
+        assert fleet._record.plan is chosen
+
+
+def test_a_content_equal_plan_gets_its_own_record(intro_code, plan_checks):
+    # the record is kept by plan object: a content-equal copy is checked
+    # whole and replaces it, and gives the same sessions and sweeps
     fleet = Fleet(code=intro_code, seed=7)
     plan = k_pir_pairs(intro_code).plan
-    availability_sweep(fleet, plan, trials=3, failures_per_trial=1)
-    checked = len(plan_checks)
+    session = retrieve(fleet, plan, 5, failed={2}).jsonl()
+    sweep = availability_sweep(fleet, plan, trials=3, failures_per_trial=1).to_json()
     copy = parse_plan(serialize_plan(plan))
     assert copy is not plan and copy == plan
-    retrieve(fleet, copy, 5)
-    availability_sweep(fleet, copy, trials=3, failures_per_trial=1)
-    assert len(plan_checks) == checked
-    # a plan that differs in one part has only that part checked
+    assert availability_sweep(fleet, copy, trials=3, failures_per_trial=1).to_json() == sweep
+    assert fleet._record.plan is copy and fleet._record.timelines == {}
+    assert retrieve(fleet, copy, 5, failed={2}).jsonl() == session
+    assert len(plan_checks) == 2 and plan_checks[0] is plan and plan_checks[1] is copy
+    # a plan that differs in one part is checked whole
     changed = RecoveryPlan({**{part: plan.sets(part) for part in plan.parts()}, 5: [{1}, {2}]})
     availability_sweep(fleet, changed, trials=3, failures_per_trial=1)
-    assert plan_checks[checked:] == [(5,)]
+    assert len(plan_checks) == 3 and plan_checks[2] is changed
 
 
 def test_sweep_no_failures_keeps_every_set(c1_fleet):
@@ -540,9 +567,27 @@ def test_lazy_views_match_the_eager_construction(intro_code):
         assert again == transcript and hash(again) == hash(transcript)
 
 
+def test_a_transcript_is_its_text(intro_code):
+    # a transcript holds its five public fields only, and one made from them
+    # parses the eager reference's events and set outcomes from its text,
+    # with dropped responses and failed servers among the sessions
+    names = [f.name for f in dataclasses.fields(simulate.SessionTranscript)]
+    assert names == ["part", "status", "agreement", "value", "text"]
+    seen = set()
+    for fleet, plan, part, failed in _seeded_sessions(intro_code):
+        transcript = retrieve(fleet, plan, part, failed=failed)
+        copy = simulate.SessionTranscript(*(getattr(transcript, name) for name in names))
+        events, sets = _eager_session(fleet, plan, part, failed)
+        assert copy.sets == sets and copy.events == events and copy == transcript
+        faulted = [set(e["missing"]) for e in events if e.get("status") == "faulted"]
+        seen.update("failed" if missing & set(failed) else "dropped" for missing in faulted)
+        seen.update("solved" for outcome in sets if not outcome.faulted)
+    assert seen == {"failed", "dropped", "solved"}
+
+
 def test_two_plans_for_one_part_render_their_own_columns():
-    # a fleet keeps each (part, sets) it has checked with its rendered column
-    # lists; a second plan that gives part 1 other sets renders its own
+    # a fleet keeps the timelines of the plan object in use; a second plan
+    # that gives part 1 other sets renders its own
     code = build_c1(2, 2)
     first = k_pir_pairs(code).plan
     second = RecoveryPlan({1: first.sets(1)[1:]})
@@ -556,7 +601,7 @@ def test_two_plans_for_one_part_render_their_own_columns():
             assert transcript.jsonl() == _reference_jsonl(transcript)
             solves = [e["columns"] for e in events if e["event"] == "solve"]
             assert sorted(map(tuple, solves)) == list(plan.sets(1))
-        assert len(fleet._verified) == 2
+            assert fleet._record.plan is plan and list(fleet._record.timelines) == [1]
 
 
 def _jitters(fleet, plan, part) -> list[int]:
@@ -585,15 +630,15 @@ def test_jitter_is_drawn_as_randrange_draws_it():
 
 
 def test_replayed_sessions_match_a_fresh_fleets_first_run(intro_code):
-    # each replayed (part, sets) is solved once per fleet; replays read the
-    # kept values
+    # each replayed part of a plan is solved once per fleet; replays read
+    # the kept values
     for fleet, plan, part, failed in _seeded_sessions(intro_code):
         text = retrieve(fleet, plan, part, failed=failed).jsonl()
         assert retrieve(fleet, plan, part, failed=failed).jsonl() == text
         fresh = dataclasses.replace(fleet)
-        assert not fresh._timelines
+        assert fresh._record is None
         assert retrieve(fresh, plan, part, failed=failed).jsonl() == text
-        assert len(fleet._timelines) <= len(plan.parts())
+        assert set(fleet._record.timelines) <= set(plan.parts())
 
 
 def test_a_one_column_set_reads_the_stored_singleton(c1_fleet):
@@ -616,23 +661,23 @@ def test_a_one_column_set_reads_the_stored_singleton(c1_fleet):
 
 def test_a_plan_parts_request_block_is_rendered_once():
     # every server of every set is requested at time 0, failed or not, so
-    # each session of a (part, sets) starts with its timeline's request lines
+    # each session of a part starts with its timeline's request lines
     code = build_c1(3, 2)
     plan = k_pir_pairs(code).plan
     fleet = Fleet(code=code, seed=5, drop_probability=0.3)
     availability_sweep(fleet, plan, trials=10, failures_per_trial=2)
-    assert not fleet._timelines
+    assert fleet._record.timelines == {}
     first = retrieve(fleet, plan, 2)
     second = retrieve(fleet, plan, 2, failed=[3, 9])
     assert first.jsonl() != second.jsonl()
     requests = sum(map(len, plan.sets(2)))
     block = "".join(first.jsonl().splitlines(keepends=True)[:requests])
-    assert first.jsonl() is fleet._timelines[(2, plan.sets(2))].text
+    assert first.jsonl() is fleet._record.timelines[2].text
     assert second.jsonl().startswith(block) and first.events[requests]["event"] != "request"
     assert [e for e in first.events if e["event"] == "request"] == [
         e for e in _eager_session(fleet, plan, 2, [])[0] if e["event"] == "request"
     ]
-    assert len(fleet._timelines) == 1
+    assert list(fleet._record.timelines) == [2]
 
 
 def _signature(line: str) -> tuple:
@@ -641,7 +686,7 @@ def _signature(line: str) -> tuple:
 
 
 def test_a_plan_parts_response_and_solve_texts_are_rendered_once():
-    # a (part, sets)'s failure-free session is rendered once per fleet; a
+    # a plan part's failure-free session is rendered once per fleet; a
     # session with failed servers keeps the rest of its lines, in order, and
     # trades the failed servers' responses, the solves of the sets they
     # fault and the verdict for those sets' faulted solves and its verdict
@@ -649,7 +694,7 @@ def test_a_plan_parts_response_and_solve_texts_are_rendered_once():
     plan = k_pir_pairs(code).plan
     fleet = Fleet(code=code, seed=5)
     first = retrieve(fleet, plan, 2)
-    text = fleet._timelines[(2, plan.sets(2))].text
+    text = fleet._record.timelines[2].text
     assert first.jsonl() is text
     second = retrieve(fleet, plan, 2, failed=[3, 9])
     base, lines = text.splitlines(keepends=True), second.jsonl().splitlines(keepends=True)
@@ -664,7 +709,7 @@ def test_a_plan_parts_response_and_solve_texts_are_rendered_once():
     assert sorted(map(_signature, set(lines) - set(base))) == sorted(
         [("solve", 0, index, "faulted") for index in hit] + [("verdict", 0, 0, "ok")]
     )
-    assert len(fleet._timelines) == 1
+    assert list(fleet._record.timelines) == [2]
 
 
 # (base_latency_us, jitter_us, drop_probability) for the edit's differential
@@ -737,21 +782,22 @@ def test_edited_sessions_match_the_eager_construction(intro_code):
 
 
 def test_a_replay_draws_and_solves_nothing(monkeypatch):
-    # only the first session of a (part, sets) draws its stream and solves
-    # its sets; later ones, with or without failed servers and interleaved
-    # over parts and plans, create no Random and insert no row, and one
-    # whose failed servers fault no set returns the timeline's text object
+    # only the first session of a part of the plan in use draws its stream
+    # and solves its sets; later ones, with or without failed servers and
+    # interleaved over parts, create no Random and insert no row, and one
+    # whose failed servers fault no set returns the timeline's text object.
+    # Another plan object replaces the record, so its parts, and those of
+    # the first plan when it comes back, are built again.
     code = build_c1(3, 2)
     plan = k_pir_pairs(code).plan
     other = RecoveryPlan({part: plan.sets(part)[1:] for part in (1, 2)})
     fleet = Fleet(code=code, seed=5, drop_probability=0.1)
     rng = random.Random(7)
-    sessions = [
-        (chosen, part, rng.sample(range(1, code.m + 1), rng.randrange(4)))
-        for _ in range(6)
-        for chosen in (plan, other)
-        for part in chosen.parts()
-    ]
+    sessions = []
+    for chosen in (plan, other, plan):
+        block = [part for _ in range(3) for part in chosen.parts()]
+        rng.shuffle(block)
+        sessions += [(chosen, part, rng.sample(range(1, code.m + 1), rng.randrange(4))) for part in block]
     made, inserted = [], []
 
     class Counted(random.Random):
@@ -765,20 +811,24 @@ def test_a_replay_draws_and_solves_nothing(monkeypatch):
 
     monkeypatch.setattr(simulate.random, "Random", Counted)
     monkeypatch.setattr(simulate, "pivot_insert", counted)
-    replayed = set()
+    replayed: set[int] = set()  # parts replayed since the record last changed
+    current, built = None, 0
     for chosen, part, failed in sessions:
+        if chosen is not current:
+            current = chosen
+            replayed.clear()
         made.clear()
         inserted.clear()
         transcript = retrieve(fleet, chosen, part, failed=failed)
-        key = (part, chosen.sets(part))
-        if key in replayed:
+        if part in replayed:
             assert made == [] and inserted == []
         else:
             assert len(made) == 1 and inserted
-            replayed.add(key)
-        if not {j for columns in key[1] for j in columns} & set(failed):
-            assert transcript.jsonl() is fleet._timelines[key].text
-    assert len(replayed) == len(plan.parts()) + 2
+            replayed.add(part)
+            built += 1
+        if not {j for columns in chosen.sets(part) for j in columns} & set(failed):
+            assert transcript.jsonl() is fleet._record.timelines[part].text
+    assert built == 2 * len(plan.parts()) + 2
 
 
 def test_a_part_with_no_sets_prints_only_its_verdict():
@@ -808,11 +858,11 @@ def test_the_solve_cache_holds_one_entry_per_replayed_part():
         for part in plan.parts()[::2]:
             failed = rng.sample(range(1, code.m + 1), rng.randrange(4))
             retrieve(fleet, plan, part, failed=failed)
-            replayed.add((part, plan.sets(part)))
-            assert set(fleet._timelines) == replayed
+            replayed.add(part)
+            assert set(fleet._record.timelines) == replayed
     retrieve(fleet, other, 1)
-    assert set(fleet._timelines) == replayed | {(1, other.sets(1))}
-    assert "_timelines" not in repr(fleet)
+    assert fleet._record.plan is other and list(fleet._record.timelines) == [1]
+    assert "_record" not in repr(fleet)
 
 
 def test_a_fleet_solves_from_its_rows_once(monkeypatch):
@@ -844,8 +894,8 @@ def test_a_sweep_solves_nothing(c1_fleet):
     fleet, plan = c1_fleet
     fresh = Fleet(code=fleet.code, seed=42)
     availability_sweep(fresh, plan, trials=10, failures_per_trial=2)
-    assert not fresh._timelines and "_cells" not in vars(fresh)
-    assert set(fresh._verified) == {(part, plan.sets(part)) for part in plan.parts()}
+    assert fresh._record.timelines == {} and "_cells" not in vars(fresh)
+    assert fresh._record.plan is plan and fresh._record.sweep is not None
 
 
 @pytest.mark.parametrize("bad", [2.9, "3", None, 2.0])

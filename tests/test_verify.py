@@ -368,10 +368,12 @@ def test_cached_holders_and_column_map_are_not_seen():
         assert code._holders == _singleton_columns(fresh)
         assert code._rotation == _rotation_image(fresh, _singleton_columns(fresh))
         assert tuple(field.name for field in dataclasses.fields(ArrayCode)) == names
-        # a one-part plan, as a session replay checks, never computes the map
+        # a one-part plan never computes the map
         assert verify_plan(fresh, RecoveryPlan({2: report.plan.sets(2)})).ok
-        simulate.retrieve(simulate.Fleet(code=fresh, seed=1), report.plan, 2)
         assert "_rotation" not in vars(fresh)
+        # a session checks its whole plan, through the rotation, as a sweep does
+        simulate.retrieve(simulate.Fleet(code=fresh, seed=1), report.plan, 2)
+        assert vars(fresh)["_rotation"] == code._rotation
 
 
 def test_singleton_census_reads_the_cached_holders_unchanged():
@@ -513,6 +515,9 @@ def test_both_edge_paths_match_quadratic_oracle(code):
             oracle.append((part, _as_neighbours(edges)))
     assert list(_indexed_edges(code, holders, code.p)) == oracle
     assert list(_scanned_edges(code, holders, code.p)) == oracle
+    # every part with edges is held by some sum cell, so k_pir_pairs may skip the rest
+    sums = functools.reduce(int.__or__, (cell for col in code.columns for cell in col if cell & (cell - 1)), 0)
+    assert all(sums >> (part - 1) & 1 for part, _ in oracle)
     _check_one_part_index(code)
     _check_pair_plan(code)
 
@@ -1079,3 +1084,27 @@ def test_exhaustive_mode_leaves_no_cyclic_garbage(intro_code):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_code_of_singletons_only_builds_no_pair_graph(monkeypatch):
+    # 100 columns of 16 singletons over p = 1400: no sum cell holds a part,
+    # so no part has pair edges and neither the span index (100 * 65535
+    # vectors of 1400 bits) nor the pair scan is built
+    rows = (";".join(map(str, sorted((16 * j + r) % 1400 + 1 for r in range(16)))) for j in range(100))
+    text = "PIRCODE v1\np=1400 t=16 m=100\n" + "\n".join(rows) + "\n"
+    assert len(text.encode()) == 6614
+    code = parse_code(text)
+
+    def refused(*args):
+        raise AssertionError("a pair graph was built")
+
+    monkeypatch.setattr(verify_module, "_indexed_edges", refused)
+    monkeypatch.setattr(verify_module, "_scanned_edges", refused)
+    start = time.perf_counter()
+    report = k_pir_pairs(code)
+    assert time.perf_counter() - start < 1.0
+    assert report.k == 1
+    assert all(len(columns) == 1 for part in report.plan.parts() for columns in report.plan.sets(part))
+    # the plan of the full scan, which finds no edge
+    digest = hashlib.sha256(serialize_plan(report.plan).encode()).hexdigest()
+    assert digest == "bef88887d3ab26f79147cbcb0cf9ec27baaefe7dc8376949b2a4011f6382d5dd"
