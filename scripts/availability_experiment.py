@@ -13,19 +13,19 @@ from __future__ import annotations
 import argparse
 
 from pirarray import ConstructionParams, Fleet, ParameterError, availability_sweep, k_pir_pairs
-from pirarray.cli import parse_s
+from pirarray.cli import _int_flag, parse_s
 from pirarray.constructions import FAMILIES
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--family", default="c1", choices=FAMILIES)
-    parser.add_argument("--t", type=int, default=2)
-    parser.add_argument("--d", type=int, default=2)
+    parser.add_argument("--t", type=_int_flag, default=2)
+    parser.add_argument("--d", type=_int_flag, default=2)
     parser.add_argument("--s", type=str, default=None, help="exact rational like 5/2")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--max-failures", type=int, default=3)
+    parser.add_argument("--seed", type=_int_flag, default=42)
+    parser.add_argument("--trials", type=_int_flag, default=200)
+    parser.add_argument("--max-failures", type=_int_flag, default=3)
     args = parser.parse_args()
 
     try:

@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 
 from pirarray import integer_s_rate, render_decimal, table1_text, upper_g_s
+from pirarray.cli import _int_flag
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-s", type=int, default=6)
-    parser.add_argument("--max-t", type=int, default=13)
+    parser.add_argument("--max-s", type=_int_flag, default=6)
+    parser.add_argument("--max-t", type=_int_flag, default=13)
     parser.add_argument(
-        "--convergence-t", type=int, nargs="*", default=[25, 100, 400],
+        "--convergence-t", type=_int_flag, nargs="*", default=[25, 100, 400],
         help="extra t values at which to print the gap to the ceiling",
     )
     args = parser.parse_args()

@@ -33,12 +33,30 @@ set's cells into one fresh pivot table.  Only the pair scan, which meets
 each column in O(m) pairs, keeps a pivot table per column.  The
 enumeration keeps none: each kept set carries its span's parity checks.
 
-Pair mode builds each part's pair graph one of two ways, whichever a size
-estimate says is cheaper for the code, as a neighbour map (column -> set of
-columns), and `max_general_matching` takes that map, checks it once and
-indexes it (sorted columns, each row of ascending indices); each part's
-graph is freed once it is matched, and a part with no edges costs no
-graph.  The span index: for columns U, V
+Pair mode builds each part's pair graph one of three ways, all giving the
+same graph, as a neighbour map (column -> set of columns), and
+`max_general_matching` takes that map, checks it once and indexes it
+(sorted columns, each row of ascending indices); each part's graph is
+freed once it is matched, and a part with no edges costs no graph.
+
+When every column is singletons plus at most one sum cell disjoint from
+them, and every column with a sum covers all p parts, as every c1, c2 and
+c3 column does, the graph is read off the cells.  Write T for a column's
+singletons and S for its sum.  Two non-holders U, V of part i span e_i
+exactly when i is in S_U and S_U - {i} lies inside T_V, or the same with U
+and V swapped: disjoint cells XOR to their union, so a pair using neither
+sum has no i, and a pair using both has i twice, since a non-holder's sum
+holds every part its singletons miss.  Each part groups its U by the key
+S_U - {i} and finds each key's V by whichever of two methods a count read
+off the input first says is cheaper: the key-sized subsets of every
+distinct column's singletons, looked up among the keys, or the holders of
+each key's least-held part, tested by their singleton masks.  A sum of
+more parts than one beyond the widest T is no part's key, so a dense sum
+costs one popcount.  The cost is one pass over the cells plus, per part
+built, the cheaper count and one set union per U and per V of each key.
+
+Every other code takes the span index or the pair scan, whichever a size
+estimate says is cheaper.  The span index: for columns U, V
 that do not span e_i alone, e_i lies in span(U)+span(V) iff some x in
 span(U) has x ^ e_i in span(V).  The index maps each nonzero vector to
 the columns whose span holds it, built from every column's 2^t - 1 span
@@ -53,12 +71,12 @@ sum_i C(m - alpha_i, 2) pairs of columns that do not hold part i alone, by
 copying one column's pivot table and inserting the other's cells, in O(m)
 memory.  The index is used when its m*(2^t - 1) entries number no more
 than those candidate pairs and no more than PAIRS_SPAN_CAP; many columns
-with small t (integer(3,3), c1(8,8)) take the index, few columns with large
-t (c2, c3) the scan.
+with small t (integer(3,3), general(8/3,3)) take the index, few columns
+with large t the scan.
 
 When the columns are closed under the part rotation e_i -> e_(i+1 mod p),
 as every ladder code (c1, integer and general s) and c3 are, only part 1's
-graph is built, either way, and matched; the span index then leaves out
+graph is built, whichever way, and matched; the span index then leaves out
 part 1's holders, which pair with no column for part 1 (a holder holds both
 x and x ^ e_1 for every x of its span), so it holds the other columns'
 span elements only.  Each column j maps to a column
@@ -92,7 +110,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations
+from math import comb
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -375,6 +394,116 @@ def _scanned_edges(
             yield part, neighbours
 
 
+def _summed_columns(code: ArrayCode) -> list[tuple[tuple[int, ...], int, int, list[int]]] | None:
+    """Each distinct column as (its singleton cells, their OR, its sum cell
+    or 0, its 1-based positions), when every column is singletons plus at
+    most one sum cell disjoint from them and every column with a sum covers
+    all p parts; None otherwise.
+
+    Canonical order puts a column's sums after its singletons, so its last
+    cell is the only possible sum when the cell before is a singleton.
+    Columns are told apart by identity: `ArrayCode` gives columns that were
+    given alike one tuple, and equal columns given in other cell orders
+    only cost their kinds' work twice.
+    """
+    full = (1 << code.p) - 1
+    kinds: dict[int, tuple[tuple[int, ...], int, int, list[int]]] = {}
+    for j, col in enumerate(code.columns, start=1):
+        kind = kinds.get(id(col))
+        if kind is None:
+            last = col[-1]
+            if not last & (last - 1):
+                kind = (col, sum(col), 0, [])
+            else:
+                if len(col) > 1 and col[-2] & (col[-2] - 1):
+                    return None
+                mask = sum(col) - last
+                if mask & last or mask | last != full:
+                    return None
+                kind = (col[:-1], mask, last, [])
+            kinds[id(col)] = kind
+        kind[3].append(j)
+    return list(kinds.values())
+
+
+def _summed_edges(
+    kinds: Sequence[tuple[tuple[int, ...], int, int, list[int]]],
+    holders: Sequence[Sequence[int]],
+    parts: int,
+    wanted: int = -1,
+) -> Iterator[tuple[int, dict[int, set[int]]]]:
+    """For parts 1..`parts` in `wanted`, ascending, each part that has edges,
+    with its pair graph as a neighbour map, read off the distinct columns
+    `kinds` of a code that `_summed_columns` accepts: the columns U whose
+    sum S_U holds part i, grouped by the key S_U - {i}, each joined to the
+    non-holders whose singletons T hold its key (see the module docstring).
+
+    Every sum covers the p - t + 1 parts that its column's t - 1 singletons
+    miss, so every key has p - t parts, and when that is more than the
+    widest T no part has edges.  Before it enumerates anything, a part
+    takes the cheaper of two ways to find the V: the key-sized subsets of
+    each distinct column's singletons, looked up among the keys, at most
+    1 + C(|T|, p - t) per distinct column; or the holders of each key's
+    least-held part, tested by their singleton masks, p - t plus that many
+    per key, counted until they pass the subsets' count.
+    """
+    widths = Counter(len(units) for units, _, _, _ in kinds)  # distinct columns per singleton count
+    sums = [(total, at) for _, _, total, at in kinds if total]
+    if not sums:
+        return
+    size = sums[0][0].bit_count() - 1  # the parts of every key
+    if size > max(widths):
+        return
+    budget = sum(n * (1 + comb(width, size)) for width, n in widths.items())
+    span = ((1 << parts) - 1) & wanted
+    users: defaultdict[int, list[tuple[int, list[int]]]] = defaultdict(list)  # part -> its (S_U, U)
+    for total, at in sums:
+        if total & span:
+            for part in parts_of(total & span):
+                users[part].append((total, at))
+    masks = None  # each 1-based column's singleton mask, made when first needed
+    for part in sorted(users):
+        bit = 1 << (part - 1)
+        groups: defaultdict[int, list[int]] = defaultdict(list)  # key -> the U
+        for total, at in users.pop(part):
+            groups[total ^ bit] += at
+        fewest = []  # (key, the holders of its least-held part), while no dearer than the subsets
+        cost = 0
+        for key in groups:
+            least = min((holders[j - 1] for j in parts_of(key)), key=len)
+            cost += size + len(least)
+            if cost > budget:
+                break
+            fewest.append((key, least))
+        matches: defaultdict[int, list[int]] = defaultdict(list)  # key -> the V
+        if cost > budget:
+            for units, mask, _, at in kinds:
+                if not mask & bit:
+                    for key in map(sum, combinations(units, size)):
+                        if key in groups:
+                            matches[key] += at
+        else:
+            if masks is None:
+                masks = {j: mask for _, mask, _, at in kinds for j in at}
+            for key, least in fewest:
+                need = key | bit
+                found = [v + 1 for v in least if masks[v + 1] & need == key]
+                if found:
+                    matches[key] = found
+        neighbours: defaultdict[int, set[int]] = defaultdict(set)
+        for key, found in matches.items():
+            us = groups[key]
+            near_u, near_v = set(found), set(us)
+            for u in us:
+                neighbours[u] |= near_u
+            for v in found:
+                neighbours[v] |= near_v
+        del groups, matches
+        if neighbours:
+            yield part, neighbours
+        del neighbours  # so a map the caller has dropped is freed before the next is built
+
+
 def _use_span_index(code: ArrayCode, holders: Sequence[Sequence[int]]) -> bool:
     """Whether the span index has no more entries than the pair scan has
     candidate pairs, and fits under PAIRS_SPAN_CAP."""
@@ -392,29 +521,34 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     """Singleton holders plus maximum pair matching, per part.
 
     Exact for codes whose optimal recovery sets have size <= 2; otherwise
-    the reported k is a valid lower bound.  Each part's pair graph comes
-    from the span index or the pair scan, whichever `_use_span_index`
-    judges cheaper (see the module docstring), and goes to
-    `max_general_matching` as the neighbour map it is built as.  For a code
-    closed under the part rotation only part 1 is matched, and part i+1's
-    pairs are part i's mapped by the column map `ArrayCode._rotation`
-    through `_mapped`, as `verify_plan` maps them, so each part's sets are
-    as many as a matching of its own graph would give.  Every part's
-    holders come from `ArrayCode._holders`.
+    the reported k is a valid lower bound.  Each part's pair graph is read
+    off the cells (`_summed_edges`) when `_summed_columns` accepts the
+    code, and otherwise comes from the span index or the pair scan,
+    whichever `_use_span_index` judges cheaper (see the module docstring);
+    it goes to `max_general_matching` as the neighbour map it is built as.
+    For a code closed under the part rotation only part 1 is matched, and
+    part i+1's pairs are part i's mapped by the column map
+    `ArrayCode._rotation` through `_mapped`, as `verify_plan` maps them, so
+    each part's sets are as many as a matching of its own graph would give.
+    Every part's holders come from `ArrayCode._holders`.
 
     Part i is certified when f <= 2*nu + 2, with f = m - alpha_i its
     non-holder columns and nu its matching size.  Some optimal packing
     uses every holder alone; its other sets are a <= nu pairs and b sets of
     three or more columns inside the f non-holders, so 2a + 3b <= f and
     k_i <= alpha_i + min(f // 2, (f + nu) // 3), which alpha_i + nu meets
-    exactly when f <= 2*nu + 2.  The index costs O(p*m*2^t) plus one
-    visit per element of span(U) & span(V) for every edge {U,V}, with about
-    m*2^t index entries in memory; a one-part build leaves part 1's holders
-    out of the index.  The c1(8,8) code (m=24310, t=8) is rotation-closed
-    and takes 0.9-1.3 s, and the process that builds and verifies it peaks
-    at 72 MB RSS (Python 3.11.7, one core of a shared 2-vCPU Xeon VM whose
-    speed drifts); the span index is most of both, and the scan would take
-    hours there.  A part with no holders and no edges costs one step of two
+    exactly when f <= 2*nu + 2.  Read off the cells, a part costs the
+    cheaper of its two counts plus one set union per U and per V of each
+    key; the index costs O(p*m*2^t) plus one visit per element of
+    span(U) & span(V) for every edge {U,V}, with about m*2^t index entries
+    in memory, and a one-part build leaves part 1's holders out of it.
+    The c1(8,8) code (m=24310, t=8) is rotation-closed and read off its
+    cells in 0.27-0.38 s, and the process that builds and verifies it peaks
+    at 55 MB RSS; the holders and the column map are about half the time,
+    and its span index took 0.85 s.  c1(9,9) (m=92378), past the index's
+    cap, where the scan would take hours, takes 1.2-1.5 s and peaks at
+    178 MB (Python 3.11.7, one core of a shared 2-vCPU Xeon VM whose speed
+    drifts).  A part with no holders and no edges costs one step of two
     loops over the parts, so a header of many parts stored nowhere stays
     cheap.
     A column that involves part i but does not hold e_i has i in a sum cell,
@@ -425,8 +559,15 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     wanted = 1 if image is not None else reduce(or_, {c for col in code.columns for c in col if c & (c - 1)}, 0)
     pairs = {}
     if wanted:
-        edges = _indexed_edges if _use_span_index(code, holders) else _scanned_edges
-        for part, neighbours in edges(code, holders, code.p if image is None else 1, wanted):
+        parts = code.p if image is None else 1
+        summed = _summed_columns(code)
+        if summed is not None:
+            edges = _summed_edges(summed, holders, parts, wanted)
+        elif _use_span_index(code, holders):
+            edges = _indexed_edges(code, holders, parts, wanted)
+        else:
+            edges = _scanned_edges(code, holders, parts, wanted)
+        for part, neighbours in edges:
             pairs[part] = max_general_matching(neighbours)
             del neighbours  # free this part's graph before the next one is built
     if image is not None and pairs:

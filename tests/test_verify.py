@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,8 @@ from pirarray.verify import (
     _minimal_recovery_masks,
     _scanned_edges,
     _span_index,
+    _summed_columns,
+    _summed_edges,
     _use_span_index,
 )
 
@@ -503,10 +506,47 @@ def valid_codes(draw, max_m: int, max_p: int = 14, max_t: int = 6, duplicates: b
     return ArrayCode.from_columns(p, columns)
 
 
-@settings(max_examples=150, deadline=None)
-@given(valid_codes(max_m=40))
+@st.composite
+def summed_codes(draw, max_p: int = 9) -> ArrayCode:
+    """Random codes whose columns are t singletons, or t-1 singletons plus
+    the sum of every other part, some repeated.  Half of them hold each
+    column with all its part rotations, so they are closed under the
+    rotation, and the rest mostly are not."""
+    p = draw(st.integers(2, max_p))
+    t = draw(st.integers(1, p - 1))
+    rotated = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+    units = [1 << i for i in range(p)]
+    columns = []
+    for _ in range(draw(st.integers(1, 4 if rotated else 14))):
+        if draw(st.booleans()):
+            columns.append(rng.sample(units, t))
+        else:
+            singles = rng.sample(units, t - 1)
+            columns.append([*singles, (1 << p) - 1 - sum(singles)])
+    if rotated:
+        columns = [[_rotated(cell, p, steps) for cell in col] for steps in range(p) for col in columns]
+    return ArrayCode.from_columns(p, columns)
+
+
+def _check_summed_edges(code: ArrayCode, parts: int, expected: list) -> None:
+    """`_summed_edges` yields `expected` for parts 1..`parts` by the method
+    its cost estimate picks, and by each method forced: an estimate of
+    subsets above every holder count takes the holder lists, one below
+    every count takes the subsets."""
+    kinds, holders = _summed_columns(code), _singleton_columns(code)
+    assert kinds is not None
+    assert list(_summed_edges(kinds, holders, parts)) == expected
+    for estimate in (1 << 62, -(1 << 62)):
+        with mock.patch.object(verify_module, "comb", lambda n, r: estimate):
+            assert list(_summed_edges(kinds, holders, parts)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(valid_codes(max_m=40), summed_codes()))
 def test_both_edge_paths_match_quadratic_oracle(code):
-    # each path yields the parts that have edges, in ascending order
+    # each path yields the parts that have edges, in ascending order; a code
+    # of singletons and sums that cover the parts is read off its cells too
     holders = _singleton_columns(code)
     oracle = []
     for part in range(1, code.p + 1):
@@ -515,6 +555,8 @@ def test_both_edge_paths_match_quadratic_oracle(code):
             oracle.append((part, _as_neighbours(edges)))
     assert list(_indexed_edges(code, holders, code.p)) == oracle
     assert list(_scanned_edges(code, holders, code.p)) == oracle
+    if _summed_columns(code) is not None:
+        _check_summed_edges(code, code.p, oracle)
     # every part with edges is held by some sum cell, so k_pir_pairs may skip the rest
     sums = functools.reduce(int.__or__, (cell for col in code.columns for cell in col if cell & (cell - 1)), 0)
     assert all(sums >> (part - 1) & 1 for part, _ in oracle)
@@ -583,8 +625,8 @@ def test_pair_certificate_bound_is_never_below_the_exhaustive_count():
 # each next part's sets mapped through the rotation; c1 with d = t keeps the
 # digest of matching every part on its own, since each part's pair graph is a
 # perfect matching there.  The first two were first pinned from the quadratic
-# pair scan; the next six are the family-verify benchmark codes.  c2 and c3
-# take the pair scan, every other code the span index.
+# pair scan; the next six are the family-verify benchmark codes.  c1, c2 and
+# c3 are read off their cells, every other code takes the span index.
 GOLDEN_PLAN_SHA256 = {
     ("integer", 3, None, 3): "34b44d5685d6d1aa97975bffc9694d40b557fdf35b90787c8710886807b87fae",
     ("c1", 6, 6, None): "30c9ac1e759436d07b18110938deb49c92a3a3aea2ef182b7bf95ed7631caa64",
@@ -604,7 +646,9 @@ def test_pair_plans_at_scale_are_unchanged(key):
     family, t, d, s = key
     params = ConstructionParams(family, t, d=d, s=None if s is None else Fraction(s))
     code = params.build()
-    assert _use_span_index(code, _singleton_columns(code)) == (family not in ("c2", "c3"))
+    summed = _summed_columns(code) is not None
+    assert summed == (family in ("c1", "c2", "c3"))
+    assert summed or _use_span_index(code, _singleton_columns(code))
     report = k_pir_pairs(code)
     assert (code.m, report.k) == params.predicted_counts()
     assert all(report.certified)
@@ -630,6 +674,32 @@ def _check_one_part_index(code: ArrayCode) -> None:
     assert list(_indexed_edges(code, holders, 1)) == ([(1, _as_neighbours(edges))] if edges else [])
     skipped = {j + 1 for j in holders[0]}
     assert all(skipped.isdisjoint(columns) for columns in _span_index(code, holders[0]).values())
+
+
+def test_only_singletons_and_one_covering_sum_are_read_off_the_cells():
+    def kinds(rows: str, p: int):
+        return _summed_columns(parse_code(f"PIRCODE v1\np={p} t=2 m={rows.count(chr(10))}\n{rows}"))
+
+    assert kinds("1;2+3\n1;2\n1;2+3\n", 3) == [((1,), 1, 6, [1, 3]), ((1, 2), 3, 0, [2])]
+    assert kinds("1+2;3+4\n", 4) is None  # two sums
+    assert kinds("1;1+2+3\n", 3) is None  # a sum that overlaps a singleton
+    assert kinds("1;2+3\n", 4) is None  # a sum that leaves part 4 out
+
+
+SUMMED_FAMILIES = sorted({key for key in [*GOLDEN_PLAN_SHA256, *ROTATION_CLOSED] if key[0] in ("c1", "c2", "c3")})
+
+
+@pytest.mark.parametrize("key", SUMMED_FAMILIES, ids=str)
+def test_summed_edges_match_the_other_paths_on_family_codes(key):
+    # every part's graph as the span index or the scan builds it, and part
+    # 1's as the oracle finds it, by each method
+    family, t, d, _ = key
+    code = ConstructionParams(family, t, d=d).build()
+    holders = _singleton_columns(code)
+    edges = _indexed_edges if _use_span_index(code, holders) else _scanned_edges
+    assert list(_summed_edges(_summed_columns(code), holders, code.p)) == list(edges(code, holders, code.p))
+    oracle = _oracle_edges(code, 1)
+    _check_summed_edges(code, 1, [(1, _as_neighbours(oracle))] if oracle else [])
 
 
 @pytest.mark.parametrize("key", ROTATION_CLOSED, ids=str)
@@ -771,13 +841,29 @@ def test_pair_plans_of_rotation_closed_codes_match_the_oracle(base):
 
 
 @pytest.mark.parametrize("family,t", [("c3", 18), ("c2", 19)])
-def test_narrow_codes_with_large_t_verify_by_scan(family, t):
-    # m * (2^t - 1) is ~15M span elements but only ~2K candidate pairs
+def test_narrow_codes_with_large_t_verify_by_scan(family, t, monkeypatch):
+    # the last column's sum takes in the column's first singleton: its span,
+    # and so every pair graph, is unchanged, but its cells overlap, so the
+    # code is not read off its cells; m * (2^t - 1) is ~15M span elements
+    # but only ~2K candidate pairs per part
     params = ConstructionParams(family, t)
-    code = params.build()
-    assert not _use_span_index(code, _singleton_columns(code))
+    columns = [list(col) for col in params.build().columns]
+    columns[-1][-1] |= columns[-1][0]
+    code = ArrayCode.from_columns(t + 1, columns)
+    holders = _singleton_columns(code)
+    assert _summed_columns(code) is None and not _use_span_index(code, holders)
+    scanned = []
+    original = verify_module._scanned_edges
+
+    def spied(*args):
+        scanned.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(verify_module, "_scanned_edges", spied)
     report = k_pir_pairs(code)
+    assert scanned == [code.p]
     assert (code.m, report.k) == params.predicted_counts()
+    assert all(report.certified)
     assert verify_plan(code, report.plan).ok
 
 
@@ -1088,8 +1174,9 @@ def test_exhaustive_mode_leaves_no_cyclic_garbage(intro_code):
 
 def test_a_code_of_singletons_only_builds_no_pair_graph(monkeypatch):
     # 100 columns of 16 singletons over p = 1400: no sum cell holds a part,
-    # so no part has pair edges and neither the span index (100 * 65535
-    # vectors of 1400 bits) nor the pair scan is built
+    # so no part has pair edges and no pair graph is built: not from the
+    # cells, nor the span index (100 * 65535 vectors of 1400 bits), nor
+    # the pair scan
     rows = (";".join(map(str, sorted((16 * j + r) % 1400 + 1 for r in range(16)))) for j in range(100))
     text = "PIRCODE v1\np=1400 t=16 m=100\n" + "\n".join(rows) + "\n"
     assert len(text.encode()) == 6614
@@ -1100,6 +1187,7 @@ def test_a_code_of_singletons_only_builds_no_pair_graph(monkeypatch):
 
     monkeypatch.setattr(verify_module, "_indexed_edges", refused)
     monkeypatch.setattr(verify_module, "_scanned_edges", refused)
+    monkeypatch.setattr(verify_module, "_summed_edges", refused)
     start = time.perf_counter()
     report = k_pir_pairs(code)
     assert time.perf_counter() - start < 1.0
@@ -1108,3 +1196,27 @@ def test_a_code_of_singletons_only_builds_no_pair_graph(monkeypatch):
     # the plan of the full scan, which finds no edge
     digest = hashlib.sha256(serialize_plan(report.plan).encode()).hexdigest()
     assert digest == "bef88887d3ab26f79147cbcb0cf9ec27baaefe7dc8376949b2a4011f6382d5dd"
+
+
+def test_a_long_sum_less_a_part_is_matched_by_holder_lists():
+    # column 1 holds parts 22-60 and the sum of parts 1-21, columns 2 and 3
+    # parts 2-41 and 21-60: part 1's one key, parts 2-21, lies inside
+    # column 2's 40 singletons, where the 20-part subsets number
+    # C(40, 20) ~ 1.4e11, while each of its parts has one or two holders
+    rows = [
+        ";".join(map(str, range(22, 61))) + ";" + "+".join(map(str, range(1, 22))),
+        ";".join(map(str, range(2, 42))),
+        ";".join(map(str, range(21, 61))),
+    ]
+    text = "PIRCODE v1\np=60 t=40 m=3\n" + "\n".join(rows) + "\n"
+    assert len(text.encode()) == 428
+    code = parse_code(text)
+    assert _summed_columns(code) is not None and code._rotation is None
+    start = time.perf_counter()
+    report = k_pir_pairs(code)
+    assert time.perf_counter() - start < 1.0
+    assert report.k == 1
+    assert report.plan.sets(1) == ((1, 2),)
+    # the plan of the pair scan
+    digest = hashlib.sha256(serialize_plan(report.plan).encode()).hexdigest()
+    assert digest == "50965e2a6818793ebe02e24468409fdb8ef569b47e3a22e0f4ca68f34449c927"
