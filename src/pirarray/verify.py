@@ -41,26 +41,31 @@ freed once it is matched, and a part with no edges costs no graph.
 
 When every column is singletons plus at most one sum cell disjoint from
 them, and every column with a sum covers all p parts, as every c1, c2 and
-c3 column does, the graph is read off the cells.  Write T for a column's
+c3 column does, the graph can be read off the cells.  Write T for a column's
 singletons and S for its sum.  Two non-holders U, V of part i span e_i
 exactly when i is in S_U and S_U - {i} lies inside T_V, or the same with U
 and V swapped: disjoint cells XOR to their union, so a pair using neither
 sum has no i, and a pair using both has i twice, since a non-holder's sum
 holds every part its singletons miss.  Each part groups its U by the key
-S_U - {i} and finds each key's V by whichever of two methods a count read
-off the input first says is cheaper: the key-sized subsets of every
-distinct column's singletons, looked up among the keys, or the holders of
-each key's least-held part, tested by their singleton masks.  A sum of
-more parts than one beyond the widest T is no part's key, so a dense sum
-costs one popcount.  The cost is one pass over the cells plus, per part
-built, the cheaper count and one set union per U and per V of each key.
+S_U - {i} and finds each key's V among the key-sized subsets of every
+distinct column's singletons.  Every key has p - t parts, so a part looks
+up at most 1 + C(|T|, p - t) subsets per distinct column, a count read off
+the input before any enumeration; the graph is read off the cells only
+when that count, over every part built, is no more than the span index's
+entries or the pair scan's candidate pairs, whichever of the two the code
+would take (below).  A sum of more parts than one beyond the widest T is
+no part's key, so a dense sum builds nothing.  The cost is one pass over
+the cells plus, per part built, that count and one set union per U and
+per V of each key.  c1 codes meet the count; c2 and c3 codes (but c3(2)),
+whose non-holders number a few columns per part, take the scan, as do
+long keys inside wide singleton cells.
 
-Every other code takes the span index or the pair scan, whichever a size
-estimate says is cheaper.  The span index: for columns U, V
-that do not span e_i alone, e_i lies in span(U)+span(V) iff some x in
-span(U) has x ^ e_i in span(V).  The index maps each nonzero vector to
-the columns whose span holds it, built from every column's 2^t - 1 span
-elements once per code; for each x of part i,
+Every other code, and one whose count is the higher, takes the span index
+or the pair scan, whichever a size estimate says is cheaper.  The span
+index: for columns U, V that do not span e_i alone, e_i lies in
+span(U)+span(V) iff some x in span(U) has x ^ e_i in span(V).  The index
+maps each nonzero vector to the columns whose span holds it, built from
+every column's 2^t - 1 span elements once per code; for each x of part i,
 every column holding x but not x ^ e_i then gains, by one set union, the
 columns holding x ^ e_i but not x, and the other way round.  Its cost is
 O(p*m*2^t) index work plus those unions, |only x| + |only x ^ e_i| of them
@@ -427,69 +432,40 @@ def _summed_columns(code: ArrayCode) -> list[tuple[tuple[int, ...], int, int, li
 
 
 def _summed_edges(
-    kinds: Sequence[tuple[tuple[int, ...], int, int, list[int]]],
-    holders: Sequence[Sequence[int]],
-    parts: int,
-    wanted: int = -1,
+    kinds: Sequence[tuple[tuple[int, ...], int, int, list[int]]], parts: int, wanted: int = -1
 ) -> Iterator[tuple[int, dict[int, set[int]]]]:
     """For parts 1..`parts` in `wanted`, ascending, each part that has edges,
     with its pair graph as a neighbour map, read off the distinct columns
     `kinds` of a code that `_summed_columns` accepts: the columns U whose
     sum S_U holds part i, grouped by the key S_U - {i}, each joined to the
-    non-holders whose singletons T hold its key (see the module docstring).
-
-    Every sum covers the p - t + 1 parts that its column's t - 1 singletons
-    miss, so every key has p - t parts, and when that is more than the
-    widest T no part has edges.  Before it enumerates anything, a part
-    takes the cheaper of two ways to find the V: the key-sized subsets of
-    each distinct column's singletons, looked up among the keys, at most
-    1 + C(|T|, p - t) per distinct column; or the holders of each key's
-    least-held part, tested by their singleton masks, p - t plus that many
-    per key, counted until they pass the subsets' count.
+    non-holders V whose singletons T hold its key, found among the
+    key-sized subsets of every distinct column's T (see the module
+    docstring and `_subset_count`).  When no key fits in any T, no part has
+    edges, and nothing is built.
     """
-    widths = Counter(len(units) for units, _, _, _ in kinds)  # distinct columns per singleton count
     sums = [(total, at) for _, _, total, at in kinds if total]
     if not sums:
         return
     size = sums[0][0].bit_count() - 1  # the parts of every key
-    if size > max(widths):
+    if size > max(len(units) for units, _, _, _ in kinds):
         return
-    budget = sum(n * (1 + comb(width, size)) for width, n in widths.items())
     span = ((1 << parts) - 1) & wanted
     users: defaultdict[int, list[tuple[int, list[int]]]] = defaultdict(list)  # part -> its (S_U, U)
     for total, at in sums:
         if total & span:
             for part in parts_of(total & span):
                 users[part].append((total, at))
-    masks = None  # each 1-based column's singleton mask, made when first needed
     for part in sorted(users):
         bit = 1 << (part - 1)
         groups: defaultdict[int, list[int]] = defaultdict(list)  # key -> the U
         for total, at in users.pop(part):
             groups[total ^ bit] += at
-        fewest = []  # (key, the holders of its least-held part), while no dearer than the subsets
-        cost = 0
-        for key in groups:
-            least = min((holders[j - 1] for j in parts_of(key)), key=len)
-            cost += size + len(least)
-            if cost > budget:
-                break
-            fewest.append((key, least))
         matches: defaultdict[int, list[int]] = defaultdict(list)  # key -> the V
-        if cost > budget:
-            for units, mask, _, at in kinds:
-                if not mask & bit:
-                    for key in map(sum, combinations(units, size)):
-                        if key in groups:
-                            matches[key] += at
-        else:
-            if masks is None:
-                masks = {j: mask for _, mask, _, at in kinds for j in at}
-            for key, least in fewest:
-                need = key | bit
-                found = [v + 1 for v in least if masks[v + 1] & need == key]
-                if found:
-                    matches[key] = found
+        for units, mask, _, at in kinds:
+            if not mask & bit:
+                for key in map(sum, combinations(units, size)):
+                    if key in groups:
+                        matches[key] += at
         neighbours: defaultdict[int, set[int]] = defaultdict(set)
         for key, found in matches.items():
             us = groups[key]
@@ -504,28 +480,49 @@ def _summed_edges(
         del neighbours  # so a map the caller has dropped is freed before the next is built
 
 
-def _use_span_index(code: ArrayCode, holders: Sequence[Sequence[int]]) -> bool:
-    """Whether the span index has no more entries than the pair scan has
-    candidate pairs, and fits under PAIRS_SPAN_CAP."""
-    entries = code.m * ((1 << code.t) - 1)
-    if entries > PAIRS_SPAN_CAP:
-        return False
+def _subset_count(kinds: Sequence[tuple[tuple[int, ...], int, int, list[int]]], parts: int) -> int:
+    """At most how many key-sized singleton subsets `_summed_edges` looks
+    up to build `parts` parts' graphs; 0 when no part has edges.
+
+    Every sum covers the p - t + 1 parts that its column's t - 1 singletons
+    miss, so every key has p - t parts, and a part looks up at most
+    1 + C(|T|, p - t) subsets per distinct column; when p - t is more than
+    the widest T, no key fits in any T.
+    """
+    size = next((total.bit_count() - 1 for _, _, total, _ in kinds if total), None)
+    widths = Counter(len(units) for units, _, _, _ in kinds)  # distinct columns per singleton count
+    if size is None or size > max(widths):
+        return 0
+    return parts * sum(n * (1 + comb(width, size)) for width, n in widths.items())
+
+
+def _pair_counts(code: ArrayCode, holders: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """The span index's entries and the pair scan's candidate pairs."""
     candidates = 0
     for alpha, parts in Counter(map(len, holders)).items():
         rest = code.m - alpha
         candidates += parts * (rest * (rest - 1) // 2)
-    return entries <= candidates
+    return code.m * ((1 << code.t) - 1), candidates
+
+
+def _use_span_index(code: ArrayCode, holders: Sequence[Sequence[int]]) -> bool:
+    """Whether the span index has no more entries than the pair scan has
+    candidate pairs, and fits under PAIRS_SPAN_CAP."""
+    entries, candidates = _pair_counts(code, holders)
+    return entries <= min(candidates, PAIRS_SPAN_CAP)
 
 
 def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     """Singleton holders plus maximum pair matching, per part.
 
     Exact for codes whose optimal recovery sets have size <= 2; otherwise
-    the reported k is a valid lower bound.  Each part's pair graph is read
-    off the cells (`_summed_edges`) when `_summed_columns` accepts the
-    code, and otherwise comes from the span index or the pair scan,
-    whichever `_use_span_index` judges cheaper (see the module docstring);
-    it goes to `max_general_matching` as the neighbour map it is built as.
+    the reported k is a valid lower bound.  Each part's pair graph comes
+    from the span index or the pair scan, whichever `_use_span_index`
+    judges cheaper, unless `_summed_columns` accepts the code and
+    `_subset_count` is no more than the chosen one's count (`_pair_counts`),
+    when it is read off the cells (`_summed_edges`; see the module
+    docstring); it goes to `max_general_matching` as the neighbour map it
+    is built as.
     For a code closed under the part rotation only part 1 is matched, and
     part i+1's pairs are part i's mapped by the column map
     `ArrayCode._rotation` through `_mapped`, as `verify_plan` maps them, so
@@ -537,18 +534,18 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     uses every holder alone; its other sets are a <= nu pairs and b sets of
     three or more columns inside the f non-holders, so 2a + 3b <= f and
     k_i <= alpha_i + min(f // 2, (f + nu) // 3), which alpha_i + nu meets
-    exactly when f <= 2*nu + 2.  Read off the cells, a part costs the
-    cheaper of its two counts plus one set union per U and per V of each
-    key; the index costs O(p*m*2^t) plus one visit per element of
-    span(U) & span(V) for every edge {U,V}, with about m*2^t index entries
-    in memory, and a one-part build leaves part 1's holders out of it.
-    The c1(8,8) code (m=24310, t=8) is rotation-closed and read off its
-    cells in 0.27-0.38 s, and the process that builds and verifies it peaks
-    at 55 MB RSS; the holders and the column map are about half the time,
-    and its span index took 0.85 s.  c1(9,9) (m=92378), past the index's
-    cap, where the scan would take hours, takes 1.2-1.5 s and peaks at
-    178 MB (Python 3.11.7, one core of a shared 2-vCPU Xeon VM whose speed
-    drifts).  A part with no holders and no edges costs one step of two
+    exactly when f <= 2*nu + 2.  Read off the cells, a part costs its
+    subset count plus one set union per U and per V of each key; the index
+    costs O(p*m*2^t) plus one visit per element of span(U) & span(V) for
+    every edge {U,V}, with about m*2^t index entries in memory, and a
+    one-part build leaves part 1's holders out of it.  The c1(8,8) code
+    (m=24310, t=8) is rotation-closed and read off its cells: `pirarray
+    verify` parses it, verifies it and writes its plan in 0.57-0.70 s and
+    peaks at 62 MB RSS, against 1.1-1.6 s and 64 MB through its span index.
+    c1(9,9) (m=92378), past the index's cap, where the scan would take
+    hours, verifies in 2.1-2.5 s and peaks at 178 MB (Python 3.11.7, one
+    core of a shared 2-vCPU Xeon VM whose speed drifts).  A part with no
+    holders and no edges costs one step of two
     loops over the parts, so a header of many parts stored nowhere stays
     cheap.
     A column that involves part i but does not hold e_i has i in a sum cell,
@@ -560,10 +557,12 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     pairs = {}
     if wanted:
         parts = code.p if image is None else 1
+        entries, candidates = _pair_counts(code, holders)
+        indexed = _use_span_index(code, holders)
         summed = _summed_columns(code)
-        if summed is not None:
-            edges = _summed_edges(summed, holders, parts, wanted)
-        elif _use_span_index(code, holders):
+        if summed is not None and _subset_count(summed, wanted.bit_count()) <= (entries if indexed else candidates):
+            edges = _summed_edges(summed, parts, wanted)
+        elif indexed:
             edges = _indexed_edges(code, holders, parts, wanted)
         else:
             edges = _scanned_edges(code, holders, parts, wanted)

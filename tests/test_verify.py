@@ -529,39 +529,59 @@ def summed_codes(draw, max_p: int = 9) -> ArrayCode:
     return ArrayCode.from_columns(p, columns)
 
 
-def _check_summed_edges(code: ArrayCode, parts: int, expected: list) -> None:
-    """`_summed_edges` yields `expected` for parts 1..`parts` by the method
-    its cost estimate picks, and by each method forced: an estimate of
-    subsets above every holder count takes the holder lists, one below
-    every count takes the subsets."""
-    kinds, holders = _summed_columns(code), _singleton_columns(code)
-    assert kinds is not None
-    assert list(_summed_edges(kinds, holders, parts)) == expected
-    for estimate in (1 << 62, -(1 << 62)):
-        with mock.patch.object(verify_module, "comb", lambda n, r: estimate):
-            assert list(_summed_edges(kinds, holders, parts)) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(valid_codes(max_m=40), summed_codes()))
-def test_both_edge_paths_match_quadratic_oracle(code):
-    # each path yields the parts that have edges, in ascending order; a code
-    # of singletons and sums that cover the parts is read off its cells too
-    holders = _singleton_columns(code)
+def _oracle_parts(code: ArrayCode) -> list:
+    """The oracle's (part, neighbour map) for each part that has edges."""
     oracle = []
     for part in range(1, code.p + 1):
         edges = _oracle_edges(code, part)
         if edges:
             oracle.append((part, _as_neighbours(edges)))
+    return oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_codes(max_m=40))
+def test_both_edge_paths_match_quadratic_oracle(code):
+    # each path yields the parts that have edges, in ascending order
+    holders = _singleton_columns(code)
+    oracle = _oracle_parts(code)
     assert list(_indexed_edges(code, holders, code.p)) == oracle
     assert list(_scanned_edges(code, holders, code.p)) == oracle
-    if _summed_columns(code) is not None:
-        _check_summed_edges(code, code.p, oracle)
     # every part with edges is held by some sum cell, so k_pir_pairs may skip the rest
     sums = functools.reduce(int.__or__, (cell for col in code.columns for cell in col if cell & (cell - 1)), 0)
     assert all(sums >> (part - 1) & 1 for part, _ in oracle)
     _check_one_part_index(code)
     _check_pair_plan(code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(summed_codes())
+def test_summed_edges_match_quadratic_oracle(code):
+    # a code of singletons and sums that cover the parts, read off its
+    # cells, gives every other builder's graphs, part 1's alone too
+    holders = _singleton_columns(code)
+    kinds = _summed_columns(code)
+    assert kinds is not None
+    oracle = _oracle_parts(code)
+    assert list(_summed_edges(kinds, code.p)) == oracle
+    assert list(_indexed_edges(code, holders, code.p)) == oracle
+    assert list(_scanned_edges(code, holders, code.p)) == oracle
+    assert list(_summed_edges(kinds, 1)) == [edges for edges in oracle if edges[0] == 1]
+    _check_pair_plan(code)
+
+
+def _pairs_and_builders(code: ArrayCode) -> tuple[VerifyReport, list[tuple[str, int]]]:
+    """`k_pir_pairs(code)` and each pair-edge builder it called, by name,
+    with the parts it asked of it."""
+    builders = ("_summed_edges", "_indexed_edges", "_scanned_edges")
+    spies = [mock.patch.object(verify_module, name, wraps=getattr(verify_module, name)) for name in builders]
+    mocks = [spy.start() for spy in spies]
+    try:
+        report = k_pir_pairs(code)
+    finally:
+        for spy in spies:
+            spy.stop()
+    return report, [(name, call.args[-2]) for name, spy in zip(builders, mocks) for call in spy.call_args_list]
 
 
 @settings(max_examples=100, deadline=None)
@@ -625,8 +645,8 @@ def test_pair_certificate_bound_is_never_below_the_exhaustive_count():
 # each next part's sets mapped through the rotation; c1 with d = t keeps the
 # digest of matching every part on its own, since each part's pair graph is a
 # perfect matching there.  The first two were first pinned from the quadratic
-# pair scan; the next six are the family-verify benchmark codes.  c1, c2 and
-# c3 are read off their cells, every other code takes the span index.
+# pair scan; the next six are the family-verify benchmark codes.  c1 is read
+# off its cells, c2 and c3 take the pair scan, every other code the span index.
 GOLDEN_PLAN_SHA256 = {
     ("integer", 3, None, 3): "34b44d5685d6d1aa97975bffc9694d40b557fdf35b90787c8710886807b87fae",
     ("c1", 6, 6, None): "30c9ac1e759436d07b18110938deb49c92a3a3aea2ef182b7bf95ed7631caa64",
@@ -646,10 +666,12 @@ def test_pair_plans_at_scale_are_unchanged(key):
     family, t, d, s = key
     params = ConstructionParams(family, t, d=d, s=None if s is None else Fraction(s))
     code = params.build()
-    summed = _summed_columns(code) is not None
-    assert summed == (family in ("c1", "c2", "c3"))
-    assert summed or _use_span_index(code, _singleton_columns(code))
-    report = k_pir_pairs(code)
+    assert (_summed_columns(code) is not None) == (family in ("c1", "c2", "c3"))
+    report, builders = _pairs_and_builders(code)
+    # c1 is read off its cells; c2(15) and c3(14), a few non-holders per
+    # part, take the scan; the ladders of integer and general s the index
+    taken = {"c1": "_summed_edges", "c2": "_scanned_edges", "c3": "_scanned_edges"}.get(family, "_indexed_edges")
+    assert [name for name, _ in builders] == [taken]
     assert (code.m, report.k) == params.predicted_counts()
     assert all(report.certified)
     assert verify_plan(code, report.plan).ok
@@ -692,14 +714,15 @@ SUMMED_FAMILIES = sorted({key for key in [*GOLDEN_PLAN_SHA256, *ROTATION_CLOSED]
 @pytest.mark.parametrize("key", SUMMED_FAMILIES, ids=str)
 def test_summed_edges_match_the_other_paths_on_family_codes(key):
     # every part's graph as the span index or the scan builds it, and part
-    # 1's as the oracle finds it, by each method
+    # 1's as the oracle finds it
     family, t, d, _ = key
     code = ConstructionParams(family, t, d=d).build()
     holders = _singleton_columns(code)
+    kinds = _summed_columns(code)
     edges = _indexed_edges if _use_span_index(code, holders) else _scanned_edges
-    assert list(_summed_edges(_summed_columns(code), holders, code.p)) == list(edges(code, holders, code.p))
+    assert list(_summed_edges(kinds, code.p)) == list(edges(code, holders, code.p))
     oracle = _oracle_edges(code, 1)
-    _check_summed_edges(code, 1, [(1, _as_neighbours(oracle))] if oracle else [])
+    assert list(_summed_edges(kinds, 1)) == ([(1, _as_neighbours(oracle))] if oracle else [])
 
 
 @pytest.mark.parametrize("key", ROTATION_CLOSED, ids=str)
@@ -841,27 +864,15 @@ def test_pair_plans_of_rotation_closed_codes_match_the_oracle(base):
 
 
 @pytest.mark.parametrize("family,t", [("c3", 18), ("c2", 19)])
-def test_narrow_codes_with_large_t_verify_by_scan(family, t, monkeypatch):
-    # the last column's sum takes in the column's first singleton: its span,
-    # and so every pair graph, is unchanged, but its cells overlap, so the
-    # code is not read off its cells; m * (2^t - 1) is ~15M span elements
-    # but only ~2K candidate pairs per part
+def test_narrow_codes_with_large_t_verify_by_scan(family, t):
+    # m * (2^t - 1) is ~15M span elements but the candidate pairs number
+    # 114 (c3) or 20 (c2) in all, and the cells' key-sized subsets, 703 or
+    # 11,800, are more than those too, so the code is not read off its cells
     params = ConstructionParams(family, t)
-    columns = [list(col) for col in params.build().columns]
-    columns[-1][-1] |= columns[-1][0]
-    code = ArrayCode.from_columns(t + 1, columns)
-    holders = _singleton_columns(code)
-    assert _summed_columns(code) is None and not _use_span_index(code, holders)
-    scanned = []
-    original = verify_module._scanned_edges
-
-    def spied(*args):
-        scanned.append(args[2])
-        return original(*args)
-
-    monkeypatch.setattr(verify_module, "_scanned_edges", spied)
-    report = k_pir_pairs(code)
-    assert scanned == [code.p]
+    code = params.build()
+    assert _summed_columns(code) is not None and not _use_span_index(code, _singleton_columns(code))
+    report, builders = _pairs_and_builders(code)
+    assert builders == [("_scanned_edges", 1 if code._rotation is not None else code.p)]
     assert (code.m, report.k) == params.predicted_counts()
     assert all(report.certified)
     assert verify_plan(code, report.plan).ok
@@ -1198,11 +1209,12 @@ def test_a_code_of_singletons_only_builds_no_pair_graph(monkeypatch):
     assert digest == "bef88887d3ab26f79147cbcb0cf9ec27baaefe7dc8376949b2a4011f6382d5dd"
 
 
-def test_a_long_sum_less_a_part_is_matched_by_holder_lists():
+def test_a_long_sum_less_a_part_takes_the_pair_scan():
     # column 1 holds parts 22-60 and the sum of parts 1-21, columns 2 and 3
     # parts 2-41 and 21-60: part 1's one key, parts 2-21, lies inside
     # column 2's 40 singletons, where the 20-part subsets number
-    # C(40, 20) ~ 1.4e11, while each of its parts has one or two holders
+    # C(40, 20) ~ 1.4e11, against at most 3 candidate pairs per part, so
+    # the code is not read off its cells
     rows = [
         ";".join(map(str, range(22, 61))) + ";" + "+".join(map(str, range(1, 22))),
         ";".join(map(str, range(2, 42))),
@@ -1213,8 +1225,9 @@ def test_a_long_sum_less_a_part_is_matched_by_holder_lists():
     code = parse_code(text)
     assert _summed_columns(code) is not None and code._rotation is None
     start = time.perf_counter()
-    report = k_pir_pairs(code)
+    report, builders = _pairs_and_builders(code)
     assert time.perf_counter() - start < 1.0
+    assert [name for name, _ in builders] == ["_scanned_edges"]
     assert report.k == 1
     assert report.plan.sets(1) == ((1, 2),)
     # the plan of the pair scan
