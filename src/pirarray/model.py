@@ -70,8 +70,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import starmap
-from operator import lt
+from itertools import count, repeat, starmap
+from operator import lshift, lt, or_
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import FormatError, ParameterError
@@ -160,14 +160,51 @@ class ArrayCode:
         object.__setattr__(self, "columns", tuple(columns))
 
     @cached_property
+    def _one_sum(self) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]] | None:
+        """When every column is singletons plus at most one other cell: each
+        part's holders, as `_singleton_columns` gives them, and per column
+        T, its singletons' OR, and S, its other cell or 0; None otherwise.
+        One walk over the cells fills all three, in O(cells + p).
+
+        Canonical order puts a column's singletons first, so its last cell
+        is its only other cell exactly when the cell before is a singleton.
+        The column's span is the vectors inside T, each also XORed with S,
+        whether or not S overlaps T.
+        """
+        held: defaultdict[int, list[int]] = defaultdict(list)  # singleton cell -> its 0-based columns
+        units, sums = [], []
+        for j, col in enumerate(self.columns):
+            last = col[-1]
+            if last & (last - 1):
+                if len(col) > 1 and col[-2] & (col[-2] - 1):
+                    return None
+                cells = col[:-1]
+            else:
+                cells, last = col, 0
+            for cell in cells:
+                held[cell].append(j)
+            units.append(sum(cells))
+            sums.append(last)
+        holders: list[tuple[int, ...]] = [()] * self.p
+        for cell, columns in held.items():
+            holders[cell.bit_length() - 1] = tuple(columns)
+        return tuple(holders), units, sums
+
+    @cached_property
     def _holders(self) -> tuple[tuple[int, ...], ...]:
-        """`_singleton_columns(self)`, computed once."""
-        return _singleton_columns(self)
+        """Each part's singleton holders, computed once: `_one_sum`'s, or
+        on a code it does not key, `_singleton_columns(self)`."""
+        walked = self._one_sum
+        return _singleton_columns(self) if walked is None else walked[0]
 
     @cached_property
     def _rotation(self) -> tuple[int, ...] | None:
-        """`_rotation_image(self, self._holders)`, computed once."""
-        return _rotation_image(self, self._holders)
+        """The rotation's column map, computed once: `_rotation_of_keys` of
+        `_one_sum`, or on a code it does not key, `_rotation_image`."""
+        walked = self._one_sum
+        if walked is None:
+            return _rotation_image(self, self._holders)
+        return _rotation_of_keys(self.p, *walked)
 
     def _checked_column(
         self, j: int, col: tuple[int, ...], ranks: dict[int, int], sort_keys: dict[int, tuple]
@@ -248,6 +285,41 @@ def _singleton_columns(code: ArrayCode) -> tuple[tuple[int, ...], ...]:
             if cell & (cell - 1) == 0:
                 held[cell.bit_length() - 1].append(j)
     return tuple(tuple(held.get(i, ())) for i in range(code.p))
+
+
+def _rotation_of_keys(
+    p: int, holders: Sequence[Sequence[int]], units: Sequence[int], sums: Sequence[int]
+) -> tuple[int, ...] | None:
+    """`_rotation_image` of a code that `ArrayCode._one_sum` keys, from one
+    int per column, T | S << p: equal keys are equal cell sets, and a
+    column's rotation has the key with each p-bit half rotated.
+
+    After the O(p) check of `_rotation_image`, each distinct key is rotated
+    and looked up in C-level passes, which are the map when no key repeats.
+    Otherwise each column takes the first unused position of its rotated
+    key, so repeated columns map in order of occurrence.
+    """
+    alpha = len(holders[0])
+    if any(len(held) != alpha for held in holders):
+        return None
+    ends = 1 | 1 << p  # each half's lowest bit, where its top bit turns to
+    keep = ((1 << 2 * p) - 1) ^ ends
+    top = p - 1
+    keys = list(map(or_, units, map(lshift, sums, repeat(p))))
+    index = dict(zip(keys, count(1)))  # each distinct key -> its last position
+    turned = [((key << 1) & keep) | ((key >> top) & ends) for key in index]
+    if not all(map(index.__contains__, turned)):
+        return None
+    if len(index) == len(keys):
+        return (0, *map(index.__getitem__, turned))
+    positions: dict[int, list[int]] = {}
+    for j in range(len(keys), 0, -1):
+        positions.setdefault(keys[j - 1], []).append(j)
+    onto = dict(zip(index, map(positions.__getitem__, turned)))
+    try:
+        return (0, *map(list.pop, map(onto.__getitem__, keys)))
+    except IndexError:  # a key with fewer copies than the key it turns to
+        return None
 
 
 def _rotation_image(code: ArrayCode, holders: Sequence[Sequence[int]]) -> tuple[int, ...] | None:

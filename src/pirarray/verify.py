@@ -28,10 +28,16 @@ matching size plus two is certified exact (see `k_pir_pairs`).
 
 A column's cells are a basis of its span, since `ArrayCode` refuses
 dependent cells, so exhaustive mode and `verify_plan` eliminate the cells
-themselves, with no reduced basis per column: `verify_plan` inserts a
-set's cells into one fresh pivot table.  Only the pair scan, which meets
-each column in O(m) pairs, keeps a pivot table per column.  The
-enumeration keeps none: each kept set carries its span's parity checks.
+themselves, with no reduced basis per column.  A column of singletons
+plus at most one other cell, as every column the families build is, is
+two ints (`ArrayCode._one_sum`): T, its singletons' OR, and S, the other
+cell or 0.  Two such columns U, V span e_i exactly when one of e_i,
+e_i ^ S_U, e_i ^ S_V and e_i ^ S_U ^ S_V has no part outside T_U | T_V
+(`_pair_spans`), so when every column is one, `verify_plan` tests a
+two-column set, and the pair scan a pair, by four ANDs.  Otherwise
+`verify_plan` inserts a set's cells into one fresh pivot table, and the
+pair scan keeps a pivot table per column, reused across its O(m) pairs.
+The enumeration keeps none: each kept set carries its span's parity checks.
 
 Pair mode builds each part's pair graph one of three ways, all giving the
 same graph, as a neighbour map (column -> set of columns), and
@@ -39,26 +45,23 @@ same graph, as a neighbour map (column -> set of columns), and
 (sorted columns, each row of ascending indices); each part's graph is
 freed once it is matched, and a part with no edges costs no graph.
 
-When every column is singletons plus at most one sum cell disjoint from
-them, and every column with a sum covers all p parts, as every c1, c2 and
-c3 column does, the graph can be read off the cells.  Write T for a column's
-singletons and S for its sum.  Two non-holders U, V of part i span e_i
-exactly when i is in S_U and S_U - {i} lies inside T_V, or the same with U
-and V swapped: disjoint cells XOR to their union, so a pair using neither
-sum has no i, and a pair using both has i twice, since a non-holder's sum
-holds every part its singletons miss.  Each part groups its U by the key
-S_U - {i} and finds each key's V among the key-sized subsets of every
-distinct column's singletons.  Every key has p - t parts, so a part looks
-up at most 1 + C(|T|, p - t) subsets per distinct column, a count read off
-the input before any enumeration; the graph is read off the cells only
-when that count, over every part built, is no more than the span index's
-entries or the pair scan's candidate pairs, whichever of the two the code
-would take (below).  A sum of more parts than one beyond the widest T is
-no part's key, so a dense sum builds nothing.  The cost is one pass over
-the cells plus, per part built, that count and one set union per U and
-per V of each key.  c1 codes meet the count; c2 and c3 codes (but c3(2)),
-whose non-holders number a few columns per part, take the scan, as do
-long keys inside wide singleton cells.
+When moreover each S is disjoint from its T and covers every part T
+misses, as in every c1, c2 and c3 column, the graph can be read off the
+cells: two non-holders U, V of part i span e_i exactly when i is in S_U
+and S_U - {i} lies inside T_V, or the same with U and V swapped, since a
+pair using neither sum has no i and one using both has i twice.  Each
+part groups its U by the key S_U - {i} and finds each key's V among the
+key-sized subsets of every distinct column's singletons.  Every key has
+p - t parts, so a part looks up at most 1 + C(|T|, p - t) subsets per
+distinct column, a count read off the input before any enumeration; the
+graph is read off the cells only when that count, over every part built,
+is no more than the span index's entries or the pair scan's candidate
+pairs, whichever of the two the code would take (below).  A sum of more
+parts than one beyond the widest T is no part's key, so a dense sum
+builds nothing.  The cost is one pass over the cells plus, per part
+built, that count and one set union per U and per V of each key.  c1
+codes meet the count; c2 and c3 codes (but c3(2)), a few non-holders per
+part, take the scan, as do long keys inside wide singleton cells.
 
 Every other code, and one whose count is the higher, takes the span index
 or the pair scan, whichever a size estimate says is cheaper.  The span
@@ -71,13 +74,13 @@ columns holding x ^ e_i but not x, and the other way round.  Its cost is
 O(p*m*2^t) index work plus those unions, |only x| + |only x ^ e_i| of them
 per x, inside which an edge {U,V} is met once per element of span(U) &
 span(V) (at most 2^(t-1) times); the index holds about m*2^t entries for
-all parts together.  The pair scan eliminates each of the
-sum_i C(m - alpha_i, 2) pairs of columns that do not hold part i alone, by
-copying one column's pivot table and inserting the other's cells, in O(m)
-memory.  The index is used when its m*(2^t - 1) entries number no more
-than those candidate pairs and no more than PAIRS_SPAN_CAP; many columns
-with small t (integer(3,3), general(8/3,3)) take the index, few columns
-with large t the scan.
+all parts together.  The pair scan tests each of the
+sum_i C(m - alpha_i, 2) pairs of columns that do not hold part i alone and
+whose cells involve it, in O(m) memory: by four ANDs, or by copying one
+column's pivot table and inserting the other's t cells.  The index is used
+when its m*(2^t - 1) entries number no more than those candidate pairs and
+no more than PAIRS_SPAN_CAP; many columns with small t (integer(3,3),
+general(8/3,3)) take the index, few columns with large t the scan.
 
 When the columns are closed under the part rotation e_i -> e_(i+1 mod p),
 as every ladder code (c1, integer and general s) and c3 are, only part 1's
@@ -91,9 +94,13 @@ keeps disjoint sets disjoint and sends part i's holders to part i+1's:
 part i+1's graph is part i's with every column renamed by pi, and part
 i+1's sets are part i's mapped by pi.  So every k_i and certificate is that
 of matching each part on its own graph, and the sets differ from that only
-where a part's graph has more than one maximum matching.  O(p) checks and
-one pass over the cells turn most other codes away before any cell is
-rotated.
+where a part's graph has more than one maximum matching.  The map turns
+away in O(p) a code whose parts are stored as singletons unequally often.
+Past that, a code of (T, S) columns keys each column by one int,
+T | S << p, rotated by two shifts and two masks, and looks the distinct
+keys up in C-level passes; any other code is keyed by its columns' cell
+sets, once one pass over the cells has turned away a code whose cells' OR
+or XOR the rotation moves.
 
 `verify_plan` takes the same map through the same `_mapped` that maps a
 pair plan's parts: on a rotation-closed code, a part that
@@ -102,11 +109,12 @@ part before's sets mapped by it and sorted.  On a match it passes with no
 elimination and no range or disjointness test: pi is a permutation of
 1..m, so the mapped sets are in range and disjoint because the part
 before's are, and a repeated set cannot match.  So a pair-mode plan of
-such a code has only part 1's multi-column sets eliminated, each cell
-inserted once, and only part 1's columns tested.  A code's singleton
-holders and its column map are computed once, the first time a verifier
-reads them, and kept on the `ArrayCode` (`_holders`, `_rotation`), so
-`k_pir_pairs`, `singleton_upper_bound` and `verify_plan` share them.
+such a code has only part 1's multi-column sets tested, and only part 1's
+columns range-tested.  A code's (T, S) walk, which fills its singleton
+holders in the same pass, and its column map are computed once, the first
+time a verifier reads them, and kept on the `ArrayCode` (`_one_sum`,
+`_holders`, `_rotation`), so `k_pir_pairs`, `singleton_upper_bound` and
+`verify_plan` share them.
 """
 
 from __future__ import annotations
@@ -226,13 +234,14 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
     one of them has its sets checked for range and overlap one at a time,
     in order with the span checks, so the first violation is named as if
     every set were checked in turn.  A set of one column spans the part
-    only if the column stores it; a set of more columns inserts its
-    columns' cells into one fresh pivot table and reduces e_i, so each cell
-    is inserted once.  A pair-mode plan of a rotation-closed code has only
-    part 1's sets eliminated and tested part-wide: on the benchmark's
-    family-verify workload (six codes, m 129-896) the traced check takes
-    1.28-1.40 ms per op (seed 1, three runs; Python 3.11.7, one core of a
-    shared 2-vCPU Xeon VM).
+    only if the column stores it; a set of two columns of a code that
+    `ArrayCode._one_sum` keys is tested by `_pair_spans`; any other set
+    inserts its columns' cells into one fresh pivot table and reduces e_i,
+    so each cell is inserted once.  A pair-mode plan of a rotation-closed
+    code has only part 1's sets tested and range-tested: on the
+    benchmark's family-verify workload (six codes, m 129-896) the traced
+    check takes 0.97-0.98 ms per op (seed 1, two runs; Python 3.11.7, one core
+    of a shared 2-vCPU Xeon VM).
     """
     last, passed = 0, None  # the part checked before, which passed, and its sets
     for part in plan.parts():
@@ -262,6 +271,10 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
             if len(columns) == 1:
                 # singleton convention: a column spans e_i only if it stores it
                 spans = target in code.columns[columns[0] - 1]
+            elif len(columns) == 2 and code._one_sum is not None:
+                _, units, sums = code._one_sum
+                u, v = columns[0] - 1, columns[1] - 1
+                spans = _pair_spans(target, units[u], sums[u], units[v], sums[v])
             else:
                 pivots: dict[int, int] = {}
                 for j in columns:
@@ -273,6 +286,25 @@ def verify_plan(code: ArrayCode, plan: RecoveryPlan) -> PlanCheck:
                 return PlanCheck(False, f"part {part}: columns {label} do not span it")
         last, passed = part, sets
     return PlanCheck(True, None)
+
+
+def _pair_spans(bit: int, unit_u: int, sum_u: int, unit_v: int, sum_v: int) -> bool:
+    """Whether columns U and V, each singletons plus at most one other cell,
+    span e_i = `bit` together; `unit_*` is a column's singletons' OR T and
+    `sum_*` its other cell S or 0 (`ArrayCode._one_sum`).
+
+    Their joint span is every vector inside T_U | T_V, XORed with S_U or
+    not and with S_V or not, so e_i is in it exactly when one of e_i,
+    e_i ^ S_U, e_i ^ S_V and e_i ^ S_U ^ S_V has no part outside
+    T_U | T_V: four ANDs.
+    """
+    outside = ~(unit_u | unit_v)
+    return not (
+        bit & outside
+        and (bit ^ sum_u) & outside
+        and (bit ^ sum_v) & outside
+        and (bit ^ sum_u ^ sum_v) & outside
+    )
 
 
 def _span_index(code: ArrayCode, skip: Sequence[int] = ()) -> dict[int, list[int]]:
@@ -365,34 +397,44 @@ def _scanned_edges(
     code: ArrayCode, holders: Sequence[Sequence[int]], parts: int, wanted: int = -1
 ) -> Iterator[tuple[int, dict[int, set[int]]]]:
     """For parts 1..`parts` in `wanted`, in turn, each part that has edges,
-    with its pair graph as a neighbour map, found by eliminating every pair
-    of non-holder columns whose cells involve the part."""
+    with its pair graph as a neighbour map, found by testing every pair of
+    non-holder columns whose cells involve the part: by `_pair_spans` when
+    every column is singletons plus at most one other cell, and otherwise
+    by eliminating the pair."""
     rows = code.columns
-    pivots = []  # per column, a pivot table of its cells, reused by every pair
-    involved = []
-    for col in rows:
-        table: dict[int, int] = {}
-        mask = 0
-        for cell in col:
-            pivot_insert(table, cell)
-            mask |= cell
-        pivots.append(table)
-        involved.append(mask)
+    walked = code._one_sum
+    if walked is None:
+        pivots = []  # per column, a pivot table of its cells, reused by every pair
+        involved = []
+        for col in rows:
+            table: dict[int, int] = {}
+            mask = 0
+            for cell in col:
+                pivot_insert(table, cell)
+                mask |= cell
+            pivots.append(table)
+            involved.append(mask)
+    else:
+        _, units, sums = walked
+        involved = list(map(or_, units, sums))
     for part in parts_of(((1 << parts) - 1) & wanted):
         target = 1 << (part - 1)
         held = set(holders[part - 1])
         rest = [j for j in range(code.m) if j not in held]
         neighbours: defaultdict[int, set[int]] = defaultdict(set)
         for a, u in enumerate(rest):
-            piv_u = pivots[u]
             inv_u = involved[u]
             for v in rest[a + 1 :]:
                 if not ((inv_u | involved[v]) & target):
                     continue
-                merged = dict(piv_u)
-                for x in rows[v]:
-                    pivot_insert(merged, x)
-                if pivot_reduce(merged, target) == 0:
+                if walked is None:
+                    merged = dict(pivots[u])
+                    for x in rows[v]:
+                        pivot_insert(merged, x)
+                    spans = pivot_reduce(merged, target) == 0
+                else:
+                    spans = _pair_spans(target, units[u], sums[u], units[v], sums[v])
+                if spans:
                     neighbours[u + 1].add(v + 1)
                     neighbours[v + 1].add(u + 1)
         if neighbours:
@@ -405,28 +447,23 @@ def _summed_columns(code: ArrayCode) -> list[tuple[tuple[int, ...], int, int, li
     most one sum cell disjoint from them and every column with a sum covers
     all p parts; None otherwise.
 
-    Canonical order puts a column's sums after its singletons, so its last
-    cell is the only possible sum when the cell before is a singleton.
-    Columns are told apart by identity: `ArrayCode` gives columns that were
-    given alike one tuple, and equal columns given in other cell orders
-    only cost their kinds' work twice.
+    The OR and the sum are `ArrayCode._one_sum`'s T and S.  Columns are
+    told apart by identity: `ArrayCode`
+    gives columns that were given alike one tuple, and equal columns given
+    in other cell orders only cost their kinds' work twice.
     """
+    walked = code._one_sum
+    if walked is None:
+        return None
+    _, units, sums = walked
     full = (1 << code.p) - 1
     kinds: dict[int, tuple[tuple[int, ...], int, int, list[int]]] = {}
-    for j, col in enumerate(code.columns, start=1):
+    for j, (col, mask, total) in enumerate(zip(code.columns, units, sums), start=1):
         kind = kinds.get(id(col))
         if kind is None:
-            last = col[-1]
-            if not last & (last - 1):
-                kind = (col, sum(col), 0, [])
-            else:
-                if len(col) > 1 and col[-2] & (col[-2] - 1):
-                    return None
-                mask = sum(col) - last
-                if mask & last or mask | last != full:
-                    return None
-                kind = (col[:-1], mask, last, [])
-            kinds[id(col)] = kind
+            if total and (mask & total or mask | total != full):
+                return None
+            kind = kinds[id(col)] = (col[:-1] if total else col, mask, total, [])
         kind[3].append(j)
     return list(kinds.values())
 
@@ -496,20 +533,18 @@ def _subset_count(kinds: Sequence[tuple[tuple[int, ...], int, int, list[int]]], 
     return parts * sum(n * (1 + comb(width, size)) for width, n in widths.items())
 
 
-def _pair_counts(code: ArrayCode, holders: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """The span index's entries and the pair scan's candidate pairs."""
+def _pair_cost(code: ArrayCode, holders: Sequence[Sequence[int]]) -> tuple[bool, int]:
+    """Whether the span index is taken over the pair scan, and the count of
+    the one taken: the index's m*(2^t - 1) entries or the scan's candidate
+    pairs.  The index is taken when its entries number no more than the
+    candidate pairs and fit under PAIRS_SPAN_CAP."""
     candidates = 0
     for alpha, parts in Counter(map(len, holders)).items():
         rest = code.m - alpha
         candidates += parts * (rest * (rest - 1) // 2)
-    return code.m * ((1 << code.t) - 1), candidates
-
-
-def _use_span_index(code: ArrayCode, holders: Sequence[Sequence[int]]) -> bool:
-    """Whether the span index has no more entries than the pair scan has
-    candidate pairs, and fits under PAIRS_SPAN_CAP."""
-    entries, candidates = _pair_counts(code, holders)
-    return entries <= min(candidates, PAIRS_SPAN_CAP)
+    entries = code.m * ((1 << code.t) - 1)
+    indexed = entries <= min(candidates, PAIRS_SPAN_CAP)
+    return indexed, entries if indexed else candidates
 
 
 def k_pir_pairs(code: ArrayCode) -> VerifyReport:
@@ -517,12 +552,11 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
 
     Exact for codes whose optimal recovery sets have size <= 2; otherwise
     the reported k is a valid lower bound.  Each part's pair graph comes
-    from the span index or the pair scan, whichever `_use_span_index`
-    judges cheaper, unless `_summed_columns` accepts the code and
-    `_subset_count` is no more than the chosen one's count (`_pair_counts`),
-    when it is read off the cells (`_summed_edges`; see the module
-    docstring); it goes to `max_general_matching` as the neighbour map it
-    is built as.
+    from the span index or the pair scan, whichever `_pair_cost` judges
+    cheaper, unless `_summed_columns` accepts the code and `_subset_count`
+    is no more than the chosen one's count, when it is read off the cells
+    (`_summed_edges`; see the module docstring); it goes to
+    `max_general_matching` as the neighbour map it is built as.
     For a code closed under the part rotation only part 1 is matched, and
     part i+1's pairs are part i's mapped by the column map
     `ArrayCode._rotation` through `_mapped`, as `verify_plan` maps them, so
@@ -540,11 +574,11 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     every edge {U,V}, with about m*2^t index entries in memory, and a
     one-part build leaves part 1's holders out of it.  The c1(8,8) code
     (m=24310, t=8) is rotation-closed and read off its cells: `pirarray
-    verify` parses it, verifies it and writes its plan in 0.57-0.70 s and
-    peaks at 62 MB RSS, against 1.1-1.6 s and 64 MB through its span index.
-    c1(9,9) (m=92378), past the index's cap, where the scan would take
-    hours, verifies in 2.1-2.5 s and peaks at 178 MB (Python 3.11.7, one
-    core of a shared 2-vCPU Xeon VM whose speed drifts).  A part with no
+    verify` parses it, verifies it and writes its plan in 0.45-0.57 s and
+    peaks at 62 MB RSS.  c1(9,9) (m=92378), past the index's cap, where
+    the scan would take hours, does the same in 1.6-1.9 s and peaks at
+    204 MB (Python 3.11.7, one core of a shared 2-vCPU Xeon VM whose speed
+    drifts).  A part with no
     holders and no edges costs one step of two
     loops over the parts, so a header of many parts stored nowhere stays
     cheap.
@@ -557,10 +591,9 @@ def k_pir_pairs(code: ArrayCode) -> VerifyReport:
     pairs = {}
     if wanted:
         parts = code.p if image is None else 1
-        entries, candidates = _pair_counts(code, holders)
-        indexed = _use_span_index(code, holders)
+        indexed, cost = _pair_cost(code, holders)
         summed = _summed_columns(code)
-        if summed is not None and _subset_count(summed, wanted.bit_count()) <= (entries if indexed else candidates):
+        if summed is not None and _subset_count(summed, wanted.bit_count()) <= cost:
             edges = _summed_edges(summed, parts, wanted)
         elif indexed:
             edges = _indexed_edges(code, holders, parts, wanted)

@@ -450,6 +450,18 @@ def test_verify_refuses_a_header_p_beyond_max_parts(tmp_path, capsys, p):
     assert code == 2 and stdout == "" and f"beyond the limit of {MAX_PARTS} parts" in err
 
 
+def test_verify_time_is_linear_in_the_header_p_and_the_columns(tmp_path, capsys):
+    # 1,000 one-singleton columns under a header of 2^18 parts: holders found
+    # per part over every column would cost p * m = 2.6e8 steps
+    src = tmp_path / "wide.pir"
+    src.write_text(f"PIRCODE v1\np={MAX_PARTS} t=1 m=1000\n" + "".join(f"{262 * j}\n" for j in range(1, 1001)))
+    assert len(src.read_bytes()) < 8000
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, "verify", "--in", str(src))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and stdout.splitlines()[0] == "k=0 m=1000 rate=0/1"
+
+
 def test_verify_cap_directs_to_pairs(tmp_path, capsys):
     out = tmp_path / "c3.pir"
     run(capsys, "construct", "--family", "c3", "--t", "4", "--out", str(out))

@@ -44,11 +44,12 @@ from pirarray.verify import (
     _mapped,
     _max_packing,
     _minimal_recovery_masks,
+    _pair_cost,
+    _pair_spans,
     _scanned_edges,
     _span_index,
     _summed_columns,
     _summed_edges,
-    _use_span_index,
 )
 
 from conftest import FAMILY_BUILDERS, random_column, seeded_code
@@ -326,24 +327,50 @@ def test_mapped_plan_parts_match_the_reference_check():
     assert {kind for kind, ok in outcomes if ok} >= {"dropped set", "valid, not the image", "non-contiguous parts"}
 
 
+def _counted(monkeypatch, name: str) -> list[int]:
+    """A one-item list that counts the calls to `verify.<name>` from now on."""
+    calls = [0]
+    original = getattr(verify_module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(verify_module, name, counted)
+    return calls
+
+
+def _pair_plan_tests(code: ArrayCode, plan: RecoveryPlan, monkeypatch) -> tuple[int, int]:
+    """How many `_pair_spans` tests and `pivot_insert` calls `verify_plan`
+    makes on `plan`, which must pass."""
+    spans, inserts = _counted(monkeypatch, "_pair_spans"), _counted(monkeypatch, "pivot_insert")
+    assert verify_plan(code, plan) == (True, None)
+    monkeypatch.undo()
+    return spans[0], inserts[0]
+
+
 def test_a_rotation_closed_pair_plan_eliminates_part_1_only(monkeypatch):
     code = build_c1(5, 5)
     plan = k_pir_pairs(code).plan
-    calls = 0
-
-    def counted(pivots, bits):
-        nonlocal calls
-        calls += 1
-        return pivot_insert(pivots, bits)
-
-    monkeypatch.setattr(verify_module, "pivot_insert", counted)
-    assert verify_plan(code, plan) == (True, None)
-    whole, calls = calls, 0
-    assert verify_plan(code, RecoveryPlan({1: plan.sets(1)})) == (True, None)
+    whole = _pair_plan_tests(code, plan, monkeypatch)
     assert any(len(columns) > 1 for columns in plan.sets(1))
-    assert whole == calls > 0
-    # each multi-column set inserts each of its columns' t cells once
-    assert calls == code.t * sum(len(columns) for columns in plan.sets(1) if len(columns) > 1)
+    # each of part 1's two-column sets is tested once, by four ANDs, and
+    # no cell is eliminated
+    pairs = sum(len(columns) == 2 for columns in plan.sets(1))
+    assert whole == _pair_plan_tests(code, RecoveryPlan({1: plan.sets(1)}), monkeypatch) == (pairs, 0)
+    assert pairs > 0
+
+
+def test_a_rotation_closed_plan_of_two_sum_columns_eliminates_part_1_only(monkeypatch):
+    # columns of two sums have no (T, S) keys: part 1's sets are eliminated,
+    # each multi-column set inserting each of its columns' t cells once
+    code = parse_code("PIRCODE v1\np=3 t=2 m=6\n1+2;2+3\n2+3;1+3\n1+2;1+3\n1;2\n2;3\n1;3\n")
+    assert code._one_sum is None and code._rotation is not None
+    plan = k_pir_pairs(code).plan
+    inserts = code.t * sum(len(columns) for columns in plan.sets(1) if len(columns) > 1)
+    assert inserts > 0
+    assert _pair_plan_tests(code, plan, monkeypatch) == (0, inserts)
+    assert _pair_plan_tests(code, RecoveryPlan({1: plan.sets(1)}), monkeypatch) == (0, inserts)
 
 
 def _census(code: ArrayCode) -> list[int]:
@@ -570,6 +597,88 @@ def test_summed_edges_match_quadratic_oracle(code):
     _check_pair_plan(code)
 
 
+@st.composite
+def one_sum_codes(draw, max_p: int = 10) -> tuple[ArrayCode, bool]:
+    """A random code whose columns are t singletons, or t-1 singletons T and
+    one other cell S, and whether it is sure to be closed under the rotation.
+
+    S has at least two parts outside T, so that `ArrayCode` admits the
+    column, and each of T's parts with even odds, so that S often overlaps
+    T.  Half of the codes hold each column with all its part rotations, one
+    orbit twice, shuffled, each column's cells in a shuffled order, and of
+    those half lose one column; the other half repeat some columns.
+    """
+    p = draw(st.integers(3, max_p))
+    t = draw(st.integers(1, p - 2))
+    rotated = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+    columns = []
+    for _ in range(draw(st.integers(1, 3 if rotated else 8))):
+        parts = rng.sample(range(p), p)
+        singles = [1 << i for i in parts[: t - 1]]
+        if rng.random() < 0.25:
+            columns.append([*singles, 1 << parts[t - 1]])
+        else:
+            outside = parts[t - 1 :]
+            total = sum(1 << i for i in rng.sample(outside, rng.randint(2, len(outside))))
+            total |= sum(cell for cell in singles if rng.random() < 0.5)
+            columns.append([*singles, total])
+    closed = False
+    if rotated:
+        columns = [[_rotated(cell, p, steps) for cell in col] for col in columns for steps in range(p)]
+        columns += columns[:p]
+        rng.shuffle(columns)
+        columns = [rng.sample(col, len(col)) for col in columns]
+        closed = draw(st.booleans())
+        if not closed:
+            del columns[rng.randrange(len(columns))]
+    else:
+        columns += [rng.choice(columns) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(columns)
+    return ArrayCode.from_columns(p, columns), closed
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_sum_codes())
+def test_one_sum_walk_matches_the_generic_holders_and_column_map(drawn):
+    code, closed = drawn
+    walked = code._one_sum
+    assert walked is not None
+    holders, units, sums = walked
+    for col, unit, total in zip(code.columns, units, sums):
+        assert set(col) == {1 << (part - 1) for part in parts_of(unit)} | ({total} - {0})
+    assert holders == _singleton_columns(code)
+    image = _rotation_image(code, holders)
+    assert code._rotation == image
+    if closed:
+        assert image is not None
+    assert code._holders is holders
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_sum_codes())
+def test_four_and_span_test_equals_elimination(drawn):
+    code = drawn[0]
+    _, units, sums = code._one_sum
+    for u, v in combinations(range(code.m), 2):
+        pivots: dict[int, int] = {}
+        for cell in code.columns[u] + code.columns[v]:
+            pivot_insert(pivots, cell)
+        for part in range(1, code.p + 1):
+            bit = 1 << (part - 1)
+            spans = pivot_reduce(pivots, bit) == 0
+            assert _pair_spans(bit, units[u], sums[u], units[v], sums[v]) == spans
+
+
+def test_codes_with_two_sums_in_a_column_take_the_generic_walks():
+    codes = [parse_code("PIRCODE v1\np=3 t=2 m=4\n1+2;2+3\n1;2\n2;3\n1;3\n")]
+    codes += [seeded_code(seed, 12, 8, 3) for seed in range(5)]
+    for code in codes:
+        assert code._one_sum is None
+        assert code._holders == _singleton_columns(code)
+        assert code._rotation == _rotation_image(code, _singleton_columns(code))
+
+
 def _pairs_and_builders(code: ArrayCode) -> tuple[VerifyReport, list[tuple[str, int]]]:
     """`k_pir_pairs(code)` and each pair-edge builder it called, by name,
     with the parts it asked of it."""
@@ -719,7 +828,7 @@ def test_summed_edges_match_the_other_paths_on_family_codes(key):
     code = ConstructionParams(family, t, d=d).build()
     holders = _singleton_columns(code)
     kinds = _summed_columns(code)
-    edges = _indexed_edges if _use_span_index(code, holders) else _scanned_edges
+    edges = _indexed_edges if _pair_cost(code, holders)[0] else _scanned_edges
     assert list(_summed_edges(kinds, code.p)) == list(edges(code, holders, code.p))
     oracle = _oracle_edges(code, 1)
     assert list(_summed_edges(kinds, 1)) == ([(1, _as_neighbours(oracle))] if oracle else [])
@@ -744,7 +853,7 @@ def test_rotated_part_graphs_equal_the_built_ones(key):
     assert image is not None
     assert sorted(image[1:]) == list(range(1, code.m + 1))
     holders = _singleton_columns(code)
-    edges = _indexed_edges if _use_span_index(code, holders) else _scanned_edges
+    edges = _indexed_edges if _pair_cost(code, holders)[0] else _scanned_edges
     built = [neighbours for _, neighbours in edges(code, holders, code.p)]
     assert len(built) == code.p
     for part, neighbours in enumerate(built):
@@ -761,16 +870,12 @@ def test_pair_plan_parts_are_the_part_before_mapped(key, monkeypatch):
     plan = k_pir_pairs(code).plan
     for part in range(1, code.p):
         assert plan.sets(part + 1) == tuple(_mapped(code._rotation, plan.sets(part)))
-    calls = 0
-
-    def counted(pivots, bits):
-        nonlocal calls
-        calls += 1
-        return pivot_insert(pivots, bits)
-
-    monkeypatch.setattr(verify_module, "pivot_insert", counted)
-    assert verify_plan(code, plan) == (True, None)
-    assert calls == code.t * sum(len(columns) for columns in plan.sets(1) if len(columns) > 1)
+    # every family column is singletons plus at most one other cell, so each
+    # of part 1's two-column sets takes one four-AND test, and none is eliminated
+    assert code._one_sum is not None
+    pairs = sum(len(columns) == 2 for columns in plan.sets(1))
+    assert all(len(columns) <= 2 for columns in plan.sets(1))
+    assert _pair_plan_tests(code, plan, monkeypatch) == (pairs, 0)
 
 
 def test_codes_not_closed_under_rotation_get_no_column_map():
@@ -870,7 +975,7 @@ def test_narrow_codes_with_large_t_verify_by_scan(family, t):
     # 11,800, are more than those too, so the code is not read off its cells
     params = ConstructionParams(family, t)
     code = params.build()
-    assert _summed_columns(code) is not None and not _use_span_index(code, _singleton_columns(code))
+    assert _summed_columns(code) is not None and not _pair_cost(code, _singleton_columns(code))[0]
     report, builders = _pairs_and_builders(code)
     assert builders == [("_scanned_edges", 1 if code._rotation is not None else code.p)]
     assert (code.m, report.k) == params.predicted_counts()
